@@ -1,42 +1,28 @@
-"""Minimal estimator plumbing in the scikit-learn idiom.
+"""Shared plumbing: the package error base class and input validation.
 
 Estimators keep their constructor arguments untouched as public attributes;
 fitting writes learned state to attributes with a trailing underscore.
-`get_params` / `set_params` are derived from the constructor signature so the
-estimators compose with generic tooling.
 """
 
 from __future__ import annotations
 
-import inspect
-
 import numpy as np
+
+
+class MultisysError(Exception):
+    """Base of every error caused by bad input or run-directory state.
+
+    The CLI reports it as one JSON line, ``{"error": kind, "message": ...}``,
+    and exits with status 2; ``kind`` defaults to the class name.
+    """
+
+    def __init__(self, message: str, *, kind: str | None = None):
+        super().__init__(message)
+        self.kind = kind or type(self).__name__
 
 
 class NotFittedError(RuntimeError):
     pass
-
-
-class BaseEstimator:
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [p for p in sig.parameters if p != "self"]
-
-    def get_params(self) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params) -> "BaseEstimator":
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(f"invalid parameter {name!r} for {type(self).__name__}")
-            setattr(self, name, value)
-        return self
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
 
 
 def check_X(X, n_features: int | None = None) -> np.ndarray:

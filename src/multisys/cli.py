@@ -1,10 +1,11 @@
 """End-to-end pipeline orchestration.
 
 Each subcommand reads its upstream artifacts from the run directory and
-writes its own, so every stage is independently inspectable and replayable.
-Every artifact is registered in ``manifest.json`` together with the hash of
-the configuration that produced it; stages refuse to mix artifacts from
-different configurations unless ``--force`` is given.
+writes its own through ``Workspace.read`` / ``Workspace.write``, so every
+stage is independently inspectable and replayable.  Every artifact is
+registered in ``manifest.json`` together with the hash of the configuration
+that produced it; stages refuse to mix artifacts from different
+configurations unless ``--force`` is given.
 
 Subcommands: simulate, ingest, features, split, train, evaluate, explain,
 report, all.
@@ -15,11 +16,13 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import logging
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,8 +32,9 @@ from . import ingest as ingest_mod
 from . import metrics as metrics_mod
 from . import report as report_mod
 from . import synth as synth_mod
-from .models import (GradientBoostingClassifier, LogisticRegressionClassifier,
-                     RandomForestClassifier, Standardizer, TreeEnsemble)
+from .base import MultisysError
+from .models import (GradientBoostingClassifier, RandomForestClassifier,
+                     ScaledLogisticRegression, TreeEnsemble)
 from .split import FoldPlan, Partition, stratified_kfold, stratified_split
 
 log = logging.getLogger("multisys.cli")
@@ -38,10 +42,36 @@ log = logging.getLogger("multisys.cli")
 SUMMARY_SCHEMA_VERSION = 1
 
 
-class CliError(Exception):
-    def __init__(self, message: str, *, kind: str = "error"):
-        super().__init__(message)
-        self.kind = kind
+class CliError(MultisysError):
+    """Bad invocation, config or run directory; `kind` says which."""
+
+
+class ModelKind(NamedTuple):
+    artifact: str
+    config_field: str  # RunConfig attribute and "models" key holding the parameters
+    cls: type
+    load: Callable[[dict], object]  # fitted model from the artifact's JSON
+
+
+# Keyed by report name; the order is the fitting and reporting order.
+MODELS = {
+    "logistic_regression": ModelKind("model_lr.json", "logistic", ScaledLogisticRegression,
+                                     ScaledLogisticRegression.from_dict),
+    "random_forest": ModelKind("model_rf.json", "random_forest", RandomForestClassifier,
+                               TreeEnsemble.from_dict),
+    "gradient_boosting": ModelKind("model_gb.json", "gradient_boosting",
+                                   GradientBoostingClassifier, TreeEnsemble.from_dict),
+}
+
+
+def _checked(section, allowed, where: str) -> dict:
+    """`section` itself, once it is known to be an object with no unknown keys."""
+    if not isinstance(section, dict):
+        raise CliError(f"{where} must be a JSON object", kind="config")
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise CliError(f"unknown {where} key(s): {', '.join(unknown)}", kind="config")
+    return section
 
 
 @dataclass
@@ -80,8 +110,18 @@ class RunConfig:
                 raise CliError(f"cannot read config {path}: {exc}", kind="config")
             except json.JSONDecodeError as exc:
                 raise CliError(f"malformed config {path}: {exc}", kind="config")
-        split = raw.get("split", {})
-        models = raw.get("models", {})
+        # Every key must appear in the canonical form or be a model parameter.
+        defaults = cls()
+        shape = defaults.canonical()
+        _checked(raw, shape, "config")
+        split = _checked(raw.get("split", {}), shape["split"], "split")
+        models = _checked(raw.get("models", {}), shape["models"], "models")
+        params = {}
+        for kind in MODELS.values():
+            name = kind.config_field
+            given = _checked(models.get(name, {}), inspect.signature(kind.cls).parameters,
+                             f"models.{name}")
+            params[name] = {**getattr(defaults, name), **given}
         cfg = cls(
             input_csv=raw.get("input_csv"),
             synth=raw.get("synth"),
@@ -90,10 +130,7 @@ class RunConfig:
             split_ratios=tuple(split.get("ratios", (0.70, 0.15, 0.15))),
             split_seed=split.get("seed", 42),
             cv_folds=raw.get("cv_folds", 5),
-            logistic={**cls().logistic, **models.get("logistic", {})},
-            random_forest={**cls().random_forest, **models.get("random_forest", {})},
-            gradient_boosting={**cls().gradient_boosting,
-                               **models.get("gradient_boosting", {})},
+            **params,
         )
         if seed_override is not None:
             cfg.split_seed = seed_override
@@ -110,11 +147,8 @@ class RunConfig:
             "systems_config": self.systems_config,
             "split": {"ratios": list(self.split_ratios), "seed": self.split_seed},
             "cv_folds": self.cv_folds,
-            "models": {
-                "logistic": self.logistic,
-                "random_forest": self.random_forest,
-                "gradient_boosting": self.gradient_boosting,
-            },
+            "models": {kind.config_field: getattr(self, kind.config_field)
+                       for kind in MODELS.values()},
         }
 
     def hash(self) -> str:
@@ -131,43 +165,57 @@ class RunConfig:
             return indices_mod.systems_from_json(self.systems_config)
         return indices_mod.default_systems()
 
-
-def _dump_json(obj, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    def fitter(self, kind: ModelKind) -> Callable:
+        """`fitter(X, y)` returning a fresh model of `kind` fitted on X, y."""
+        return lambda X, y: kind.cls(**getattr(self, kind.config_field)).fit(X, y)
 
 
 class Workspace:
-    """Run-directory bookkeeping: artifact paths and the config-hash manifest."""
+    """The run directory: artifact I/O and the config-hash manifest."""
 
     def __init__(self, out_dir: str, cfg: RunConfig, force: bool = False):
         self.out_dir = out_dir
         self.cfg = cfg
-        self.force = force
         os.makedirs(out_dir, exist_ok=True)
-        self.manifest_path = os.path.join(out_dir, "manifest.json")
-        if os.path.exists(self.manifest_path):
-            with open(self.manifest_path, encoding="utf-8") as fh:
-                self.manifest = json.load(fh)
-            if self.manifest.get("config_hash") != cfg.hash():
-                if not force:
-                    raise CliError(
-                        f"run directory {out_dir} holds artifacts for config "
-                        f"{self.manifest.get('config_hash')}, current config is "
-                        f"{cfg.hash()}; pass --force to overwrite",
-                        kind="config-hash-mismatch")
-                self.manifest = {"config_hash": cfg.hash(), "artifacts": {}}
-        else:
-            self.manifest = {"config_hash": cfg.hash(), "artifacts": {}}
+        self.manifest = {"config_hash": cfg.hash(), "artifacts": {}}
+        path = self.path("manifest.json")
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as fh:
+                found = json.load(fh)
+            if found.get("config_hash") == cfg.hash():
+                self.manifest = found
+            elif not force:
+                raise CliError(
+                    f"run directory {out_dir} holds artifacts for config "
+                    f"{found.get('config_hash')}, current config is "
+                    f"{cfg.hash()}; pass --force to overwrite",
+                    kind="config-hash-mismatch")
 
     def path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
 
-    def register(self, *names: str) -> None:
-        for name in names:
-            self.manifest["artifacts"][name] = self.cfg.hash()
-        _dump_json(self.manifest, self.manifest_path)
+    def _put(self, name: str, content) -> None:
+        path = self.path(name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            if isinstance(content, dict):
+                json.dump(content, fh, sort_keys=True, indent=1)
+                fh.write("\n")
+            elif isinstance(content, list):
+                csv.writer(fh).writerows(content)
+            else:
+                fh.write(content)
+
+    def register(self, name: str) -> None:
+        """Record an artifact written at `path(name)` in the manifest."""
+        self.manifest["artifacts"][name] = self.cfg.hash()
+        self._put("manifest.json", self.manifest)
+
+    def write(self, name: str, content) -> None:
+        """Write and register an artifact: a dict as JSON, a list as CSV
+        rows (header first), a str verbatim."""
+        self._put(name, content)
+        self.register(name)
 
     def require(self, name: str) -> str:
         path = self.path(name)
@@ -176,23 +224,33 @@ class Workspace:
                            kind="missing-artifact")
         return path
 
+    def read(self, name: str):
+        """A registered artifact: parsed JSON, or CSV rows as dicts."""
+        with open(self.require(name), newline="", encoding="utf-8") as fh:
+            if name.endswith(".json"):
+                return json.load(fh)
+            return list(csv.DictReader(fh))
+
+
+def _table(records: list[dict]) -> list[list]:
+    """CSV rows, header first, of records that share their keys."""
+    return [list(records[0]), *(list(r.values()) for r in records)]
+
 
 # ---------------------------------------------------------------------------
 # stages
 
 def stage_simulate(ws: Workspace) -> None:
-    if ws.cfg.synth is None:
+    synth = ws.cfg.synth
+    if synth is None:
         raise CliError("simulate requires a synth spec in the config", kind="config")
-    synth_cfg = ws.cfg.synth
-    if "analytes" in synth_cfg or "spec_path" in synth_cfg:
-        spec = synth_mod.spec_from_json(synth_cfg["spec_path"]) \
-            if "spec_path" in synth_cfg else None
-        if spec is None:
-            raise CliError("inline analyte specs are not supported; use spec_path",
-                           kind="config")
+    if "spec_path" in synth:
+        spec = synth_mod.spec_from_json(synth["spec_path"])
+    elif "analytes" in synth:
+        raise CliError("inline analyte specs are not supported; use spec_path",
+                       kind="config")
     else:
-        spec = synth_mod.GeneratorSpec(n=synth_cfg.get("n", 1195),
-                                       seed=synth_cfg.get("seed", 42))
+        spec = synth_mod.GeneratorSpec(n=synth.get("n", 1195), seed=synth.get("seed", 42))
     synth_mod.write_cohort_csv(spec, ws.path("cohort.csv"))
     ws.register("cohort.csv")
     log.info("simulate: wrote %d-row cohort", spec.n)
@@ -209,8 +267,8 @@ def stage_ingest(ws: Workspace) -> None:
     cohort = ingest_mod.load_cohort(source, schemas)
     matrix, audit = ingest_mod.clean_cohort(cohort, schemas, tokens)
     ingest_mod.write_matrix_csv(matrix, ws.path("matrix.csv"))
-    _dump_json(audit, ws.path("audit.json"))
-    ws.register("matrix.csv", "audit.json")
+    ws.register("matrix.csv")
+    ws.write("audit.json", audit)
     log.info("ingest: %d rows, %d columns", *matrix.values.shape)
 
 
@@ -223,143 +281,60 @@ def stage_features(ws: Workspace) -> None:
     matrix = _load_matrix(ws)
     systems = ws.cfg.systems()
     idx = indices_mod.compute_indices(matrix, systems)
-    with open(ws.path("indices.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        names = idx.systems
-        writer.writerow([f"{s}_flag" for s in names] + [f"{s}_grade" for s in names]
-                        + ["burden_score", "affected_systems", "target_multi"])
-        for i in range(len(idx)):
-            writer.writerow(
-                [int(idx.flags[s][i]) for s in names]
-                + [int(idx.grades[s][i]) for s in names]
-                + [int(idx.burden_score[i]), int(idx.affected_systems[i]),
-                   int(idx.target_multi[i])])
+    names = idx.systems
+    header = ([f"{s}_flag" for s in names] + [f"{s}_grade" for s in names]
+              + ["burden_score", "affected_systems", "target_multi"])
+    columns = ([idx.flags[s] for s in names] + [idx.grades[s] for s in names]
+               + [idx.burden_score, idx.affected_systems, idx.target_multi])
+    ws.write("indices.csv", [header, *np.column_stack(columns).astype(int).tolist()])
     summary = indices_mod.prevalence_summary(idx, systems, matrix)
-    _dump_json(summary, ws.path("prevalence.json"))
-    ws.register("indices.csv", "prevalence.json")
+    ws.write("prevalence.json", summary)
     log.info("features: target prevalence %.3f", summary["target_prevalence"])
 
 
 def _load_target(ws: Workspace) -> np.ndarray:
-    with open(ws.require("indices.csv"), newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        return np.asarray([int(row["target_multi"]) for row in reader])
+    return np.asarray([int(row["target_multi"]) for row in ws.read("indices.csv")])
 
 
 def stage_split(ws: Workspace) -> None:
     y = _load_target(ws)
     partition = stratified_split(y, ws.cfg.split_ratios, ws.cfg.split_seed)
-    with open(ws.path("partition.json"), "w", encoding="utf-8") as fh:
-        fh.write(partition.to_json() + "\n")
+    ws.write("partition.json", partition.to_json() + "\n")
     train_idx = np.asarray(partition.train)
     folds = stratified_kfold(y[train_idx], ws.cfg.cv_folds, ws.cfg.split_seed)
-    _dump_json({"k": folds.k, "train_indices": partition.train,
-                "assignments": folds.assignments}, ws.path("folds.json"))
-    ws.register("partition.json", "folds.json")
+    ws.write("folds.json", {"k": folds.k, "train_indices": partition.train,
+                            "assignments": folds.assignments})
     log.info("split: %d/%d/%d", len(partition.train), len(partition.validation),
              len(partition.test))
 
 
 def _load_partition(ws: Workspace) -> Partition:
-    with open(ws.require("partition.json"), encoding="utf-8") as fh:
-        return Partition.from_json(fh.read())
-
-
-def _fitters(cfg: RunConfig) -> dict:
-    """Model constructors keyed by report name."""
-    def fit_lr(X, y):
-        scaler = Standardizer().fit(X)
-        model = LogisticRegressionClassifier(**cfg.logistic).fit(scaler.transform(X), y)
-        return _ScaledModel(scaler, model)
-
-    def fit_rf(X, y):
-        return RandomForestClassifier(**cfg.random_forest).fit(X, y)
-
-    def fit_gb(X, y):
-        return GradientBoostingClassifier(**cfg.gradient_boosting).fit(X, y)
-
-    return {"logistic_regression": fit_lr, "random_forest": fit_rf,
-            "gradient_boosting": fit_gb}
-
-
-class _ScaledModel:
-    """Logistic model bundled with the standardizer fitted on its train rows."""
-
-    def __init__(self, scaler: Standardizer, model: LogisticRegressionClassifier):
-        self.scaler = scaler
-        self.model = model
-
-    def predict_proba(self, X):
-        return self.model.predict_proba(self.scaler.transform(X))
+    return Partition(**ws.read("partition.json"))
 
 
 def stage_train(ws: Workspace) -> None:
     matrix = _load_matrix(ws)
     y = _load_target(ws)
-    partition = _load_partition(ws)
-    train_idx = np.asarray(partition.train)
+    train_idx = np.asarray(_load_partition(ws).train)
     X_train, y_train = matrix.values[train_idx], y[train_idx]
-
-    fitters = _fitters(ws.cfg)
-    lr = fitters["logistic_regression"](X_train, y_train)
-    _dump_json({
-        "kind": "logistic", "config_hash": ws.cfg.hash(),
-        "weights": [float(w) for w in lr.model.coef_],
-        "intercept": lr.model.intercept_,
-        "gradient_max_norm": lr.model.gradient_max_norm_,
-        "standardizer": {"mean": [float(v) for v in lr.scaler.mean_],
-                         "scale": [float(v) for v in lr.scaler.scale_]},
-    }, ws.path("model_lr.json"))
-
-    rf = fitters["random_forest"](X_train, y_train)
-    doc = rf.ensemble_.to_dict()
-    doc["config_hash"] = ws.cfg.hash()
-    _dump_json(doc, ws.path("model_rf.json"))
-
-    gb = fitters["gradient_boosting"](X_train, y_train)
-    doc = gb.ensemble_.to_dict()
-    doc["config_hash"] = ws.cfg.hash()
-    doc["train_deviance"] = gb.train_deviance_
-    _dump_json(doc, ws.path("model_gb.json"))
-
-    ws.register("model_lr.json", "model_rf.json", "model_gb.json")
-    log.info("train: fitted 3 models on %d rows", len(train_idx))
-
-
-def _load_models(ws: Workspace) -> dict:
-    with open(ws.require("model_lr.json"), encoding="utf-8") as fh:
-        lr_doc = json.load(fh)
-    scaler = Standardizer()
-    scaler.mean_ = np.asarray(lr_doc["standardizer"]["mean"])
-    scaler.scale_ = np.asarray(lr_doc["standardizer"]["scale"])
-    scaler.constant_features_ = np.flatnonzero(scaler.scale_ == 1.0)
-    lr = LogisticRegressionClassifier()
-    lr.coef_ = np.asarray(lr_doc["weights"])
-    lr.intercept_ = lr_doc["intercept"]
-    lr.n_features_in_ = len(lr.coef_)
-    with open(ws.require("model_rf.json"), encoding="utf-8") as fh:
-        rf = TreeEnsemble.from_dict(json.load(fh))
-    with open(ws.require("model_gb.json"), encoding="utf-8") as fh:
-        gb = TreeEnsemble.from_dict(json.load(fh))
-    return {"logistic_regression": _ScaledModel(scaler, lr),
-            "random_forest": rf, "gradient_boosting": gb}
+    for kind in MODELS.values():
+        model = ws.cfg.fitter(kind)(X_train, y_train)
+        ws.write(kind.artifact, {**model.to_dict(), "config_hash": ws.cfg.hash()})
+    log.info("train: fitted %d models on %d rows", len(MODELS), len(train_idx))
 
 
 def stage_evaluate(ws: Workspace) -> None:
     matrix = _load_matrix(ws)
     y = _load_target(ws)
     partition = _load_partition(ws)
-    models = _load_models(ws)
-    with open(ws.require("folds.json"), encoding="utf-8") as fh:
-        folds_doc = json.load(fh)
+    folds_doc = ws.read("folds.json")
     fold_plan = FoldPlan(k=folds_doc["k"], assignments=folds_doc["assignments"])
     train_idx = np.asarray(folds_doc["train_indices"])
 
-    fitters = _fitters(ws.cfg)
-    results: dict = {}
-    roc_doc: dict = {}
-    for name, model in models.items():
-        cv = metrics_mod.cv_evaluate(fitters[name], matrix.values[train_idx],
+    results, roc_doc = {}, {}
+    for name, kind in MODELS.items():
+        model = kind.load(ws.read(kind.artifact))
+        cv = metrics_mod.cv_evaluate(ws.cfg.fitter(kind), matrix.values[train_idx],
                                      y[train_idx], fold_plan)
         entry = {"cv_auc_mean": cv.mean, "cv_auc_sd": cv.sd,
                  "cv_fold_aucs": cv.fold_aucs}
@@ -375,130 +350,90 @@ def stage_evaluate(ws: Workspace) -> None:
                                  "tpr": [float(v) for v in curve.tpr],
                                  "auc": curve.auc}
         results[name] = entry
-    _dump_json({"config_hash": ws.cfg.hash(), "threshold": 0.5,
-                "models": results}, ws.path("metrics.json"))
-    _dump_json({"config_hash": ws.cfg.hash(), "curves": roc_doc},
-               ws.path("roc.json"))
-    with open(ws.path("metrics.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "cv_auc_mean", "cv_auc_sd", "auc", "accuracy",
-                         "sensitivity", "specificity", "f1"])
-        for name, entry in results.items():
-            test = entry["test"]
-            writer.writerow([name, f"{entry['cv_auc_mean']:.3f}",
-                             f"{entry['cv_auc_sd']:.3f}", f"{test['auc']:.3f}",
-                             f"{test['accuracy']:.3f}", f"{test['sensitivity']:.3f}",
-                             f"{test['specificity']:.3f}", f"{test['f1']:.3f}"])
-    ws.register("metrics.json", "metrics.csv", "roc.json")
-    log.info("evaluate: GB test AUC %.4f",
-             results["gradient_boosting"]["test"]["auc"])
+    ws.write("metrics.json", {"config_hash": ws.cfg.hash(), "threshold": 0.5,
+                              "models": results})
+    ws.write("roc.json", {"config_hash": ws.cfg.hash(), "curves": roc_doc})
+    rows = [["model", "cv_auc_mean", "cv_auc_sd", "auc", "accuracy",
+             "sensitivity", "specificity", "f1"]]
+    for name, entry in results.items():
+        test = entry["test"]
+        rows.append([name] + [f"{v:.3f}" for v in (
+            entry["cv_auc_mean"], entry["cv_auc_sd"], test["auc"], test["accuracy"],
+            test["sensitivity"], test["specificity"], test["f1"])])
+    ws.write("metrics.csv", rows)
+    log.info("evaluate: GB test AUC %.4f", results["gradient_boosting"]["test"]["auc"])
 
 
 def stage_explain(ws: Workspace) -> None:
     matrix = _load_matrix(ws)
     partition = _load_partition(ws)
-    with open(ws.require("model_gb.json"), encoding="utf-8") as fh:
-        gb = TreeEnsemble.from_dict(json.load(fh))
-    test_idx = np.asarray(partition.test)
-    X_test = matrix.values[test_idx]
+    gb = TreeEnsemble.from_dict(ws.read("model_gb.json"))
+    X_test = matrix.values[np.asarray(partition.test)]
     names = matrix.names
 
     attribution = explain_mod.tree_shap(gb, X_test)
     ranking = explain_mod.global_importance(attribution, names)
-    with open(ws.path("importance.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "feature", "mean_abs_shap"])
-        for r, (feature, value) in enumerate(ranking, start=1):
-            writer.writerow([r, feature, repr(value)])
+    ws.write("importance.csv", [["rank", "feature", "mean_abs_shap"]]
+             + [[r, feature, value] for r, (feature, value) in enumerate(ranking, 1)])
     records = explain_mod.beeswarm_export(attribution, X_test, names)
-    explain_mod.write_beeswarm_csv(records, ws.path("beeswarm.csv"))
+    ws.write("beeswarm.csv", _table(records))
 
-    train_idx = np.asarray(partition.train)
-    X_train = matrix.values[train_idx]
+    X_train = matrix.values[np.asarray(partition.train)]
     pdp_files = []
     for feature, _ in ranking[:3]:
-        j = matrix.column_index(feature)
-        curve = explain_mod.partial_dependence(gb, X_train, j)
+        curve = explain_mod.partial_dependence(gb, X_train, matrix.column_index(feature))
         fname = f"pdp_{feature}.csv"
-        with open(ws.path(fname), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([feature, "probability"])
-            for g, r in zip(curve.grid, curve.response):
-                writer.writerow([repr(float(g)), repr(float(r))])
+        ws.write(fname, [[feature, "probability"]]
+                 + [[float(g), float(r)] for g, r in zip(curve.grid, curve.response)])
         pdp_files.append(fname)
-    _dump_json({"config_hash": ws.cfg.hash(),
-                "base_value": attribution.base_value,
-                "top_features": [f for f, _ in ranking[:3]],
-                "pdp_files": pdp_files}, ws.path("explain_meta.json"))
-    ws.register("importance.csv", "beeswarm.csv", "explain_meta.json", *pdp_files)
+    ws.write("explain_meta.json", {"config_hash": ws.cfg.hash(),
+                                   "base_value": attribution.base_value,
+                                   "top_features": [f for f, _ in ranking[:3]],
+                                   "pdp_files": pdp_files})
     log.info("explain: top feature %s", ranking[0][0])
 
 
 def stage_report(ws: Workspace) -> None:
     matrix = _load_matrix(ws)
-    fig_dir = ws.path("figures")
-    os.makedirs(fig_dir, exist_ok=True)
-
-    def write(name: str, svg: str) -> str:
-        with open(os.path.join(fig_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(svg)
-        return f"figures/{name}"
-
-    written = []
+    figures = {}
     continuous = [(c.name, matrix.column(c.name)) for c in matrix.columns
                   if c.kind == "continuous" and c.name not in matrix.zero_filled][:12]
-    written.append(write("histograms.svg",
-                         report_mod.render_histogram_grid(continuous)))
+    figures["histograms"] = report_mod.render_histogram_grid(continuous)
 
-    with open(ws.require("indices.csv"), newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        burden, affected = [], []
-        for row in reader:
-            burden.append(int(row["burden_score"]))
-            affected.append(int(row["affected_systems"]))
-    written.append(write("burden.svg", report_mod.render_burden_distribution(
-        np.asarray(burden), np.asarray(affected))))
+    indices = ws.read("indices.csv")
+    figures["burden"] = report_mod.render_burden_distribution(
+        np.asarray([int(r["burden_score"]) for r in indices]),
+        np.asarray([int(r["affected_systems"]) for r in indices]))
 
     names = [name for name, _ in continuous]
-    cols = np.column_stack([matrix.column(n) for n in names])
-    corr = np.corrcoef(cols, rowvar=False)
-    written.append(write("correlation.svg",
-                         report_mod.render_correlation_heatmap(names, corr)))
+    corr = np.corrcoef(np.column_stack([matrix.column(n) for n in names]), rowvar=False)
+    figures["correlation"] = report_mod.render_correlation_heatmap(names, corr)
 
-    with open(ws.require("roc.json"), encoding="utf-8") as fh:
-        roc_doc = json.load(fh)
-    curves = [(name, np.asarray(c["fpr"]), np.asarray(c["tpr"]), c["auc"])
-              for name, c in sorted(roc_doc["curves"].items())]
-    written.append(write("roc.svg", report_mod.render_roc(curves)))
+    roc_doc = ws.read("roc.json")
+    figures["roc"] = report_mod.render_roc(
+        [(name, np.asarray(c["fpr"]), np.asarray(c["tpr"]), c["auc"])
+         for name, c in sorted(roc_doc["curves"].items())])
 
-    with open(ws.require("beeswarm.csv"), newline="", encoding="utf-8") as fh:
-        records = [{"row": int(r["row"]), "feature": r["feature"],
-                    "shap": float(r["shap"]), "value": float(r["value"]),
-                    "rank": int(r["rank"])} for r in csv.DictReader(fh)]
-    written.append(write("beeswarm.svg", report_mod.render_beeswarm(records)))
+    figures["beeswarm"] = report_mod.render_beeswarm(
+        [{"row": int(r["row"]), "feature": r["feature"], "shap": float(r["shap"]),
+          "value": float(r["value"]), "rank": int(r["rank"])}
+         for r in ws.read("beeswarm.csv")])
 
-    with open(ws.require("importance.csv"), newline="", encoding="utf-8") as fh:
-        ranking = [(r["feature"], float(r["mean_abs_shap"]))
-                   for r in csv.DictReader(fh)]
-    written.append(write("importance.svg",
-                         report_mod.render_importance_bar(ranking)))
+    figures["importance"] = report_mod.render_importance_bar(
+        [(r["feature"], float(r["mean_abs_shap"])) for r in ws.read("importance.csv")])
 
-    with open(ws.require("explain_meta.json"), encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = ws.read("explain_meta.json")
     pdp_curves = []
     for feature, fname in zip(meta["top_features"], meta["pdp_files"]):
-        with open(ws.require(fname), newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            pts = [(float(a), float(b)) for a, b in reader]
-        pdp_curves.append((feature, np.asarray([p[0] for p in pts]),
-                           np.asarray([p[1] for p in pts])))
-    written.append(write("pdp.svg", report_mod.render_pdp_panel(pdp_curves)))
+        rows = ws.read(fname)
+        pdp_curves.append((feature, np.asarray([float(r[feature]) for r in rows]),
+                           np.asarray([float(r["probability"]) for r in rows])))
+    figures["pdp"] = report_mod.render_pdp_panel(pdp_curves)
 
-    report_mod.write_table_csv(report_mod.table_summary(matrix),
-                               ws.path("table1.csv"))
-    ws.register("table1.csv", *written)
-    log.info("report: wrote %d figures", len(written))
+    for name, svg in figures.items():
+        ws.write(f"figures/{name}.svg", svg)
+    ws.write("table1.csv", _table(report_mod.table_summary(matrix)))
+    log.info("report: wrote %d figures", len(figures))
 
 
 def stage_all(ws: Workspace) -> None:
@@ -512,14 +447,10 @@ def stage_all(ws: Workspace) -> None:
     stage_explain(ws)
     stage_report(ws)
 
-    with open(ws.require("prevalence.json"), encoding="utf-8") as fh:
-        prevalence = json.load(fh)
-    with open(ws.require("metrics.json"), encoding="utf-8") as fh:
-        metrics_doc = json.load(fh)
-    with open(ws.require("importance.csv"), newline="", encoding="utf-8") as fh:
-        importance = [{"rank": int(r["rank"]), "feature": r["feature"],
-                       "mean_abs_shap": float(r["mean_abs_shap"])}
-                      for r in csv.DictReader(fh)][:10]
+    prevalence = ws.read("prevalence.json")
+    importance = [{"rank": int(r["rank"]), "feature": r["feature"],
+                   "mean_abs_shap": float(r["mean_abs_shap"])}
+                  for r in ws.read("importance.csv")[:10]]
     partition = _load_partition(ws)
     summary = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
@@ -529,11 +460,10 @@ def stage_all(ws: Workspace) -> None:
                         "validation": len(partition.validation),
                         "test": len(partition.test)},
         "prevalence": prevalence,
-        "metrics": metrics_doc["models"],
+        "metrics": ws.read("metrics.json")["models"],
         "importance_top10": importance,
     }
-    _dump_json(summary, ws.path("summary.json"))
-    ws.register("summary.json")
+    ws.write("summary.json", summary)
     log.info("all: summary written")
 
 
@@ -558,13 +488,8 @@ def run_subcommand(name: str, config_path: str | None, out_dir: str,
         ws = Workspace(out_dir, cfg, force=force)
         STAGES[name](ws)
         return 0
-    except CliError as exc:
+    except MultisysError as exc:
         json.dump({"error": exc.kind, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
-    except (ingest_mod.IngestError, indices_mod.MissingAnalyteError,
-            metrics_mod.MetricError, synth_mod.SynthError) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2
 

@@ -13,17 +13,16 @@ model output exactly (local accuracy).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base import check_X
+from .base import MultisysError, check_X
 from .models import TreeEnsemble
 from .tree import DecisionTree
 
 
-class ExplainError(Exception):
+class ExplainError(MultisysError):
     pass
 
 
@@ -214,17 +213,6 @@ def beeswarm_export(attribution: ShapAttribution, X,
                 "rank": rank_of[name],
             })
     return records
-
-
-def write_beeswarm_csv(records: list[dict], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["row", "feature", "shap", "value", "rank"])
-        writer.writeheader()
-        for rec in records:
-            out = dict(rec)
-            out["shap"] = repr(out["shap"])  # full precision round trip
-            out["value"] = repr(out["value"])
-            writer.writerow(out)
 
 
 def partial_dependence(model, X_train, feature: int, grid_size: int = 50,

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import MultisysError
 from .ingest import FeatureMatrix
 
 SYSTEM_NAMES = ("kidney", "lipid", "inflamm", "metabolic")
 
 
-class MissingAnalyteError(Exception):
+class MissingAnalyteError(MultisysError):
     """Raised when a rule references a column absent from the matrix."""
 
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .base import MultisysError
+
 log = logging.getLogger("multisys.ingest")
 
 # Provenance codes for the missing-mask metadata.
@@ -41,7 +43,7 @@ DEFAULT_SEMIQUANT_TOKENS: dict[str, float] = {
 ORDINAL_LEVELS = (0.0, 0.5, 1.0, 2.0, 3.0)
 
 
-class IngestError(Exception):
+class IngestError(MultisysError):
     """Raised for unrecoverable ingestion problems (bad file, bad schema)."""
 
 

@@ -7,8 +7,10 @@ from typing import Callable
 
 import numpy as np
 
+from .base import MultisysError
 
-class MetricError(Exception):
+
+class MetricError(MultisysError):
     """Raised when labels are degenerate (single class) or shapes mismatch."""
 
 

@@ -1,21 +1,20 @@
 """From-scratch classifiers: L2 logistic regression, random forest,
 gradient boosting, plus feature standardization.
 
-All three follow the scikit-learn estimator protocol (fit / predict_proba /
-get_params).  Tree ensembles serialize to a documented JSON schema which is
-the contract consumed by the `explain` module.
+Each pipeline model has `fit`, `predict_proba` and a JSON-ready `to_dict`.
+`ScaledLogisticRegression.from_dict` loads the logistic model back; the tree
+models load back as a `TreeEnsemble`, the schema `explain` consumes.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .base import BaseEstimator, check_fitted, check_X, check_X_y
+from .base import check_fitted, check_X, check_X_y
 from .rng import SplitMix64
 from .tree import DecisionTree, grow_tree
 
@@ -41,7 +40,7 @@ def binomial_deviance(y: np.ndarray, proba: np.ndarray) -> float:
     return float(-2.0 * np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
 
 
-class Standardizer(BaseEstimator):
+class Standardizer:
     """Zero-mean unit-variance scaling with training statistics only.
 
     Uses the population standard deviation.  Zero-variance features get a
@@ -67,13 +66,8 @@ class Standardizer(BaseEstimator):
     def fit_transform(self, X) -> np.ndarray:
         return self.fit(X).transform(X)
 
-    def inverse_transform(self, X) -> np.ndarray:
-        check_fitted(self, "mean_")
-        X = check_X(X, n_features=len(self.mean_))
-        return X * self.scale_ + self.mean_
 
-
-class LogisticRegressionClassifier(BaseEstimator):
+class LogisticRegressionClassifier:
     """Binary logistic regression with an unpenalized intercept.
 
     Minimizes mean negative log-likelihood + (lambda / (2n)) * ||w||^2 with
@@ -128,6 +122,47 @@ class LogisticRegressionClassifier(BaseEstimator):
 
     def predict(self, X) -> np.ndarray:
         return (self.predict_proba(X) >= 0.5).astype(int)
+
+
+class ScaledLogisticRegression:
+    """Logistic regression on inputs standardized with its own train rows."""
+
+    def __init__(self, C: float = 1.0, max_iter: int = 2000, tol: float = 1e-6):
+        self.C = C
+        self.max_iter = max_iter
+        self.tol = tol
+
+    def fit(self, X, y) -> "ScaledLogisticRegression":
+        self.scaler_ = Standardizer().fit(X)
+        self.model_ = LogisticRegressionClassifier(self.C, self.max_iter, self.tol)
+        self.model_.fit(self.scaler_.transform(X), y)
+        return self
+
+    def predict_proba(self, X) -> np.ndarray:
+        check_fitted(self, "model_")
+        return self.model_.predict_proba(self.scaler_.transform(X))
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": "logistic",
+            "weights": [float(w) for w in self.model_.coef_],
+            "intercept": self.model_.intercept_,
+            "gradient_max_norm": self.model_.gradient_max_norm_,
+            "standardizer": {"mean": [float(v) for v in self.scaler_.mean_],
+                             "scale": [float(v) for v in self.scaler_.scale_]},
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ScaledLogisticRegression":
+        out = cls()
+        out.scaler_, out.model_ = Standardizer(), LogisticRegressionClassifier()
+        out.scaler_.mean_ = np.asarray(d["standardizer"]["mean"], dtype=float)
+        out.scaler_.scale_ = np.asarray(d["standardizer"]["scale"], dtype=float)
+        out.model_.coef_ = np.asarray(d["weights"], dtype=float)
+        out.model_.intercept_ = d["intercept"]
+        out.model_.gradient_max_norm_ = d["gradient_max_norm"]
+        out.model_.n_features_in_ = len(out.model_.coef_)
+        return out
 
 
 @dataclass
@@ -189,9 +224,6 @@ class TreeEnsemble:
             "trees": [tree.to_dict() for tree in self.trees],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, d: dict) -> "TreeEnsemble":
         return cls(
@@ -201,12 +233,8 @@ class TreeEnsemble:
             shrinkage=d["shrinkage"],
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "TreeEnsemble":
-        return cls.from_dict(json.loads(text))
 
-
-class RandomForestClassifier(BaseEstimator):
+class RandomForestClassifier:
     """Bagged Gini trees with sqrt(p) feature subsampling per node.
 
     Bootstrap draws and feature picks come from per-tree SplitMix64 streams
@@ -253,8 +281,11 @@ class RandomForestClassifier(BaseEstimator):
     def predict(self, X) -> np.ndarray:
         return (self.predict_proba(X) >= 0.5).astype(int)
 
+    def to_dict(self) -> dict:
+        return self.ensemble_.to_dict()
 
-class GradientBoostingClassifier(BaseEstimator):
+
+class GradientBoostingClassifier:
     """Stagewise binomial-deviance boosting with Newton leaf values.
 
     The base score is logit(prevalence); each stage fits a variance-reduction
@@ -316,3 +347,6 @@ class GradientBoostingClassifier(BaseEstimator):
 
     def predict(self, X) -> np.ndarray:
         return (self.predict_proba(X) >= 0.5).astype(int)
+
+    def to_dict(self) -> dict:
+        return {**self.ensemble_.to_dict(), "train_deviance": self.train_deviance_}

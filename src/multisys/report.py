@@ -9,14 +9,13 @@ a Shapley beeswarm, an importance bar chart and partial-dependence panels.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
+from .base import MultisysError
 from .ingest import FeatureMatrix
 
 
-class ReportError(Exception):
+class ReportError(MultisysError):
     pass
 
 
@@ -272,11 +271,3 @@ def table_summary(matrix: FeatureMatrix) -> list[dict]:
         })
     return out
 
-
-def write_table_csv(rows: list[dict], path: str) -> None:
-    if not rows:
-        raise ReportError("nothing to write")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)

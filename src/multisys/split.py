@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import MultisysError
 from .rng import SplitMix64
 
 
-class SplitError(Exception):
+class SplitError(MultisysError):
     """Invalid ratios or class counts too small for the requested split."""
 
 
@@ -55,14 +56,6 @@ class FoldPlan:
 
     def fold_indices(self, fold: int) -> list[int]:
         return [i for i, f in enumerate(self.assignments) if f == fold]
-
-    def to_json(self) -> str:
-        return json.dumps({"k": self.k, "assignments": self.assignments})
-
-    @classmethod
-    def from_json(cls, text: str) -> "FoldPlan":
-        d = json.loads(text)
-        return cls(k=d["k"], assignments=d["assignments"])
 
 
 def _class_members(labels: np.ndarray) -> list[tuple[int, list[int]]]:

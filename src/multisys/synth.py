@@ -23,10 +23,11 @@ import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
+from .base import MultisysError
 from .rng import SplitMix64
 
 
-class SynthError(Exception):
+class SynthError(MultisysError):
     pass
 
 

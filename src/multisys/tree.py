@@ -17,12 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .base import MultisysError
 from .rng import SplitMix64
 
 LEAF = -1
 
 
-class TreeError(Exception):
+class TreeError(MultisysError):
     pass
 
 
@@ -43,17 +44,7 @@ class DecisionTree:
         return self.feature[node] == LEAF
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Route rows to leaves; x goes left iff x[feature] <= threshold."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        node = np.zeros(len(X), dtype=int)
-        active = self.feature[node] != LEAF
-        while np.any(active):
-            idx = np.flatnonzero(active)
-            nd = node[idx]
-            go_left = X[idx, self.feature[nd]] <= self.threshold[nd]
-            node[idx] = np.where(go_left, self.left[nd], self.right[nd])
-            active = self.feature[node] != LEAF
-        return self.value[node]
+        return self.value[self.leaf_ids(X)]
 
     def expected_value(self) -> float:
         """Cover-weighted expectation of the tree output."""
@@ -66,6 +57,7 @@ class DecisionTree:
         return walk(0)
 
     def leaf_ids(self, X: np.ndarray) -> np.ndarray:
+        """Route rows to leaves; x goes left iff x[feature] <= threshold."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         node = np.zeros(len(X), dtype=int)
         active = self.feature[node] != LEAF

@@ -147,3 +147,133 @@ def test_main_argparse_and_log_env(tmp_path, fast_config, monkeypatch):
 def test_main_rejects_unknown_subcommand(tmp_path):
     with pytest.raises(SystemExit):
         main(["frobnicate", "--out", str(tmp_path / "run")])
+
+
+def _write_config(tmp_path, cfg) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_library_errors_exit_2_with_json(tmp_path, capsys):
+    # A 12-row cohort has too few positives to split: a SplitError, not a traceback.
+    cfg = _write_config(tmp_path, {"synth": {"n": 12, "seed": 1}})
+    assert _run("all", str(tmp_path / "run"), cfg) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SplitError"
+    assert "member" in err["message"]
+
+
+def test_unknown_top_level_key_rejected(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"split_seed": 3})
+    assert _run("simulate", str(tmp_path / "run"), cfg) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "split_seed" in err["message"]
+    assert not os.path.exists(tmp_path / "run")
+
+
+def test_unknown_model_parameter_rejected(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"models": {"random_forest": {"n_trees": 5}}})
+    assert _run("train", str(tmp_path / "run"), cfg) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "n_trees" in err["message"]
+
+
+@pytest.mark.parametrize("raw", [
+    {"split": {"ratio": [0.7, 0.15, 0.15]}},
+    {"models": {"boosting": {}}},
+    {"models": {"logistic": {"penalty": "l1"}}},
+    {"models": []},
+    [],
+])
+def test_config_validator_rejects_unknown_sections(tmp_path, raw):
+    with pytest.raises(CliError) as info:
+        RunConfig.load(_write_config(tmp_path, raw))
+    assert info.value.kind == "config"
+
+
+def test_valid_configs_keep_their_hash(tmp_path, fast_config):
+    # Validation must not change what a valid config hashes to.
+    assert RunConfig.load(None).hash() == "3d053a57276410e6"
+    assert RunConfig.load(fast_config).hash() == "ca56f22d38f082c3"
+    cfg = RunConfig.load(_write_config(tmp_path, {"models": {"logistic": {"tol": 1e-8}}}))
+    assert cfg.logistic == {"C": 1.0, "max_iter": 2000, "tol": 1e-8}
+
+
+def test_inline_analytes_rejected(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"synth": {"n": 50, "seed": 1, "analytes": []}})
+    assert _run("simulate", str(tmp_path / "run"), cfg) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+JSON_KEYS = {
+    "audit.json": ["columns", "n_rows"],
+    "explain_meta.json": ["base_value", "config_hash", "pdp_files", "top_features"],
+    "folds.json": ["assignments", "k", "train_indices"],
+    "manifest.json": ["artifacts", "config_hash"],
+    "metrics.json": ["config_hash", "models", "threshold"],
+    "model_gb.json": ["base_score", "config_hash", "kind", "schema_version",
+                      "shrinkage", "train_deviance", "trees"],
+    "model_lr.json": ["config_hash", "gradient_max_norm", "intercept", "kind",
+                      "standardizer", "weights"],
+    "model_rf.json": ["base_score", "config_hash", "kind", "schema_version",
+                      "shrinkage", "trees"],
+    "partition.json": ["seed", "test", "train", "validation"],
+    "prevalence.json": ["burden_mean", "burden_sd", "n", "systems", "target_count",
+                        "target_prevalence"],
+    "roc.json": ["config_hash", "curves"],
+    "summary.json": ["config_hash", "importance_top10", "metrics", "n", "prevalence",
+                     "schema_version", "split_sizes"],
+}
+
+CSV_HEADERS = {
+    "indices.csv": ["kidney_flag", "lipid_flag", "inflamm_flag", "metabolic_flag",
+                    "kidney_grade", "lipid_grade", "inflamm_grade", "metabolic_grade",
+                    "burden_score", "affected_systems", "target_multi"],
+    "metrics.csv": ["model", "cv_auc_mean", "cv_auc_sd", "auc", "accuracy",
+                    "sensitivity", "specificity", "f1"],
+    "importance.csv": ["rank", "feature", "mean_abs_shap"],
+    "beeswarm.csv": ["row", "feature", "shap", "value", "rank"],
+    "table1.csv": ["analyte", "mean", "median", "iqr", "min", "max"],
+}
+
+
+def test_run_directory_layout(tmp_path, fast_config):
+    import csv
+
+    out = tmp_path / "run"
+    assert _run("all", str(out), fast_config) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    meta = json.loads((out / "explain_meta.json").read_text())
+    pdp_files = [f"pdp_{f}.csv" for f in meta["top_features"]]
+    assert meta["pdp_files"] == pdp_files
+    figures = [f"figures/{n}.svg" for n in ("beeswarm", "burden", "correlation",
+                                            "histograms", "importance", "pdp", "roc")]
+    expected = sorted([*JSON_KEYS, *CSV_HEADERS, *pdp_files, *figures,
+                       "cohort.csv", "matrix.csv"])
+    expected.remove("manifest.json")
+    assert sorted(manifest["artifacts"]) == expected
+
+    for name, keys in JSON_KEYS.items():
+        text = (out / name).read_text(encoding="utf-8")
+        assert text.endswith("}\n"), name
+        assert sorted(json.loads(text)) == keys, name
+    assert sorted(json.loads((out / "model_lr.json").read_text())["standardizer"]) == [
+        "mean", "scale"]
+
+    def rows(name):
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+
+    for name, header in CSV_HEADERS.items():
+        assert rows(name)[0] == header, name
+    for feature, name in zip(meta["top_features"], pdp_files):
+        assert rows(name)[0] == [feature, "probability"]
+    assert (out / "metrics.csv").read_bytes().startswith(b"model,cv_auc_mean,")
+    assert b"\r\n" in (out / "metrics.csv").read_bytes()
+    # Floats are written with repr(), so they read back bit for bit.
+    for row in rows("beeswarm.csv")[1:]:
+        for cell in row[2:4]:
+            assert repr(float(cell)) == cell

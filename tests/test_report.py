@@ -10,7 +10,7 @@ from multisys.ingest import ColumnSchema
 from multisys.report import (
     ReportError, render_beeswarm, render_burden_distribution,
     render_correlation_heatmap, render_histogram_grid, render_importance_bar,
-    render_pdp_panel, render_roc, table_summary, write_table_csv,
+    render_pdp_panel, render_roc, table_summary,
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -131,14 +131,3 @@ def test_table_summary_empty_errors():
     matrix = make_matrix(np.zeros((0, 1)), schema)
     with pytest.raises(ReportError):
         table_summary(matrix)
-
-
-def test_write_table_csv(tmp_path):
-    schema = [ColumnSchema("A", "continuous")]
-    matrix = make_matrix([[1.0], [2.0]], schema)
-    path = str(tmp_path / "table.csv")
-    write_table_csv(table_summary(matrix), path)
-    text = open(path).read()
-    assert text.splitlines()[0] == "analyte,mean,median,iqr,min,max"
-    with pytest.raises(ReportError):
-        write_table_csv([], path)

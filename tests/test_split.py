@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from multisys.rng import SplitMix64
 from multisys.split import (
-    FoldPlan, Partition, SplitError, _apportion, stratified_kfold,
+    Partition, SplitError, _apportion, stratified_kfold,
     stratified_split,
 )
 
@@ -123,9 +123,3 @@ def test_kfold_errors():
         stratified_kfold([0, 1] * 10, 1, 0)
     with pytest.raises(SplitError):
         stratified_kfold([0] * 20 + [1] * 3, 5, 0)  # class 1 smaller than k
-
-
-def test_foldplan_json_roundtrip():
-    plan = stratified_kfold(_labels(60, 20), 3, 11)
-    again = FoldPlan.from_json(plan.to_json())
-    assert again == plan
