@@ -43,10 +43,9 @@ def check_X_y(X, y) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y)
     if y.shape != (X.shape[0],):
         raise ValueError("y length does not match X")
-    y = y.astype(int)
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("y must be binary 0/1")
-    return X, y
+    return X, y.astype(int)
 
 
 def check_fitted(estimator, attribute: str) -> None:

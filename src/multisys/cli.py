@@ -74,6 +74,15 @@ def _checked(section, allowed, where: str) -> dict:
     return section
 
 
+def _typed(value, default, where: str):
+    """`value` itself, once its type is `default`'s; an int may stand for a float."""
+    allowed = (int, float) if isinstance(default, float) else type(default)
+    if not isinstance(value, allowed) or isinstance(value, bool) != isinstance(default, bool):
+        raise CliError(f"{where} is {value!r}, expected {type(default).__name__}",
+                       kind="config")
+    return value
+
+
 @dataclass
 class RunConfig:
     input_csv: str | None = None
@@ -119,17 +128,24 @@ class RunConfig:
         params = {}
         for kind in MODELS.values():
             name = kind.config_field
-            given = _checked(models.get(name, {}), inspect.signature(kind.cls).parameters,
-                             f"models.{name}")
+            signature = inspect.signature(kind.cls).parameters
+            given = _checked(models.get(name, {}), signature, f"models.{name}")
+            for key, value in given.items():
+                _typed(value, signature[key].default, f"models.{name}.{key}")
             params[name] = {**getattr(defaults, name), **given}
+        ratios = _typed(split.get("ratios", [0.70, 0.15, 0.15]), [], "split.ratios")
+        if len(ratios) != 3:
+            raise CliError("split.ratios must hold three numbers", kind="config")
+        for ratio in ratios:
+            _typed(ratio, 0.0, "split.ratios")
         cfg = cls(
             input_csv=raw.get("input_csv"),
             synth=raw.get("synth"),
             schema_config=raw.get("schema_config"),
             systems_config=raw.get("systems_config"),
-            split_ratios=tuple(split.get("ratios", (0.70, 0.15, 0.15))),
-            split_seed=split.get("seed", 42),
-            cv_folds=raw.get("cv_folds", 5),
+            split_ratios=tuple(ratios),
+            split_seed=_typed(split.get("seed", 42), 42, "split.seed"),
+            cv_folds=_typed(raw.get("cv_folds", 5), 5, "cv_folds"),
             **params,
         )
         if seed_override is not None:

@@ -120,9 +120,6 @@ class LogisticRegressionClassifier:
     def predict_proba(self, X) -> np.ndarray:
         return logistic(self.decision_function(X))
 
-    def predict(self, X) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(int)
-
 
 class ScaledLogisticRegression:
     """Logistic regression on inputs standardized with its own train rows."""
@@ -278,9 +275,6 @@ class RandomForestClassifier:
         check_fitted(self, "ensemble_")
         return self.ensemble_.predict_proba(check_X(X, n_features=self.n_features_in_))
 
-    def predict(self, X) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(int)
-
     def to_dict(self) -> dict:
         return self.ensemble_.to_dict()
 
@@ -344,9 +338,6 @@ class GradientBoostingClassifier:
 
     def predict_proba(self, X) -> np.ndarray:
         return logistic(self.predict_margin(X))
-
-    def predict(self, X) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(int)
 
     def to_dict(self) -> dict:
         return {**self.ensemble_.to_dict(), "train_deviance": self.train_deviance_}

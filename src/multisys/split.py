@@ -54,9 +54,6 @@ class FoldPlan:
     k: int
     assignments: list[int]  # per-row fold id in [0, k)
 
-    def fold_indices(self, fold: int) -> list[int]:
-        return [i for i, f in enumerate(self.assignments) if f == fold]
-
 
 def _class_members(labels: np.ndarray) -> list[tuple[int, list[int]]]:
     """(label, member indices) pairs in ascending label order."""

@@ -3,17 +3,21 @@
 A tree is stored as parallel flat arrays indexed by node id.  Internal nodes
 carry (feature, threshold, left, right, cover); leaves carry (value, cover).
 Cover is the exact count of training rows routed through the node; it is the
-empirical weight used by the Shapley attribution in `explain`.
+empirical weight used by the Shapley attribution in `explain`.  Growth writes
+the node dicts of `to_dict` and loads them with `from_dict`.
 
-Split search is exact greedy: thresholds are midpoints between adjacent
-distinct sorted feature values, children must satisfy min_samples_leaf, and
-ties among equal-quality splits resolve to the lowest feature index, then
-the lowest threshold.
+Split search is exact greedy with one scan per node: the node's rows of all
+candidate features are sorted as one 2-D block, column by column, and prefix
+sums score every threshold of every candidate at once.  Thresholds are
+midpoints between adjacent distinct sorted feature values, children must
+satisfy min_samples_leaf, and ties among equal-quality splits resolve to the
+lowest feature index, then the lowest threshold.  A row that appears more
+than once in `rows`, as in a bootstrap sample, counts once per appearance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,9 +73,6 @@ class DecisionTree:
             active = self.feature[node] != LEAF
         return node
 
-    def used_features(self) -> set[int]:
-        return {int(f) for f in self.feature if f != LEAF}
-
     def max_depth(self) -> int:
         def depth(node: int) -> int:
             if self.is_leaf(node):
@@ -117,82 +118,6 @@ class DecisionTree:
         return tree
 
 
-@dataclass
-class _Growth:
-    """Mutable node arrays during growth; frozen into a DecisionTree at the end."""
-    feature: list = field(default_factory=list)
-    threshold: list = field(default_factory=list)
-    left: list = field(default_factory=list)
-    right: list = field(default_factory=list)
-    value: list = field(default_factory=list)
-    cover: list = field(default_factory=list)
-
-    def add(self) -> int:
-        self.feature.append(LEAF)
-        self.threshold.append(np.nan)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(np.nan)
-        self.cover.append(0)
-        return len(self.feature) - 1
-
-    def freeze(self) -> DecisionTree:
-        return DecisionTree(
-            feature=np.asarray(self.feature, dtype=int),
-            threshold=np.asarray(self.threshold, dtype=float),
-            left=np.asarray(self.left, dtype=int),
-            right=np.asarray(self.right, dtype=int),
-            value=np.asarray(self.value, dtype=float),
-            cover=np.asarray(self.cover, dtype=int),
-        )
-
-
-def _node_impurity_terms(t_sorted: np.ndarray, criterion: str):
-    """Prefix statistics for evaluating every split of a sorted target vector.
-
-    Returns (left_score, right_score) arrays where entry i scores the split
-    after position i (0-based), as count-weighted impurities.  Lower is
-    better for both gini and variance criteria.
-    """
-    n = len(t_sorted)
-    csum = np.cumsum(t_sorted)
-    total = csum[-1]
-    nl = np.arange(1, n)
-    nr = n - nl
-    sl = csum[:-1]
-    sr = total - sl
-    if criterion == "gini":
-        # binary targets: weighted gini = 2 * s * (n - s) / n per child
-        left = 2.0 * sl * (nl - sl) / nl
-        right = 2.0 * sr * (nr - sr) / nr
-    elif criterion == "variance":
-        csq = np.cumsum(t_sorted * t_sorted)
-        sql = csq[:-1]
-        sqr = csq[-1] - sql
-        left = sql - sl * sl / nl
-        right = sqr - sr * sr / nr
-    else:
-        raise TreeError(f"unknown criterion {criterion!r}")
-    return left + right
-
-
-def _score_feature(X: np.ndarray, t_node: np.ndarray, rows: np.ndarray,
-                   f: int, criterion: str, min_samples_leaf: int):
-    """Best (score, threshold) for one feature, or None if unsplittable."""
-    v = X[rows, f]
-    order = np.argsort(v, kind="stable")
-    vs = v[order]
-    ts = t_node[order]
-    scores = _node_impurity_terms(ts, criterion)
-    pos = np.arange(1, len(rows))
-    valid = (vs[1:] > vs[:-1]) & (pos >= min_samples_leaf) & (len(rows) - pos >= min_samples_leaf)
-    if not np.any(valid):
-        return None
-    idx = np.flatnonzero(valid)
-    local = idx[np.argmin(scores[idx])]  # argmin takes the first (lowest threshold) on ties
-    return float(scores[local]), 0.5 * (vs[local] + vs[local + 1])
-
-
 def _improves(score: float, f: int, best) -> bool:
     """Strictly better score, or an equal score on a lower feature index."""
     if best is None:
@@ -211,29 +136,53 @@ def _best_split(X: np.ndarray, target: np.ndarray, rows: np.ndarray,
     With `max_features` set, candidates are drawn without replacement from
     `rng`; features that are constant within the node do not count toward
     the quota, so a node only becomes a leaf when no sampled feature admits
-    a valid split.  Ties resolve to the lowest feature index, then to the
-    lowest threshold.
+    a valid split.  All candidates are then scored in one scan: column j of
+    `scores` holds the count-weighted impurity (lower is better) of the
+    split after each sorted position of candidate j.  Ties resolve to the
+    lowest feature index, then to the lowest threshold.
     """
-    best = None  # (score, feature, threshold)
-    t_node = target[rows]
+    X_node = X[rows]
     p = X.shape[1]
     if max_features is None or max_features >= p:
-        for f in range(p):
-            found = _score_feature(X, t_node, rows, f, criterion, min_samples_leaf)
-            if found is not None and _improves(found[0], f, best):
-                best = (found[0], f, float(found[1]))
+        candidates = list(range(p))
     else:
-        pool = list(range(p))
-        informative = 0
-        while pool and informative < max_features:
+        candidates, pool = [], list(range(p))
+        while pool and len(candidates) < max_features:
             f = pool.pop(rng.randint_below(len(pool)))
-            v = X[rows, f]
-            if np.max(v) == np.min(v):
-                continue  # constant in this node: draw a replacement
-            informative += 1
-            found = _score_feature(X, t_node, rows, f, criterion, min_samples_leaf)
-            if found is not None and _improves(found[0], f, best):
-                best = (found[0], f, float(found[1]))
+            v = X_node[:, f]
+            if np.max(v) != np.min(v):  # a feature constant in the node is redrawn
+                candidates.append(f)
+    v = X_node[:, candidates]
+    order = np.argsort(v, axis=0, kind="stable")
+    vs = np.take_along_axis(v, order, axis=0)
+    ts = target[rows][order]
+    n = len(rows)
+    csum = np.cumsum(ts, axis=0)
+    nl = np.arange(1, n)[:, None]
+    nr = n - nl
+    sl = csum[:-1]
+    sr = csum[-1] - sl
+    if criterion == "gini":
+        # binary targets: weighted gini = 2 * s * (n - s) / n per child
+        left = 2.0 * sl * (nl - sl) / nl
+        right = 2.0 * sr * (nr - sr) / nr
+    elif criterion == "variance":
+        csq = np.cumsum(ts * ts, axis=0)
+        sql = csq[:-1]
+        left = sql - sl * sl / nl
+        right = (csq[-1] - sql) - sr * sr / nr
+    else:
+        raise TreeError(f"unknown criterion {criterion!r}")
+    valid = (vs[1:] > vs[:-1]) & (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
+    if not valid.any():
+        return None
+    scores = np.where(valid, left + right, np.inf)
+    cut = np.argmin(scores, axis=0)  # first, i.e. lowest threshold, on ties
+    best = None
+    for j, f in enumerate(candidates):
+        c = cut[j]
+        if valid[c, j] and _improves(float(scores[c, j]), f, best):
+            best = (float(scores[c, j]), f, float(0.5 * (vs[c, j] + vs[c + 1, j])))
     return best
 
 
@@ -254,37 +203,32 @@ def grow_tree(X: np.ndarray, target: np.ndarray, *, criterion: str,
         rows = np.arange(len(X))
     if len(rows) == 0:
         raise TreeError("cannot grow a tree on zero rows")
-    p = X.shape[1]
     if leaf_value is None:
         leaf_value = lambda idx: float(np.mean(target[idx]))
     if max_features is not None and rng is None:
         raise TreeError("max_features requires an rng")
 
-    g = _Growth()
+    nodes = []  # in the format of `DecisionTree.to_dict`, in pre-order
 
     def build(rows: np.ndarray, depth: int) -> int:
-        node = g.add()
-        g.cover[node] = len(rows)
-        t_node = target[rows]
-        splittable = (
-            depth < max_depth
-            and len(rows) >= 2 * min_samples_leaf
-            and np.ptp(t_node) > 0
-        )
+        node = {"feature": LEAF, "threshold": None, "left": None, "right": None,
+                "cover": len(rows), "value": None}
+        index = len(nodes)
+        nodes.append(node)
         best = None
-        if splittable:
+        if (depth < max_depth and len(rows) >= 2 * min_samples_leaf
+                and np.ptp(target[rows]) > 0):
             best = _best_split(X, target, rows, criterion, min_samples_leaf,
                                max_features=max_features, rng=rng)
         if best is None:
-            g.value[node] = leaf_value(rows)
-            return node
-        _, f, thr = best
-        go_left = X[rows, f] <= thr
-        g.feature[node] = f
-        g.threshold[node] = thr
-        g.left[node] = build(rows[go_left], depth + 1)
-        g.right[node] = build(rows[~go_left], depth + 1)
-        return node
+            node["value"] = leaf_value(rows)
+        else:
+            _, f, thr = best
+            go_left = X[rows, f] <= thr
+            node.update(feature=f, threshold=thr,
+                        left=build(rows[go_left], depth + 1),
+                        right=build(rows[~go_left], depth + 1))
+        return index
 
     build(np.asarray(rows, dtype=int), 0)
-    return g.freeze()
+    return DecisionTree.from_dict({"nodes": nodes})

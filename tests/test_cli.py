@@ -1,5 +1,6 @@
 """Pipeline orchestration: stage wiring, manifests and error handling."""
 
+import hashlib
 import json
 import os
 
@@ -68,6 +69,23 @@ def test_stagewise_pipeline(tmp_path, fast_config):
     metrics = json.loads(open(os.path.join(out, "metrics.json")).read())
     for model in ("logistic_regression", "random_forest", "gradient_boosting"):
         assert 0.0 <= metrics["models"][model]["test"]["auc"] <= 1.0
+
+
+# sha256 of the fast config's tree models.  A refactor of the split search or
+# of the tree layout must leave them byte-identical.
+PINNED_TREES = {
+    "model_rf.json": "52384418b3ccf68394c2cc3311d0960ddbc83c85c215010a297260238ebe76ef",
+    "model_gb.json": "82dd576a8d8d90097c86cd76d6750325024c20630bd5497280de66202214aca5",
+}
+
+
+def test_fast_config_trees_are_pinned(tmp_path, fast_config):
+    out = str(tmp_path / "run")
+    for stage in ("simulate", "ingest", "features", "split", "train"):
+        assert _run(stage, out, fast_config) == 0, stage
+    for name, digest in PINNED_TREES.items():
+        with open(os.path.join(out, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
 
 def test_missing_upstream_artifact(tmp_path, fast_config, capsys):
@@ -192,6 +210,18 @@ def test_config_validator_rejects_unknown_sections(tmp_path, raw):
     with pytest.raises(CliError) as info:
         RunConfig.load(_write_config(tmp_path, raw))
     assert info.value.kind == "config"
+
+
+@pytest.mark.parametrize("raw, where", [
+    ({"models": {"random_forest": {"n_estimators": "5"}}}, "models.random_forest.n_estimators"),
+    ({"cv_folds": "3"}, "cv_folds"),
+    ({"split": {"ratios": [0.5, 0.5]}}, "split.ratios"),
+])
+def test_config_value_types_checked(tmp_path, capsys, raw, where):
+    assert _run("simulate", str(tmp_path / "run"), _write_config(tmp_path, raw)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert where in err["message"]
 
 
 def test_valid_configs_keep_their_hash(tmp_path, fast_config):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from multisys.base import NotFittedError
+from multisys.base import NotFittedError, check_X_y
 from multisys.models import (
     GradientBoostingClassifier, LogisticRegressionClassifier,
     RandomForestClassifier, ScaledLogisticRegression, Standardizer, TreeEnsemble,
@@ -101,7 +101,7 @@ def test_lr_converges_to_stationary_point():
 def test_lr_separates_blobs():
     X, y = _blobs(200, seed=4, gap=4.0)
     model = LogisticRegressionClassifier().fit(X, y)
-    assert np.mean(model.predict(X) == y) > 0.97
+    assert np.mean((model.predict_proba(X) >= 0.5) == y) > 0.97
     proba = model.predict_proba(X)
     assert np.all((proba >= 0) & (proba <= 1))
 
@@ -117,6 +117,12 @@ def test_lr_rejects_single_class():
     X = np.zeros((5, 2))
     with pytest.raises(ValueError):
         LogisticRegressionClassifier().fit(X, np.zeros(5))
+
+
+def test_fractional_labels_rejected_not_truncated():
+    # 0.5 must not be cast to 0 before the 0/1 check.
+    with pytest.raises(ValueError, match="binary"):
+        check_X_y(np.zeros((3, 1)), [0.5, 1, 0])
 
 
 def test_lr_not_fitted():
@@ -151,7 +157,7 @@ def test_forest_probabilities_and_accuracy():
                                    min_samples_leaf=2, seed=0).fit(X, y)
     proba = model.predict_proba(X)
     assert np.all((proba >= 0) & (proba <= 1))
-    assert np.mean(model.predict(X) == y) > 0.95
+    assert np.mean((model.predict_proba(X) >= 0.5) == y) > 0.95
 
 
 def test_forest_margin_undefined():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from multisys.rng import SplitMix64
-from multisys.tree import DecisionTree, TreeError, _best_split, grow_tree
+from multisys.tree import LEAF, DecisionTree, TreeError, _best_split, grow_tree
 
 
 def _gini_weighted(y):
@@ -16,7 +16,15 @@ def _gini_weighted(y):
     return 2.0 * s * (n - s) / n
 
 
-def _brute_force_best_gini(X, y, min_leaf):
+def _variance_weighted(y):
+    y = np.asarray(y, dtype=float)
+    return float(np.sum((y - y.mean()) ** 2))
+
+
+IMPURITY = {"gini": _gini_weighted, "variance": _variance_weighted}
+
+
+def _brute_force_best(X, y, min_leaf, impurity):
     """Exhaustive split search oracle over all features and midpoints."""
     best = None
     for f in range(X.shape[1]):
@@ -26,30 +34,38 @@ def _brute_force_best_gini(X, y, min_leaf):
             left = X[:, f] <= thr
             if left.sum() < min_leaf or (~left).sum() < min_leaf:
                 continue
-            score = _gini_weighted(y[left]) + _gini_weighted(y[~left])
+            score = impurity(y[left]) + impurity(y[~left])
             key = (score, f, thr)
             if best is None or key < best:
                 best = key
     return best
 
 
-def test_best_split_matches_brute_force():
+@pytest.mark.parametrize("criterion", ["gini", "variance"])
+def test_best_split_matches_brute_force(criterion):
     rng = SplitMix64(0)
     for trial in range(30):
         n = 20 + rng.randint_below(30)
         p = 1 + rng.randint_below(4)
         X = np.array([[rng.random() for _ in range(p)] for _ in range(n)])
-        y = np.array([float(rng.randint_below(2)) for _ in range(n)])
-        if len(np.unique(y)) < 2:
-            continue
-        found = _best_split(X, y, np.arange(n), "gini", 2)
-        oracle = _brute_force_best_gini(X, y, 2)
-        if oracle is None:
-            assert found is None
-            continue
-        score, f, thr = found
-        assert score == pytest.approx(oracle[0], abs=1e-9)
-        assert (f, thr) == (oracle[1], pytest.approx(oracle[2]))
+        if criterion == "gini":
+            y = np.array([float(rng.randint_below(2)) for _ in range(n)])
+        else:
+            y = np.array([rng.random() - 0.5 for _ in range(n)])
+        # All rows once, and a bootstrap sample whose repeated rows count
+        # once per appearance.
+        bootstrap = np.array([rng.randint_below(n) for _ in range(n)])
+        for rows in (np.arange(n), bootstrap):
+            if len(np.unique(y[rows])) < 2:
+                continue
+            found = _best_split(X, y, rows, criterion, 2)
+            oracle = _brute_force_best(X[rows], y[rows], 2, IMPURITY[criterion])
+            if oracle is None:
+                assert found is None
+                continue
+            score, f, thr = found
+            assert score == pytest.approx(oracle[0], abs=1e-9)
+            assert (f, thr) == (oracle[1], pytest.approx(oracle[2]))
 
 
 def test_variance_criterion_matches_brute_force():
@@ -137,7 +153,7 @@ def test_max_features_sampling_deterministic():
     t2 = grow_tree(X, y, criterion="gini", max_depth=4, min_samples_leaf=3,
                    max_features=2, rng=SplitMix64(9))
     assert t1.to_dict() == t2.to_dict()
-    assert t1.used_features() <= set(range(6))
+    assert set(t1.feature[t1.feature != LEAF]) <= set(range(6))
 
 
 def test_max_features_requires_rng():
