@@ -9,6 +9,12 @@ that would route a row through that path.  Per-tree values add across the
 ensemble (scaled by shrinkage for boosting), and the base value is the
 cover-weighted expected ensemble output, so base + sum(phi) reproduces the
 model output exactly (local accuracy).
+
+Each tree is walked once per block of rows: path features and zero fractions
+are scalars, one fractions and path weights are arrays over the rows, and
+each row gets the floating-point operations of its own walk.  That walk takes
+the row's own child ("hot") first, so each row sums its leaf contributions in
+its hot-first order, and phi is bit-identical to explaining rows one by one.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ from .base import MultisysError, check_X
 from .models import TreeEnsemble
 from .tree import DecisionTree
 
+_ROW_BLOCK = 512  # rows per walk; a tree's leaf contributions are held per block
+
 
 class ExplainError(MultisysError):
     pass
@@ -31,10 +39,6 @@ class ShapAttribution:
     phi: np.ndarray  # (n, p) Shapley values on the model's output scale
     base_value: float
 
-    @property
-    def n_features(self) -> int:
-        return self.phi.shape[1]
-
 
 @dataclass
 class PdpCurve:
@@ -43,117 +47,115 @@ class PdpCurve:
     response: np.ndarray  # predicted probability at each grid point
 
 
-class _PathElement:
-    __slots__ = ("feature", "zero_fraction", "one_fraction", "pweight")
+@dataclass
+class _Path:
+    """Root-to-node path; row-dependent fields are (len, n) arrays."""
 
-    def __init__(self, feature: int, zero_fraction: float,
-                 one_fraction: float, pweight: float):
-        self.feature = feature
-        self.zero_fraction = zero_fraction
-        self.one_fraction = one_fraction
-        self.pweight = pweight
+    features: list[int]
+    zeros: list[float]
+    ones: np.ndarray
+    pweights: np.ndarray
 
-    def copy(self) -> "_PathElement":
-        return _PathElement(self.feature, self.zero_fraction,
-                            self.one_fraction, self.pweight)
+    def extend(self, zero_fraction: float, one_fraction: np.ndarray,
+               feature: int) -> "_Path":
+        length = len(self.features)
+        pw = np.empty((length + 1, len(one_fraction)))
+        pw[length] = 1.0 if length == 0 else 0.0
+        i = np.arange(length, dtype=float)[:, None]
+        pw[:length] = zero_fraction * self.pweights * (length - i) / (length + 1)
+        pw[1:] += one_fraction * self.pweights * (i + 1) / (length + 1)
+        return _Path(self.features + [feature], self.zeros + [zero_fraction],
+                     np.vstack([self.ones, one_fraction]), pw)
 
+    def unwind(self, index: int) -> "_Path":
+        """The path without element `index` (both branches, selected per row)."""
+        last = len(self.features) - 1
+        one, zero = self.ones[index], self.zeros[index]
+        pw = np.empty((last, self.pweights.shape[1]))
+        carry = self.pweights[last]
+        for j in range(last - 1, -1, -1):
+            hot = carry * (last + 1) / ((j + 1) * one)
+            cold = self.pweights[j] * (last + 1) / (zero * (last - j))
+            carry = self.pweights[j] - hot * zero * (last - j) / (last + 1)
+            pw[j] = np.where(one != 0.0, hot, cold)
+        keep = [k for k in range(last + 1) if k != index]
+        return _Path([self.features[k] for k in keep], [self.zeros[k] for k in keep],
+                     self.ones[keep], pw)
 
-def _extend(path: list[_PathElement], zero_fraction: float,
-            one_fraction: float, feature: int) -> list[_PathElement]:
-    path = [e.copy() for e in path]
-    length = len(path)
-    path.append(_PathElement(feature, zero_fraction, one_fraction,
-                             1.0 if length == 0 else 0.0))
-    for i in range(length - 1, -1, -1):
-        path[i + 1].pweight += one_fraction * path[i].pweight * (i + 1) / (length + 1)
-        path[i].pweight = zero_fraction * path[i].pweight * (length - i) / (length + 1)
-    return path
-
-
-def _unwind(path: list[_PathElement], index: int) -> list[_PathElement]:
-    path = [e.copy() for e in path]
-    last = len(path) - 1
-    one = path[index].one_fraction
-    zero = path[index].zero_fraction
-    carry = path[last].pweight
-    for j in range(last - 1, -1, -1):
-        if one != 0.0:
-            tmp = path[j].pweight
-            path[j].pweight = carry * (last + 1) / ((j + 1) * one)
-            carry = tmp - path[j].pweight * zero * (last - j) / (last + 1)
-        else:
-            path[j].pweight = path[j].pweight * (last + 1) / (zero * (last - j))
-    for j in range(index, last):
-        path[j].feature = path[j + 1].feature
-        path[j].zero_fraction = path[j + 1].zero_fraction
-        path[j].one_fraction = path[j + 1].one_fraction
-    path.pop()
-    return path
-
-
-def _unwound_sum(path: list[_PathElement], index: int) -> float:
-    last = len(path) - 1
-    one = path[index].one_fraction
-    zero = path[index].zero_fraction
-    total = 0.0
-    if one != 0.0:
-        carry = path[last].pweight
+    def leaf_contributions(self, value: float) -> np.ndarray:
+        """(len - 1, n) contribution of elements 1.. at a leaf of this value."""
+        last = len(self.features) - 1
+        one = self.ones[1:]
+        zero = np.array(self.zeros[1:])[:, None]
+        hot_total = np.zeros(one.shape)
+        cold_total = np.zeros(one.shape)
+        carry = self.pweights[last]
         for j in range(last - 1, -1, -1):
             tmp = carry * (last + 1) / ((j + 1) * one)
-            total += tmp
-            carry = path[j].pweight - tmp * zero * (last - j) / (last + 1)
-    else:
-        for j in range(last - 1, -1, -1):
-            total += path[j].pweight * (last + 1) / (zero * (last - j))
-    return total
+            hot_total += tmp
+            carry = self.pweights[j] - tmp * zero * (last - j) / (last + 1)
+            cold_total += self.pweights[j] * (last + 1) / (zero * (last - j))
+        return np.where(one != 0.0, hot_total, cold_total) * (one - zero) * value
 
 
-def _tree_shap_row(tree: DecisionTree, x: np.ndarray, phi: np.ndarray) -> None:
-    """Accumulate one tree's Shapley values for row x into phi."""
+def _leaf_counts(tree: DecisionTree) -> list[int]:
+    counts = [1] * tree.n_nodes
 
-    def recurse(node: int, path: list[_PathElement],
-                zero_fraction: float, one_fraction: float, feature: int) -> None:
-        path = _extend(path, zero_fraction, one_fraction, feature)
+    def walk(node: int) -> int:
+        if not tree.is_leaf(node):
+            counts[node] = walk(int(tree.left[node])) + walk(int(tree.right[node]))
+        return counts[node]
+
+    walk(0)
+    return counts
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # unselected branches
+def _tree_phi(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
+    """One tree's Shapley values (n, p) for every row of X."""
+    n, p = X.shape
+    leaf_counts = _leaf_counts(tree)
+    by_feature: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    # node, the path above it, the element it adds, and per row the number of
+    # leaves visited before the node's subtree in that row's hot-first order
+    stack = [(0, _Path([], [], np.empty((0, n)), np.empty((0, n))),
+              1.0, np.ones(n), -1, np.zeros(n, dtype=np.int64))]
+    while stack:
+        node, path, zero_fraction, one_fraction, feature, rank = stack.pop()
+        path = path.extend(zero_fraction, one_fraction, feature)
         if tree.is_leaf(node):
-            value = float(tree.value[node])
-            for i in range(1, len(path)):
-                phi[path[i].feature] += (
-                    _unwound_sum(path, i)
-                    * (path[i].one_fraction - path[i].zero_fraction)
-                    * value
-                )
-            return
+            if len(path.features) > 1:
+                contrib = path.leaf_contributions(float(tree.value[node]))
+                for f, values in zip(path.features[1:], contrib):
+                    by_feature.setdefault(f, []).append((values, rank))
+            continue
         f = int(tree.feature[node])
         left, right = int(tree.left[node]), int(tree.right[node])
         cl, cr = int(tree.cover[left]), int(tree.cover[right])
         cn = int(tree.cover[node])
         if cn <= 0 or cl <= 0 or cr <= 0:
             raise ExplainError(f"zero-cover node {node} in tree")
-        hot, cold = (left, right) if x[f] <= tree.threshold[node] else (right, left)
-        hot_cover = cl if hot == left else cr
-        cold_cover = cl + cr - hot_cover
+        goes_left = X[:, f] <= tree.threshold[node]
+        incoming_zero, incoming_one = 1.0, np.ones(n)
+        if f in path.features[1:]:
+            found = path.features.index(f, 1)
+            incoming_zero, incoming_one = path.zeros[found], path.ones[found]
+            path = path.unwind(found)
+        stack.append((left, path, incoming_zero * cl / cn,
+                      np.where(goes_left, incoming_one, 0.0), f,
+                      np.where(goes_left, rank, rank + leaf_counts[right])))
+        stack.append((right, path, incoming_zero * cr / cn,
+                      np.where(goes_left, 0.0, incoming_one), f,
+                      np.where(goes_left, rank + leaf_counts[left], rank)))
 
-        incoming_zero, incoming_one = 1.0, 1.0
-        found = -1
-        for i in range(1, len(path)):
-            if path[i].feature == f:
-                found = i
-                break
-        if found >= 0:
-            incoming_zero = path[found].zero_fraction
-            incoming_one = path[found].one_fraction
-            path = _unwind(path, found)
-        recurse(hot, path, incoming_zero * hot_cover / cn, incoming_one, f)
-        recurse(cold, path, incoming_zero * cold_cover / cn, 0.0, f)
-
-    recurse(0, [], 1.0, 1.0, -1)
-
-
-def shap_values_tree(tree: DecisionTree, x: np.ndarray, n_features: int) -> np.ndarray:
-    """Exact path-dependent Shapley values of a single tree for one row."""
-    phi = np.zeros(n_features + 1)  # slot -1 absorbs the root dummy element
-    _tree_shap_row(tree, np.asarray(x, dtype=float), phi)
-    return phi[:n_features]
+    phi = np.zeros((n, p))
+    for f, items in by_feature.items():
+        values = np.array([v for v, _ in items])
+        order = np.argsort(np.array([r for _, r in items]), axis=0)
+        values = np.take_along_axis(values, order, axis=0)
+        values[0] += 0.0  # the per-row sum starts from +0.0
+        phi[:, f] = np.add.accumulate(values, axis=0)[-1]
+    return phi
 
 
 def tree_shap(ensemble: TreeEnsemble, X) -> ShapAttribution:
@@ -170,10 +172,14 @@ def tree_shap(ensemble: TreeEnsemble, X) -> ShapAttribution:
         if not ensemble.trees:
             raise ExplainError("empty forest")
         scale = 1.0 / len(ensemble.trees)
+    used = max((int(tree.feature.max()) for tree in ensemble.trees), default=-1)
+    if used >= p:
+        raise ExplainError(f"X has {p} columns but the model splits on feature {used}")
     phi = np.zeros((n, p))
-    for tree in ensemble.trees:
-        for i in range(n):
-            phi[i] += scale * shap_values_tree(tree, X[i], p)
+    for start in range(0, n, _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        for tree in ensemble.trees:
+            phi[block] += scale * _tree_phi(tree, X[block])
     return ShapAttribution(phi=phi, base_value=ensemble.expected_output())
 
 
@@ -186,6 +192,9 @@ def global_importance(attribution: ShapAttribution,
     mean_abs = np.mean(np.abs(attribution.phi), axis=0)
     if feature_names is None:
         feature_names = [f"f{i}" for i in range(len(mean_abs))]
+    if len(feature_names) != len(mean_abs):
+        raise ExplainError(f"{len(feature_names)} feature names for "
+                           f"{len(mean_abs)} attributed features")
     order = sorted(range(len(mean_abs)), key=lambda i: (-mean_abs[i], i))
     return [(feature_names[i], float(mean_abs[i])) for i in order]
 
@@ -216,14 +225,12 @@ def beeswarm_export(attribution: ShapAttribution, X,
 
 
 def partial_dependence(model, X_train, feature: int, grid_size: int = 50,
-                       lower_pct: float = 2.5, upper_pct: float = 97.5,
-                       average: bool = False) -> PdpCurve:
+                       lower_pct: float = 2.5, upper_pct: float = 97.5) -> PdpCurve:
     """Model response as one feature sweeps a quantile grid.
 
     The grid spans equally spaced quantiles of the training feature between
-    the 2.5th and 97.5th percentiles (tails suppressed).  By default all
-    other features sit at their training means; `average=True` instead
-    averages predictions over the training rows at each grid value.
+    the 2.5th and 97.5th percentiles (tails suppressed); all other features
+    sit at their training means.
     """
     X_train = check_X(X_train)
     if grid_size < 2:
@@ -233,14 +240,7 @@ def partial_dependence(model, X_train, feature: int, grid_size: int = 50,
     grid = np.unique(np.quantile(col, levels))
     if len(grid) < 2:
         raise ExplainError(f"feature {feature} is (near-)constant; PDP grid degenerate")
-    responses = np.empty(len(grid))
-    if average:
-        for g, value in enumerate(grid):
-            X_mod = X_train.copy()
-            X_mod[:, feature] = value
-            responses[g] = float(np.mean(model.predict_proba(X_mod)))
-    else:
-        profile = np.tile(X_train.mean(axis=0), (len(grid), 1))
-        profile[:, feature] = grid
-        responses = np.asarray(model.predict_proba(profile), dtype=float)
+    profile = np.tile(X_train.mean(axis=0), (len(grid), 1))
+    profile[:, feature] = grid
+    responses = np.asarray(model.predict_proba(profile), dtype=float)
     return PdpCurve(feature=feature, grid=grid, response=responses)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from multisys.cli import RunConfig, run_subcommand
-from multisys.explain import shap_values_tree, tree_shap
+from multisys.explain import tree_shap
 from multisys.ingest import default_schema, parse_quantity, parse_semiquant, read_matrix_csv
 from multisys.metrics import roc_auc
 from multisys.models import LogisticRegressionClassifier, Standardizer, TreeEnsemble
@@ -133,7 +133,8 @@ def test_criterion_05_shap_oracle():
         tree = grow_tree(X, y, criterion="variance", max_depth=depth,
                          min_samples_leaf=2)
         x = X[rng.randint_below(n)]
-        err = float(np.max(np.abs(shap_values_tree(tree, x, p)
+        one_tree = TreeEnsemble("gradient-boosting", [tree], shrinkage=1.0)
+        err = float(np.max(np.abs(tree_shap(one_tree, x).phi[0]
                                   - _brute_force_shap(tree, x, p))))
         worst = max(worst, err)
         checked += 1

@@ -78,14 +78,32 @@ PINNED_TREES = {
     "model_gb.json": "82dd576a8d8d90097c86cd76d6750325024c20630bd5497280de66202214aca5",
 }
 
+# sha256 of the fast config's Shapley artifacts.  A change to the TreeSHAP
+# walk must leave every value bit-identical.
+PINNED_EXPLAIN = {
+    "beeswarm.csv": "dc70711a24e086985c688f183b8629da048ec2fcfce9cf50d7cf4ee29ee049b6",
+    "importance.csv": "94498f322f866392e99aaa80bb1da9fc63faac5a421c8cd6618340e2183d2073",
+}
 
-def test_fast_config_trees_are_pinned(tmp_path, fast_config):
+
+def _assert_pinned(tmp_path, fast_config, stages, pinned):
     out = str(tmp_path / "run")
-    for stage in ("simulate", "ingest", "features", "split", "train"):
+    for stage in stages:
         assert _run(stage, out, fast_config) == 0, stage
-    for name, digest in PINNED_TREES.items():
+    for name, digest in pinned.items():
         with open(os.path.join(out, name), "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
+
+def test_fast_config_trees_are_pinned(tmp_path, fast_config):
+    _assert_pinned(tmp_path, fast_config,
+                   ("simulate", "ingest", "features", "split", "train"), PINNED_TREES)
+
+
+def test_fast_config_explain_artifacts_are_pinned(tmp_path, fast_config):
+    _assert_pinned(tmp_path, fast_config,
+                   ("simulate", "ingest", "features", "split", "train", "explain"),
+                   PINNED_EXPLAIN)
 
 
 def test_missing_upstream_artifact(tmp_path, fast_config, capsys):
