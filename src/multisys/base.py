@@ -25,6 +25,11 @@ class NotFittedError(RuntimeError):
     pass
 
 
+def is_number(value) -> bool:
+    """True for an int or a float, never for a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def check_X(X, n_features: int | None = None) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:

@@ -138,11 +138,17 @@ class RunConfig:
             raise CliError("split.ratios must hold three numbers", kind="config")
         for ratio in ratios:
             _typed(ratio, 0.0, "split.ratios")
+        synth = raw.get("synth")
+        if synth is not None:
+            _checked(synth, ("n", "seed", "spec_path", "analytes"), "synth")
+            for key, default in (("n", 1195), ("seed", 42), ("spec_path", "")):
+                if key in synth:
+                    _typed(synth[key], default, f"synth.{key}")
+        paths = {key: _typed(raw[key], "", key) for key in
+                 ("input_csv", "schema_config", "systems_config") if raw.get(key) is not None}
         cfg = cls(
-            input_csv=raw.get("input_csv"),
-            synth=raw.get("synth"),
-            schema_config=raw.get("schema_config"),
-            systems_config=raw.get("systems_config"),
+            synth=synth,
+            **paths,
             split_ratios=tuple(ratios),
             split_seed=_typed(split.get("seed", 42), 42, "split.seed"),
             cv_folds=_typed(raw.get("cv_folds", 5), 5, "cv_folds"),
@@ -153,6 +159,11 @@ class RunConfig:
             cfg.random_forest["seed"] = seed_override
             if cfg.synth is not None:
                 cfg.synth["seed"] = seed_override
+        # Read every file the config names, so a bad one fails before any stage writes.
+        if cfg.synth is not None:
+            cfg.spec()
+        cfg.schemas()
+        cfg.systems()
         return cfg
 
     def canonical(self) -> dict:
@@ -170,6 +181,17 @@ class RunConfig:
     def hash(self) -> str:
         text = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+    def spec(self) -> synth_mod.GeneratorSpec:
+        if self.synth is None:
+            raise CliError("simulate requires a synth spec in the config", kind="config")
+        if "spec_path" in self.synth:
+            return synth_mod.spec_from_json(self.synth["spec_path"])
+        if "analytes" in self.synth:
+            raise CliError("inline analyte specs are not supported; use spec_path",
+                           kind="config")
+        return synth_mod.GeneratorSpec(n=self.synth.get("n", 1195),
+                                       seed=self.synth.get("seed", 42))
 
     def schemas(self):
         if self.schema_config is not None:
@@ -257,18 +279,9 @@ def _table(records: list[dict]) -> list[list]:
 # stages
 
 def stage_simulate(ws: Workspace) -> None:
-    synth = ws.cfg.synth
-    if synth is None:
-        raise CliError("simulate requires a synth spec in the config", kind="config")
-    if "spec_path" in synth:
-        spec = synth_mod.spec_from_json(synth["spec_path"])
-    elif "analytes" in synth:
-        raise CliError("inline analyte specs are not supported; use spec_path",
-                       kind="config")
-    else:
-        spec = synth_mod.GeneratorSpec(n=synth.get("n", 1195), seed=synth.get("seed", 42))
-    synth_mod.write_cohort_csv(spec, ws.path("cohort.csv"))
-    ws.register("cohort.csv")
+    spec = ws.cfg.spec()
+    header, rows = synth_mod.generate(spec)
+    ws.write("cohort.csv", [header, *rows])
     log.info("simulate: wrote %d-row cohort", spec.n)
 
 

@@ -235,6 +235,8 @@ def partial_dependence(model, X_train, feature: int, grid_size: int = 50,
     X_train = check_X(X_train)
     if grid_size < 2:
         raise ExplainError("grid_size must be >= 2")
+    if not 0 <= feature < X_train.shape[1]:
+        raise ExplainError(f"feature {feature} is outside 0..{X_train.shape[1] - 1}")
     col = X_train[:, feature]
     levels = np.linspace(lower_pct / 100.0, upper_pct / 100.0, grid_size)
     grid = np.unique(np.quantile(col, levels))

@@ -8,14 +8,19 @@ grades; the binary target is concurrent abnormality in two or more systems.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base import MultisysError
+from .base import MultisysError, is_number
 from .ingest import FeatureMatrix
 
 SYSTEM_NAMES = ("kidney", "lipid", "inflamm", "metabolic")
+
+
+class SystemsError(MultisysError):
+    """Raised for a malformed threshold rule, system definition or systems config."""
 
 
 class MissingAnalyteError(MultisysError):
@@ -30,9 +35,9 @@ class ThresholdRule:
 
     def __post_init__(self):
         if self.direction not in ("above", "below", "at-or-above"):
-            raise ValueError(f"unknown direction {self.direction!r}")
-        if not np.isfinite(self.cutoff):
-            raise ValueError("cutoff must be finite")
+            raise SystemsError(f"unknown direction {self.direction!r}")
+        if not (is_number(self.cutoff) and np.isfinite(self.cutoff)):
+            raise SystemsError(f"cutoff must be a finite number, got {self.cutoff!r}")
 
 
 @dataclass(frozen=True)
@@ -42,7 +47,8 @@ class SystemDefinition:
 
     def __post_init__(self):
         if len(self.rules) not in (2, 3):
-            raise ValueError(f"system {self.name}: expected 2 or 3 rules, got {len(self.rules)}")
+            raise SystemsError(
+                f"system {self.name}: expected 2 or 3 rules, got {len(self.rules)}")
 
 
 def default_systems() -> list[SystemDefinition]:
@@ -76,16 +82,19 @@ def default_systems() -> list[SystemDefinition]:
 
 
 def systems_from_json(path: str) -> list[SystemDefinition]:
-    import json
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    systems = []
-    for entry in cfg["systems"]:
-        rules = tuple(
-            ThresholdRule(rule["analyte"], rule["direction"], float(rule["cutoff"]))
-            for rule in entry["rules"]
-        )
-        systems.append(SystemDefinition(entry["name"], rules))
+    """Load system definitions; a bad file or entry raises SystemsError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        systems = []
+        for entry in cfg["systems"]:
+            rules = tuple(
+                ThresholdRule(rule["analyte"], rule["direction"], rule["cutoff"])
+                for rule in entry["rules"]
+            )
+            systems.append(SystemDefinition(entry["name"], rules))
+    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SystemsError(f"cannot load systems config {path}: {exc!r}") from exc
     return systems
 
 

@@ -4,8 +4,9 @@ Raw registry exports store measurements as strings with embedded unit text
 ("77 μmol/L", "4.20 ×10⁹ /L") and semiquantitative urinalysis tokens
 ("negative", "±", "2+").  This module turns such records into a numeric
 feature matrix: quantity parsing, ordinal mapping, plausibility filtering and
-median/mode/zero imputation, with per-cell missingness provenance kept for
-auditing.
+median/mode/zero imputation, one column at a time.  The per-column counts of
+unparsed, implausible and imputed cells in the audit are the record of what
+was cleaned.
 """
 
 from __future__ import annotations
@@ -14,18 +15,13 @@ import csv
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .base import MultisysError
+from .base import MultisysError, is_number
 
 log = logging.getLogger("multisys.ingest")
-
-# Provenance codes for the missing-mask metadata.
-OBSERVED = 0
-UNPARSED = 1  # empty cell or no recognizable number/token
-IMPLAUSIBLE = 2  # parsed but outside the plausibility bounds
 
 _NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)")
 
@@ -68,6 +64,9 @@ class ColumnSchema:
             raise IngestError(f"{self.name}: unknown kind {self.kind!r}")
         if self.fill_policy not in ("median", "mode", "zero"):
             raise IngestError(f"{self.name}: unknown fill policy {self.fill_policy!r}")
+        for bound in (self.lower, self.upper):
+            if bound is not None and not is_number(bound):
+                raise IngestError(f"{self.name}: plausibility bound {bound!r} is not a number")
         if self.lower is not None and self.upper is not None and not self.lower < self.upper:
             raise IngestError(f"{self.name}: plausibility bounds out of order")
         if self.fill_policy != "zero":
@@ -84,29 +83,32 @@ class ColumnSchema:
 
 @dataclass
 class RawCohort:
-    """String-valued records straight from CSV, under canonical column names."""
+    """String cells straight from CSV, one list per kept column, under
+    canonical column names in file order."""
 
-    columns: list[str]
-    rows: list[dict[str, str]]
-
-    def __len__(self) -> int:
-        return len(self.rows)
+    n_rows: int
+    cells: dict[str, list[str]]
 
 
 @dataclass
 class FeatureMatrix:
-    """Cleaned, imputed numeric matrix with missingness provenance."""
+    """Cleaned, imputed numeric matrix: one column per schema entry, no gaps.
+
+    A freshly cleaned matrix and its reload from ``matrix.csv`` are the same
+    thing; how many cells were imputed is recorded per column in the audit.
+    """
 
     columns: list[ColumnSchema]
     values: np.ndarray  # (n, p) float
-    missing_mask: np.ndarray  # (n, p) bool, pre-imputation missingness
-    provenance: np.ndarray  # (n, p) int, OBSERVED/UNPARSED/IMPLAUSIBLE
-    fills: dict[str, float] = field(default_factory=dict)
-    zero_filled: set[str] = field(default_factory=set)
 
     @property
     def names(self) -> list[str]:
         return [c.name for c in self.columns]
+
+    @property
+    def zero_filled(self) -> set[str]:
+        """Columns forced to zero by their fill policy."""
+        return {c.name for c in self.columns if c.fill_policy == "zero"}
 
     def column_index(self, name: str) -> int:
         for i, c in enumerate(self.columns):
@@ -212,32 +214,31 @@ def schema_from_json(path: str) -> tuple[list[ColumnSchema], dict[str, float]]:
           "semiquant_tokens": {"negative": 0, "2+": 2, ...}   // optional
         }
 
-    Returns the column schemas and the (possibly extended) token map.
+    Returns the column schemas and the (possibly extended) token map.  An
+    unreadable file or a malformed entry raises IngestError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except OSError as exc:
-        raise IngestError(f"cannot read schema config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"malformed schema config {path}: {exc}") from exc
-    schemas = []
-    for entry in cfg.get("columns", []):
-        schemas.append(ColumnSchema(
-            name=entry["name"],
-            kind=entry.get("kind", "continuous"),
-            unit_hint=entry.get("unit", ""),
-            lower=entry.get("lower"),
-            upper=entry.get("upper"),
-            fill_policy=entry.get("fill", "mode" if entry.get("kind") == "semiquant" else "median"),
-            source=entry.get("source"),
-        ))
-    tokens = dict(DEFAULT_SEMIQUANT_TOKENS)
-    for tok, level in cfg.get("semiquant_tokens", {}).items():
-        level = float(level)
-        if level not in ORDINAL_LEVELS:
-            raise IngestError(f"semiquant token {tok!r} maps to invalid level {level}")
-        tokens["".join(tok.split()).lower()] = level
+        schemas = []
+        for entry in cfg.get("columns", []):
+            schemas.append(ColumnSchema(
+                name=entry["name"],
+                kind=entry.get("kind", "continuous"),
+                unit_hint=entry.get("unit", ""),
+                lower=entry.get("lower"),
+                upper=entry.get("upper"),
+                fill_policy=entry.get("fill", "mode" if entry.get("kind") == "semiquant" else "median"),
+                source=entry.get("source"),
+            ))
+        tokens = dict(DEFAULT_SEMIQUANT_TOKENS)
+        for tok, level in cfg.get("semiquant_tokens", {}).items():
+            level = float(level)
+            if level not in ORDINAL_LEVELS:
+                raise IngestError(f"semiquant token {tok!r} maps to invalid level {level}")
+            tokens["".join(tok.split()).lower()] = level
+    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise IngestError(f"cannot load schema config {path}: {exc!r}") from exc
     return schemas, tokens
 
 
@@ -271,35 +272,11 @@ def load_cohort(csv_path: str, schemas: list[ColumnSchema]) -> RawCohort:
     if dropped:
         log.warning("%s: dropped %d unmapped column(s)", csv_path, dropped)
 
-    columns = [name for _, name in keep]
-    rows = []
     for row in data_rows:
         if len(row) != len(header):
             raise IngestError(f"{csv_path}: row with {len(row)} cells, expected {len(header)}")
-        rows.append({name: row[i] for i, name in keep})
-    return RawCohort(columns=columns, rows=rows)
-
-
-def _parse_column(cells: list[str], schema: ColumnSchema,
-                  tokens: dict[str, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Parse one raw column into (values-with-NaN, provenance codes)."""
-    n = len(cells)
-    values = np.full(n, np.nan)
-    prov = np.full(n, UNPARSED, dtype=np.int8)
-    for i, cell in enumerate(cells):
-        if schema.kind == "semiquant":
-            v = parse_semiquant(cell, tokens)
-        else:
-            v = parse_quantity(cell)
-        if v is None:
-            continue
-        kept = apply_plausibility(v, schema)
-        if kept is None:
-            prov[i] = IMPLAUSIBLE
-        else:
-            values[i] = kept
-            prov[i] = OBSERVED
-    return values, prov
+    cells = {name: [row[i] for row in data_rows] for i, name in keep}
+    return RawCohort(n_rows=len(data_rows), cells=cells)
 
 
 def _mode_lowest(observed: np.ndarray) -> float:
@@ -308,84 +285,63 @@ def _mode_lowest(observed: np.ndarray) -> float:
     return float(levels[np.argmax(counts)])  # argmax takes the first (lowest) on ties
 
 
-def impute(values: np.ndarray, provenance: np.ndarray,
-           schemas: list[ColumnSchema]) -> FeatureMatrix:
-    """Fill missing cells per column policy (median / mode / zero).
-
-    Implausible values were already blanked by parsing, so they are imputed
-    like any other missing cell and excluded from the fill computation.
-    """
-    values = values.copy()
-    missing = ~np.isfinite(values)
-    fills: dict[str, float] = {}
-    zero_filled: set[str] = set()
-    for j, schema in enumerate(schemas):
-        col = values[:, j]
-        if schema.fill_policy == "zero":
-            # The whole column is forced to zero, regardless of content.
-            values[:, j] = 0.0
-            fills[schema.name] = 0.0
-            zero_filled.add(schema.name)
-            continue
-        observed = col[np.isfinite(col)]
-        if observed.size == 0:
-            raise ImputationError(
-                f"column {schema.name!r} is 100% missing and has no zero policy"
-            )
-        if schema.fill_policy == "median":
-            fill = float(np.median(observed))
-        else:
-            fill = _mode_lowest(observed)
-        col[~np.isfinite(col)] = fill
-        fills[schema.name] = fill
-    return FeatureMatrix(
-        columns=list(schemas),
-        values=values,
-        missing_mask=missing,
-        provenance=provenance,
-        fills=fills,
-        zero_filled=zero_filled,
-    )
-
-
 def clean_cohort(cohort: RawCohort, schemas: list[ColumnSchema],
                  tokens: dict[str, float] | None = None
                  ) -> tuple[FeatureMatrix, dict]:
-    """Full cleaning pass: parse, filter, impute.  Returns matrix + audit.
+    """Parse, bounds-check, fill and audit each schema column in one pass.
 
-    The audit dict holds per-column counts of parsed / unparsed / implausible
-    / imputed cells, reproducing the kind of exclusion tally a cleaning report
+    A cell that does not parse, or parses outside the plausibility bounds,
+    is missing.  Missing cells take the column's median (continuous) or its
+    mode, ties to the lowest level (semiquantitative), computed from the
+    kept values only; a zero-policy column is forced to zero as a whole.  A
+    column with no kept value and no zero policy raises ImputationError.
+
+    The audit holds per-column counts of parsed / unparsed / implausible /
+    imputed cells and the fill value, the exclusion tally a cleaning report
     needs (e.g. how many implausible creatinine values were removed).
     """
     if tokens is None:
         tokens = DEFAULT_SEMIQUANT_TOKENS
-    present = set(cohort.columns)
-    missing_cols = [s.name for s in schemas if s.name not in present and s.fill_policy != "zero"]
-    if missing_cols:
-        raise IngestError(f"cohort lacks required columns: {missing_cols}")
-
-    n = len(cohort.rows)
-    p = len(schemas)
-    values = np.full((n, p), np.nan)
-    prov = np.full((n, p), UNPARSED, dtype=np.int8)
-    for j, schema in enumerate(schemas):
-        if schema.name in present:
-            cells = [row[schema.name] for row in cohort.rows]
-            values[:, j], prov[:, j] = _parse_column(cells, schema, tokens)
-    matrix = impute(values, prov, schemas)
-
+    n = cohort.n_rows
+    values = np.full((n, len(schemas)), np.nan)
     audit = {"n_rows": n, "columns": {}}
     for j, schema in enumerate(schemas):
-        pcol = prov[:, j]
+        col = values[:, j]
+        unparsed = implausible = 0
+        for i, cell in enumerate(cohort.cells[schema.name]):
+            if schema.kind == "semiquant":
+                v = parse_semiquant(cell, tokens)
+            else:
+                v = parse_quantity(cell)
+            if v is None:
+                unparsed += 1
+            elif apply_plausibility(v, schema) is None:
+                implausible += 1
+            else:
+                col[i] = v
+        missing = ~np.isfinite(col)
+        if schema.fill_policy == "zero":
+            fill = 0.0
+            col.fill(fill)  # the whole column, regardless of content
+        else:
+            observed = col[~missing]
+            if observed.size == 0:
+                raise ImputationError(
+                    f"column {schema.name!r} is 100% missing and has no zero policy")
+            if schema.fill_policy == "median":
+                fill = float(np.median(observed))
+            else:
+                fill = _mode_lowest(observed)
+            col[missing] = fill
         audit["columns"][schema.name] = {
-            "parsed": int(np.sum(pcol == OBSERVED)),
-            "unparsed": int(np.sum(pcol == UNPARSED)),
-            "implausible": int(np.sum(pcol == IMPLAUSIBLE)),
-            "imputed": int(np.sum(matrix.missing_mask[:, j])),
-            "fill": matrix.fills[schema.name],
-            "zero_filled": schema.name in matrix.zero_filled,
+            "parsed": n - unparsed - implausible,
+            "unparsed": unparsed,
+            "implausible": implausible,
+            "imputed": int(np.sum(missing)),
+            "fill": fill,
+            "zero_filled": schema.fill_policy == "zero",
         }
-    return matrix, audit
+    return FeatureMatrix(columns=list(schemas), values=values), audit
 
 
 def write_matrix_csv(matrix: FeatureMatrix, path: str) -> None:
@@ -405,12 +361,4 @@ def read_matrix_csv(path: str, schemas: list[ColumnSchema]) -> FeatureMatrix:
     by_name = {s.name: s for s in schemas}
     columns = [by_name[h] for h in header]
     values = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
-    # Provenance is not round-tripped; a reloaded matrix is fully observed.
-    return FeatureMatrix(
-        columns=columns,
-        values=values,
-        missing_mask=np.zeros_like(values, dtype=bool),
-        provenance=np.zeros_like(values, dtype=np.int8),
-        fills={},
-        zero_filled={s.name for s in columns if s.fill_policy == "zero"},
-    )
+    return FeatureMatrix(columns=columns, values=values)

@@ -63,9 +63,6 @@ class Standardizer:
         X = check_X(X, n_features=len(self.mean_))
         return (X - self.mean_) / self.scale_
 
-    def fit_transform(self, X) -> np.ndarray:
-        return self.fit(X).transform(X)
-
 
 class LogisticRegressionClassifier:
     """Binary logistic regression with an unpenalized intercept.

@@ -42,12 +42,6 @@ class Partition:
             "test": self.test,
         })
 
-    @classmethod
-    def from_json(cls, text: str) -> "Partition":
-        d = json.loads(text)
-        return cls(train=d["train"], validation=d["validation"],
-                   test=d["test"], seed=d["seed"])
-
 
 @dataclass
 class FoldPlan:

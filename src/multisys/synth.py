@@ -17,13 +17,12 @@ not clinical claims.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
-from .base import MultisysError
+from .base import MultisysError, is_number
 from .rng import SplitMix64
 
 
@@ -49,6 +48,11 @@ class AnalyteSpec:
     loading: float = 0.0  # correlation loading in [-1, 1]
 
     def __post_init__(self):
+        numbers = (self.mu, self.sigma, self.loading, *self.probs,
+                   *(b for b in (self.lower, self.upper) if b is not None))
+        if not (all(map(is_number, numbers)) and is_number(self.decimals)
+                and isinstance(self.decimals, int)):
+            raise SynthError(f"{self.name}: non-numeric distribution parameter")
         if self.dist not in ("lognormal", "normal", "categorical"):
             raise SynthError(f"{self.name}: unknown distribution {self.dist!r}")
         if self.sigma <= 0 and self.dist != "categorical":
@@ -63,13 +67,6 @@ class AnalyteSpec:
         if abs(self.loading) > 1.0:
             raise SynthError(f"{self.name}: loading must be in [-1, 1]")
 
-    def analytic_median(self) -> float:
-        if self.dist == "lognormal":
-            return math.exp(self.mu)
-        if self.dist == "normal":
-            return self.mu
-        raise SynthError("median undefined for categorical analytes")
-
 
 @dataclass
 class GeneratorSpec:
@@ -78,6 +75,8 @@ class GeneratorSpec:
     analytes: list[AnalyteSpec] = field(default_factory=list)
 
     def __post_init__(self):
+        if not all(is_number(v) and isinstance(v, int) for v in (self.n, self.seed)):
+            raise SynthError(f"n and seed must be integers, got {self.n!r} and {self.seed!r}")
         if self.n < 1:
             raise SynthError("n must be >= 1")
         if not self.analytes:
@@ -151,25 +150,31 @@ def default_analytes() -> list[AnalyteSpec]:
 
 
 def spec_from_json(path: str) -> GeneratorSpec:
-    """Load a generator spec from its JSON config representation."""
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    analytes = []
-    for entry in cfg.get("analytes", []):
-        analytes.append(AnalyteSpec(
-            name=entry["name"],
-            dist=entry["dist"],
-            mu=entry.get("mu", 0.0),
-            sigma=entry.get("sigma", 1.0),
-            probs=tuple(entry.get("probs", ())),
-            lower=entry.get("lower"),
-            upper=entry.get("upper"),
-            unit=entry.get("unit", ""),
-            decimals=entry.get("decimals", 2),
-            factor=entry.get("factor"),
-            loading=entry.get("loading", 0.0),
-        ))
-    return GeneratorSpec(n=cfg["n"], seed=cfg["seed"], analytes=analytes)
+    """Load a generator spec from its JSON config representation.
+
+    An unreadable file or a malformed entry raises SynthError.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        analytes = []
+        for entry in cfg.get("analytes", []):
+            analytes.append(AnalyteSpec(
+                name=entry["name"],
+                dist=entry["dist"],
+                mu=entry.get("mu", 0.0),
+                sigma=entry.get("sigma", 1.0),
+                probs=tuple(entry.get("probs", ())),
+                lower=entry.get("lower"),
+                upper=entry.get("upper"),
+                unit=entry.get("unit", ""),
+                decimals=entry.get("decimals", 2),
+                factor=entry.get("factor"),
+                loading=entry.get("loading", 0.0),
+            ))
+        return GeneratorSpec(n=cfg["n"], seed=cfg["seed"], analytes=analytes)
+    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SynthError(f"cannot load generator spec {path}: {exc!r}") from exc
 
 
 def _draw_continuous(spec: AnalyteSpec, rng: SplitMix64, latent: dict[str, float]) -> float:
@@ -237,10 +242,3 @@ def generate(spec: GeneratorSpec) -> tuple[list[str], list[list[str]]]:
         rows.append(cells)
     return header, rows
 
-
-def write_cohort_csv(spec: GeneratorSpec, path: str) -> None:
-    header, rows = generate(spec)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)

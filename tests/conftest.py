@@ -34,14 +34,8 @@ def write_csv(tmp_path):
 
 
 def make_matrix(values, schemas) -> FeatureMatrix:
-    """FeatureMatrix around plain numeric values, fully observed."""
-    values = np.asarray(values, dtype=float)
-    return FeatureMatrix(
-        columns=list(schemas),
-        values=values,
-        missing_mask=np.zeros_like(values, dtype=bool),
-        provenance=np.zeros_like(values, dtype=np.int8),
-    )
+    """FeatureMatrix around plain numeric values."""
+    return FeatureMatrix(columns=list(schemas), values=np.asarray(values, dtype=float))
 
 
 @pytest.fixture

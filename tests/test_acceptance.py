@@ -81,7 +81,7 @@ def test_criterion_04_shap_local_accuracy(default_run):
     with open(os.path.join(default_run["out"], "model_gb.json")) as fh:
         gb = TreeEnsemble.from_dict(json.load(fh))
     with open(os.path.join(default_run["out"], "partition.json")) as fh:
-        partition = Partition.from_json(fh.read())
+        partition = Partition(**json.loads(fh.read()))
     matrix = read_matrix_csv(os.path.join(default_run["out"], "matrix.csv"),
                              default_schema())
     X_test = matrix.values[np.asarray(partition.test)]
@@ -175,14 +175,14 @@ def test_criterion_07_deviance_monotone(default_run):
 
 def test_criterion_08_logistic_stationarity(default_run):
     with open(os.path.join(default_run["out"], "partition.json")) as fh:
-        partition = Partition.from_json(fh.read())
+        partition = Partition(**json.loads(fh.read()))
     matrix = read_matrix_csv(os.path.join(default_run["out"], "matrix.csv"),
                              default_schema())
     with open(os.path.join(default_run["out"], "indices.csv")) as fh:
         import csv as _csv
         y = np.array([int(r["target_multi"]) for r in _csv.DictReader(fh)])
     train = np.asarray(partition.train)
-    X = Standardizer().fit_transform(matrix.values[train])
+    X = Standardizer().fit(matrix.values[train]).transform(matrix.values[train])
     model = LogisticRegressionClassifier().fit(X, y[train])
 
     # Finite-difference agreement at 5 random parameter points.

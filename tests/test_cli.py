@@ -1,5 +1,6 @@
 """Pipeline orchestration: stage wiring, manifests and error handling."""
 
+import csv
 import hashlib
 import json
 import os
@@ -104,6 +105,39 @@ def test_fast_config_explain_artifacts_are_pinned(tmp_path, fast_config):
     _assert_pinned(tmp_path, fast_config,
                    ("simulate", "ingest", "features", "split", "train", "explain"),
                    PINNED_EXPLAIN)
+
+
+# sha256 of ingest's output on a cohort with fixed corrupted cells.  The fast
+# config's cohort is entirely clean, so only this input pins the unparsed,
+# implausible and zero-policy paths of the cleaning pass.
+PINNED_INGEST = {
+    "matrix.csv": "42c50fcd395d8a75eb40b938beeaf5cbf173da699c6ff1a706640407cc33886c",
+    "audit.json": "7115920189eadd71aa937a09f85439895b2ff51816c73a4ab60d70db2651f993",
+}
+
+CORRUPTED_CELLS = [
+    (0, "Cr", ""), (5, "GLU", "   "), (13, "ALB", ""),  # blank
+    (1, "UA", "n/a"), (7, "WBC", "pending"), (9, "Hb", "g/L"),  # no number
+    (2, "Cr", "9999"), (3, "TG", "-1.2 mmol/L"), (14, "HCT", "41"),  # implausible
+    (4, "PRO", "4+"), (6, "LEU", "??"), (8, "KET", " 2 + "),  # bad, bad, restyled token
+    *((i, "BUN", "garbled") for i in range(10, 20)),  # zero-policy columns
+    (11, "AST", ""), (12, "ALT", "99999 U/L"),
+]
+
+
+def test_corrupted_input_ingest_is_pinned(tmp_path):
+    from multisys.synth import GeneratorSpec, generate
+    header, rows = generate(GeneratorSpec(n=60, seed=11))
+    for i, name, cell in CORRUPTED_CELLS:
+        rows[i][header.index(name)] = cell
+    path = tmp_path / "corrupted.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    cfg = _write_config(tmp_path, {"input_csv": str(path)})
+    _assert_pinned(tmp_path, cfg, ("ingest",), PINNED_INGEST)
+    audit = json.loads((tmp_path / "run" / "audit.json").read_text())["columns"]
+    assert [audit["Cr"][k] for k in ("unparsed", "implausible", "imputed")] == [1, 1, 2]
+    assert audit["BUN"]["unparsed"] == 10 and audit["BUN"]["fill"] == 0.0
 
 
 def test_missing_upstream_artifact(tmp_path, fast_config, capsys):
@@ -234,12 +268,44 @@ def test_config_validator_rejects_unknown_sections(tmp_path, raw):
     ({"models": {"random_forest": {"n_estimators": "5"}}}, "models.random_forest.n_estimators"),
     ({"cv_folds": "3"}, "cv_folds"),
     ({"split": {"ratios": [0.5, 0.5]}}, "split.ratios"),
+    ({"synth": {"n": "300", "seed": 1}}, "synth.n"),
+    ({"synth": {"n": 300, "seed": 1.5}}, "synth.seed"),
+    ({"synth": {"spec_path": ["spec.json"]}}, "synth.spec_path"),
+    ({"synth": {"n": 300, "sead": 1}}, "synth key(s): sead"),
+    ({"input_csv": 7}, "input_csv"),
+    ({"schema_config": {"columns": []}}, "schema_config"),
+    ({"systems_config": True}, "systems_config"),
 ])
 def test_config_value_types_checked(tmp_path, capsys, raw, where):
     assert _run("simulate", str(tmp_path / "run"), _write_config(tmp_path, raw)) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
     assert where in err["message"]
+
+
+SIDEWAYS_SYSTEM = {"systems": [{"name": "kidney", "rules": [
+    {"analyte": "Cr", "direction": "sideways", "cutoff": 110},
+    {"analyte": "BUN", "direction": "above", "cutoff": 8.2}]}]}
+
+
+@pytest.mark.parametrize("key, content, kind", [
+    ("spec_path", None, "SynthError"),  # no such file
+    ("spec_path", {"n": 10, "analytes": []}, "SynthError"),  # no seed
+    ("systems_config", None, "SystemsError"),
+    ("systems_config", SIDEWAYS_SYSTEM, "SystemsError"),
+    ("systems_config", {"systems": [{"name": "k", "rules": [
+        {"analyte": "Cr", "direction": "above", "cutoff": "110"}] * 2}]}, "SystemsError"),
+    ("schema_config", {"columns": [{"kind": "continuous"}]}, "IngestError"),  # no name
+    ("schema_config", {"columns": [{"name": "Cr", "lower": "10"}]}, "IngestError"),
+])
+def test_bad_config_files_exit_2_before_any_artifact(tmp_path, capsys, key, content, kind):
+    path = tmp_path / "file.json"
+    if content is not None:
+        path.write_text(json.dumps(content))
+    raw = {"synth": {"spec_path": str(path)}} if key == "spec_path" else {key: str(path)}
+    assert _run("simulate", str(tmp_path / "run"), _write_config(tmp_path, raw)) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == kind
+    assert not os.path.exists(tmp_path / "run")
 
 
 def test_valid_configs_keep_their_hash(tmp_path, fast_config):

@@ -364,3 +364,15 @@ def test_partial_dependence_degenerate_feature_errors():
         partial_dependence(model, X, feature=0)
     with pytest.raises(ExplainError):
         partial_dependence(model, X, feature=1, grid_size=1)
+
+
+@pytest.mark.parametrize("feature", [3, 5, -1])
+def test_partial_dependence_rejects_feature_out_of_range(feature):
+    # A negative index must not silently sweep the last column.
+    rng = SplitMix64(5)
+    X = np.array([[rng.random() for _ in range(3)] for _ in range(40)])
+    y = (X[:, 0] > 0.5).astype(int)
+    model = GradientBoostingClassifier(n_estimators=2, max_depth=2,
+                                       min_samples_leaf=2).fit(X, y)
+    with pytest.raises(ExplainError, match="outside 0..2"):
+        partial_dependence(model, X, feature=feature)

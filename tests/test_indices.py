@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_matrix
 from multisys.indices import (
-    MissingAnalyteError, SystemDefinition, ThresholdRule,
+    MissingAnalyteError, SystemDefinition, SystemsError, ThresholdRule,
     compute_indices, default_systems, evaluate_rule, prevalence_summary,
     systems_from_json,
 )
@@ -34,11 +34,11 @@ def test_rule_directions():
 
 
 def test_rule_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemsError):
         ThresholdRule("X", "equals", 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemsError):
         ThresholdRule("X", "above", float("nan"))
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemsError):
         SystemDefinition("s", (ThresholdRule("X", "above", 1.0),))  # needs 2-3
 
 

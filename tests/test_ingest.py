@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from multisys.ingest import (
-    IMPLAUSIBLE, OBSERVED, UNPARSED,
-    ColumnSchema, ImputationError, IngestError,
-    apply_plausibility, clean_cohort, default_schema, impute, load_cohort,
+    ColumnSchema, ImputationError, IngestError, RawCohort,
+    apply_plausibility, clean_cohort, default_schema, load_cohort,
     parse_quantity, parse_semiquant, read_matrix_csv, schema_from_json,
     write_matrix_csv,
 )
@@ -94,6 +93,8 @@ def test_schema_rejects_bad_kind_and_policy():
         ColumnSchema("X", "semiquant", fill_policy="median")
     with pytest.raises(IngestError):
         ColumnSchema("X", "continuous", lower=5, upper=5)
+    with pytest.raises(IngestError):
+        ColumnSchema("X", "continuous", lower="10")  # would fail only when cleaning
 
 
 def test_zero_policy_allowed_for_both_kinds():
@@ -133,8 +134,9 @@ def test_load_cohort_renames_and_drops(write_csv, tiny_schemas):
     path = write_csv(["Cr", "GLU", "PRO", "extra"],
                      [["77 μmol/L", "5.0", "1+", "x"]])
     cohort = load_cohort(path, tiny_schemas)
-    assert cohort.columns == ["Cr", "GLU", "PRO"]
-    assert cohort.rows[0]["Cr"] == "77 μmol/L"
+    assert cohort.n_rows == 1
+    assert list(cohort.cells) == ["Cr", "GLU", "PRO"]
+    assert cohort.cells["Cr"] == ["77 μmol/L"]
 
 
 def test_load_cohort_missing_source_header_errors(write_csv, tiny_schemas):
@@ -164,42 +166,41 @@ def test_load_cohort_missing_file_errors(tiny_schemas):
 # ---------------------------------------------------------------------------
 # imputation
 
+def _one_column(name, cells):
+    return RawCohort(n_rows=len(cells), cells={name: cells})
+
+
 def test_median_imputation_brute_force_oracle():
     schemas = [ColumnSchema("A", "continuous")]
-    values = np.array([[1.0], [5.0], [2.0], [np.nan], [9.0]])
-    prov = np.zeros((5, 1), dtype=np.int8)
-    prov[3, 0] = UNPARSED
-    matrix = impute(values, prov, schemas)
+    matrix, audit = clean_cohort(_one_column("A", ["1", "5", "2", "", "9"]), schemas)
     observed = sorted([1.0, 5.0, 2.0, 9.0])
     oracle = (observed[1] + observed[2]) / 2  # even count: mean of middle two
     assert matrix.values[3, 0] == oracle == 3.5
-    assert matrix.fills["A"] == 3.5
-    assert matrix.missing_mask[3, 0]
+    assert audit["columns"]["A"]["fill"] == 3.5
+    assert audit["columns"]["A"]["imputed"] == 1
 
 
 def test_mode_imputation_tie_takes_lowest():
     schemas = [ColumnSchema("P", "semiquant", fill_policy="mode")]
-    values = np.array([[0.0], [2.0], [2.0], [0.0], [np.nan]])
-    prov = np.zeros((5, 1), dtype=np.int8)
-    matrix = impute(values, prov, schemas)
+    cohort = _one_column("P", ["negative", "2+", "2+", "negative", ""])
+    matrix, _ = clean_cohort(cohort, schemas)
     assert matrix.values[4, 0] == 0.0  # tie between 0 and 2 resolves low
 
 
 def test_zero_policy_forces_whole_column():
     schemas = [ColumnSchema("B", "continuous", fill_policy="zero")]
-    values = np.array([[4.2], [np.nan]])
-    prov = np.zeros((2, 1), dtype=np.int8)
-    matrix = impute(values, prov, schemas)
+    matrix, audit = clean_cohort(_one_column("B", ["4.2", ""]), schemas)
     assert np.all(matrix.values[:, 0] == 0.0)
     assert "B" in matrix.zero_filled
+    assert audit["columns"]["B"]["zero_filled"]
 
 
 def test_all_missing_without_zero_policy_errors():
-    schemas = [ColumnSchema("A", "continuous")]
-    values = np.full((3, 1), np.nan)
-    prov = np.full((3, 1), UNPARSED, dtype=np.int8)
-    with pytest.raises(ImputationError, match="A"):
-        impute(values, prov, schemas)
+    schemas = [ColumnSchema("Z", "continuous", fill_policy="zero"),
+               ColumnSchema("A", "continuous"), ColumnSchema("B", "continuous")]
+    cohort = RawCohort(n_rows=3, cells={"Z": [""] * 3, "A": ["", "n/a", "?"], "B": [""] * 3})
+    with pytest.raises(ImputationError, match="'A'"):
+        clean_cohort(cohort, schemas)
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +222,7 @@ def test_clean_cohort_audit_counts(write_csv, tiny_schemas):
     assert matrix.values[1, 0] == np.median([77.0, 88.0])  # implausible -> imputed
     assert audit["columns"]["GLU"]["unparsed"] == 1
     assert audit["columns"]["PRO"]["unparsed"] == 1
-    assert matrix.provenance[1, 0] == IMPLAUSIBLE
-    assert matrix.provenance[0, 0] == OBSERVED
-
-
-def test_clean_cohort_requires_columns(tiny_schemas):
-    from multisys.ingest import RawCohort
-    cohort = RawCohort(columns=["Cr"], rows=[{"Cr": "77"}])
-    with pytest.raises(IngestError, match="GLU"):
-        clean_cohort(cohort, tiny_schemas)
+    assert matrix.values[0, 0] == 77.0  # observed cells are kept as parsed
 
 
 def test_default_schema_is_valid_and_covers_systems():

@@ -51,7 +51,7 @@ def test_binomial_deviance_perfect_prediction():
 
 def test_standardizer_population_sd_oracle():
     X = np.array([[1.0], [2.0], [3.0]])
-    scaled = Standardizer().fit_transform(X)
+    scaled = Standardizer().fit(X).transform(X)
     # mean 2, population sd sqrt(2/3); z = +/- 1/sqrt(2/3) = +/- 1.224744...
     expected = (X[:, 0] - 2.0) / math.sqrt(2.0 / 3.0)
     np.testing.assert_allclose(scaled[:, 0], expected)

@@ -1,5 +1,7 @@
 """Stratified holdout and k-fold partitioning properties."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,7 +97,7 @@ def test_apportion_total_preserved():
 def test_partition_json_roundtrip():
     y = _labels(100, 20)
     part = stratified_split(y, RATIOS, 3)
-    again = Partition.from_json(part.to_json())
+    again = Partition(**json.loads(part.to_json()))
     assert again == part
 
 
