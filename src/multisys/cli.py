@@ -7,6 +7,10 @@ registered in ``manifest.json`` together with the hash of the configuration
 that produced it; stages refuse to mix artifacts from different
 configurations unless ``--force`` is given.
 
+``RunConfig.load`` checks the config in one walk over its declared shape
+(``_shape``): unknown keys, wrongly typed values and out-of-range numbers
+exit with status 2 before any stage writes.
+
 Subcommands: simulate, ingest, features, split, train, evaluate, explain,
 report, all.
 """
@@ -19,6 +23,7 @@ import hashlib
 import inspect
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -34,7 +39,7 @@ from . import report as report_mod
 from . import synth as synth_mod
 from .base import MultisysError
 from .models import (GradientBoostingClassifier, RandomForestClassifier,
-                     ScaledLogisticRegression, TreeEnsemble)
+                     LogisticRegressionClassifier, TreeEnsemble)
 from .split import FoldPlan, Partition, stratified_kfold, stratified_split
 
 log = logging.getLogger("multisys.cli")
@@ -55,8 +60,8 @@ class ModelKind(NamedTuple):
 
 # Keyed by report name; the order is the fitting and reporting order.
 MODELS = {
-    "logistic_regression": ModelKind("model_lr.json", "logistic", ScaledLogisticRegression,
-                                     ScaledLogisticRegression.from_dict),
+    "logistic_regression": ModelKind("model_lr.json", "logistic", LogisticRegressionClassifier,
+                                     LogisticRegressionClassifier.from_dict),
     "random_forest": ModelKind("model_rf.json", "random_forest", RandomForestClassifier,
                                TreeEnsemble.from_dict),
     "gradient_boosting": ModelKind("model_gb.json", "gradient_boosting",
@@ -64,23 +69,66 @@ MODELS = {
 }
 
 
-def _checked(section, allowed, where: str) -> dict:
-    """`section` itself, once it is known to be an object with no unknown keys."""
-    if not isinstance(section, dict):
-        raise CliError(f"{where} must be a JSON object", kind="config")
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise CliError(f"unknown {where} key(s): {', '.join(unknown)}", kind="config")
-    return section
+class Bound(NamedTuple):
+    """A numeric config leaf: the type of `default`, in (above, most]."""
+    default: int | float
+    above: float
+    most: float = math.inf
 
 
-def _typed(value, default, where: str):
-    """`value` itself, once its type is `default`'s; an int may stand for a float."""
-    allowed = (int, float) if isinstance(default, float) else type(default)
-    if not isinstance(value, allowed) or isinstance(value, bool) != isinstance(default, bool):
-        raise CliError(f"{where} is {value!r}, expected {type(default).__name__}",
-                       kind="config")
-    return value
+NULLABLE = ("input_csv", "synth", "schema_config", "systems_config")
+
+
+def _shape() -> dict:
+    """Everything a config may hold; see `_validate` for the notation.
+
+    Model parameters are the model constructors' arguments; all but `seed`
+    must be positive, and `learning_rate` at most 1.
+    """
+    models = {kind.config_field: {
+                  key: p.default if key == "seed"
+                  else Bound(p.default, 0, 1 if key == "learning_rate" else math.inf)
+                  for key, p in inspect.signature(kind.cls).parameters.items()}
+              for kind in MODELS.values()}
+    return {"input_csv": "", "synth": {"n": 1195, "seed": 42, "spec_path": ""},
+            "schema_config": "", "systems_config": "",
+            "split": {"ratios": [Bound(0.0, 0)] * 3, "seed": 42},
+            "cv_folds": Bound(5, 1), "models": models}
+
+
+def _validate(value, shape, where: str = "") -> None:
+    """Raise a config CliError unless `value` fits `shape`.
+
+    A dict shape lists the allowed keys, a list shape holds that many
+    numbers, and any other shape is a default (or a `Bound`) whose type the
+    value must have: an int may stand for a float, a bool never for a
+    number.  The top-level keys in NULLABLE may also be null.
+    """
+    name = where or "config"
+    if value is None and where in NULLABLE:
+        return
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise CliError(f"{name} must be a JSON object", kind="config")
+        unknown = sorted(set(value) - set(shape))
+        if unknown:
+            raise CliError(f"unknown {name} key(s): {', '.join(unknown)}", kind="config")
+        for key, item in value.items():
+            _validate(item, shape[key], f"{where}.{key}" if where else key)
+    elif isinstance(shape, list):
+        if not isinstance(value, list) or len(value) != len(shape):
+            raise CliError(f"{name} is {value!r}, expected {len(shape)} numbers", kind="config")
+        for item, item_shape in zip(value, shape):
+            _validate(item, item_shape, name)
+    else:
+        default = shape.default if isinstance(shape, Bound) else shape
+        allowed = (int, float) if isinstance(default, float) else type(default)
+        if not isinstance(value, allowed) or isinstance(value, bool) != isinstance(default, bool):
+            raise CliError(f"{name} is {value!r}, expected {type(default).__name__}",
+                           kind="config")
+        if isinstance(shape, Bound) and not shape.above < value <= shape.most:
+            raise CliError(f"{name} is {value!r}, outside ({shape.above:g}, {shape.most:g}]",
+                           kind="config")
 
 
 @dataclass
@@ -119,40 +167,17 @@ class RunConfig:
                 raise CliError(f"cannot read config {path}: {exc}", kind="config")
             except json.JSONDecodeError as exc:
                 raise CliError(f"malformed config {path}: {exc}", kind="config")
-        # Every key must appear in the canonical form or be a model parameter.
+        _validate(raw, _shape())
         defaults = cls()
-        shape = defaults.canonical()
-        _checked(raw, shape, "config")
-        split = _checked(raw.get("split", {}), shape["split"], "split")
-        models = _checked(raw.get("models", {}), shape["models"], "models")
-        params = {}
-        for kind in MODELS.values():
-            name = kind.config_field
-            signature = inspect.signature(kind.cls).parameters
-            given = _checked(models.get(name, {}), signature, f"models.{name}")
-            for key, value in given.items():
-                _typed(value, signature[key].default, f"models.{name}.{key}")
-            params[name] = {**getattr(defaults, name), **given}
-        ratios = _typed(split.get("ratios", [0.70, 0.15, 0.15]), [], "split.ratios")
-        if len(ratios) != 3:
-            raise CliError("split.ratios must hold three numbers", kind="config")
-        for ratio in ratios:
-            _typed(ratio, 0.0, "split.ratios")
-        synth = raw.get("synth")
-        if synth is not None:
-            _checked(synth, ("n", "seed", "spec_path", "analytes"), "synth")
-            for key, default in (("n", 1195), ("seed", 42), ("spec_path", "")):
-                if key in synth:
-                    _typed(synth[key], default, f"synth.{key}")
-        paths = {key: _typed(raw[key], "", key) for key in
-                 ("input_csv", "schema_config", "systems_config") if raw.get(key) is not None}
+        split, models = raw.get("split", {}), raw.get("models", {})
         cfg = cls(
-            synth=synth,
-            **paths,
-            split_ratios=tuple(ratios),
-            split_seed=_typed(split.get("seed", 42), 42, "split.seed"),
-            cv_folds=_typed(raw.get("cv_folds", 5), 5, "cv_folds"),
-            **params,
+            **{key: raw.get(key) for key in NULLABLE},
+            split_ratios=tuple(split.get("ratios", defaults.split_ratios)),
+            split_seed=split.get("seed", defaults.split_seed),
+            cv_folds=raw.get("cv_folds", defaults.cv_folds),
+            **{kind.config_field: {**getattr(defaults, kind.config_field),
+                                   **models.get(kind.config_field, {})}
+               for kind in MODELS.values()},
         )
         if seed_override is not None:
             cfg.split_seed = seed_override
@@ -187,9 +212,6 @@ class RunConfig:
             raise CliError("simulate requires a synth spec in the config", kind="config")
         if "spec_path" in self.synth:
             return synth_mod.spec_from_json(self.synth["spec_path"])
-        if "analytes" in self.synth:
-            raise CliError("inline analyte specs are not supported; use spec_path",
-                           kind="config")
         return synth_mod.GeneratorSpec(n=self.synth.get("n", 1195),
                                        seed=self.synth.get("seed", 42))
 
@@ -218,8 +240,13 @@ class Workspace:
         self.manifest = {"config_hash": cfg.hash(), "artifacts": {}}
         path = self.path("manifest.json")
         if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                found = json.load(fh)
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    found = json.load(fh)
+            except ValueError as exc:
+                raise CliError(f"malformed manifest {path}: {exc}", kind="config")
+            if not isinstance(found, dict) or not isinstance(found.get("artifacts"), dict):
+                raise CliError(f"malformed manifest {path}: no artifacts object", kind="config")
             if found.get("config_hash") == cfg.hash():
                 self.manifest = found
             elif not force:

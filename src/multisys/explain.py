@@ -28,6 +28,7 @@ from .models import TreeEnsemble
 from .tree import DecisionTree
 
 _ROW_BLOCK = 512  # rows per walk; a tree's leaf contributions are held per block
+PDP_GRID_SIZE = 50  # quantile levels per partial-dependence curve
 
 
 class ExplainError(MultisysError):
@@ -224,21 +225,18 @@ def beeswarm_export(attribution: ShapAttribution, X,
     return records
 
 
-def partial_dependence(model, X_train, feature: int, grid_size: int = 50,
-                       lower_pct: float = 2.5, upper_pct: float = 97.5) -> PdpCurve:
+def partial_dependence(model, X_train, feature: int) -> PdpCurve:
     """Model response as one feature sweeps a quantile grid.
 
-    The grid spans equally spaced quantiles of the training feature between
-    the 2.5th and 97.5th percentiles (tails suppressed); all other features
-    sit at their training means.
+    The grid spans PDP_GRID_SIZE equally spaced quantiles of the training
+    feature between the 2.5th and 97.5th percentiles (tails suppressed); all
+    other features sit at their training means.
     """
     X_train = check_X(X_train)
-    if grid_size < 2:
-        raise ExplainError("grid_size must be >= 2")
     if not 0 <= feature < X_train.shape[1]:
         raise ExplainError(f"feature {feature} is outside 0..{X_train.shape[1] - 1}")
     col = X_train[:, feature]
-    levels = np.linspace(lower_pct / 100.0, upper_pct / 100.0, grid_size)
+    levels = np.linspace(0.025, 0.975, PDP_GRID_SIZE)
     grid = np.unique(np.quantile(col, levels))
     if len(grid) < 2:
         raise ExplainError(f"feature {feature} is (near-)constant; PDP grid degenerate")

@@ -16,9 +16,6 @@ import numpy as np
 from .base import MultisysError, is_number
 from .ingest import FeatureMatrix
 
-SYSTEM_NAMES = ("kidney", "lipid", "inflamm", "metabolic")
-
-
 class SystemsError(MultisysError):
     """Raised for a malformed threshold rule, system definition or systems config."""
 
@@ -122,10 +119,7 @@ def evaluate_rule(value: float | np.ndarray, rule: ThresholdRule) -> bool | np.n
     return value >= rule.cutoff
 
 
-def compute_indices(matrix: FeatureMatrix,
-                    systems: list[SystemDefinition] | None = None) -> SystemIndices:
-    if systems is None:
-        systems = default_systems()
+def compute_indices(matrix: FeatureMatrix, systems: list[SystemDefinition]) -> SystemIndices:
     names = set(matrix.names)
     n = matrix.values.shape[0]
     flags: dict[str, np.ndarray] = {}
@@ -154,14 +148,13 @@ def compute_indices(matrix: FeatureMatrix,
     )
 
 
-def prevalence_summary(indices: SystemIndices,
-                       systems: list[SystemDefinition] | None = None,
-                       matrix: FeatureMatrix | None = None) -> dict:
+def prevalence_summary(indices: SystemIndices, systems: list[SystemDefinition],
+                       matrix: FeatureMatrix) -> dict:
     """Cohort-level prevalences plus burden statistics.
 
-    When the matrix and definitions are supplied, the summary also breaks
-    each system's prevalence down per rule, so the relative contribution of
-    e.g. the glucose tail versus urine ketones is visible from data.
+    The summary also breaks each system's prevalence down per rule, so the
+    relative contribution of e.g. the glucose tail versus urine ketones is
+    visible from data.
     """
     n = len(indices)
     if n == 0:
@@ -179,12 +172,11 @@ def prevalence_summary(indices: SystemIndices,
             "prevalence": float(np.mean(indices.flags[name])),
             "mean_grade": float(np.mean(indices.grades[name])),
         }
-    if systems is not None and matrix is not None:
-        for system in systems:
-            per_rule = {}
-            for rule in system.rules:
-                fired = evaluate_rule(matrix.column(rule.analyte), rule)
-                key = f"{rule.analyte} {rule.direction} {rule.cutoff:g}"
-                per_rule[key] = float(np.mean(fired))
-            summary["systems"][system.name]["per_rule"] = per_rule
+    for system in systems:
+        per_rule = {}
+        for rule in system.rules:
+            fired = evaluate_rule(matrix.column(rule.analyte), rule)
+            key = f"{rule.analyte} {rule.direction} {rule.cutoff:g}"
+            per_rule[key] = float(np.mean(fired))
+        summary["systems"][system.name]["per_rule"] = per_rule
     return summary

@@ -359,6 +359,9 @@ def read_matrix_csv(path: str, schemas: list[ColumnSchema]) -> FeatureMatrix:
         header = next(reader)
         rows = [[float(c) for c in row] for row in reader]
     by_name = {s.name: s for s in schemas}
+    unknown = [h for h in header if h not in by_name]
+    if unknown:
+        raise IngestError(f"{path}: column(s) not in the schema: {', '.join(unknown)}")
     columns = [by_name[h] for h in header]
     values = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
     return FeatureMatrix(columns=columns, values=values)

@@ -1,9 +1,9 @@
-"""From-scratch classifiers: L2 logistic regression, random forest,
-gradient boosting, plus feature standardization.
+"""From-scratch classifiers: L2 logistic regression on standardized
+inputs, random forest and gradient boosting.
 
 Each pipeline model has `fit`, `predict_proba` and a JSON-ready `to_dict`.
-`ScaledLogisticRegression.from_dict` loads the logistic model back; the tree
-models load back as a `TreeEnsemble`, the schema `explain` consumes.
+`LogisticRegressionClassifier.from_dict` loads the logistic model back; the
+tree models load back as a `TreeEnsemble`, the schema `explain` consumes.
 """
 
 from __future__ import annotations
@@ -40,36 +40,15 @@ def binomial_deviance(y: np.ndarray, proba: np.ndarray) -> float:
     return float(-2.0 * np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
 
 
-class Standardizer:
-    """Zero-mean unit-variance scaling with training statistics only.
-
-    Uses the population standard deviation.  Zero-variance features get a
-    divisor of 1 and are tagged in `constant_features_`.
-    """
-
-    def fit(self, X) -> "Standardizer":
-        X = check_X(X)
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit a standardizer on an empty matrix")
-        self.mean_ = X.mean(axis=0)
-        sd = X.std(axis=0)
-        self.constant_features_ = np.flatnonzero(sd == 0.0)
-        sd = np.where(sd == 0.0, 1.0, sd)
-        self.scale_ = sd
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        check_fitted(self, "mean_")
-        X = check_X(X, n_features=len(self.mean_))
-        return (X - self.mean_) / self.scale_
-
-
 class LogisticRegressionClassifier:
-    """Binary logistic regression with an unpenalized intercept.
+    """Binary L2 logistic regression on inputs standardized with its own
+    training rows, with an unpenalized intercept.
 
-    Minimizes mean negative log-likelihood + (lambda / (2n)) * ||w||^2 with
-    lambda = 1/C, starting from zero weights, via L-BFGS.  Converged when the
-    gradient max-norm is <= tol or the iteration cap is reached.
+    `fit` scales each column by its training mean and population standard
+    deviation (a zero-variance column gets divisor 1), then minimizes mean
+    negative log-likelihood + (lambda / (2n)) * ||w||^2 with lambda = 1/C,
+    starting from zero weights, via L-BFGS.  Converged when the gradient
+    max-norm is <= tol or the iteration cap is reached.
     """
 
     def __init__(self, C: float = 1.0, max_iter: int = 2000, tol: float = 1e-6):
@@ -94,6 +73,10 @@ class LogisticRegressionClassifier:
         X, y = check_X_y(X, y)
         if len(np.unique(y)) < 2:
             raise ValueError("y contains a single class")
+        self.mean_ = X.mean(axis=0)
+        sd = X.std(axis=0)
+        self.scale_ = np.where(sd == 0.0, 1.0, sd)
+        X = self.standardize(X)
         x0 = np.zeros(X.shape[1] + 1)
         result = minimize(
             self._objective, x0, args=(X, y), jac=True, method="L-BFGS-B",
@@ -106,56 +89,35 @@ class LogisticRegressionClassifier:
         _, grad = self._objective(params, X, y)
         self.gradient_max_norm_ = float(np.max(np.abs(grad)))
         self.n_iter_ = int(result.nit)
-        self.n_features_in_ = X.shape[1]
         return self
 
-    def decision_function(self, X) -> np.ndarray:
-        check_fitted(self, "coef_")
-        X = check_X(X, n_features=self.n_features_in_)
-        return X @ self.coef_ + self.intercept_
+    def standardize(self, X) -> np.ndarray:
+        """X scaled with the training mean and standard deviation."""
+        check_fitted(self, "mean_")
+        X = check_X(X, n_features=len(self.mean_))
+        return (X - self.mean_) / self.scale_
 
     def predict_proba(self, X) -> np.ndarray:
-        return logistic(self.decision_function(X))
-
-
-class ScaledLogisticRegression:
-    """Logistic regression on inputs standardized with its own train rows."""
-
-    def __init__(self, C: float = 1.0, max_iter: int = 2000, tol: float = 1e-6):
-        self.C = C
-        self.max_iter = max_iter
-        self.tol = tol
-
-    def fit(self, X, y) -> "ScaledLogisticRegression":
-        self.scaler_ = Standardizer().fit(X)
-        self.model_ = LogisticRegressionClassifier(self.C, self.max_iter, self.tol)
-        self.model_.fit(self.scaler_.transform(X), y)
-        return self
-
-    def predict_proba(self, X) -> np.ndarray:
-        check_fitted(self, "model_")
-        return self.model_.predict_proba(self.scaler_.transform(X))
+        return logistic(self.standardize(X) @ self.coef_ + self.intercept_)
 
     def to_dict(self) -> dict:
         return {
             "kind": "logistic",
-            "weights": [float(w) for w in self.model_.coef_],
-            "intercept": self.model_.intercept_,
-            "gradient_max_norm": self.model_.gradient_max_norm_,
-            "standardizer": {"mean": [float(v) for v in self.scaler_.mean_],
-                             "scale": [float(v) for v in self.scaler_.scale_]},
+            "weights": [float(w) for w in self.coef_],
+            "intercept": self.intercept_,
+            "gradient_max_norm": self.gradient_max_norm_,
+            "standardizer": {"mean": [float(v) for v in self.mean_],
+                             "scale": [float(v) for v in self.scale_]},
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ScaledLogisticRegression":
+    def from_dict(cls, d: dict) -> "LogisticRegressionClassifier":
         out = cls()
-        out.scaler_, out.model_ = Standardizer(), LogisticRegressionClassifier()
-        out.scaler_.mean_ = np.asarray(d["standardizer"]["mean"], dtype=float)
-        out.scaler_.scale_ = np.asarray(d["standardizer"]["scale"], dtype=float)
-        out.model_.coef_ = np.asarray(d["weights"], dtype=float)
-        out.model_.intercept_ = d["intercept"]
-        out.model_.gradient_max_norm_ = d["gradient_max_norm"]
-        out.model_.n_features_in_ = len(out.model_.coef_)
+        out.mean_ = np.asarray(d["standardizer"]["mean"], dtype=float)
+        out.scale_ = np.asarray(d["standardizer"]["scale"], dtype=float)
+        out.coef_ = np.asarray(d["weights"], dtype=float)
+        out.intercept_ = d["intercept"]
+        out.gradient_max_norm_ = d["gradient_max_norm"]
         return out
 
 

@@ -56,6 +56,7 @@ def _circle(x, y, r, fill) -> str:
     return f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" fill="{fill}"/>'
 
 
+TOP_FEATURES = 10  # features shown in the beeswarm and the importance bar chart
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
 
@@ -174,14 +175,14 @@ def render_roc(curves: list[tuple[str, np.ndarray, np.ndarray, float]]) -> str:
     return _svg(x0 + w + 20, y0 + h + 50, body)
 
 
-def render_beeswarm(records: list[dict], top: int = 10) -> str:
+def render_beeswarm(records: list[dict]) -> str:
     """Per-feature strips of per-patient Shapley values, colored by raw value."""
     if not records:
         raise ReportError("no records")
     features = {}
     for rec in records:
         features.setdefault((rec["rank"], rec["feature"]), []).append(rec)
-    shown = sorted(features)[:top]
+    shown = sorted(features)[:TOP_FEATURES]
     all_shap = [rec["shap"] for key in shown for rec in features[key]]
     lo, hi = min(all_shap), max(all_shap)
     span = (hi - lo) or 1.0
@@ -209,8 +210,8 @@ def render_beeswarm(records: list[dict], top: int = 10) -> str:
     return _svg(x0 + w + 20, height, body)
 
 
-def render_importance_bar(ranking: list[tuple[str, float]], top: int = 10) -> str:
-    shown = ranking[:top]
+def render_importance_bar(ranking: list[tuple[str, float]]) -> str:
+    shown = ranking[:TOP_FEATURES]
     if not shown:
         raise ReportError("empty ranking")
     peak = max(v for _, v in shown) or 1.0

@@ -73,13 +73,6 @@ class DecisionTree:
             active = self.feature[node] != LEAF
         return node
 
-    def max_depth(self) -> int:
-        def depth(node: int) -> int:
-            if self.is_leaf(node):
-                return 0
-            return 1 + max(depth(self.left[node]), depth(self.right[node]))
-        return depth(0)
-
     def to_dict(self) -> dict:
         nodes = []
         for i in range(self.n_nodes):

@@ -21,7 +21,7 @@ from multisys.cli import RunConfig, run_subcommand
 from multisys.explain import tree_shap
 from multisys.ingest import default_schema, parse_quantity, parse_semiquant, read_matrix_csv
 from multisys.metrics import roc_auc
-from multisys.models import LogisticRegressionClassifier, Standardizer, TreeEnsemble
+from multisys.models import LogisticRegressionClassifier, TreeEnsemble
 from multisys.rng import SplitMix64
 from multisys.split import Partition
 from multisys.tree import grow_tree
@@ -182,8 +182,8 @@ def test_criterion_08_logistic_stationarity(default_run):
         import csv as _csv
         y = np.array([int(r["target_multi"]) for r in _csv.DictReader(fh)])
     train = np.asarray(partition.train)
-    X = Standardizer().fit(matrix.values[train]).transform(matrix.values[train])
-    model = LogisticRegressionClassifier().fit(X, y[train])
+    model = LogisticRegressionClassifier().fit(matrix.values[train], y[train])
+    X = model.standardize(matrix.values[train])
 
     # Finite-difference agreement at 5 random parameter points.
     rng = SplitMix64(5)
@@ -263,8 +263,9 @@ def test_criterion_11_registry_reproduction(tmp_path):
     schemas = default_schema()
     cohort = load_cohort(os.environ["MULTISYS_REGISTRY_CSV"], schemas)
     matrix, _ = clean_cohort(cohort, schemas)
-    idx = compute_indices(matrix, default_systems())
-    summary = prevalence_summary(idx)
+    systems = default_systems()
+    idx = compute_indices(matrix, systems)
+    summary = prevalence_summary(idx, systems, matrix)
     cr = matrix.column("Cr")
     ok = (abs(summary["target_prevalence"] - 0.168) < 0.005
           and abs(summary["systems"]["lipid"]["prevalence"] - 0.650) < 0.01

@@ -72,11 +72,15 @@ def test_stagewise_pipeline(tmp_path, fast_config):
         assert 0.0 <= metrics["models"][model]["test"]["auc"] <= 1.0
 
 
-# sha256 of the fast config's tree models.  A refactor of the split search or
-# of the tree layout must leave them byte-identical.
-PINNED_TREES = {
+# sha256 of the fast config's models and metrics.  A refactor of the split
+# search, the tree layout or the logistic model must leave them byte-identical.
+# The digests were recorded with numpy 2.4.6 and scipy 1.17.1, whose L-BFGS
+# the logistic weights depend on.
+PINNED_MODELS = {
     "model_rf.json": "52384418b3ccf68394c2cc3311d0960ddbc83c85c215010a297260238ebe76ef",
     "model_gb.json": "82dd576a8d8d90097c86cd76d6750325024c20630bd5497280de66202214aca5",
+    "model_lr.json": "7a3fef6ad61a87ed6fd45db0b2f75849bc35686e77851a07db60c62ebae74089",
+    "metrics.json": "b17cf8df208208d1af028803b09d39a6fc7717738615ccd739c4c7358a4aedd1",
 }
 
 # sha256 of the fast config's Shapley artifacts.  A change to the TreeSHAP
@@ -98,7 +102,8 @@ def _assert_pinned(tmp_path, fast_config, stages, pinned):
 
 def test_fast_config_trees_are_pinned(tmp_path, fast_config):
     _assert_pinned(tmp_path, fast_config,
-                   ("simulate", "ingest", "features", "split", "train"), PINNED_TREES)
+                   ("simulate", "ingest", "features", "split", "train", "evaluate"),
+                   PINNED_MODELS)
 
 
 def test_fast_config_explain_artifacts_are_pinned(tmp_path, fast_config):
@@ -146,6 +151,18 @@ def test_missing_upstream_artifact(tmp_path, fast_config, capsys):
     assert status == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "missing-artifact"
+
+
+@pytest.mark.parametrize("manifest", ["{", "[]", '{"config_hash": "x"}'])
+def test_malformed_manifest_exits_2(tmp_path, fast_config, capsys, manifest):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "manifest.json").write_text(manifest)
+    assert _run("simulate", str(out), fast_config) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "manifest" in err["message"]
+    assert sorted(os.listdir(out)) == ["manifest.json"]
 
 
 def test_config_hash_mismatch_blocks_and_force_overrides(tmp_path, fast_config):
@@ -275,12 +292,27 @@ def test_config_validator_rejects_unknown_sections(tmp_path, raw):
     ({"input_csv": 7}, "input_csv"),
     ({"schema_config": {"columns": []}}, "schema_config"),
     ({"systems_config": True}, "systems_config"),
+    # out of range: each would otherwise fail, or write artifacts, mid-run
+    ({"models": {"logistic": {"C": 0}}}, "models.logistic.C"),
+    ({"models": {"logistic": {"tol": -1e-6}}}, "models.logistic.tol"),
+    ({"models": {"gradient_boosting": {"learning_rate": 0}}},
+     "models.gradient_boosting.learning_rate"),
+    ({"models": {"gradient_boosting": {"learning_rate": 1.5}}},
+     "models.gradient_boosting.learning_rate"),
+    ({"models": {"random_forest": {"n_estimators": 0}}}, "models.random_forest.n_estimators"),
+    ({"models": {"random_forest": {"min_samples_leaf": -2}}},
+     "models.random_forest.min_samples_leaf"),
+    ({"models": {"gradient_boosting": {"max_depth": 0}}}, "models.gradient_boosting.max_depth"),
+    ({"split": {"ratios": [1.2, -0.1, -0.1]}}, "split.ratios"),
+    ({"split": {"ratios": [1.0, 0.0, 0.0]}}, "split.ratios"),
+    ({"cv_folds": 1}, "cv_folds"),
 ])
 def test_config_value_types_checked(tmp_path, capsys, raw, where):
-    assert _run("simulate", str(tmp_path / "run"), _write_config(tmp_path, raw)) == 2
+    assert _run("all", str(tmp_path / "run"), _write_config(tmp_path, raw)) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
     assert where in err["message"]
+    assert not os.path.exists(tmp_path / "run")
 
 
 SIDEWAYS_SYSTEM = {"systems": [{"name": "kidney", "rules": [
@@ -308,6 +340,17 @@ def test_bad_config_files_exit_2_before_any_artifact(tmp_path, capsys, key, cont
     assert not os.path.exists(tmp_path / "run")
 
 
+def test_boundary_config_values_accepted(tmp_path):
+    # The bounds are (0, 1] for learning_rate, >= 2 for cv_folds, > 0 for the
+    # rest; a model seed may be any integer.
+    cfg = RunConfig.load(_write_config(tmp_path, {
+        "cv_folds": 2, "models": {"gradient_boosting": {"learning_rate": 1},
+                                  "random_forest": {"seed": -3}}}))
+    assert cfg.cv_folds == 2
+    assert cfg.gradient_boosting["learning_rate"] == 1
+    assert cfg.random_forest["seed"] == -3
+
+
 def test_valid_configs_keep_their_hash(tmp_path, fast_config):
     # Validation must not change what a valid config hashes to.
     assert RunConfig.load(None).hash() == "3d053a57276410e6"
@@ -319,7 +362,9 @@ def test_valid_configs_keep_their_hash(tmp_path, fast_config):
 def test_inline_analytes_rejected(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"synth": {"n": 50, "seed": 1, "analytes": []}})
     assert _run("simulate", str(tmp_path / "run"), cfg) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "unknown synth key(s): analytes" in err["message"]
 
 
 JSON_KEYS = {

@@ -343,7 +343,7 @@ def test_partial_dependence_grid_and_response():
     y = (X[:, 0] > 0.5).astype(int)
     model = GradientBoostingClassifier(n_estimators=10, max_depth=2,
                                        min_samples_leaf=5).fit(X, y)
-    curve = partial_dependence(model, X, feature=0, grid_size=20)
+    curve = partial_dependence(model, X, feature=0)
     assert np.all(np.diff(curve.grid) > 0)
     assert curve.grid[0] >= np.quantile(X[:, 0], 0.025) - 1e-12
     assert curve.grid[-1] <= np.quantile(X[:, 0], 0.975) + 1e-12
@@ -362,8 +362,6 @@ def test_partial_dependence_degenerate_feature_errors():
     model.fit(X, y)
     with pytest.raises(ExplainError):
         partial_dependence(model, X, feature=0)
-    with pytest.raises(ExplainError):
-        partial_dependence(model, X, feature=1, grid_size=1)
 
 
 @pytest.mark.parametrize("feature", [3, 5, -1])

@@ -243,3 +243,13 @@ def test_matrix_csv_roundtrip(tmp_path, tiny_schemas):
     loaded = read_matrix_csv(path, tiny_schemas)
     np.testing.assert_array_equal(loaded.values, matrix.values)  # exact, via repr
     assert loaded.names == matrix.names
+
+
+def test_matrix_csv_header_outside_schema_errors(tmp_path, tiny_schemas):
+    # A matrix written under one schema and read under another names the
+    # headers the current schema lacks instead of failing with a KeyError.
+    from conftest import make_matrix
+    path = str(tmp_path / "matrix.csv")
+    write_matrix_csv(make_matrix([[77.0, 5.5, 1.0]], tiny_schemas), path)
+    with pytest.raises(IngestError, match="not in the schema: Cr, PRO"):
+        read_matrix_csv(path, [tiny_schemas[1]])

@@ -1,4 +1,5 @@
-"""Standardizer, logistic regression, random forest and gradient boosting."""
+"""Logistic regression (with its standardization), random forest and
+gradient boosting."""
 
 import json
 import math
@@ -9,8 +10,7 @@ import pytest
 from multisys.base import NotFittedError, check_X_y
 from multisys.models import (
     GradientBoostingClassifier, LogisticRegressionClassifier,
-    RandomForestClassifier, ScaledLogisticRegression, Standardizer, TreeEnsemble,
-    binomial_deviance, logistic, logit,
+    RandomForestClassifier, TreeEnsemble, binomial_deviance, logistic, logit,
 )
 from multisys.rng import SplitMix64
 
@@ -47,11 +47,11 @@ def test_binomial_deviance_perfect_prediction():
 
 
 # ---------------------------------------------------------------------------
-# standardizer
+# standardization inside the logistic model
 
 def test_standardizer_population_sd_oracle():
     X = np.array([[1.0], [2.0], [3.0]])
-    scaled = Standardizer().fit(X).transform(X)
+    scaled = LogisticRegressionClassifier().fit(X, [0, 0, 1]).standardize(X)
     # mean 2, population sd sqrt(2/3); z = +/- 1/sqrt(2/3) = +/- 1.224744...
     expected = (X[:, 0] - 2.0) / math.sqrt(2.0 / 3.0)
     np.testing.assert_allclose(scaled[:, 0], expected)
@@ -60,15 +60,15 @@ def test_standardizer_population_sd_oracle():
 
 def test_standardizer_constant_feature():
     X = np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])
-    scaler = Standardizer().fit(X)
-    assert list(scaler.constant_features_) == [0]
-    scaled = scaler.transform(X)
+    model = LogisticRegressionClassifier().fit(X, [0, 1, 1])
+    assert list(model.scale_) == [1.0, math.sqrt(2.0 / 3.0)]
+    scaled = model.standardize(X)
     assert np.all(scaled[:, 0] == 0.0)  # divisor 1, mean removed
 
 
 def test_standardizer_not_fitted():
     with pytest.raises(NotFittedError):
-        Standardizer().transform(np.zeros((2, 2)))
+        LogisticRegressionClassifier().standardize(np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ def test_ensemble_json_roundtrip():
     X, y = _blobs(60, seed=13)
     X = X * [1.0, 50.0] + [0.0, 100.0]  # give the standardizer work to do
     fitted = [
-        (ScaledLogisticRegression(C=0.5).fit(X, y), ScaledLogisticRegression.from_dict),
+        (LogisticRegressionClassifier(C=0.5).fit(X, y), LogisticRegressionClassifier.from_dict),
         (RandomForestClassifier(n_estimators=3, min_samples_leaf=3, seed=2).fit(X, y),
          TreeEnsemble.from_dict),
         (GradientBoostingClassifier(n_estimators=4).fit(X, y), TreeEnsemble.from_dict),
@@ -218,13 +218,18 @@ def test_ensemble_json_roundtrip():
 
 
 def test_scaled_logistic_matches_manual_pipeline():
+    # The model is the L2 fit on inputs standardized by hand with numpy.
     X, y = _blobs(80, seed=15)
     X = X * [3.0, 0.2] + [10.0, -4.0]
-    scaler = Standardizer().fit(X)
-    manual = LogisticRegressionClassifier(C=2.0).fit(scaler.transform(X), y)
-    model = ScaledLogisticRegression(C=2.0).fit(X, y)
-    np.testing.assert_array_equal(model.predict_proba(X),
-                                  manual.predict_proba(scaler.transform(X)))
+    model = LogisticRegressionClassifier(C=2.0).fit(X, y)
+    Z = (X - X.mean(axis=0)) / X.std(axis=0)
+    np.testing.assert_array_equal(model.standardize(X), Z)
+    params = np.append(model.coef_, model.intercept_)
+    _, grad = model._objective(params, Z, y)
+    assert float(np.max(np.abs(grad))) == model.gradient_max_norm_ <= 1e-5
+    np.testing.assert_allclose(model.predict_proba(X),
+                               1.0 / (1.0 + np.exp(-(Z @ model.coef_ + model.intercept_))),
+                               rtol=1e-12)
     assert sorted(model.to_dict()) == ["gradient_max_norm", "intercept", "kind",
                                        "standardizer", "weights"]
 

@@ -91,7 +91,13 @@ def test_grow_respects_depth_and_leaf_size():
     X = np.array([[rng.random()] for _ in range(100)])
     y = (X[:, 0] > 0.5).astype(float)
     tree = grow_tree(X, y, criterion="gini", max_depth=2, min_samples_leaf=10)
-    assert tree.max_depth() <= 2
+
+    def depth(node):
+        if tree.is_leaf(node):
+            return 0
+        return 1 + max(depth(tree.left[node]), depth(tree.right[node]))
+
+    assert depth(0) <= 2
     leaves = [i for i in range(tree.n_nodes) if tree.is_leaf(i)]
     assert all(tree.cover[i] >= 10 for i in leaves)
 
