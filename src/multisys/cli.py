@@ -26,7 +26,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -210,8 +210,9 @@ class RunConfig:
     def spec(self) -> synth_mod.GeneratorSpec:
         if self.synth is None:
             raise CliError("simulate requires a synth spec in the config", kind="config")
-        if "spec_path" in self.synth:
-            return synth_mod.spec_from_json(self.synth["spec_path"])
+        if "spec_path" in self.synth:  # the config's n and seed override the file's
+            return replace(synth_mod.spec_from_json(self.synth["spec_path"]),
+                           **{k: self.synth[k] for k in ("n", "seed") if k in self.synth})
         return synth_mod.GeneratorSpec(n=self.synth.get("n", 1195),
                                        seed=self.synth.get("seed", 42))
 
@@ -384,12 +385,22 @@ def stage_evaluate(ws: Workspace) -> None:
     y = _load_target(ws)
     partition = _load_partition(ws)
     folds_doc = ws.read("folds.json")
-    fold_plan = FoldPlan(k=folds_doc["k"], assignments=folds_doc["assignments"])
-    train_idx = np.asarray(folds_doc["train_indices"])
+    try:
+        fold_plan = FoldPlan(k=folds_doc["k"], assignments=folds_doc["assignments"])
+        train_idx = np.asarray(folds_doc["train_indices"])
+        if len(fold_plan.assignments) != len(train_idx):
+            raise ValueError(f"{len(fold_plan.assignments)} fold assignments for "
+                             f"{len(train_idx)} train_indices")
+        if not isinstance(fold_plan.k, int) or not np.all((0 <= train_idx) & (train_idx < len(y))):
+            raise ValueError(f"k {fold_plan.k!r}, or a train index outside the {len(y)} rows")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"malformed folds.json: {exc!r}", kind="malformed-artifact") from exc
+    # every model file is loaded, and so checked, before the first refit
+    fitted = {name: kind.load(ws.read(kind.artifact)) for name, kind in MODELS.items()}
 
     results, roc_doc = {}, {}
     for name, kind in MODELS.items():
-        model = kind.load(ws.read(kind.artifact))
+        model = fitted[name]
         cv = metrics_mod.cv_evaluate(ws.cfg.fitter(kind), matrix.values[train_idx],
                                      y[train_idx], fold_plan)
         entry = {"cv_auc_mean": cv.mean, "cv_auc_sd": cv.sd,

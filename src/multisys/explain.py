@@ -25,7 +25,7 @@ import numpy as np
 
 from .base import MultisysError, check_X
 from .models import TreeEnsemble
-from .tree import DecisionTree
+from .tree import LEAF, DecisionTree
 
 _ROW_BLOCK = 512  # rows per walk; a tree's leaf contributions are held per block
 PDP_GRID_SIZE = 50  # quantile levels per partial-dependence curve
@@ -101,13 +101,8 @@ class _Path:
 
 def _leaf_counts(tree: DecisionTree) -> list[int]:
     counts = [1] * tree.n_nodes
-
-    def walk(node: int) -> int:
-        if not tree.is_leaf(node):
-            counts[node] = walk(int(tree.left[node])) + walk(int(tree.right[node]))
-        return counts[node]
-
-    walk(0)
+    for node in np.flatnonzero(tree.feature != LEAF)[::-1]:  # children first
+        counts[node] = counts[tree.left[node]] + counts[tree.right[node]]
     return counts
 
 
@@ -124,7 +119,7 @@ def _tree_phi(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
     while stack:
         node, path, zero_fraction, one_fraction, feature, rank = stack.pop()
         path = path.extend(zero_fraction, one_fraction, feature)
-        if tree.is_leaf(node):
+        if tree.feature[node] == LEAF:
             if len(path.features) > 1:
                 contrib = path.leaf_contributions(float(tree.value[node]))
                 for f, values in zip(path.features[1:], contrib):
@@ -132,10 +127,7 @@ def _tree_phi(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
             continue
         f = int(tree.feature[node])
         left, right = int(tree.left[node]), int(tree.right[node])
-        cl, cr = int(tree.cover[left]), int(tree.cover[right])
-        cn = int(tree.cover[node])
-        if cn <= 0 or cl <= 0 or cr <= 0:
-            raise ExplainError(f"zero-cover node {node} in tree")
+        cl, cr, cn = (int(tree.cover[i]) for i in (left, right, node))
         goes_left = X[:, f] <= tree.threshold[node]
         incoming_zero, incoming_one = 1.0, np.ones(n)
         if f in path.features[1:]:
@@ -167,12 +159,8 @@ def tree_shap(ensemble: TreeEnsemble, X) -> ShapAttribution:
     """
     X = check_X(X)
     n, p = X.shape
-    if ensemble.kind == "gradient-boosting":
-        scale = ensemble.shrinkage
-    else:
-        if not ensemble.trees:
-            raise ExplainError("empty forest")
-        scale = 1.0 / len(ensemble.trees)
+    boosting = ensemble.kind == "gradient-boosting"
+    scale = ensemble.shrinkage if boosting else 1.0 / len(ensemble.trees)
     used = max((int(tree.feature.max()) for tree in ensemble.trees), default=-1)
     if used >= p:
         raise ExplainError(f"X has {p} columns but the model splits on feature {used}")

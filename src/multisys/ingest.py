@@ -353,15 +353,31 @@ def write_matrix_csv(matrix: FeatureMatrix, path: str) -> None:
 
 
 def read_matrix_csv(path: str, schemas: list[ColumnSchema]) -> FeatureMatrix:
-    """Reload a cleaned matrix written by write_matrix_csv."""
+    """Reload a cleaned matrix written by write_matrix_csv.
+
+    IngestError for an empty file, a header outside the schema, a row whose
+    length differs from the header's, or a cell that is not a finite number.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(c) for c in row] for row in reader]
+        header = next(reader, None)
+        if not header:
+            raise IngestError(f"{path}: empty file")
+        try:
+            rows = [[float(c) for c in row] for row in reader]
+        except ValueError as exc:
+            raise IngestError(f"{path}: line {reader.line_num}: {exc}") from exc
     by_name = {s.name: s for s in schemas}
     unknown = [h for h in header if h not in by_name]
     if unknown:
         raise IngestError(f"{path}: column(s) not in the schema: {', '.join(unknown)}")
-    columns = [by_name[h] for h in header]
+    ragged = [i for i, row in enumerate(rows) if len(row) != len(header)]
+    if ragged:
+        raise IngestError(f"{path}: line {ragged[0] + 2} has {len(rows[ragged[0]])} cells, "
+                          f"the header {len(header)}")
     values = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+    if not np.isfinite(values).all():
+        line = np.flatnonzero(~np.isfinite(values).all(axis=1))[0] + 2
+        raise IngestError(f"{path}: line {line} has a cell that is not a finite number")
+    columns = [by_name[h] for h in header]
     return FeatureMatrix(columns=columns, values=values)

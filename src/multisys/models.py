@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .base import check_fitted, check_X, check_X_y
+from .base import MultisysError, check_fitted, check_X, check_X_y, is_number
 from .rng import SplitMix64
-from .tree import DecisionTree, grow_tree
+from .tree import DecisionTree, TreeError, grow_tree
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -112,12 +112,19 @@ class LogisticRegressionClassifier:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LogisticRegressionClassifier":
+        """The model `to_dict` wrote; MultisysError (kind ModelError) if malformed."""
         out = cls()
-        out.mean_ = np.asarray(d["standardizer"]["mean"], dtype=float)
-        out.scale_ = np.asarray(d["standardizer"]["scale"], dtype=float)
-        out.coef_ = np.asarray(d["weights"], dtype=float)
-        out.intercept_ = d["intercept"]
-        out.gradient_max_norm_ = d["gradient_max_norm"]
+        try:
+            std = d["standardizer"]
+            out.mean_, out.scale_, out.coef_ = (np.asarray(v, dtype=float) for v in (
+                std["mean"], std["scale"], d["weights"]))
+            out.intercept_, out.gradient_max_norm_ = d["intercept"], d["gradient_max_norm"]
+            if not (out.mean_.shape == out.scale_.shape == out.coef_.shape == (len(out.coef_),)
+                    and is_number(out.intercept_)):
+                raise ValueError("mean, scale and weights differ in length, or the "
+                                 "intercept is not a number")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MultisysError(f"malformed logistic model: {exc!r}", kind="ModelError") from exc
         return out
 
 
@@ -143,6 +150,8 @@ class TreeEnsemble:
             raise ValueError("random forests use shrinkage 1.0")
         if not 0.0 < self.shrinkage <= 1.0:
             raise ValueError("shrinkage must be in (0, 1]")
+        if self.kind == "random-forest" and not self.trees:
+            raise ValueError("empty forest")
 
     def predict_margin(self, X) -> np.ndarray:
         if self.kind != "gradient-boosting":
@@ -157,8 +166,6 @@ class TreeEnsemble:
         if self.kind == "gradient-boosting":
             return logistic(self.predict_margin(X))
         X = check_X(X)
-        if not self.trees:
-            raise ValueError("empty forest")
         acc = np.zeros(len(X))
         for tree in self.trees:
             acc += tree.predict(X)
@@ -172,22 +179,23 @@ class TreeEnsemble:
         return total / len(self.trees)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": MODEL_SCHEMA_VERSION,
-            "kind": self.kind,
-            "base_score": self.base_score,
-            "shrinkage": self.shrinkage,
-            "trees": [tree.to_dict() for tree in self.trees],
-        }
+        return {"schema_version": MODEL_SCHEMA_VERSION, "kind": self.kind,
+                "base_score": self.base_score, "shrinkage": self.shrinkage,
+                "trees": [tree.to_dict() for tree in self.trees]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreeEnsemble":
-        return cls(
-            kind=d["kind"],
-            trees=[DecisionTree.from_dict(t) for t in d["trees"]],
-            base_score=d["base_score"],
-            shrinkage=d["shrinkage"],
-        )
+        """The ensemble `to_dict` wrote; TreeError for a malformed one."""
+        try:
+            if d["schema_version"] != MODEL_SCHEMA_VERSION:
+                raise ValueError(f"schema_version {d['schema_version']!r}, "
+                                 f"expected {MODEL_SCHEMA_VERSION}")
+            if not is_number(d["base_score"]):
+                raise ValueError(f"base_score {d['base_score']!r}")
+            return cls(d["kind"], [DecisionTree.from_dict(t) for t in d["trees"]],
+                       d["base_score"], d["shrinkage"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TreeError(f"malformed tree ensemble: {exc!r}") from exc
 
 
 class RandomForestClassifier:

@@ -3,8 +3,10 @@
 A tree is stored as parallel flat arrays indexed by node id.  Internal nodes
 carry (feature, threshold, left, right, cover); leaves carry (value, cover).
 Cover is the exact count of training rows routed through the node; it is the
-empirical weight used by the Shapley attribution in `explain`.  Growth writes
-the node dicts of `to_dict` and loads them with `from_dict`.
+empirical weight used by the Shapley attribution in `explain`.  Growth
+appends each node's fields to these arrays in pre-order, so every child's id
+is above its parent's; `from_dict` checks that order on a tree read from disk,
+so a bottom-up pass such as `expected_value` is a reverse sweep over ids.
 
 Split search is exact greedy with one scan per node: the node's rows of all
 candidate features are sorted as one 2-D block, column by column, and prefix
@@ -18,6 +20,8 @@ than once in `rows`, as in a bootstrap sample, counts once per appearance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -25,6 +29,8 @@ from .base import MultisysError
 from .rng import SplitMix64
 
 LEAF = -1
+FIELDS = {"feature": int, "threshold": float, "left": int, "right": int,
+          "value": float, "cover": int}  # node fields and their dtypes
 
 
 class TreeError(MultisysError):
@@ -44,21 +50,16 @@ class DecisionTree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def is_leaf(self, node: int) -> bool:
-        return self.feature[node] == LEAF
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.value[self.leaf_ids(X)]
 
     def expected_value(self) -> float:
         """Cover-weighted expectation of the tree output."""
-        def walk(node: int) -> float:
-            if self.is_leaf(node):
-                return float(self.value[node])
-            cl = self.cover[self.left[node]]
-            cr = self.cover[self.right[node]]
-            return (cl * walk(self.left[node]) + cr * walk(self.right[node])) / (cl + cr)
-        return walk(0)
+        ev = self.value.copy()
+        for node in np.flatnonzero(self.feature != LEAF)[::-1]:  # children first
+            cl, cr = self.cover[self.left[node]], self.cover[self.right[node]]
+            ev[node] = (cl * ev[self.left[node]] + cr * ev[self.right[node]]) / (cl + cr)
+        return float(ev[0])
 
     def leaf_ids(self, X: np.ndarray) -> np.ndarray:
         """Route rows to leaves; x goes left iff x[feature] <= threshold."""
@@ -74,41 +75,43 @@ class DecisionTree:
         return node
 
     def to_dict(self) -> dict:
-        nodes = []
-        for i in range(self.n_nodes):
-            if self.is_leaf(i):
-                nodes.append({"feature": -1, "threshold": None, "left": None,
-                              "right": None, "cover": int(self.cover[i]),
-                              "value": float(self.value[i])})
-            else:
-                nodes.append({"feature": int(self.feature[i]),
-                              "threshold": float(self.threshold[i]),
-                              "left": int(self.left[i]), "right": int(self.right[i]),
-                              "cover": int(self.cover[i]), "value": None})
-        return {"nodes": nodes}
+        """One dict per node; the fields a node's kind lacks are None."""
+        leaf = self.feature == LEAF
+        columns = [getattr(self, key).astype(object) for key in FIELDS]
+        for column, blank in zip(columns[1:5], (leaf, leaf, leaf, ~leaf)):
+            column[blank] = None
+        return {"nodes": [dict(zip(FIELDS, node)) for node in zip(*columns)]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DecisionTree":
-        nodes = d["nodes"]
-        m = len(nodes)
-        tree = cls(
-            feature=np.full(m, LEAF, dtype=int),
-            threshold=np.full(m, np.nan),
-            left=np.full(m, -1, dtype=int),
-            right=np.full(m, -1, dtype=int),
-            value=np.full(m, np.nan),
-            cover=np.zeros(m, dtype=int),
-        )
-        for i, node in enumerate(nodes):
-            tree.cover[i] = node["cover"]
-            if node["feature"] == -1:
-                tree.value[i] = node["value"]
-            else:
-                tree.feature[i] = node["feature"]
-                tree.threshold[i] = node["threshold"]
-                tree.left[i] = node["left"]
-                tree.right[i] = node["right"]
-        return tree
+        """The tree `to_dict` wrote, and the one check of a tree read from disk:
+        TreeError unless the nodes form a binary tree in pre-order (children
+        after their parent and before the end), every cover is a positive
+        integer and every leaf value is finite."""
+        try:
+            rows = list(map(itemgetter(*FIELDS), d["nodes"]))
+            numeric = set(map(type, chain.from_iterable(rows))) <= {int, float, type(None)}
+            t = np.array(rows, dtype=float).reshape(-1, len(FIELDS)).T  # None is NaN
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise TreeError(f"malformed tree: {exc!r}") from exc
+        if not numeric or not t.shape[1]:
+            raise TreeError("malformed tree: no nodes, or a field not a number or null")
+        feature, threshold, left, right, value, cover = t
+        ids, leaf = np.arange(len(feature)), feature == LEAF
+        whole = np.isfinite(t) & (t == np.floor(t))
+        for problem, ok in {
+            "no column index and finite threshold":
+                leaf | (feature >= 0) & whole[0] & np.isfinite(threshold),
+            "a child before it or past the last node": leaf | np.all(
+                whole[2:4] & (ids < t[2:4]) & (t[2:4] < len(ids)), axis=0),
+            "a cover that is not a positive integer": (cover > 0) & whole[5],
+            "a leaf value that is not finite": np.isfinite(value) | ~leaf,
+        }.items():
+            if not ok.all():
+                raise TreeError(f"malformed tree: node {np.argmin(ok)} has {problem}")
+        threshold[leaf], value[~leaf] = np.nan, np.nan
+        left[leaf], right[leaf] = -1, -1
+        return cls(*(column.astype(dtype) for column, dtype in zip(t, FIELDS.values())))
 
 
 def _improves(score: float, f: int, best) -> bool:
@@ -201,27 +204,27 @@ def grow_tree(X: np.ndarray, target: np.ndarray, *, criterion: str,
     if max_features is not None and rng is None:
         raise TreeError("max_features requires an rng")
 
-    nodes = []  # in the format of `DecisionTree.to_dict`, in pre-order
+    feature, threshold, left, right, value, _ = table = [[] for _ in FIELDS]  # pre-order
 
     def build(rows: np.ndarray, depth: int) -> int:
-        node = {"feature": LEAF, "threshold": None, "left": None, "right": None,
-                "cover": len(rows), "value": None}
-        index = len(nodes)
-        nodes.append(node)
+        index = len(feature)
+        for column, blank in zip(table, (LEAF, np.nan, -1, -1, np.nan, len(rows))):
+            column.append(blank)
         best = None
         if (depth < max_depth and len(rows) >= 2 * min_samples_leaf
                 and np.ptp(target[rows]) > 0):
             best = _best_split(X, target, rows, criterion, min_samples_leaf,
                                max_features=max_features, rng=rng)
         if best is None:
-            node["value"] = leaf_value(rows)
+            value[index] = leaf_value(rows)
         else:
             _, f, thr = best
             go_left = X[rows, f] <= thr
-            node.update(feature=f, threshold=thr,
-                        left=build(rows[go_left], depth + 1),
-                        right=build(rows[~go_left], depth + 1))
+            feature[index], threshold[index] = f, thr
+            left[index] = build(rows[go_left], depth + 1)
+            right[index] = build(rows[~go_left], depth + 1)
         return index
 
     build(np.asarray(rows, dtype=int), 0)
-    return DecisionTree.from_dict({"nodes": nodes})
+    return DecisionTree(*(np.array(column, dtype=dtype)
+                          for column, dtype in zip(table, FIELDS.values())))

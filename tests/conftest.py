@@ -38,20 +38,23 @@ def make_matrix(values, schemas) -> FeatureMatrix:
     return FeatureMatrix(columns=list(schemas), values=np.asarray(values, dtype=float))
 
 
+# A small-but-complete run config for pipeline tests (seconds, not minutes).
+FAST_CONFIG = {
+    "synth": {"n": 160, "seed": 7},
+    "split": {"ratios": [0.70, 0.15, 0.15], "seed": 7},
+    "cv_folds": 3,
+    "models": {
+        "random_forest": {"n_estimators": 12, "max_depth": 5,
+                          "min_samples_leaf": 5, "seed": 7},
+        "gradient_boosting": {"n_estimators": 15, "learning_rate": 0.1,
+                              "max_depth": 3, "min_samples_leaf": 5},
+    },
+}
+
+
 @pytest.fixture
 def fast_config(tmp_path):
-    """A small-but-complete run config for pipeline tests (seconds, not minutes)."""
-    cfg = {
-        "synth": {"n": 160, "seed": 7},
-        "split": {"ratios": [0.70, 0.15, 0.15], "seed": 7},
-        "cv_folds": 3,
-        "models": {
-            "random_forest": {"n_estimators": 12, "max_depth": 5,
-                              "min_samples_leaf": 5, "seed": 7},
-            "gradient_boosting": {"n_estimators": 15, "learning_rate": 0.1,
-                                  "max_depth": 3, "min_samples_leaf": 5},
-        },
-    }
+    """The path of a file holding FAST_CONFIG."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(FAST_CONFIG))
     return str(path)

@@ -24,7 +24,7 @@ from multisys.metrics import roc_auc
 from multisys.models import LogisticRegressionClassifier, TreeEnsemble
 from multisys.rng import SplitMix64
 from multisys.split import Partition
-from multisys.tree import grow_tree
+from multisys.tree import LEAF, grow_tree
 
 RUNTIME_BUDGET_S = 60.0
 
@@ -96,7 +96,7 @@ def test_criterion_04_shap_local_accuracy(default_run):
 
 def _conditional_expectation(tree, x, known):
     def walk(node):
-        if tree.is_leaf(node):
+        if tree.feature[node] == LEAF:
             return float(tree.value[node])
         f = int(tree.feature[node])
         left, right = int(tree.left[node]), int(tree.right[node])

@@ -4,9 +4,11 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
+from conftest import FAST_CONFIG
 
 from multisys.cli import CliError, RunConfig, Workspace, main, run_subcommand
 
@@ -436,3 +438,115 @@ def test_run_directory_layout(tmp_path, fast_config):
     for row in rows("beeswarm.csv")[1:]:
         for cell in row[2:4]:
             assert repr(float(cell)) == cell
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """(config path, run directory) of the fast config run through train."""
+    base = tmp_path_factory.mktemp("trained")
+    config = base / "config.json"
+    config.write_text(json.dumps(FAST_CONFIG))
+    for stage in ("simulate", "ingest", "features", "split", "train"):
+        assert _run(stage, str(base / "run"), str(config)) == 0, stage
+    return str(config), base / "run"
+
+
+def _corrupt(trained_run, tmp_path, name, edit):
+    """A copy of the trained run with `edit(text) -> text` applied to `name`."""
+    config, source = trained_run
+    out = tmp_path / "run"
+    shutil.copytree(source, out)
+    (out / name).write_text(edit((out / name).read_text()))
+    return config, str(out)
+
+
+def _exit_kind(capsys, stage, config, out):
+    status = _run(stage, out, config)
+    return status, json.loads(capsys.readouterr().err)["error"] if status else None
+
+
+def _edit_json(edit):
+    def apply(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return apply
+
+
+def _point_back(doc):
+    nodes = doc["trees"][0]["nodes"]
+    inner = [i for i, node in enumerate(nodes) if i > 0 and node["feature"] != -1]
+    nodes[inner[0]]["right"] = 0  # a child that is the root, an ancestor
+
+
+def _point_past(doc):
+    nodes = doc["trees"][0]["nodes"]
+    nodes[0]["left"] = len(nodes)
+
+
+@pytest.mark.parametrize("edit", [_point_back, _point_past])
+def test_malformed_tree_file_exits_2(trained_run, tmp_path, capsys, edit):
+    # explain first: without the load check, a cyclic tree makes explain
+    # recurse until RecursionError but evaluate's routing loop never ends.
+    config, out = _corrupt(trained_run, tmp_path, "model_gb.json", _edit_json(edit))
+    assert _exit_kind(capsys, "explain", config, out) == (2, "TreeError")
+    assert _exit_kind(capsys, "evaluate", config, out) == (2, "TreeError")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.pop("intercept"),
+    lambda doc: doc["standardizer"].pop("scale"),
+    lambda doc: doc["weights"].pop(),
+], ids=["no-intercept", "no-scale", "short-weights"])
+def test_malformed_logistic_file_exits_2(trained_run, tmp_path, capsys, edit):
+    config, out = _corrupt(trained_run, tmp_path, "model_lr.json", _edit_json(edit))
+    assert _exit_kind(capsys, "evaluate", config, out) == (2, "ModelError")
+
+
+def _replace_cell(text, cell):
+    """The CSV with the first cell of its second data row replaced by `cell`."""
+    lines = text.splitlines(keepends=True)
+    lines[2] = cell + lines[2][lines[2].index(","):]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: "",
+    lambda text: _replace_cell(text, "1.0,2.0"),
+    lambda text: _replace_cell(text, "abc"),
+    lambda text: _replace_cell(text, "nan"),
+    lambda text: _replace_cell(text, "inf"),
+], ids=["empty", "ragged", "non-numeric", "nan", "inf"])
+def test_corrupted_matrix_csv_exits_2(trained_run, tmp_path, capsys, edit):
+    config, out = _corrupt(trained_run, tmp_path, "matrix.csv", edit)
+    assert _exit_kind(capsys, "features", config, out) == (2, "IngestError")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.pop("k"),
+    lambda doc: doc.pop("assignments"),
+    lambda doc: doc.pop("train_indices"),
+    lambda doc: doc["assignments"].pop(),
+    lambda doc: doc.update(k="3"),
+    lambda doc: doc["train_indices"].__setitem__(0, 10**6),
+], ids=["no-k", "no-assignments", "no-train-indices", "short-assignments", "string-k",
+        "index-out-of-range"])
+def test_malformed_folds_file_exits_2(trained_run, tmp_path, capsys, edit):
+    config, out = _corrupt(trained_run, tmp_path, "folds.json", _edit_json(edit))
+    assert _exit_kind(capsys, "evaluate", config, out) == (2, "malformed-artifact")
+
+
+def test_spec_path_takes_n_and_seed_from_the_config(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 50, "seed": 1}))
+    cohorts = []
+    for i, (synth, seed) in enumerate([({"spec_path": str(spec)}, None),
+                                       ({"spec_path": str(spec), "n": 80, "seed": 5}, None),
+                                       ({"spec_path": str(spec), "n": 80, "seed": 5}, 7),
+                                       ({"spec_path": str(spec), "n": 80, "seed": 5}, 8)]):
+        out = tmp_path / f"run{i}"
+        assert _run("simulate", str(out), _write_config(tmp_path, {"synth": synth}),
+                    seed=seed) == 0
+        cohorts.append(tuple((out / "cohort.csv").read_text().splitlines()))
+    assert [len(rows) - 1 for rows in cohorts] == [50, 80, 80, 80]
+    assert len(set(cohorts)) == 4

@@ -16,7 +16,7 @@ from multisys.models import (
     GradientBoostingClassifier, RandomForestClassifier, TreeEnsemble,
 )
 from multisys.rng import SplitMix64
-from multisys.tree import DecisionTree, grow_tree
+from multisys.tree import LEAF, DecisionTree, grow_tree
 
 
 def _conditional_expectation(tree: DecisionTree, x, known: set) -> float:
@@ -27,7 +27,7 @@ def _conditional_expectation(tree: DecisionTree, x, known: set) -> float:
     """
 
     def walk(node):
-        if tree.is_leaf(node):
+        if tree.feature[node] == LEAF:
             return float(tree.value[node])
         f = int(tree.feature[node])
         left, right = int(tree.left[node]), int(tree.right[node])
@@ -128,7 +128,7 @@ def _scalar_tree_row(tree: DecisionTree, x, phi) -> None:
 
     def recurse(node, path, zero_fraction, one_fraction, feature):
         path = _extend(path, zero_fraction, one_fraction, feature)
-        if tree.is_leaf(node):
+        if tree.feature[node] == LEAF:
             value = float(tree.value[node])
             for i in range(1, len(path)):
                 phi[path[i].feature] += (
@@ -218,7 +218,7 @@ def test_stump_analytic_formula():
 
 
 def _has_repeated_feature(tree: DecisionTree, node=0, seen=()) -> bool:
-    if tree.is_leaf(node):
+    if tree.feature[node] == LEAF:
         return False
     f = int(tree.feature[node])
     if f in seen:

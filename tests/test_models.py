@@ -13,6 +13,7 @@ from multisys.models import (
     RandomForestClassifier, TreeEnsemble, binomial_deviance, logistic, logit,
 )
 from multisys.rng import SplitMix64
+from multisys.tree import TreeError
 
 
 def _blobs(n=120, seed=0, gap=2.0):
@@ -215,6 +216,25 @@ def test_ensemble_json_roundtrip():
     again = TreeEnsemble.from_dict(doc)
     assert again.base_score == gb.ensemble_.base_score
     assert again.shrinkage == gb.ensemble_.shrinkage
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda doc: doc.pop("kind"), "kind"),
+    (lambda doc: doc.pop("trees"), "trees"),
+    (lambda doc: doc.update(kind="stacking"), "stacking"),
+    (lambda doc: doc.update(schema_version=2), "schema_version 2"),
+    (lambda doc: doc.pop("schema_version"), "schema_version"),
+    (lambda doc: doc.update(base_score="0.1"), "base_score"),
+    (lambda doc: doc.update(trees=[]), "empty forest"),
+    (lambda doc: doc["trees"][1]["nodes"][0].update(left=0), "child"),
+], ids=["no-kind", "no-trees", "unknown-kind", "schema-version-2", "no-schema-version",
+        "string-base-score", "no-trees-in-forest", "cyclic-tree"])
+def test_ensemble_from_dict_rejects_malformed(edit, problem):
+    X, y = _blobs(60, seed=13)
+    doc = RandomForestClassifier(n_estimators=3, min_samples_leaf=3, seed=2).fit(X, y).to_dict()
+    edit(doc)
+    with pytest.raises(TreeError, match=problem):
+        TreeEnsemble.from_dict(doc)
 
 
 def test_scaled_logistic_matches_manual_pipeline():

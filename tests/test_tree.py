@@ -1,10 +1,12 @@
 """Decision tree growth, prediction and serialization."""
 
+import copy
 import itertools
 
 import numpy as np
 import pytest
 
+from multisys.models import GradientBoostingClassifier, RandomForestClassifier
 from multisys.rng import SplitMix64
 from multisys.tree import LEAF, DecisionTree, TreeError, _best_split, grow_tree
 
@@ -93,12 +95,12 @@ def test_grow_respects_depth_and_leaf_size():
     tree = grow_tree(X, y, criterion="gini", max_depth=2, min_samples_leaf=10)
 
     def depth(node):
-        if tree.is_leaf(node):
+        if tree.feature[node] == LEAF:
             return 0
         return 1 + max(depth(tree.left[node]), depth(tree.right[node]))
 
     assert depth(0) <= 2
-    leaves = [i for i in range(tree.n_nodes) if tree.is_leaf(i)]
+    leaves = [i for i in range(tree.n_nodes) if tree.feature[i] == LEAF]
     assert all(tree.cover[i] >= 10 for i in leaves)
 
 
@@ -136,7 +138,7 @@ def test_cover_totals_consistent():
     tree = grow_tree(X, y, criterion="gini", max_depth=6, min_samples_leaf=2)
     assert tree.cover[0] == 60
     for i in range(tree.n_nodes):
-        if not tree.is_leaf(i):
+        if tree.feature[i] != LEAF:
             assert tree.cover[i] == tree.cover[tree.left[i]] + tree.cover[tree.right[i]]
 
 
@@ -192,3 +194,91 @@ def test_serialization_roundtrip():
     np.testing.assert_array_equal(again.left, tree.left)
     np.testing.assert_array_equal(again.cover, tree.cover)
     np.testing.assert_array_equal(again.predict(X), tree.predict(X))
+
+
+def recursive_expected_value(tree: DecisionTree) -> float:
+    """The recursive walk `expected_value` replaced, kept as its oracle."""
+    def walk(node: int) -> float:
+        if tree.feature[node] == LEAF:
+            return float(tree.value[node])
+        cl = tree.cover[tree.left[node]]
+        cr = tree.cover[tree.right[node]]
+        return (cl * walk(tree.left[node]) + cr * walk(tree.right[node])) / (cl + cr)
+    return walk(0)
+
+
+def test_expected_value_sweep_bit_equal_to_recursion():
+    rng = SplitMix64(7)
+    trees = []
+    for trial in range(60):
+        n = 10 + rng.randint_below(80)
+        X = np.array([[rng.random() for _ in range(3)] for _ in range(n)])
+        y = np.array([rng.random() - 0.5 if trial else 0.0 for _ in range(n)])
+        trees.append(grow_tree(X, y, criterion="variance", max_depth=1 + trial % 7,
+                               min_samples_leaf=1 + trial % 3))
+    X = np.array([[rng.random() for _ in range(4)] for _ in range(150)])
+    y = (X[:, 0] + 0.3 * X[:, 1] > 0.6).astype(int)
+    for model in (GradientBoostingClassifier(n_estimators=20, max_depth=4, min_samples_leaf=3),
+                  RandomForestClassifier(n_estimators=20, max_depth=8, min_samples_leaf=2)):
+        trees += model.fit(X, y).ensemble_.trees
+    assert any(tree.n_nodes == 1 for tree in trees)
+    assert max(tree.n_nodes for tree in trees) > 30
+    for tree in trees:
+        assert tree.expected_value() == recursive_expected_value(tree)
+
+
+def _stump() -> dict:
+    return {"nodes": [
+        {"feature": 0, "threshold": 0.5, "left": 1, "right": 2, "cover": 5, "value": None},
+        {"feature": -1, "threshold": None, "left": None, "right": None, "cover": 2,
+         "value": 0.25},
+        {"feature": -1, "threshold": None, "left": None, "right": None, "cover": 3,
+         "value": 0.75},
+    ]}
+
+
+def test_from_dict_reads_back_to_dict():
+    tree = DecisionTree.from_dict(_stump())
+    assert tree.to_dict() == _stump()
+    np.testing.assert_array_equal(tree.left, [1, -1, -1])
+    assert tree.expected_value() == (2 * 0.25 + 3 * 0.75) / 5
+
+
+def _two_level() -> dict:
+    d = _stump()
+    d["nodes"][1:2] = [
+        {"feature": 1, "threshold": 0.0, "left": 2, "right": 3, "cover": 2, "value": None},
+        {"feature": -1, "threshold": None, "left": None, "right": None, "cover": 1,
+         "value": 0.0},
+        {"feature": -1, "threshold": None, "left": None, "right": None, "cover": 1,
+         "value": 0.5},
+    ]
+    d["nodes"][0]["right"] = 4
+    return d
+
+
+def _edited(base, node, **fields):
+    d = copy.deepcopy(base)
+    d["nodes"][node].update(fields)
+    return d
+
+
+@pytest.mark.parametrize("d, problem", [
+    (_edited(_two_level(), 1, right=0), "child"),  # back to an ancestor
+    (_edited(_two_level(), 1, left=1), "child"),  # to itself
+    (_edited(_stump(), 0, right=3), "child"),  # past the last node
+    (_edited(_stump(), 0, left=1.5), "child"),
+    (_edited(_stump(), 2, cover=0), "cover"),
+    (_edited(_stump(), 1, value=float("nan")), "leaf value"),
+    (_edited(_stump(), 1, value=None), "leaf value"),
+    (_edited(_stump(), 0, threshold=None), "threshold"),
+    (_edited(_stump(), 0, feature=-2), "column index"),
+    (_edited(_stump(), 2, cover="3"), "not a number"),
+    ({"nodes": []}, "no nodes"),
+    ({"nodes": [{"feature": -1, "left": None, "right": None, "cover": 1, "value": 0.0}]},
+     "threshold"),
+    ({}, "nodes"),
+])
+def test_from_dict_rejects_malformed_trees(d, problem):
+    with pytest.raises(TreeError, match=problem):
+        DecisionTree.from_dict(d)
