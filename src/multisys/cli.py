@@ -365,14 +365,41 @@ def stage_split(ws: Workspace) -> None:
              len(partition.test))
 
 
-def _load_partition(ws: Workspace) -> Partition:
-    return Partition(**ws.read("partition.json"))
+def _check_rows(name: str, rows, n_rows: int) -> None:
+    """ValueError unless `rows` is a list of integer row indices below n_rows."""
+    if not isinstance(rows, list) or not all(type(i) is int and 0 <= i < n_rows for i in rows):
+        raise ValueError(f"{name} is not a list of row indices below {n_rows}")
+
+
+def _load_partition(ws: Workspace, n_rows: int) -> Partition:
+    """partition.json, checked against the matrix's n_rows."""
+    try:
+        partition = Partition(**ws.read("partition.json"))
+        for subset in ("train", "validation", "test"):
+            _check_rows(subset, getattr(partition, subset), n_rows)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"malformed partition.json: {exc!r}", kind="malformed-artifact") from exc
+    return partition
+
+
+def _load_model(ws: Workspace, kind: ModelKind, n_columns: int):
+    """The fitted model in kind.artifact; CliError unless its weights, or its
+    split features, fit the matrix's n_columns."""
+    model = kind.load(ws.read(kind.artifact))
+    if isinstance(model, TreeEnsemble):
+        fits = max((int(tree.feature.max()) for tree in model.trees), default=-1) < n_columns
+    else:
+        fits = len(model.coef_) == n_columns
+    if not fits:
+        raise CliError(f"{kind.artifact} does not fit the {n_columns} columns of matrix.csv",
+                       kind="malformed-artifact")
+    return model
 
 
 def stage_train(ws: Workspace) -> None:
     matrix = _load_matrix(ws)
     y = _load_target(ws)
-    train_idx = np.asarray(_load_partition(ws).train)
+    train_idx = np.asarray(_load_partition(ws, len(y)).train)
     X_train, y_train = matrix.values[train_idx], y[train_idx]
     for kind in MODELS.values():
         model = ws.cfg.fitter(kind)(X_train, y_train)
@@ -383,20 +410,22 @@ def stage_train(ws: Workspace) -> None:
 def stage_evaluate(ws: Workspace) -> None:
     matrix = _load_matrix(ws)
     y = _load_target(ws)
-    partition = _load_partition(ws)
+    partition = _load_partition(ws, len(y))
     folds_doc = ws.read("folds.json")
     try:
         fold_plan = FoldPlan(k=folds_doc["k"], assignments=folds_doc["assignments"])
+        _check_rows("train_indices", folds_doc["train_indices"], len(y))
         train_idx = np.asarray(folds_doc["train_indices"])
         if len(fold_plan.assignments) != len(train_idx):
             raise ValueError(f"{len(fold_plan.assignments)} fold assignments for "
                              f"{len(train_idx)} train_indices")
-        if not isinstance(fold_plan.k, int) or not np.all((0 <= train_idx) & (train_idx < len(y))):
-            raise ValueError(f"k {fold_plan.k!r}, or a train index outside the {len(y)} rows")
+        if not isinstance(fold_plan.k, int):
+            raise ValueError(f"k {fold_plan.k!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed folds.json: {exc!r}", kind="malformed-artifact") from exc
     # every model file is loaded, and so checked, before the first refit
-    fitted = {name: kind.load(ws.read(kind.artifact)) for name, kind in MODELS.items()}
+    fitted = {name: _load_model(ws, kind, matrix.values.shape[1])
+              for name, kind in MODELS.items()}
 
     results, roc_doc = {}, {}
     for name, kind in MODELS.items():
@@ -433,8 +462,8 @@ def stage_evaluate(ws: Workspace) -> None:
 
 def stage_explain(ws: Workspace) -> None:
     matrix = _load_matrix(ws)
-    partition = _load_partition(ws)
-    gb = TreeEnsemble.from_dict(ws.read("model_gb.json"))
+    partition = _load_partition(ws, len(matrix.values))
+    gb = _load_model(ws, MODELS["gradient_boosting"], matrix.values.shape[1])
     X_test = matrix.values[np.asarray(partition.test)]
     names = matrix.names
 
@@ -518,14 +547,13 @@ def stage_all(ws: Workspace) -> None:
     importance = [{"rank": int(r["rank"]), "feature": r["feature"],
                    "mean_abs_shap": float(r["mean_abs_shap"])}
                   for r in ws.read("importance.csv")[:10]]
-    partition = _load_partition(ws)
+    partition = ws.read("partition.json")  # checked by the stages above
     summary = {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "config_hash": ws.cfg.hash(),
         "n": prevalence["n"],
-        "split_sizes": {"train": len(partition.train),
-                        "validation": len(partition.validation),
-                        "test": len(partition.test)},
+        "split_sizes": {subset: len(partition[subset])
+                        for subset in ("train", "validation", "test")},
         "prevalence": prevalence,
         "metrics": ws.read("metrics.json")["models"],
         "importance_top10": importance,

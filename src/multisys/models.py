@@ -226,7 +226,7 @@ class RandomForestClassifier:
         trees = []
         for t in range(self.n_estimators):
             rng = root.spawn(t)
-            boot = np.asarray([rng.randint_below(n) for _ in range(n)], dtype=int)
+            boot = rng.randints_below(n, n)
             tree = grow_tree(
                 X, y_float, criterion="gini",
                 max_depth=self.max_depth,
@@ -273,6 +273,7 @@ class GradientBoostingClassifier:
         trees: list[DecisionTree] = []
         deviance: list[float] = []
         y_float = y.astype(float)
+        order = np.argsort(X, axis=0, kind="stable")  # one sort shared by every stage
         for _ in range(self.n_estimators):
             prob = logistic(margin)
             residual = y_float - prob
@@ -286,7 +287,7 @@ class GradientBoostingClassifier:
                 X, residual, criterion="variance",
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
-                leaf_value=newton_leaf,
+                leaf_value=newton_leaf, order=order,
             )
             margin = margin + self.learning_rate * tree.predict(X)
             trees.append(tree)

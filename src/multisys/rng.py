@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 class SplitMix64:
@@ -23,8 +26,8 @@ class SplitMix64:
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def random(self) -> float:
@@ -40,6 +43,30 @@ class SplitMix64:
             r = self.next_u64()
             if r >= threshold:
                 return r % n
+
+    def randints_below(self, n: int, k: int) -> np.ndarray:
+        """k draws of `randint_below(n)` as one int64 array, leaving the
+        generator in the state k scalar calls leave it in.
+
+        SplitMix64 is counter-based, so draw i of a block is the mix of
+        state + i * golden in wrapping uint64 arithmetic; each round draws as
+        many values as are still missing and drops the rejected ones.
+        """
+        if not 0 < n < 1 << 63:
+            raise ValueError("n must be in [1, 2**63)")
+        threshold = np.uint64((1 << 64) % n)
+        kept = [np.empty(0, np.uint64)]
+        while k > 0:
+            z = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+            z += np.uint64(self._state)
+            self._state = int(z[-1])
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+            z ^= z >> np.uint64(31)
+            z = z[z >= threshold]
+            kept.append(z % np.uint64(n))
+            k -= len(z)
+        return np.concatenate(kept).astype(np.int64)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""

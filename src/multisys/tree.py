@@ -8,13 +8,20 @@ appends each node's fields to these arrays in pre-order, so every child's id
 is above its parent's; `from_dict` checks that order on a tree read from disk,
 so a bottom-up pass such as `expected_value` is a reverse sweep over ids.
 
-Split search is exact greedy with one scan per node: the node's rows of all
-candidate features are sorted as one 2-D block, column by column, and prefix
-sums score every threshold of every candidate at once.  Thresholds are
-midpoints between adjacent distinct sorted feature values, children must
-satisfy min_samples_leaf, and ties among equal-quality splits resolve to the
-lowest feature index, then the lowest threshold.  A row that appears more
-than once in `rows`, as in a bootstrap sample, counts once per appearance.
+Split search is exact greedy with one scan per node over a 2-D block that
+holds the node's rows of every candidate feature in sorted order, column by
+column; prefix sums score every threshold of every candidate at once.
+Growth on all rows and all features (gradient boosting) takes the block from
+one stable column-wise argsort of X shared by every tree: a split partitions
+the parent's block with one boolean mask, stably, and since the node's rows
+are an ascending subsequence of all rows this is the order a stable sort of
+the node's rows gives.  Growth with `max_features` (random forests) sorts
+only its sampled features, in each node.  Only the legal cuts are scored,
+those that leave at least min_samples_leaf rows on each side.  Thresholds
+are midpoints between adjacent distinct sorted feature values, and ties among
+equal-quality splits resolve to the lowest feature index, then the lowest
+threshold.  A row that appears more than once in `rows`, as in a bootstrap
+sample, counts once per appearance.
 """
 
 from __future__ import annotations
@@ -126,37 +133,51 @@ def _improves(score: float, f: int, best) -> bool:
 def _best_split(X: np.ndarray, target: np.ndarray, rows: np.ndarray,
                 criterion: str, min_samples_leaf: int,
                 max_features: int | None = None,
-                rng: SplitMix64 | None = None):
+                rng: SplitMix64 | None = None,
+                block: np.ndarray | None = None):
     """Best (score, feature, threshold) over candidate features, or None.
 
     With `max_features` set, candidates are drawn without replacement from
     `rng`; features that are constant within the node do not count toward
     the quota, so a node only becomes a leaf when no sampled feature admits
-    a valid split.  All candidates are then scored in one scan: column j of
-    `scores` holds the count-weighted impurity (lower is better) of the
-    split after each sorted position of candidate j.  Ties resolve to the
+    a valid split.  `block`, when given, holds the node's rows of every
+    feature already in sorted order, column by column, and replaces the
+    node's sort.  All candidates are then scored in one scan over the legal
+    cuts: row i of `scores` holds the count-weighted impurity (lower is
+    better) of the cut after sorted position lo + i.  Ties resolve to the
     lowest feature index, then to the lowest threshold.
     """
-    X_node = X[rows]
     p = X.shape[1]
-    if max_features is None or max_features >= p:
-        candidates = list(range(p))
+    if block is not None:
+        candidates = range(p)
+        vs = X[block, np.arange(p)]
+        ts = target[block]
     else:
-        candidates, pool = [], list(range(p))
-        while pool and len(candidates) < max_features:
-            f = pool.pop(rng.randint_below(len(pool)))
-            v = X_node[:, f]
-            if np.max(v) != np.min(v):  # a feature constant in the node is redrawn
-                candidates.append(f)
-    v = X_node[:, candidates]
-    order = np.argsort(v, axis=0, kind="stable")
-    vs = np.take_along_axis(v, order, axis=0)
-    ts = target[rows][order]
-    n = len(rows)
+        X_node = X[rows]
+        if max_features is None or max_features >= p:
+            candidates = list(range(p))
+        else:
+            varies = X_node.max(axis=0) != X_node.min(axis=0)
+            candidates, pool = [], list(range(p))
+            while pool and len(candidates) < max_features:
+                f = pool.pop(rng.randint_below(len(pool)))
+                if varies[f]:  # a feature constant in the node is redrawn
+                    candidates.append(f)
+        v = X_node[:, candidates]
+        order = np.argsort(v, axis=0, kind="stable")
+        vs = np.take_along_axis(v, order, axis=0)
+        ts = target[rows][order]
+    n = len(ts)
+    # legal cuts leave min_samples_leaf rows, and at least one, on each side:
+    # left counts lo+1 .. hi
+    lo = max(min_samples_leaf, 1) - 1
+    hi = n - 1 - lo
+    if hi <= lo:
+        return None
     csum = np.cumsum(ts, axis=0)
-    nl = np.arange(1, n)[:, None]
+    nl = np.arange(lo + 1, hi + 1)[:, None]
     nr = n - nl
-    sl = csum[:-1]
+    sl = csum[lo:hi]
     sr = csum[-1] - sl
     if criterion == "gini":
         # binary targets: weighted gini = 2 * s * (n - s) / n per child
@@ -164,37 +185,46 @@ def _best_split(X: np.ndarray, target: np.ndarray, rows: np.ndarray,
         right = 2.0 * sr * (nr - sr) / nr
     elif criterion == "variance":
         csq = np.cumsum(ts * ts, axis=0)
-        sql = csq[:-1]
+        sql = csq[lo:hi]
         left = sql - sl * sl / nl
         right = (csq[-1] - sql) - sr * sr / nr
     else:
         raise TreeError(f"unknown criterion {criterion!r}")
-    valid = (vs[1:] > vs[:-1]) & (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
+    valid = vs[lo + 1:hi + 1] > vs[lo:hi]
     if not valid.any():
         return None
     scores = np.where(valid, left + right, np.inf)
     cut = np.argmin(scores, axis=0)  # first, i.e. lowest threshold, on ties
-    best = None
-    for j, f in enumerate(candidates):
-        c = cut[j]
-        if valid[c, j] and _improves(float(scores[c, j]), f, best):
-            best = (float(scores[c, j]), f, float(0.5 * (vs[c, j] + vs[c + 1, j])))
-    return best
+    columns = np.arange(len(candidates))
+    best, at = None, None
+    for j, (f, ok, score) in enumerate(zip(candidates, valid[cut, columns].tolist(),
+                                           scores[cut, columns].tolist())):
+        if ok and _improves(score, f, best):
+            best, at = (score, f), j
+    c = lo + cut[at]
+    return (*best, float(0.5 * (vs[c, at] + vs[c + 1, at])))
 
 
 def grow_tree(X: np.ndarray, target: np.ndarray, *, criterion: str,
               max_depth: int, min_samples_leaf: int,
               leaf_value=None, rows: np.ndarray | None = None,
               max_features: int | None = None,
-              rng: SplitMix64 | None = None) -> DecisionTree:
+              rng: SplitMix64 | None = None,
+              order: np.ndarray | None = None) -> DecisionTree:
     """Grow a binary tree by greedy exact splitting.
 
     `leaf_value(row_indices) -> float` computes the leaf output; by default
     the mean of `target` over the leaf.  `max_features`, when set, draws that
     many candidate features per node without replacement from `rng`.
+    `order`, `np.argsort(X, axis=0, kind="stable")`, serves growth on all
+    rows and all features, and may be shared by every tree grown on X: each
+    node then scores its stable partition of that order instead of sorting
+    its own rows.
     """
     X = np.asarray(X, dtype=float)
     target = np.asarray(target, dtype=float)
+    if order is not None and (rows is not None or max_features is not None):
+        raise TreeError("a presorted order serves growth on all rows and features")
     if rows is None:
         rows = np.arange(len(X))
     if len(rows) == 0:
@@ -206,7 +236,7 @@ def grow_tree(X: np.ndarray, target: np.ndarray, *, criterion: str,
 
     feature, threshold, left, right, value, _ = table = [[] for _ in FIELDS]  # pre-order
 
-    def build(rows: np.ndarray, depth: int) -> int:
+    def build(rows: np.ndarray, block: np.ndarray | None, depth: int) -> int:
         index = len(feature)
         for column, blank in zip(table, (LEAF, np.nan, -1, -1, np.nan, len(rows))):
             column.append(blank)
@@ -214,17 +244,20 @@ def grow_tree(X: np.ndarray, target: np.ndarray, *, criterion: str,
         if (depth < max_depth and len(rows) >= 2 * min_samples_leaf
                 and np.ptp(target[rows]) > 0):
             best = _best_split(X, target, rows, criterion, min_samples_leaf,
-                               max_features=max_features, rng=rng)
+                               max_features=max_features, rng=rng, block=block)
         if best is None:
             value[index] = leaf_value(rows)
-        else:
-            _, f, thr = best
-            go_left = X[rows, f] <= thr
-            feature[index], threshold[index] = f, thr
-            left[index] = build(rows[go_left], depth + 1)
-            right[index] = build(rows[~go_left], depth + 1)
+            return index
+        _, f, thr = best
+        feature[index], threshold[index] = f, thr
+        goes_left = X[:, f] <= thr
+        for side, child in ((goes_left, left), (~goes_left, right)):
+            part = rows[side[rows]]
+            # a stable partition: every column of the block stays in sorted order
+            sub = None if block is None else block.T[side[block.T]].reshape(-1, len(part)).T
+            child[index] = build(part, sub, depth + 1)
         return index
 
-    build(np.asarray(rows, dtype=int), 0)
+    build(np.asarray(rows, dtype=int), order, 0)
     return DecisionTree(*(np.array(column, dtype=dtype)
                           for column, dtype in zip(table, FIELDS.values())))

@@ -8,6 +8,7 @@ only runs when MULTISYS_REGISTRY_CSV points at the public registry export.
 
 import filecmp
 import glob
+import hashlib
 import itertools
 import json
 import math
@@ -252,6 +253,23 @@ def test_criterion_10_determinism(default_run, tmp_path_factory):
     ok = not mismatches
     _report(10, ok, f"summary JSON + {7} figures byte-identical across two runs "
                     f"(mismatches: {mismatches})")
+
+
+# sha256 of the default run's tree models and metrics: depth-8 bootstrap
+# trees and 200 boosting stages on 836 rows, which the fast config in
+# test_cli.py never grows.  A faster split search must leave them
+# byte-identical.  Recorded with numpy 2.4.6 and scipy 1.17.1.
+PINNED_DEFAULT = {
+    "model_rf.json": "a2ffe66f922d698fe41a08da3bcfac20e2cd3f39306bdab3feee6c29c6d56dbb",
+    "model_gb.json": "e3d937a10d66f4e99cbc25a13815cb3ba94d2fd43cf726fdc05053c5c33155c1",
+    "metrics.json": "711cb7ff925733186bc7f9239443961da3d7d5ff2714972bcfc6db9d7152521a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DEFAULT))
+def test_default_run_models_are_pinned(default_run, name):
+    with open(os.path.join(default_run["out"], name), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == PINNED_DEFAULT[name]
 
 
 @pytest.mark.skipif("MULTISYS_REGISTRY_CSV" not in os.environ,

@@ -536,6 +536,40 @@ def test_malformed_folds_file_exits_2(trained_run, tmp_path, capsys, edit):
     assert _exit_kind(capsys, "evaluate", config, out) == (2, "malformed-artifact")
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.pop("test"),
+    lambda doc: doc["test"].__setitem__(0, 10**6),
+    lambda doc: doc["validation"].__setitem__(0, "3"),
+    lambda doc: doc.update(train=5),
+], ids=["no-test", "index-past-matrix", "string-index", "train-not-a-list"])
+@pytest.mark.parametrize("stage", ["evaluate", "explain"])
+def test_malformed_partition_file_exits_2(trained_run, tmp_path, capsys, edit, stage):
+    config, out = _corrupt(trained_run, tmp_path, "partition.json", _edit_json(edit))
+    assert _exit_kind(capsys, stage, config, out) == (2, "malformed-artifact")
+
+
+def _drop_last_column(doc):
+    for values in (doc["weights"], doc["standardizer"]["mean"], doc["standardizer"]["scale"]):
+        values.pop()
+
+
+def _split_on_column_99(doc):
+    nodes = doc["trees"][0]["nodes"]
+    nodes[0]["feature"] = 99
+
+
+@pytest.mark.parametrize("name, edit, stages", [
+    ("model_lr.json", _drop_last_column, ("evaluate",)),
+    ("model_gb.json", _split_on_column_99, ("evaluate", "explain")),
+    ("model_rf.json", _split_on_column_99, ("evaluate",)),
+], ids=["lr-one-weight-short", "gb-feature-99", "rf-feature-99"])
+def test_model_file_wider_than_matrix_exits_2(trained_run, tmp_path, capsys, name, edit,
+                                              stages):
+    config, out = _corrupt(trained_run, tmp_path, name, _edit_json(edit))
+    for stage in stages:
+        assert _exit_kind(capsys, stage, config, out) == (2, "malformed-artifact"), stage
+
+
 def test_spec_path_takes_n_and_seed_from_the_config(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"n": 50, "seed": 1}))

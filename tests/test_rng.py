@@ -1,5 +1,7 @@
 """SplitMix64 determinism and distributional sanity checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -80,3 +82,43 @@ def test_spawn_is_deterministic():
     a = SplitMix64(42).spawn(3).next_u64()
     b = SplitMix64(42).spawn(3).next_u64()
     assert a == b
+
+
+def test_randints_below_matches_scalar_draws():
+    # 2**62 + 1 rejects about a quarter of all draws; 2**63 - 1 about none
+    # but leaves the top bit in play.
+    sizes = [1, 2, 3, 7, 836, 1000, 2**32 + 1, 2**62 + 1, 2**63 - 1]
+    pairs = 0
+    for seed in itertools.chain(range(120), [2**64 - 1, 2**63, 0x9E3779B97F4A7C15]):
+        for i, n in enumerate(sizes):
+            k = (seed * 7 + i * 13) % 60
+            scalar, bulk = SplitMix64(seed), SplitMix64(seed)
+            expected = [scalar.randint_below(n) for _ in range(k)]
+            drawn = bulk.randints_below(n, k)
+            assert drawn.dtype == np.int64 and drawn.tolist() == expected, (seed, n, k)
+            assert bulk._state == scalar._state, (seed, n, k)
+            pairs += 1
+    assert pairs >= 1000
+
+
+def test_randints_below_rejects_as_the_scalar_draw_does():
+    n = 2**62 + 1
+    threshold = (1 << 64) % n
+    stream = SplitMix64(3)
+    raw = [stream.next_u64() for _ in range(400)]
+    rejected = sum(r < threshold for r in raw)
+    assert 50 < rejected < 150  # about a quarter
+    bulk = SplitMix64(3)
+    assert bulk.randints_below(n, 400 - rejected).tolist() == [r % n for r in raw
+                                                              if r >= threshold]
+    assert bulk._state == stream._state
+
+
+def test_randints_below_edge_cases():
+    rng = SplitMix64(4)
+    state = rng._state
+    empty = rng.randints_below(10, 0)
+    assert empty.shape == (0,) and empty.dtype == np.int64 and rng._state == state
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            rng.randints_below(n, 5)

@@ -46,6 +46,7 @@ def _brute_force_best(X, y, min_leaf, impurity):
 @pytest.mark.parametrize("criterion", ["gini", "variance"])
 def test_best_split_matches_brute_force(criterion):
     rng = SplitMix64(0)
+    no_cut = 0
     for trial in range(30):
         n = 20 + rng.randint_below(30)
         p = 1 + rng.randint_below(4)
@@ -57,17 +58,56 @@ def test_best_split_matches_brute_force(criterion):
         # All rows once, and a bootstrap sample whose repeated rows count
         # once per appearance.
         bootstrap = np.array([rng.randint_below(n) for _ in range(n)])
-        for rows in (np.arange(n), bootstrap):
+        # 0 acts as 1; n // 2 + 1 and n leave no legal cut at all.
+        leaf_sizes = (0, 1, 2, 1 + rng.randint_below(n // 2), n // 2 + 1, n)
+        for rows, min_leaf in itertools.product((np.arange(n), bootstrap), leaf_sizes):
             if len(np.unique(y[rows])) < 2:
                 continue
-            found = _best_split(X, y, rows, criterion, 2)
-            oracle = _brute_force_best(X[rows], y[rows], 2, IMPURITY[criterion])
+            found = _best_split(X, y, rows, criterion, min_leaf)
+            oracle = _brute_force_best(X[rows], y[rows], min_leaf, IMPURITY[criterion])
             if oracle is None:
                 assert found is None
+                no_cut += 1
                 continue
             score, f, thr = found
             assert score == pytest.approx(oracle[0], abs=1e-9)
             assert (f, thr) == (oracle[1], pytest.approx(oracle[2]))
+    assert no_cut >= 60
+
+
+def test_presorted_growth_equals_node_local_sorting():
+    # Integer features with few levels make many ties, so the stable order
+    # among equal values decides every prefix sum.
+    rng = SplitMix64(8)
+    deep = wide_leaves = 0
+    for trial in range(120):
+        n = 2 + rng.randint_below(60)
+        p = 1 + rng.randint_below(5)
+        X = np.array([[float(rng.randint_below(1 + trial % 6)) for _ in range(p)]
+                      for _ in range(n)])
+        criterion = ("gini", "variance")[trial % 2]
+        if criterion == "gini":
+            y = np.array([float(rng.randint_below(2)) for _ in range(n)])
+        else:
+            y = np.array([float(rng.randint_below(5)) - rng.random() for _ in range(n)])
+        # small leaves on two trials in three, up to above n / 2 on the third
+        min_leaf = 1 + rng.randint_below(4 if trial % 3 else n // 2 + 2)
+        kwargs = dict(criterion=criterion, max_depth=1 + trial % 6, min_samples_leaf=min_leaf)
+        presorted = grow_tree(X, y, order=np.argsort(X, axis=0, kind="stable"), **kwargs)
+        assert presorted.to_dict() == grow_tree(X, y, **kwargs).to_dict(), trial
+        deep += presorted.n_nodes >= 7
+        wide_leaves += 2 * min_leaf > n
+    assert deep >= 50 and wide_leaves >= 10
+
+
+def test_presorted_order_serves_only_full_growth():
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+    order = np.argsort(X, axis=0, kind="stable")
+    for extra in ({"rows": np.arange(4)}, {"max_features": 1, "rng": SplitMix64(0)}):
+        with pytest.raises(TreeError):
+            grow_tree(X, y, criterion="gini", max_depth=1, min_samples_leaf=1,
+                      order=order, **extra)
 
 
 def test_variance_criterion_matches_brute_force():
