@@ -30,6 +30,14 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def check_keys(doc: dict, allowed, where: str) -> dict:
+    """`doc` itself; ValueError if it holds a key outside `allowed`."""
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+    return doc
+
+
 def check_X(X, n_features: int | None = None) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:

@@ -9,7 +9,9 @@ configurations unless ``--force`` is given.
 
 ``RunConfig.load`` checks the config in one walk over its declared shape
 (``_shape``): unknown keys, wrongly typed values and out-of-range numbers
-exit with status 2 before any stage writes.
+exit with status 2 before any stage writes.  The checked file merged onto
+``DEFAULTS`` is the run config: one JSON document, which stages index and
+the config hash digests as it is.
 
 Subcommands: simulate, ingest, features, split, train, evaluate, explain,
 report, all.
@@ -18,6 +20,7 @@ report, all.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import hashlib
 import inspect
@@ -26,7 +29,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -53,7 +56,7 @@ class CliError(MultisysError):
 
 class ModelKind(NamedTuple):
     artifact: str
-    config_field: str  # RunConfig attribute and "models" key holding the parameters
+    config_field: str  # the "models" key holding the parameters
     cls: type
     load: Callable[[dict], object]  # fitted model from the artifact's JSON
 
@@ -68,15 +71,35 @@ MODELS = {
                                    GradientBoostingClassifier, TreeEnsemble.from_dict),
 }
 
+# The config a run uses where its file is silent: the block in README
+# "Configuration".  A top-level key whose default is null may be set to null;
+# an object is merged key by key, anything else is replaced whole.
+DEFAULTS = {
+    "input_csv": None,
+    "synth": None,  # DEFAULT_SYNTH when input_csv is null too
+    "schema_config": None,
+    "systems_config": None,
+    "split": {"ratios": [0.70, 0.15, 0.15], "seed": 42},
+    "cv_folds": 5,
+    "models": {
+        "logistic": {"C": 1.0, "max_iter": 2000},
+        "random_forest": {"n_estimators": 200, "max_depth": 8,
+                          "min_samples_leaf": 10, "seed": 42},
+        "gradient_boosting": {"n_estimators": 200, "learning_rate": 0.05,
+                              "max_depth": 4, "min_samples_leaf": 10},
+    },
+}
+
+# The synthetic cohort of a config without input_csv; a synth section without
+# spec_path takes the n or seed it leaves out from here.
+DEFAULT_SYNTH = {"n": 1195, "seed": 42}
+
 
 class Bound(NamedTuple):
     """A numeric config leaf: the type of `default`, in (above, most]."""
     default: int | float
     above: float
     most: float = math.inf
-
-
-NULLABLE = ("input_csv", "synth", "schema_config", "systems_config")
 
 
 def _shape() -> dict:
@@ -90,7 +113,7 @@ def _shape() -> dict:
                   else Bound(p.default, 0, 1 if key == "learning_rate" else math.inf)
                   for key, p in inspect.signature(kind.cls).parameters.items()}
               for kind in MODELS.values()}
-    return {"input_csv": "", "synth": {"n": 1195, "seed": 42, "spec_path": ""},
+    return {"input_csv": "", "synth": {**DEFAULT_SYNTH, "spec_path": ""},
             "schema_config": "", "systems_config": "",
             "split": {"ratios": [Bound(0.0, 0)] * 3, "seed": 42},
             "cv_folds": Bound(5, 1), "models": models}
@@ -102,10 +125,10 @@ def _validate(value, shape, where: str = "") -> None:
     A dict shape lists the allowed keys, a list shape holds that many
     numbers, and any other shape is a default (or a `Bound`) whose type the
     value must have: an int may stand for a float, a bool never for a
-    number.  The top-level keys in NULLABLE may also be null.
+    number.  The top-level keys whose default is null may also be null.
     """
     name = where or "config"
-    if value is None and where in NULLABLE:
+    if value is None and where in DEFAULTS and DEFAULTS[where] is None:
         return
     if isinstance(shape, dict):
         if not isinstance(value, dict):
@@ -131,104 +154,79 @@ def _validate(value, shape, where: str = "") -> None:
                            kind="config")
 
 
-@dataclass
-class RunConfig:
-    input_csv: str | None = None
-    synth: dict | None = None
-    schema_config: str | None = None
-    systems_config: str | None = None
-    split_ratios: tuple[float, float, float] = (0.70, 0.15, 0.15)
-    split_seed: int = 42
-    cv_folds: int = 5
-    logistic: dict = field(default_factory=lambda: {"C": 1.0, "max_iter": 2000})
-    random_forest: dict = field(default_factory=lambda: {
-        "n_estimators": 200, "max_depth": 8, "min_samples_leaf": 10, "seed": 42})
-    gradient_boosting: dict = field(default_factory=lambda: {
-        "n_estimators": 200, "learning_rate": 0.05, "max_depth": 4,
-        "min_samples_leaf": 10})
+def _merge(into: dict, update: dict) -> None:
+    """Merge `update` onto `into`: objects key by key, other values whole."""
+    for key, value in update.items():
+        if isinstance(into.get(key), dict):
+            _merge(into[key], value)
+        else:
+            into[key] = value
 
-    def __post_init__(self):
-        if self.input_csv is None and self.synth is None:
-            self.synth = {"n": 1195, "seed": 42}
-        if self.input_csv is not None and self.synth is not None:
-            raise CliError("config must set exactly one of input_csv / synth",
-                           kind="config")
-        if abs(sum(self.split_ratios) - 1.0) > 1e-9:
-            raise CliError("split ratios must sum to 1", kind="config")
+
+def _read_json(path: str, what: str, kind: str):
+    """The JSON document at `path`; CliError(kind) if it cannot be read or parsed."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read {what} {path}: {exc}", kind=kind)
+    except ValueError as exc:
+        raise CliError(f"malformed {what} {path}: {exc}", kind=kind)
+
+
+class RunConfig(dict):
+    """The checked run config: DEFAULTS with the config file merged onto it."""
 
     @classmethod
     def load(cls, path: str | None, seed_override: int | None = None) -> "RunConfig":
-        raw = {}
-        if path is not None:
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    raw = json.load(fh)
-            except OSError as exc:
-                raise CliError(f"cannot read config {path}: {exc}", kind="config")
-            except json.JSONDecodeError as exc:
-                raise CliError(f"malformed config {path}: {exc}", kind="config")
+        raw = {} if path is None else _read_json(path, "config", "config")
         _validate(raw, _shape())
-        defaults = cls()
-        split, models = raw.get("split", {}), raw.get("models", {})
-        cfg = cls(
-            **{key: raw.get(key) for key in NULLABLE},
-            split_ratios=tuple(split.get("ratios", defaults.split_ratios)),
-            split_seed=split.get("seed", defaults.split_seed),
-            cv_folds=raw.get("cv_folds", defaults.cv_folds),
-            **{kind.config_field: {**getattr(defaults, kind.config_field),
-                                   **models.get(kind.config_field, {})}
-               for kind in MODELS.values()},
-        )
+        cfg = cls(copy.deepcopy(DEFAULTS))
+        _merge(cfg, raw)
+        if cfg["input_csv"] is None and cfg["synth"] is None:
+            cfg["synth"] = dict(DEFAULT_SYNTH)
+        if cfg["input_csv"] is not None and cfg["synth"] is not None:
+            raise CliError("config must set exactly one of input_csv / synth",
+                           kind="config")
+        if abs(sum(cfg["split"]["ratios"]) - 1.0) > 1e-9:
+            raise CliError("split ratios must sum to 1", kind="config")
         if seed_override is not None:
-            cfg.split_seed = seed_override
-            cfg.random_forest["seed"] = seed_override
-            if cfg.synth is not None:
-                cfg.synth["seed"] = seed_override
+            cfg["split"]["seed"] = cfg["models"]["random_forest"]["seed"] = seed_override
+            if cfg["synth"] is not None:
+                cfg["synth"]["seed"] = seed_override
         # Read every file the config names, so a bad one fails before any stage writes.
-        if cfg.synth is not None:
+        if cfg["synth"] is not None:
             cfg.spec()
         cfg.schemas()
         cfg.systems()
         return cfg
 
-    def canonical(self) -> dict:
-        return {
-            "input_csv": self.input_csv,
-            "synth": self.synth,
-            "schema_config": self.schema_config,
-            "systems_config": self.systems_config,
-            "split": {"ratios": list(self.split_ratios), "seed": self.split_seed},
-            "cv_folds": self.cv_folds,
-            "models": {kind.config_field: getattr(self, kind.config_field)
-                       for kind in MODELS.values()},
-        }
-
     def hash(self) -> str:
-        text = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
+        text = json.dumps(self, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
     def spec(self) -> synth_mod.GeneratorSpec:
-        if self.synth is None:
+        synth = self["synth"]
+        if synth is None:
             raise CliError("simulate requires a synth spec in the config", kind="config")
-        if "spec_path" in self.synth:  # the config's n and seed override the file's
-            return replace(synth_mod.spec_from_json(self.synth["spec_path"]),
-                           **{k: self.synth[k] for k in ("n", "seed") if k in self.synth})
-        return synth_mod.GeneratorSpec(n=self.synth.get("n", 1195),
-                                       seed=self.synth.get("seed", 42))
+        spec = (synth_mod.spec_from_json(synth["spec_path"]) if "spec_path" in synth
+                else synth_mod.GeneratorSpec(**DEFAULT_SYNTH))
+        # the config's n and seed override the spec file's
+        return replace(spec, **{k: synth[k] for k in ("n", "seed") if k in synth})
 
     def schemas(self):
-        if self.schema_config is not None:
-            return ingest_mod.schema_from_json(self.schema_config)
+        if self["schema_config"] is not None:
+            return ingest_mod.schema_from_json(self["schema_config"])
         return ingest_mod.default_schema(), dict(ingest_mod.DEFAULT_SEMIQUANT_TOKENS)
 
     def systems(self):
-        if self.systems_config is not None:
-            return indices_mod.systems_from_json(self.systems_config)
+        if self["systems_config"] is not None:
+            return indices_mod.systems_from_json(self["systems_config"])
         return indices_mod.default_systems()
 
     def fitter(self, kind: ModelKind) -> Callable:
         """`fitter(X, y)` returning a fresh model of `kind` fitted on X, y."""
-        return lambda X, y: kind.cls(**getattr(self, kind.config_field)).fit(X, y)
+        return lambda X, y: kind.cls(**self["models"][kind.config_field]).fit(X, y)
 
 
 class Workspace:
@@ -241,11 +239,7 @@ class Workspace:
         self.manifest = {"config_hash": cfg.hash(), "artifacts": {}}
         path = self.path("manifest.json")
         if os.path.exists(path):
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    found = json.load(fh)
-            except ValueError as exc:
-                raise CliError(f"malformed manifest {path}: {exc}", kind="config")
+            found = _read_json(path, "manifest", "config")
             if not isinstance(found, dict) or not isinstance(found.get("artifacts"), dict):
                 raise CliError(f"malformed manifest {path}: no artifacts object", kind="config")
             if found.get("config_hash") == cfg.hash():
@@ -292,9 +286,10 @@ class Workspace:
 
     def read(self, name: str):
         """A registered artifact: parsed JSON, or CSV rows as dicts."""
-        with open(self.require(name), newline="", encoding="utf-8") as fh:
-            if name.endswith(".json"):
-                return json.load(fh)
+        path = self.require(name)
+        if name.endswith(".json"):
+            return _read_json(path, "artifact", "malformed-artifact")
+        with open(path, newline="", encoding="utf-8") as fh:
             return list(csv.DictReader(fh))
 
 
@@ -314,8 +309,8 @@ def stage_simulate(ws: Workspace) -> None:
 
 
 def stage_ingest(ws: Workspace) -> None:
-    if ws.cfg.input_csv is not None:
-        source = ws.cfg.input_csv
+    if ws.cfg["input_csv"] is not None:
+        source = ws.cfg["input_csv"]
         if not os.path.exists(source):
             raise CliError(f"input CSV {source} does not exist", kind="missing-input")
     else:
@@ -355,10 +350,10 @@ def _load_target(ws: Workspace) -> np.ndarray:
 
 def stage_split(ws: Workspace) -> None:
     y = _load_target(ws)
-    partition = stratified_split(y, ws.cfg.split_ratios, ws.cfg.split_seed)
+    partition = stratified_split(y, ws.cfg["split"]["ratios"], ws.cfg["split"]["seed"])
     ws.write("partition.json", partition.to_json() + "\n")
     train_idx = np.asarray(partition.train)
-    folds = stratified_kfold(y[train_idx], ws.cfg.cv_folds, ws.cfg.split_seed)
+    folds = stratified_kfold(y[train_idx], ws.cfg["cv_folds"], ws.cfg["split"]["seed"])
     ws.write("folds.json", {"k": folds.k, "train_indices": partition.train,
                             "assignments": folds.assignments})
     log.info("split: %d/%d/%d", len(partition.train), len(partition.validation),
@@ -533,7 +528,7 @@ def stage_report(ws: Workspace) -> None:
 
 
 def stage_all(ws: Workspace) -> None:
-    if ws.cfg.synth is not None:
+    if ws.cfg["synth"] is not None:
         stage_simulate(ws)
     stage_ingest(ws)
     stage_features(ws)

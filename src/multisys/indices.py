@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import MultisysError, is_number
+from .base import MultisysError, check_keys, is_number
 from .ingest import FeatureMatrix
 
 class SystemsError(MultisysError):
@@ -79,16 +79,15 @@ def default_systems() -> list[SystemDefinition]:
 
 
 def systems_from_json(path: str) -> list[SystemDefinition]:
-    """Load system definitions; a bad file or entry raises SystemsError."""
+    """Load system definitions; a bad file, an unknown key or a malformed
+    entry raises SystemsError.  A rule's keys are the ThresholdRule fields."""
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = check_keys(json.load(fh), ("systems",), "systems config")
         systems = []
         for entry in cfg["systems"]:
-            rules = tuple(
-                ThresholdRule(rule["analyte"], rule["direction"], rule["cutoff"])
-                for rule in entry["rules"]
-            )
+            check_keys(entry, ("name", "rules"), "system")
+            rules = tuple(ThresholdRule(**rule) for rule in entry["rules"])
             systems.append(SystemDefinition(entry["name"], rules))
     except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SystemsError(f"cannot load systems config {path}: {exc!r}") from exc

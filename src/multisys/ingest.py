@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import MultisysError, is_number
+from .base import MultisysError, check_keys, is_number
 
 log = logging.getLogger("multisys.ingest")
 
@@ -215,13 +215,16 @@ def schema_from_json(path: str) -> tuple[list[ColumnSchema], dict[str, float]]:
         }
 
     Returns the column schemas and the (possibly extended) token map.  An
-    unreadable file or a malformed entry raises IngestError.
+    unreadable file, an unknown key, a token level that is not one of
+    ORDINAL_LEVELS or another malformed entry raises IngestError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = check_keys(json.load(fh), ("columns", "semiquant_tokens"), "schema")
         schemas = []
         for entry in cfg.get("columns", []):
+            check_keys(entry, ("name", "source", "kind", "unit", "lower", "upper", "fill"),
+                       "column")
             schemas.append(ColumnSchema(
                 name=entry["name"],
                 kind=entry.get("kind", "continuous"),
@@ -233,10 +236,9 @@ def schema_from_json(path: str) -> tuple[list[ColumnSchema], dict[str, float]]:
             ))
         tokens = dict(DEFAULT_SEMIQUANT_TOKENS)
         for tok, level in cfg.get("semiquant_tokens", {}).items():
-            level = float(level)
-            if level not in ORDINAL_LEVELS:
-                raise IngestError(f"semiquant token {tok!r} maps to invalid level {level}")
-            tokens["".join(tok.split()).lower()] = level
+            if not (is_number(level) and level in ORDINAL_LEVELS):
+                raise IngestError(f"semiquant token {tok!r} maps to invalid level {level!r}")
+            tokens["".join(tok.split()).lower()] = float(level)
     except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise IngestError(f"cannot load schema config {path}: {exc!r}") from exc
     return schemas, tokens

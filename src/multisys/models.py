@@ -278,10 +278,12 @@ class GradientBoostingClassifier:
             prob = logistic(margin)
             residual = y_float - prob
             hessian = prob * (1.0 - prob)
+            step = np.empty(n)  # each row's leaf value: the tree's output on X
 
             def newton_leaf(rows: np.ndarray) -> float:
                 denom = max(float(np.sum(hessian[rows])), 1e-12)
-                return float(np.sum(residual[rows])) / denom
+                step[rows] = leaf = float(np.sum(residual[rows])) / denom
+                return leaf
 
             tree = grow_tree(
                 X, residual, criterion="variance",
@@ -289,7 +291,7 @@ class GradientBoostingClassifier:
                 min_samples_leaf=self.min_samples_leaf,
                 leaf_value=newton_leaf, order=order,
             )
-            margin = margin + self.learning_rate * tree.predict(X)
+            margin = margin + self.learning_rate * step
             trees.append(tree)
             deviance.append(binomial_deviance(y_float, logistic(margin)))
         self.ensemble_ = TreeEnsemble(

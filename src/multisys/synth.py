@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
-from .base import MultisysError, is_number
+from .base import MultisysError, check_keys, is_number
 from .rng import SplitMix64
 
 
@@ -152,26 +152,15 @@ def default_analytes() -> list[AnalyteSpec]:
 def spec_from_json(path: str) -> GeneratorSpec:
     """Load a generator spec from its JSON config representation.
 
-    An unreadable file or a malformed entry raises SynthError.
+    The file holds `n`, `seed` and optionally `analytes`, whose entries use
+    the `AnalyteSpec` field names.  An unreadable file, an unknown key or a
+    malformed entry raises SynthError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        analytes = []
-        for entry in cfg.get("analytes", []):
-            analytes.append(AnalyteSpec(
-                name=entry["name"],
-                dist=entry["dist"],
-                mu=entry.get("mu", 0.0),
-                sigma=entry.get("sigma", 1.0),
-                probs=tuple(entry.get("probs", ())),
-                lower=entry.get("lower"),
-                upper=entry.get("upper"),
-                unit=entry.get("unit", ""),
-                decimals=entry.get("decimals", 2),
-                factor=entry.get("factor"),
-                loading=entry.get("loading", 0.0),
-            ))
+            cfg = check_keys(json.load(fh), ("n", "seed", "analytes"), "spec")
+        analytes = [AnalyteSpec(**{**entry, "probs": tuple(entry.get("probs", ()))})
+                    for entry in cfg.get("analytes", [])]
         return GeneratorSpec(n=cfg["n"], seed=cfg["seed"], analytes=analytes)
     except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SynthError(f"cannot load generator spec {path}: {exc!r}") from exc

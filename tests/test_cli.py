@@ -19,11 +19,20 @@ def _run(sub, out, config=None, **kw):
 
 def test_config_defaults_to_synth():
     cfg = RunConfig.load(None)
-    assert cfg.synth == {"n": 1195, "seed": 42}
-    assert cfg.split_ratios == (0.70, 0.15, 0.15)
-    assert cfg.cv_folds == 5
-    assert cfg.gradient_boosting["learning_rate"] == 0.05
-    assert cfg.random_forest["n_estimators"] == 200
+    assert cfg["synth"] == {"n": 1195, "seed": 42}
+    assert cfg["split"]["ratios"] == [0.70, 0.15, 0.15]
+    assert cfg["cv_folds"] == 5
+    assert cfg["models"]["gradient_boosting"]["learning_rate"] == 0.05
+    assert cfg["models"]["random_forest"]["n_estimators"] == 200
+
+
+def test_readme_configuration_block_is_the_default_config():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+              encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme[readme.index("```json\n", readme.index("## Configuration")) + 8:]
+    block = block[:block.index("```")]
+    assert json.loads(block) == RunConfig.load(None)
 
 
 def test_config_rejects_both_sources(tmp_path):
@@ -44,9 +53,9 @@ def test_config_hash_stable_and_sensitive(fast_config):
 
 def test_seed_override_propagates(fast_config):
     cfg = RunConfig.load(fast_config, seed_override=31)
-    assert cfg.split_seed == 31
-    assert cfg.synth["seed"] == 31
-    assert cfg.random_forest["seed"] == 31
+    assert cfg["split"]["seed"] == 31
+    assert cfg["synth"]["seed"] == 31
+    assert cfg["models"]["random_forest"]["seed"] == 31
 
 
 def test_stagewise_pipeline(tmp_path, fast_config):
@@ -331,6 +340,17 @@ SIDEWAYS_SYSTEM = {"systems": [{"name": "kidney", "rules": [
         {"analyte": "Cr", "direction": "above", "cutoff": "110"}] * 2}]}, "SystemsError"),
     ("schema_config", {"columns": [{"kind": "continuous"}]}, "IngestError"),  # no name
     ("schema_config", {"columns": [{"name": "Cr", "lower": "10"}]}, "IngestError"),
+    # an unknown key, or a value of the wrong type, is rejected, not dropped or coerced
+    ("spec_path", {"n": 10, "seed": 1, "analytes": [
+        {"name": "Cr", "dist": "normal", "mu": 70.0, "sigam": 5.0}]}, "SynthError"),
+    ("spec_path", {"n": 10, "seed": 1, "analyts": []}, "SynthError"),
+    ("schema_config", {"columns": [{"name": "Cr", "lowr": 10}]}, "IngestError"),
+    ("schema_config", {"column": [{"name": "Cr"}]}, "IngestError"),
+    ("schema_config", {"columns": [{"name": "PRO", "kind": "semiquant"}],
+                       "semiquant_tokens": {"positive": True}}, "IngestError"),
+    ("systems_config", {"systems": [{"name": "k", "rules": [
+        {"analyte": "Cr", "direction": "above", "cutoff": 110, "unit": "umol/L"}] * 2}]},
+     "SystemsError"),
 ])
 def test_bad_config_files_exit_2_before_any_artifact(tmp_path, capsys, key, content, kind):
     path = tmp_path / "file.json"
@@ -348,17 +368,44 @@ def test_boundary_config_values_accepted(tmp_path):
     cfg = RunConfig.load(_write_config(tmp_path, {
         "cv_folds": 2, "models": {"gradient_boosting": {"learning_rate": 1},
                                   "random_forest": {"seed": -3}}}))
-    assert cfg.cv_folds == 2
-    assert cfg.gradient_boosting["learning_rate"] == 1
-    assert cfg.random_forest["seed"] == -3
+    assert cfg["cv_folds"] == 2
+    assert cfg["models"]["gradient_boosting"]["learning_rate"] == 1
+    assert cfg["models"]["random_forest"]["seed"] == -3
 
 
-def test_valid_configs_keep_their_hash(tmp_path, fast_config):
-    # Validation must not change what a valid config hashes to.
-    assert RunConfig.load(None).hash() == "3d053a57276410e6"
-    assert RunConfig.load(fast_config).hash() == "ca56f22d38f082c3"
+def test_model_parameters_merge_onto_their_defaults(tmp_path):
     cfg = RunConfig.load(_write_config(tmp_path, {"models": {"logistic": {"tol": 1e-8}}}))
-    assert cfg.logistic == {"C": 1.0, "max_iter": 2000, "tol": 1e-8}
+    assert cfg["models"]["logistic"] == {"C": 1.0, "max_iter": 2000, "tol": 1e-8}
+
+
+# Config hashes recorded before the run config became one checked JSON
+# document: (without --seed, with --seed 99).  Every artifact carries its
+# config's hash, so a change to how the config is stored must leave them as
+# they are.  "spec.json" is read from the working directory.
+PINNED_CONFIG_HASHES = {
+    "default": (None, ("3d053a57276410e6", "a9b7241e6bf132cb")),
+    "fast": (FAST_CONFIG, ("ca56f22d38f082c3", "d8b34e4491a12c0e")),
+    "empty": ({}, ("3d053a57276410e6", "a9b7241e6bf132cb")),
+    "synth-null": ({"synth": None}, ("3d053a57276410e6", "a9b7241e6bf132cb")),
+    "synth-n-only": ({"synth": {"n": 500}}, ("df6a9ce6d600a848", "df2c6bd8d02ad768")),
+    "input-csv": ({"input_csv": "cohort.csv"}, ("5660a86fc5cf1c98", "4618c5b96d09aaff")),
+    "logistic-tol": ({"models": {"logistic": {"tol": 1e-8}}},
+                     ("629dd5b257db0418", "2dd615fbbba216a4")),
+    "integer-floats": ({"cv_folds": 2, "models": {"gradient_boosting": {"learning_rate": 1}}},
+                       ("4e1e795d2bc39900", "9a9059b2c45d623d")),
+    "spec-path": ({"synth": {"spec_path": "spec.json"}},
+                  ("14d8824b51a988c6", "eb0c32fb1e3c0d73")),
+}
+
+
+@pytest.mark.parametrize("seed", [None, 99])
+@pytest.mark.parametrize("name", PINNED_CONFIG_HASHES)
+def test_valid_configs_keep_their_hash(tmp_path, monkeypatch, name, seed):
+    raw, digests = PINNED_CONFIG_HASHES[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps({"n": 50, "seed": 1}))
+    path = None if raw is None else _write_config(tmp_path, raw)
+    assert RunConfig.load(path, seed_override=seed).hash() == digests[seed is not None]
 
 
 def test_inline_analytes_rejected(tmp_path, capsys):
@@ -546,6 +593,23 @@ def test_malformed_folds_file_exits_2(trained_run, tmp_path, capsys, edit):
 def test_malformed_partition_file_exits_2(trained_run, tmp_path, capsys, edit, stage):
     config, out = _corrupt(trained_run, tmp_path, "partition.json", _edit_json(edit))
     assert _exit_kind(capsys, stage, config, out) == (2, "malformed-artifact")
+
+
+@pytest.mark.parametrize("name, stage", [
+    ("folds.json", "evaluate"),
+    ("model_gb.json", "explain"),
+    ("roc.json", "report"),
+    ("explain_meta.json", "report"),
+])
+def test_unparseable_json_artifact_exits_2(trained_run, tmp_path, capsys, name, stage):
+    config, source = trained_run
+    out = tmp_path / "run"
+    shutil.copytree(source, out)
+    if stage == "report":
+        for upstream in ("evaluate", "explain"):
+            assert _run(upstream, str(out), config) == 0, upstream
+    (out / name).write_text("{")  # truncated
+    assert _exit_kind(capsys, stage, config, str(out)) == (2, "malformed-artifact")
 
 
 def _drop_last_column(doc):
