@@ -1,10 +1,13 @@
-"""Shared plumbing: the package error base class and input validation.
+"""Shared plumbing: the package error base class, file reading and input validation.
 
 Estimators keep their constructor arguments untouched as public attributes;
 fitting writes learned state to attributes with a trailing underscore.
 """
 
 from __future__ import annotations
+
+import csv
+import json
 
 import numpy as np
 
@@ -23,6 +26,22 @@ class MultisysError(Exception):
 
 class NotFittedError(RuntimeError):
     pass
+
+
+def read_file(path: str, decode, error, parse=json.load):
+    """`decode(parse(fh))` of the file at `path`; `error(message naming the file)`
+    if it cannot be read, parsed or decoded, but a MultisysError keeps its kind."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return decode(parse(fh))
+    except (OSError, csv.Error, AttributeError, LookupError, RecursionError, TypeError,
+            ValueError) as exc:  # RecursionError: JSON nested too deep to parse
+        raise error(f"cannot read {path}: {exc!r}") from exc
+
+
+def csv_rows(fh) -> list[dict]:
+    """A CSV file's rows as dicts keyed by its header: a `read_file` parse."""
+    return list(csv.DictReader(fh))
 
 
 def is_number(value) -> bool:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import hashlib
 import inspect
 import json
@@ -40,7 +41,7 @@ from . import ingest as ingest_mod
 from . import metrics as metrics_mod
 from . import report as report_mod
 from . import synth as synth_mod
-from .base import MultisysError
+from .base import MultisysError, csv_rows, read_file
 from .models import (GradientBoostingClassifier, RandomForestClassifier,
                      LogisticRegressionClassifier, TreeEnsemble)
 from .split import FoldPlan, Partition, stratified_kfold, stratified_split
@@ -52,6 +53,10 @@ SUMMARY_SCHEMA_VERSION = 1
 
 class CliError(MultisysError):
     """Bad invocation, config or run directory; `kind` says which."""
+
+
+config_error = functools.partial(CliError, kind="config")
+artifact_error = functools.partial(CliError, kind="malformed-artifact")
 
 
 class ModelKind(NamedTuple):
@@ -163,33 +168,21 @@ def _merge(into: dict, update: dict) -> None:
             into[key] = value
 
 
-def _read_json(path: str, what: str, kind: str):
-    """The JSON document at `path`; CliError(kind) if it cannot be read or parsed."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read {what} {path}: {exc}", kind=kind)
-    except ValueError as exc:
-        raise CliError(f"malformed {what} {path}: {exc}", kind=kind)
-
-
 class RunConfig(dict):
     """The checked run config: DEFAULTS with the config file merged onto it."""
 
     @classmethod
     def load(cls, path: str | None, seed_override: int | None = None) -> "RunConfig":
-        raw = {} if path is None else _read_json(path, "config", "config")
+        raw = {} if path is None else read_file(path, lambda doc: doc, config_error)
         _validate(raw, _shape())
         cfg = cls(copy.deepcopy(DEFAULTS))
         _merge(cfg, raw)
         if cfg["input_csv"] is None and cfg["synth"] is None:
             cfg["synth"] = dict(DEFAULT_SYNTH)
         if cfg["input_csv"] is not None and cfg["synth"] is not None:
-            raise CliError("config must set exactly one of input_csv / synth",
-                           kind="config")
+            raise config_error("config must set exactly one of input_csv / synth")
         if abs(sum(cfg["split"]["ratios"]) - 1.0) > 1e-9:
-            raise CliError("split ratios must sum to 1", kind="config")
+            raise config_error("split ratios must sum to 1")
         if seed_override is not None:
             cfg["split"]["seed"] = cfg["models"]["random_forest"]["seed"] = seed_override
             if cfg["synth"] is not None:
@@ -208,7 +201,7 @@ class RunConfig(dict):
     def spec(self) -> synth_mod.GeneratorSpec:
         synth = self["synth"]
         if synth is None:
-            raise CliError("simulate requires a synth spec in the config", kind="config")
+            raise config_error("simulate requires a synth spec in the config")
         spec = (synth_mod.spec_from_json(synth["spec_path"]) if "spec_path" in synth
                 else synth_mod.GeneratorSpec(**DEFAULT_SYNTH))
         # the config's n and seed override the spec file's
@@ -229,6 +222,12 @@ class RunConfig(dict):
         return lambda X, y: kind.cls(**self["models"][kind.config_field]).fit(X, y)
 
 
+def _check_manifest(doc: dict) -> dict:
+    if not isinstance(doc["artifacts"], dict):
+        raise ValueError("artifacts is not an object")
+    return doc
+
+
 class Workspace:
     """The run directory: artifact I/O and the config-hash manifest."""
 
@@ -239,9 +238,7 @@ class Workspace:
         self.manifest = {"config_hash": cfg.hash(), "artifacts": {}}
         path = self.path("manifest.json")
         if os.path.exists(path):
-            found = _read_json(path, "manifest", "config")
-            if not isinstance(found, dict) or not isinstance(found.get("artifacts"), dict):
-                raise CliError(f"malformed manifest {path}: no artifacts object", kind="config")
+            found = read_file(path, _check_manifest, config_error)
             if found.get("config_hash") == cfg.hash():
                 self.manifest = found
             elif not force:
@@ -284,13 +281,13 @@ class Workspace:
                            kind="missing-artifact")
         return path
 
-    def read(self, name: str):
-        """A registered artifact: parsed JSON, or CSV rows as dicts."""
+    def read(self, name: str, decode=lambda doc: doc):
+        """`decode` of a registered artifact's parsed JSON, or of its CSV rows
+        as dicts; kind malformed-artifact if it does not parse or decode."""
         path = self.require(name)
         if name.endswith(".json"):
-            return _read_json(path, "artifact", "malformed-artifact")
-        with open(path, newline="", encoding="utf-8") as fh:
-            return list(csv.DictReader(fh))
+            return read_file(path, decode, artifact_error)
+        return read_file(path, decode, artifact_error, parse=csv_rows)
 
 
 def _table(records: list[dict]) -> list[list]:
@@ -344,12 +341,17 @@ def stage_features(ws: Workspace) -> None:
     log.info("features: target prevalence %.3f", summary["target_prevalence"])
 
 
-def _load_target(ws: Workspace) -> np.ndarray:
-    return np.asarray([int(row["target_multi"]) for row in ws.read("indices.csv")])
+def _load_indices(ws: Workspace, n_rows: int | None, *columns: str) -> list[np.ndarray]:
+    """The integer `columns` of indices.csv, which must have n_rows rows if given."""
+    def decode(rows):
+        if n_rows is not None and len(rows) != n_rows:
+            raise ValueError(f"{len(rows)} rows, matrix.csv has {n_rows}")
+        return [np.asarray([int(row[c]) for row in rows]) for c in columns]
+    return ws.read("indices.csv", decode)
 
 
 def stage_split(ws: Workspace) -> None:
-    y = _load_target(ws)
+    [y] = _load_indices(ws, None, "target_multi")
     partition = stratified_split(y, ws.cfg["split"]["ratios"], ws.cfg["split"]["seed"])
     ws.write("partition.json", partition.to_json() + "\n")
     train_idx = np.asarray(partition.train)
@@ -360,40 +362,54 @@ def stage_split(ws: Workspace) -> None:
              len(partition.test))
 
 
-def _check_rows(name: str, rows, n_rows: int) -> None:
-    """ValueError unless `rows` is a list of integer row indices below n_rows."""
-    if not isinstance(rows, list) or not all(type(i) is int and 0 <= i < n_rows for i in rows):
-        raise ValueError(f"{name} is not a list of row indices below {n_rows}")
+def _check_ints(name: str, values, below: int) -> None:
+    """ValueError unless `values` is a list of integers in [0, below)."""
+    if not isinstance(values, list) or not all(type(i) is int and 0 <= i < below for i in values):
+        raise ValueError(f"{name} is not a list of integers in [0, {below})")
 
 
 def _load_partition(ws: Workspace, n_rows: int) -> Partition:
     """partition.json, checked against the matrix's n_rows."""
-    try:
-        partition = Partition(**ws.read("partition.json"))
+    def decode(doc):
+        partition = Partition(**doc)
         for subset in ("train", "validation", "test"):
-            _check_rows(subset, getattr(partition, subset), n_rows)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"malformed partition.json: {exc!r}", kind="malformed-artifact") from exc
-    return partition
+            _check_ints(subset, getattr(partition, subset), n_rows)
+        return partition
+    return ws.read("partition.json", decode)
+
+
+def _load_folds(ws: Workspace, n_rows: int) -> tuple[np.ndarray, FoldPlan]:
+    """folds.json's train indices, checked against the matrix's n_rows, and
+    its fold plan: k >= 2 folds, one assignment in [0, k) per train index."""
+    def decode(doc):
+        k, train_idx, assignments = doc["k"], doc["train_indices"], doc["assignments"]
+        if type(k) is not int or k < 2:
+            raise ValueError(f"k is {k!r}, expected an integer >= 2")
+        _check_ints("train_indices", train_idx, n_rows)
+        _check_ints("assignments", assignments, k)
+        if len(assignments) != len(train_idx):
+            raise ValueError(f"{len(assignments)} fold assignments for "
+                             f"{len(train_idx)} train_indices")
+        return np.asarray(train_idx), FoldPlan(k=k, assignments=assignments)
+    return ws.read("folds.json", decode)
 
 
 def _load_model(ws: Workspace, kind: ModelKind, n_columns: int):
     """The fitted model in kind.artifact; CliError unless its weights, or its
     split features, fit the matrix's n_columns."""
-    model = kind.load(ws.read(kind.artifact))
+    model = ws.read(kind.artifact, kind.load)
     if isinstance(model, TreeEnsemble):
         fits = max((int(tree.feature.max()) for tree in model.trees), default=-1) < n_columns
     else:
         fits = len(model.coef_) == n_columns
     if not fits:
-        raise CliError(f"{kind.artifact} does not fit the {n_columns} columns of matrix.csv",
-                       kind="malformed-artifact")
+        raise artifact_error(f"{kind.artifact} does not fit the {n_columns} columns of matrix.csv")
     return model
 
 
 def stage_train(ws: Workspace) -> None:
     matrix = _load_matrix(ws)
-    y = _load_target(ws)
+    [y] = _load_indices(ws, len(matrix.values), "target_multi")
     train_idx = np.asarray(_load_partition(ws, len(y)).train)
     X_train, y_train = matrix.values[train_idx], y[train_idx]
     for kind in MODELS.values():
@@ -404,20 +420,9 @@ def stage_train(ws: Workspace) -> None:
 
 def stage_evaluate(ws: Workspace) -> None:
     matrix = _load_matrix(ws)
-    y = _load_target(ws)
+    [y] = _load_indices(ws, len(matrix.values), "target_multi")
     partition = _load_partition(ws, len(y))
-    folds_doc = ws.read("folds.json")
-    try:
-        fold_plan = FoldPlan(k=folds_doc["k"], assignments=folds_doc["assignments"])
-        _check_rows("train_indices", folds_doc["train_indices"], len(y))
-        train_idx = np.asarray(folds_doc["train_indices"])
-        if len(fold_plan.assignments) != len(train_idx):
-            raise ValueError(f"{len(fold_plan.assignments)} fold assignments for "
-                             f"{len(train_idx)} train_indices")
-        if not isinstance(fold_plan.k, int):
-            raise ValueError(f"k {fold_plan.k!r}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"malformed folds.json: {exc!r}", kind="malformed-artifact") from exc
+    train_idx, fold_plan = _load_folds(ws, len(y))
     # every model file is loaded, and so checked, before the first refit
     fitted = {name: _load_model(ws, kind, matrix.values.shape[1])
               for name, kind in MODELS.items()}
@@ -425,17 +430,14 @@ def stage_evaluate(ws: Workspace) -> None:
     results, roc_doc = {}, {}
     for name, kind in MODELS.items():
         model = fitted[name]
-        cv = metrics_mod.cv_evaluate(ws.cfg.fitter(kind), matrix.values[train_idx],
-                                     y[train_idx], fold_plan)
-        entry = {"cv_auc_mean": cv.mean, "cv_auc_sd": cv.sd,
-                 "cv_fold_aucs": cv.fold_aucs}
+        entry = metrics_mod.cv_evaluate(ws.cfg.fitter(kind), matrix.values[train_idx],
+                                        y[train_idx], fold_plan)
         for subset, rows in (("validation", partition.validation),
                              ("test", partition.test)):
             rows = np.asarray(rows)
             scores = model.predict_proba(matrix.values[rows])
             curve = metrics_mod.roc_curve(scores, y[rows])
-            confusion = metrics_mod.confusion_at(scores, y[rows])
-            entry[subset] = {"auc": curve.auc, **confusion.as_dict()}
+            entry[subset] = {"auc": curve.auc, **metrics_mod.confusion_at(scores, y[rows])}
             if subset == "test":
                 roc_doc[name] = {"fpr": [float(v) for v in curve.fpr],
                                  "tpr": [float(v) for v in curve.tpr],
@@ -491,35 +493,33 @@ def stage_report(ws: Workspace) -> None:
                   if c.kind == "continuous" and c.name not in matrix.zero_filled][:12]
     figures["histograms"] = report_mod.render_histogram_grid(continuous)
 
-    indices = ws.read("indices.csv")
     figures["burden"] = report_mod.render_burden_distribution(
-        np.asarray([int(r["burden_score"]) for r in indices]),
-        np.asarray([int(r["affected_systems"]) for r in indices]))
+        *_load_indices(ws, len(matrix.values), "burden_score", "affected_systems"))
 
     names = [name for name, _ in continuous]
     corr = np.corrcoef(np.column_stack([matrix.column(n) for n in names]), rowvar=False)
     figures["correlation"] = report_mod.render_correlation_heatmap(names, corr)
 
-    roc_doc = ws.read("roc.json")
-    figures["roc"] = report_mod.render_roc(
-        [(name, np.asarray(c["fpr"]), np.asarray(c["tpr"]), c["auc"])
-         for name, c in sorted(roc_doc["curves"].items())])
+    figures["roc"] = report_mod.render_roc(ws.read("roc.json", lambda doc: [
+        (name, np.asarray(c["fpr"], dtype=float), np.asarray(c["tpr"], dtype=float),
+         float(c["auc"])) for name, c in sorted(doc["curves"].items())]))
 
-    figures["beeswarm"] = report_mod.render_beeswarm(
-        [{"row": int(r["row"]), "feature": r["feature"], "shap": float(r["shap"]),
-          "value": float(r["value"]), "rank": int(r["rank"])}
-         for r in ws.read("beeswarm.csv")])
+    figures["beeswarm"] = report_mod.render_beeswarm(ws.read("beeswarm.csv", lambda rows: [
+        {"row": int(r["row"]), "feature": r["feature"], "shap": float(r["shap"]),
+         "value": float(r["value"]), "rank": int(r["rank"])} for r in rows]))
 
-    figures["importance"] = report_mod.render_importance_bar(
-        [(r["feature"], float(r["mean_abs_shap"])) for r in ws.read("importance.csv")])
+    figures["importance"] = report_mod.render_importance_bar(ws.read(
+        "importance.csv", lambda rows: [(r["feature"], float(r["mean_abs_shap"])) for r in rows]))
 
-    meta = ws.read("explain_meta.json")
-    pdp_curves = []
-    for feature, fname in zip(meta["top_features"], meta["pdp_files"]):
-        rows = ws.read(fname)
-        pdp_curves.append((feature, np.asarray([float(r[feature]) for r in rows]),
-                           np.asarray([float(r["probability"]) for r in rows])))
-    figures["pdp"] = report_mod.render_pdp_panel(pdp_curves)
+    # read inside explain_meta.json's decode, so a bad pdp file name is that file's error
+    def pdp_curves(meta: dict) -> list:
+        curves = []
+        for feature, fname in zip(meta["top_features"], meta["pdp_files"], strict=True):
+            curves.append((feature, *ws.read(fname, lambda rows: (
+                np.asarray([float(r[feature]) for r in rows]),
+                np.asarray([float(r["probability"]) for r in rows])))))
+        return curves
+    figures["pdp"] = report_mod.render_pdp_panel(ws.read("explain_meta.json", pdp_curves))
 
     for name, svg in figures.items():
         ws.write(f"figures/{name}.svg", svg)
@@ -538,22 +538,19 @@ def stage_all(ws: Workspace) -> None:
     stage_explain(ws)
     stage_report(ws)
 
-    prevalence = ws.read("prevalence.json")
-    importance = [{"rank": int(r["rank"]), "feature": r["feature"],
-                   "mean_abs_shap": float(r["mean_abs_shap"])}
-                  for r in ws.read("importance.csv")[:10]]
-    partition = ws.read("partition.json")  # checked by the stages above
-    summary = {
+    n, prevalence = ws.read("prevalence.json", lambda doc: (doc["n"], doc))
+    ws.write("summary.json", {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "config_hash": ws.cfg.hash(),
-        "n": prevalence["n"],
-        "split_sizes": {subset: len(partition[subset])
-                        for subset in ("train", "validation", "test")},
+        "n": n,
+        "split_sizes": ws.read("partition.json", lambda doc: {
+            subset: len(doc[subset]) for subset in ("train", "validation", "test")}),
         "prevalence": prevalence,
-        "metrics": ws.read("metrics.json")["models"],
-        "importance_top10": importance,
-    }
-    ws.write("summary.json", summary)
+        "metrics": ws.read("metrics.json", lambda doc: doc["models"]),
+        "importance_top10": ws.read("importance.csv", lambda rows: [
+            {"rank": int(r["rank"]), "feature": r["feature"],
+             "mean_abs_shap": float(r["mean_abs_shap"])} for r in rows[:10]]),
+    })
     log.info("all: summary written")
 
 

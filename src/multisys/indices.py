@@ -8,12 +8,11 @@ grades; the binary target is concurrent abnormality in two or more systems.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base import MultisysError, check_keys, is_number
+from .base import MultisysError, check_keys, is_number, read_file
 from .ingest import FeatureMatrix
 
 class SystemsError(MultisysError):
@@ -81,17 +80,12 @@ def default_systems() -> list[SystemDefinition]:
 def systems_from_json(path: str) -> list[SystemDefinition]:
     """Load system definitions; a bad file, an unknown key or a malformed
     entry raises SystemsError.  A rule's keys are the ThresholdRule fields."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = check_keys(json.load(fh), ("systems",), "systems config")
-        systems = []
-        for entry in cfg["systems"]:
-            check_keys(entry, ("name", "rules"), "system")
-            rules = tuple(ThresholdRule(**rule) for rule in entry["rules"])
-            systems.append(SystemDefinition(entry["name"], rules))
-    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SystemsError(f"cannot load systems config {path}: {exc!r}") from exc
-    return systems
+    def decode(cfg: dict) -> list[SystemDefinition]:
+        check_keys(cfg, ("systems",), "systems config")
+        return [SystemDefinition(check_keys(entry, ("name", "rules"), "system")["name"],
+                                 tuple(ThresholdRule(**rule) for rule in entry["rules"]))
+                for entry in cfg["systems"]]
+    return read_file(path, decode, SystemsError)
 
 
 @dataclass

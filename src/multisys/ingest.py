@@ -12,14 +12,13 @@ was cleaned.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base import MultisysError, check_keys, is_number
+from .base import MultisysError, check_keys, is_number, read_file
 
 log = logging.getLogger("multisys.ingest")
 
@@ -215,33 +214,29 @@ def schema_from_json(path: str) -> tuple[list[ColumnSchema], dict[str, float]]:
         }
 
     Returns the column schemas and the (possibly extended) token map.  An
-    unreadable file, an unknown key, a token level that is not one of
-    ORDINAL_LEVELS or another malformed entry raises IngestError.
+    unreadable file, an unknown key, an empty column list, a token level that
+    is not one of ORDINAL_LEVELS or another malformed entry raises IngestError.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = check_keys(json.load(fh), ("columns", "semiquant_tokens"), "schema")
+    def decode(cfg: dict) -> tuple[list[ColumnSchema], dict[str, float]]:
+        check_keys(cfg, ("columns", "semiquant_tokens"), "schema")
         schemas = []
         for entry in cfg.get("columns", []):
             check_keys(entry, ("name", "source", "kind", "unit", "lower", "upper", "fill"),
                        "column")
+            kind = entry.get("kind", "continuous")
             schemas.append(ColumnSchema(
-                name=entry["name"],
-                kind=entry.get("kind", "continuous"),
-                unit_hint=entry.get("unit", ""),
-                lower=entry.get("lower"),
-                upper=entry.get("upper"),
-                fill_policy=entry.get("fill", "mode" if entry.get("kind") == "semiquant" else "median"),
-                source=entry.get("source"),
-            ))
+                name=entry["name"], kind=kind, unit_hint=entry.get("unit", ""),
+                lower=entry.get("lower"), upper=entry.get("upper"), source=entry.get("source"),
+                fill_policy=entry.get("fill", "mode" if kind == "semiquant" else "median")))
+        if not schemas:
+            raise IngestError(f"schema config {path} lists no columns")
         tokens = dict(DEFAULT_SEMIQUANT_TOKENS)
         for tok, level in cfg.get("semiquant_tokens", {}).items():
             if not (is_number(level) and level in ORDINAL_LEVELS):
                 raise IngestError(f"semiquant token {tok!r} maps to invalid level {level!r}")
             tokens["".join(tok.split()).lower()] = float(level)
-    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise IngestError(f"cannot load schema config {path}: {exc!r}") from exc
-    return schemas, tokens
+        return schemas, tokens
+    return read_file(path, decode, IngestError)
 
 
 def load_cohort(csv_path: str, schemas: list[ColumnSchema]) -> RawCohort:

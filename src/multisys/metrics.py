@@ -22,34 +22,6 @@ class RocCurve:
     auc: float
 
 
-@dataclass
-class ConfusionReport:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-    accuracy: float
-    sensitivity: float
-    specificity: float
-    f1: float
-    threshold: float
-
-    def as_dict(self) -> dict:
-        return {
-            "tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn,
-            "accuracy": self.accuracy, "sensitivity": self.sensitivity,
-            "specificity": self.specificity, "f1": self.f1,
-            "threshold": self.threshold,
-        }
-
-
-@dataclass
-class CvResult:
-    fold_aucs: list[float]
-    mean: float
-    sd: float  # sample (n-1) standard deviation over folds
-
-
 def _check_binary(labels: np.ndarray) -> tuple[int, int]:
     pos = int(np.sum(labels == 1))
     neg = int(np.sum(labels == 0))
@@ -93,8 +65,8 @@ def roc_auc(scores, labels) -> float:
     return roc_curve(scores, labels).auc
 
 
-def confusion_at(scores, labels, threshold: float = 0.5) -> ConfusionReport:
-    """Confusion metrics with predicted-positive defined as score >= threshold."""
+def confusion_at(scores, labels, threshold: float = 0.5) -> dict:
+    """Confusion counts and rates, predicted-positive meaning score >= threshold."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
     _check_binary(labels)
@@ -108,18 +80,13 @@ def confusion_at(scores, labels, threshold: float = 0.5) -> ConfusionReport:
     spec = tn / (tn + fp)
     precision = tp / (tp + fp) if tp + fp else 0.0
     f1 = 2 * precision * sens / (precision + sens) if precision + sens else 0.0
-    return ConfusionReport(
-        tp=tp, fp=fp, tn=tn, fn=fn,
-        accuracy=(tp + tn) / n,
-        sensitivity=sens,
-        specificity=spec,
-        f1=f1,
-        threshold=threshold,
-    )
+    return {"tp": tp, "fp": fp, "tn": tn, "fn": fn, "accuracy": (tp + tn) / n,
+            "sensitivity": sens, "specificity": spec, "f1": f1, "threshold": threshold}
 
 
-def cv_evaluate(fitter: Callable, X, y, fold_plan) -> CvResult:
-    """Fit on k-1 folds, score the held-out fold, report AUC mean +/- SD.
+def cv_evaluate(fitter: Callable, X, y, fold_plan) -> dict:
+    """Fit on k-1 folds, score the held-out fold, report AUC mean +/- SD
+    (the sample, n-1, standard deviation over folds).
 
     `fitter(X_train, y_train)` must return an object with a
     `predict_proba(X) -> (n,) probability vector` method.
@@ -135,6 +102,6 @@ def cv_evaluate(fitter: Callable, X, y, fold_plan) -> CvResult:
             aucs.append(roc_auc(scores, y[held]))
         except Exception as exc:
             raise MetricError(f"fold {fold}: {exc}") from exc
-    mean = float(np.mean(aucs))
-    sd = float(np.std(aucs, ddof=1)) if len(aucs) > 1 else 0.0
-    return CvResult(fold_aucs=[float(a) for a in aucs], mean=mean, sd=sd)
+    return {"cv_auc_mean": float(np.mean(aucs)),
+            "cv_auc_sd": float(np.std(aucs, ddof=1)) if len(aucs) > 1 else 0.0,
+            "cv_fold_aucs": [float(a) for a in aucs]}

@@ -89,7 +89,7 @@ def stratified_split(labels, ratios: tuple[float, float, float],
     """Deterministic stratified train/validation/test partition.
 
     Every class must have at least 3 members; ratios must be positive and sum
-    to 1 within 1e-9.
+    to 1 within 1e-9, and leave every subset at least one row.
     """
     labels = np.asarray(labels)
     n = len(labels)
@@ -105,6 +105,9 @@ def stratified_split(labels, ratios: tuple[float, float, float],
 
     n_test = math.ceil(n * r_test - 1e-9)
     n_val = math.floor(n * r_val + 1e-9)
+    for subset, size in (("train", n - n_test - n_val), ("validation", n_val), ("test", n_test)):
+        if size < 1:
+            raise SplitError(f"ratios {list(ratios)} leave the {subset} subset of {n} rows empty")
 
     rng = SplitMix64(seed)
     shuffled = []

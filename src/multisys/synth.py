@@ -17,12 +17,11 @@ not clinical claims.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
-from .base import MultisysError, check_keys, is_number
+from .base import MultisysError, check_keys, is_number, read_file
 from .rng import SplitMix64
 
 
@@ -156,14 +155,12 @@ def spec_from_json(path: str) -> GeneratorSpec:
     the `AnalyteSpec` field names.  An unreadable file, an unknown key or a
     malformed entry raises SynthError.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = check_keys(json.load(fh), ("n", "seed", "analytes"), "spec")
+    def decode(cfg: dict) -> GeneratorSpec:
+        check_keys(cfg, ("n", "seed", "analytes"), "spec")
         analytes = [AnalyteSpec(**{**entry, "probs": tuple(entry.get("probs", ()))})
                     for entry in cfg.get("analytes", [])]
         return GeneratorSpec(n=cfg["n"], seed=cfg["seed"], analytes=analytes)
-    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SynthError(f"cannot load generator spec {path}: {exc!r}") from exc
+    return read_file(path, decode, SynthError)
 
 
 def _draw_continuous(spec: AnalyteSpec, rng: SplitMix64, latent: dict[str, float]) -> float:

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -222,6 +223,13 @@ def test_malformed_config(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 100_000 + "]" * 100_000)
+    assert _run("simulate", str(tmp_path / "run"), str(cfg)) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
 def test_all_writes_summary(tmp_path, fast_config):
     out = str(tmp_path / "run")
     assert _run("all", out, fast_config) == 0
@@ -260,6 +268,18 @@ def test_library_errors_exit_2_with_json(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "SplitError"
     assert "member" in err["message"]
+
+
+def test_split_that_leaves_a_subset_empty_exits_2_before_writing(tmp_path, capsys):
+    # floor(19 * 0.05) = 0 validation rows, which evaluate could not score
+    cfg = _write_config(tmp_path, {"synth": {"n": 19, "seed": 1},
+                                   "split": {"ratios": [0.9, 0.05, 0.05]}, "cv_folds": 2})
+    out = tmp_path / "run"
+    assert _run("all", str(out), cfg) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SplitError"
+    assert "validation" in err["message"]
+    assert not (out / "partition.json").exists()
 
 
 def test_unknown_top_level_key_rejected(tmp_path, capsys):
@@ -351,6 +371,8 @@ SIDEWAYS_SYSTEM = {"systems": [{"name": "kidney", "rules": [
     ("systems_config", {"systems": [{"name": "k", "rules": [
         {"analyte": "Cr", "direction": "above", "cutoff": 110, "unit": "umol/L"}] * 2}]},
      "SystemsError"),
+    ("schema_config", {}, "IngestError"),  # no columns
+    ("schema_config", {"columns": []}, "IngestError"),
 ])
 def test_bad_config_files_exit_2_before_any_artifact(tmp_path, capsys, key, content, kind):
     path = tmp_path / "file.json"
@@ -576,8 +598,10 @@ def test_corrupted_matrix_csv_exits_2(trained_run, tmp_path, capsys, edit):
     lambda doc: doc["assignments"].pop(),
     lambda doc: doc.update(k="3"),
     lambda doc: doc["train_indices"].__setitem__(0, 10**6),
+    lambda doc: doc.update(k=0),
+    lambda doc: doc["assignments"].__setitem__(0, 9),
 ], ids=["no-k", "no-assignments", "no-train-indices", "short-assignments", "string-k",
-        "index-out-of-range"])
+        "index-out-of-range", "zero-k", "fold-past-k"])
 def test_malformed_folds_file_exits_2(trained_run, tmp_path, capsys, edit):
     config, out = _corrupt(trained_run, tmp_path, "folds.json", _edit_json(edit))
     assert _exit_kind(capsys, "evaluate", config, out) == (2, "malformed-artifact")
@@ -609,6 +633,72 @@ def test_unparseable_json_artifact_exits_2(trained_run, tmp_path, capsys, name, 
         for upstream in ("evaluate", "explain"):
             assert _run(upstream, str(out), config) == 0, upstream
     (out / name).write_text("{")  # truncated
+    assert _exit_kind(capsys, stage, config, str(out)) == (2, "malformed-artifact")
+
+
+@pytest.fixture(scope="module")
+def explained_run(trained_run, tmp_path_factory):
+    """(config path, run directory) of the fast config run through explain."""
+    config, source = trained_run
+    out = tmp_path_factory.mktemp("explained") / "run"
+    shutil.copytree(source, out)
+    for stage in ("evaluate", "explain"):
+        assert _run(stage, str(out), config) == 0, stage
+    return config, out
+
+
+def _set_cell(row, column, value):
+    """An edit of a CSV artifact: the cell of `column` in `row` (0 is the
+    header) set to `value`."""
+    def apply(text):
+        rows = list(csv.reader(io.StringIO(text)))
+        rows[row][rows[0].index(column)] = value
+        out = io.StringIO()
+        csv.writer(out).writerows(rows)
+        return out.getvalue()
+    return apply
+
+
+def _extra_row(text):
+    return text + text.splitlines(keepends=True)[-1]
+
+
+@pytest.mark.parametrize("pattern, edit, stages", [
+    ("indices.csv", _set_cell(0, "target_multi", "target"), ("split",)),
+    ("indices.csv", _set_cell(0, "target_multi", "target"), ("train",)),
+    ("indices.csv", _set_cell(1, "target_multi", "x"), ("split",)),
+    ("indices.csv", _set_cell(1, "target_multi", "x"), ("train",)),
+    ("indices.csv", _set_cell(0, "burden_score", "burden"), ("report",)),
+    # split does not read matrix.csv, so it passes and writes a partition of n + 1 rows
+    ("indices.csv", _extra_row, ("split", "train")),
+    ("indices.csv", _extra_row, ("split", "evaluate")),
+    ("indices.csv", _extra_row, ("report",)),
+    ("roc.json", lambda text: "{}", ("report",)),
+    ("explain_meta.json", lambda text: "{}", ("report",)),
+    ("explain_meta.json", _edit_json(lambda doc: doc["pdp_files"].__setitem__(0, 5)),
+     ("report",)),
+    ("explain_meta.json", _edit_json(lambda doc: doc["pdp_files"].pop()), ("report",)),
+    ("importance.csv", _set_cell(0, "feature", "name"), ("report",)),
+    ("beeswarm.csv", _set_cell(0, "row", "id"), ("report",)),
+    ("beeswarm.csv", _set_cell(1, "shap", "big"), ("report",)),
+    ("pdp_*.csv", _set_cell(0, "probability", "p"), ("report",)),
+], ids=["indices-no-target-split", "indices-no-target-train", "indices-bad-target-split",
+        "indices-bad-target-train", "indices-no-burden-report", "indices-extra-row-train",
+        "indices-extra-row-evaluate", "indices-extra-row-report", "roc-empty-report",
+        "explain-meta-empty-report", "explain-meta-pdp-file-not-a-string-report",
+        "explain-meta-pdp-file-missing-report", "importance-header-report", "beeswarm-header-report",
+        "beeswarm-bad-shap-report", "pdp-header-report"])
+def test_malformed_artifact_exits_2(explained_run, tmp_path, capsys, pattern, edit, stages):
+    config, source = explained_run
+    out = tmp_path / "run"
+    shutil.copytree(source, out)
+    paths = list(out.glob(pattern))
+    assert paths
+    for path in paths:
+        path.write_text(edit(path.read_text()))
+    *upstream, stage = stages
+    for name in upstream:
+        assert _run(name, str(out), config) == 0, name
     assert _exit_kind(capsys, stage, config, str(out)) == (2, "malformed-artifact")
 
 

@@ -77,27 +77,26 @@ def test_confusion_hand_case():
     scores = [0.9, 0.6, 0.4, 0.1, 0.7]
     labels = [1, 1, 1, 0, 0]
     rep = confusion_at(scores, labels, threshold=0.5)
-    assert (rep.tp, rep.fp, rep.tn, rep.fn) == (2, 1, 1, 1)
-    assert rep.accuracy == pytest.approx(3 / 5)
-    assert rep.sensitivity == pytest.approx(2 / 3)
-    assert rep.specificity == pytest.approx(1 / 2)
-    assert rep.f1 == pytest.approx(2 * (2 / 3) * (2 / 3) / (2 / 3 + 2 / 3))
+    assert (rep["tp"], rep["fp"], rep["tn"], rep["fn"]) == (2, 1, 1, 1)
+    assert rep["accuracy"] == pytest.approx(3 / 5)
+    assert rep["sensitivity"] == pytest.approx(2 / 3)
+    assert rep["specificity"] == pytest.approx(1 / 2)
+    assert rep["f1"] == pytest.approx(2 * (2 / 3) * (2 / 3) / (2 / 3 + 2 / 3))
 
 
 def test_confusion_threshold_inclusive():
     rep = confusion_at([0.5, 0.49], [1, 0], threshold=0.5)
-    assert rep.tp == 1 and rep.tn == 1
+    assert rep["tp"] == 1 and rep["tn"] == 1
 
 
 def test_confusion_f1_zero_division():
     rep = confusion_at([0.1, 0.2, 0.3], [1, 0, 0], threshold=0.9)
-    assert rep.tp == 0
-    assert rep.f1 == 0.0
+    assert rep["tp"] == 0
+    assert rep["f1"] == 0.0
 
 
 def test_confusion_as_dict_keys():
-    rep = confusion_at([0.9, 0.1], [1, 0])
-    d = rep.as_dict()
+    d = confusion_at([0.9, 0.1], [1, 0])
     assert set(d) == {"tp", "fp", "tn", "fn", "accuracy", "sensitivity",
                       "specificity", "f1", "threshold"}
 
@@ -116,10 +115,10 @@ def test_cv_evaluate_with_dummy_fitter():
     y = (X[:, 0] > 0.6).astype(int)
     plan = stratified_kfold(y, 4, 0)
     result = cv_evaluate(lambda X, y: _PrevalenceModel(), X, y, plan)
-    assert len(result.fold_aucs) == 4
-    assert all(a == 1.0 for a in result.fold_aucs)  # scores are the labels' source
-    assert result.mean == 1.0
-    assert result.sd == 0.0
+    assert len(result["cv_fold_aucs"]) == 4
+    assert all(a == 1.0 for a in result["cv_fold_aucs"])  # scores are the labels' source
+    assert result["cv_auc_mean"] == 1.0
+    assert result["cv_auc_sd"] == 0.0
 
 
 def test_cv_evaluate_wraps_fold_errors():

@@ -72,6 +72,16 @@ def test_split_errors():
         stratified_split(_labels(100, 20), (1.0, 0.0, 0.0), 0)  # zero ratio
 
 
+@pytest.mark.parametrize("labels, ratios, subset", [
+    (_labels(19, 4), (0.9, 0.05, 0.05), "validation"),  # floor(19 * 0.05) = 0
+    ([0, 0, 0], (0.1, 0.4, 0.5), "train"),  # 3 - ceil(1.5) - floor(1.2) = 0
+    (_labels(100, 20), (0.5, 0.5 - 1e-12, 1e-12), "test"),  # ceil(1e-10 - 1e-9) = 0
+], ids=["validation", "train", "test"])
+def test_split_rejects_an_empty_subset(labels, ratios, subset):
+    with pytest.raises(SplitError, match=f"the {subset} subset"):
+        stratified_split(labels, ratios, 0)
+
+
 def test_apportion_hand_cases():
     # 10 slots over quotas 6.67/3.33 -> 7/3
     assert _apportion([100, 50], 10) == [7, 3]
