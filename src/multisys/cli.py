@@ -20,6 +20,7 @@ report, all.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import functools
@@ -120,8 +121,8 @@ def _shape() -> dict:
               for kind in MODELS.values()}
     return {"input_csv": "", "synth": {**DEFAULT_SYNTH, "spec_path": ""},
             "schema_config": "", "systems_config": "",
-            "split": {"ratios": [Bound(0.0, 0)] * 3, "seed": 42},
-            "cv_folds": Bound(5, 1), "models": models}
+            "split": {"ratios": [Bound(0.0, 0)] * 3, "seed": DEFAULTS["split"]["seed"]},
+            "cv_folds": Bound(DEFAULTS["cv_folds"], 1), "models": models}
 
 
 def _validate(value, shape, where: str = "") -> None:
@@ -218,8 +219,13 @@ class RunConfig(dict):
         return indices_mod.default_systems()
 
     def fitter(self, kind: ModelKind) -> Callable:
-        """`fitter(X, y)` returning a fresh model of `kind` fitted on X, y."""
-        return lambda X, y: kind.cls(**self["models"][kind.config_field]).fit(X, y)
+        """`fitter(X, y)` returning a fresh model of `kind` fitted on X, y;
+        it pickles, so a process pool can run it."""
+        return functools.partial(_fit, kind.cls, self["models"][kind.config_field])
+
+
+def _fit(cls: type, params: dict, X, y):
+    return cls(**params).fit(X, y)
 
 
 def _check_manifest(doc: dict) -> dict:
@@ -252,16 +258,24 @@ class Workspace:
         return os.path.join(self.out_dir, name)
 
     def _put(self, name: str, content) -> None:
+        """Write `path(name)` atomically: a temporary file next to it, then
+        `os.replace`, so a failed write leaves the previous bytes."""
         path = self.path(name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            if isinstance(content, dict):
-                json.dump(content, fh, sort_keys=True, indent=1)
-                fh.write("\n")
-            elif isinstance(content, list):
-                csv.writer(fh).writerows(content)
-            else:
-                fh.write(content)
+        tmp = f"{path}.tmp"
+        try:
+            with open(tmp, "w", newline="", encoding="utf-8") as fh:
+                if isinstance(content, dict):
+                    json.dump(content, fh, sort_keys=True, indent=1)
+                    fh.write("\n")
+                elif isinstance(content, list):
+                    csv.writer(fh).writerows(content)
+                else:
+                    fh.write(content)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
     def register(self, name: str) -> None:
         """Record an artifact written at `path(name)` in the manifest."""
@@ -418,6 +432,26 @@ def stage_train(ws: Workspace) -> None:
     log.info("train: fitted %d models on %d rows", len(MODELS), len(train_idx))
 
 
+@contextlib.contextmanager
+def _task_map(n_tasks: int):
+    """An ordered map for `n_tasks` independent tasks: a fork process pool's,
+    as wide as the CPU affinity allows, or the builtin at width 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    width = min(cpus, n_tasks)
+    if width == 1:
+        yield map
+        return
+    # Imported here, so that a run that starts no pool does not load them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, named because Python 3.14 changes the default: workers start with
+    # the parent's imports and do not re-run __main__, and a fork pool starts
+    # every worker before its own thread.
+    with ProcessPoolExecutor(width, mp_context=multiprocessing.get_context("fork")) as pool:
+        yield pool.map
+
+
 def stage_evaluate(ws: Workspace) -> None:
     matrix = _load_matrix(ws)
     [y] = _load_indices(ws, len(matrix.values), "target_multi")
@@ -427,11 +461,13 @@ def stage_evaluate(ws: Workspace) -> None:
     fitted = {name: _load_model(ws, kind, matrix.values.shape[1])
               for name, kind in MODELS.items()}
 
-    results, roc_doc = {}, {}
-    for name, kind in MODELS.items():
-        model = fitted[name]
-        entry = metrics_mod.cv_evaluate(ws.cfg.fitter(kind), matrix.values[train_idx],
-                                        y[train_idx], fold_plan)
+    fitters = {name: ws.cfg.fitter(kind) for name, kind in MODELS.items()}
+    with _task_map(len(fitters) * fold_plan.k) as task_map:
+        results = metrics_mod.cv_evaluate(fitters, matrix.values[train_idx], y[train_idx],
+                                          fold_plan, task_map)
+    roc_doc = {}
+    for name, model in fitted.items():
+        entry = results[name]
         for subset, rows in (("validation", partition.validation),
                              ("test", partition.test)):
             rows = np.asarray(rows)
@@ -442,7 +478,6 @@ def stage_evaluate(ws: Workspace) -> None:
                 roc_doc[name] = {"fpr": [float(v) for v in curve.fpr],
                                  "tpr": [float(v) for v in curve.tpr],
                                  "auc": curve.auc}
-        results[name] = entry
     ws.write("metrics.json", {"config_hash": ws.cfg.hash(), "threshold": 0.5,
                               "models": results})
     ws.write("roc.json", {"config_hash": ws.cfg.hash(), "curves": roc_doc})

@@ -84,24 +84,37 @@ def confusion_at(scores, labels, threshold: float = 0.5) -> dict:
             "sensitivity": sens, "specificity": spec, "f1": f1, "threshold": threshold}
 
 
-def cv_evaluate(fitter: Callable, X, y, fold_plan) -> dict:
-    """Fit on k-1 folds, score the held-out fold, report AUC mean +/- SD
-    (the sample, n-1, standard deviation over folds).
+def _fold_auc(task: tuple) -> float:
+    """Held-out AUC of one (model, fold) refit; any failure as a MetricError
+    naming both, so that it crosses a process boundary intact."""
+    name, fitter, X, y, held, fold = task
+    try:
+        model = fitter(X[~held], y[~held])
+        return roc_auc(model.predict_proba(X[held]), y[held])
+    except Exception as exc:
+        raise MetricError(f"{name} fold {fold}: {exc}") from exc
 
-    `fitter(X_train, y_train)` must return an object with a
-    `predict_proba(X) -> (n,) probability vector` method.
+
+def cv_evaluate(fitters: dict[str, Callable], X, y, fold_plan, map=map) -> dict:
+    """Per model, fit on k-1 folds, score the held-out fold, report AUC
+    mean +/- SD (the sample, n-1, standard deviation over folds).
+
+    `fitters[name](X_train, y_train)` must return an object with a
+    `predict_proba(X) -> (n,) probability vector` method.  The refits of
+    every (model, fold) pair run through one ordered `map`, which may be a
+    process pool's: then the fitters must pickle, and the results are the
+    same as with the builtin.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    aucs = []
-    for fold in range(fold_plan.k):
-        held = np.asarray(fold_plan.assignments) == fold
-        try:
-            model = fitter(X[~held], y[~held])
-            scores = model.predict_proba(X[held])
-            aucs.append(roc_auc(scores, y[held]))
-        except Exception as exc:
-            raise MetricError(f"fold {fold}: {exc}") from exc
-    return {"cv_auc_mean": float(np.mean(aucs)),
-            "cv_auc_sd": float(np.std(aucs, ddof=1)) if len(aucs) > 1 else 0.0,
-            "cv_fold_aucs": [float(a) for a in aucs]}
+    assignments = np.asarray(fold_plan.assignments)
+    k = fold_plan.k
+    aucs = iter(map(_fold_auc, [(name, fitter, X, y, assignments == fold, fold)
+                                for name, fitter in fitters.items() for fold in range(k)]))
+    results = {}
+    for name in fitters:
+        folds = [next(aucs) for _ in range(k)]
+        results[name] = {"cv_auc_mean": float(np.mean(folds)),
+                         "cv_auc_sd": float(np.std(folds, ddof=1)) if k > 1 else 0.0,
+                         "cv_fold_aucs": [float(a) for a in folds]}
+    return results

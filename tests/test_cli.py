@@ -1,5 +1,6 @@
 """Pipeline orchestration: stage wiring, manifests and error handling."""
 
+import concurrent.futures
 import csv
 import hashlib
 import io
@@ -240,6 +241,69 @@ def test_all_writes_summary(tmp_path, fast_config):
     assert sizes["train"] + sizes["validation"] + sizes["test"] == 160
     assert len(summary["importance_top10"]) == 10
     assert summary["config_hash"] == RunConfig.load(fast_config).hash()
+
+
+def _trained_run(tmp_path, config) -> str:
+    out = str(tmp_path / "run")
+    for stage in ("simulate", "ingest", "features", "split", "train"):
+        assert _run(stage, out, config) == 0, stage
+    return out
+
+
+def test_evaluate_outputs_are_the_same_at_any_pool_width(tmp_path, fast_config, monkeypatch):
+    out = _trained_run(tmp_path, fast_config)
+    widths = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, width, **kwargs):
+            widths.append(width)
+            super().__init__(width, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    outputs = []
+    for cpus in ({0}, {0, 1}):
+        run = tmp_path / f"cpus{len(cpus)}"
+        shutil.copytree(out, run)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        assert _run("evaluate", str(run), fast_config) == 0
+        outputs.append({name: (run / name).read_bytes()
+                        for name in ("metrics.json", "roc.json", "metrics.csv")})
+    assert widths == [2]  # width 1 starts no pool
+    assert outputs[0] == outputs[1]
+
+
+def test_refit_failure_in_a_worker_exits_2(tmp_path, fast_config, monkeypatch, capsys):
+    run = tmp_path / "run"
+    _trained_run(tmp_path, fast_config)
+    with open(run / "indices.csv", newline="") as fh:
+        y = [int(row["target_multi"]) for row in csv.DictReader(fh)]
+    folds = json.loads((run / "folds.json").read_text())
+    # every positive row in fold 0: the other folds hold out one class only
+    folds["assignments"] = [0 if y[i] else i % folds["k"] for i in folds["train_indices"]]
+    (run / "folds.json").write_text(json.dumps(folds))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert _run("evaluate", str(run), fast_config) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MetricError"
+    assert err["message"].startswith("logistic_regression fold "), err
+    assert not (run / "metrics.json").exists()
+
+
+def test_failed_write_keeps_the_previous_artifact(tmp_path, fast_config, monkeypatch):
+    run = tmp_path / "run"
+    ws = Workspace(str(run), RunConfig.load(fast_config))
+    ws.write("metrics.json", {"old": 1})
+    before = (run / "metrics.json").read_bytes()
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write('{"new": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        ws.write("metrics.json", {"new": 2})
+    assert (run / "metrics.json").read_bytes() == before
+    assert sorted(os.listdir(run)) == ["manifest.json", "metrics.json"]
 
 
 def test_main_argparse_and_log_env(tmp_path, fast_config, monkeypatch):
