@@ -1,4 +1,5 @@
-"""Shared plumbing: the package error base class, file reading and input validation.
+"""Shared plumbing: the package error base class, file reading and writing, and
+input validation.
 
 Estimators keep their constructor arguments untouched as public attributes;
 fitting writes learned state to attributes with a trailing underscore.
@@ -6,8 +7,10 @@ fitting writes learned state to attributes with a trailing underscore.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 
 import numpy as np
 
@@ -37,6 +40,21 @@ def read_file(path: str, decode, error, parse=json.load):
     except (OSError, csv.Error, AttributeError, LookupError, RecursionError, TypeError,
             ValueError) as exc:  # RecursionError: JSON nested too deep to parse
         raise error(f"cannot read {path}: {exc!r}") from exc
+
+
+@contextlib.contextmanager
+def write_file(path: str):
+    """A text file that replaces the file at `path` atomically: it is written
+    as `path.tmp` and moved onto `path` when the block ends without an error,
+    so a failed write leaves the previous bytes and no temporary file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def csv_rows(fh) -> list[dict]:

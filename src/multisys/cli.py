@@ -42,7 +42,7 @@ from . import ingest as ingest_mod
 from . import metrics as metrics_mod
 from . import report as report_mod
 from . import synth as synth_mod
-from .base import MultisysError, csv_rows, read_file
+from .base import MultisysError, csv_rows, read_file, write_file
 from .models import (GradientBoostingClassifier, RandomForestClassifier,
                      LogisticRegressionClassifier, TreeEnsemble)
 from .split import FoldPlan, Partition, stratified_kfold, stratified_split
@@ -258,24 +258,18 @@ class Workspace:
         return os.path.join(self.out_dir, name)
 
     def _put(self, name: str, content) -> None:
-        """Write `path(name)` atomically: a temporary file next to it, then
-        `os.replace`, so a failed write leaves the previous bytes."""
+        """Write `path(name)` atomically, so a failed write leaves the
+        previous bytes."""
         path = self.path(name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = f"{path}.tmp"
-        try:
-            with open(tmp, "w", newline="", encoding="utf-8") as fh:
-                if isinstance(content, dict):
-                    json.dump(content, fh, sort_keys=True, indent=1)
-                    fh.write("\n")
-                elif isinstance(content, list):
-                    csv.writer(fh).writerows(content)
-                else:
-                    fh.write(content)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        with write_file(path) as fh:
+            if isinstance(content, dict):
+                json.dump(content, fh, sort_keys=True, indent=1)
+                fh.write("\n")
+            elif isinstance(content, list):
+                csv.writer(fh).writerows(content)
+            else:
+                fh.write(content)
 
     def register(self, name: str) -> None:
         """Record an artifact written at `path(name)` in the manifest."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import MultisysError, check_keys, is_number, read_file
+from .base import MultisysError, check_keys, is_number, read_file, write_file
 
 log = logging.getLogger("multisys.ingest")
 
@@ -342,7 +342,8 @@ def clean_cohort(cohort: RawCohort, schemas: list[ColumnSchema],
 
 
 def write_matrix_csv(matrix: FeatureMatrix, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """Write the matrix atomically, so a failed write leaves the previous bytes."""
+    with write_file(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(matrix.names)
         for row in matrix.values:

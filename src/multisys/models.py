@@ -16,7 +16,7 @@ from scipy.optimize import minimize
 
 from .base import MultisysError, check_fitted, check_X, check_X_y, is_number
 from .rng import SplitMix64
-from .tree import DecisionTree, TreeError, grow_tree
+from .tree import DecisionTree, TreeError, grow_tree, rank_codes
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -223,6 +223,7 @@ class RandomForestClassifier:
         k = max(1, int(round(math.sqrt(p))))
         root = SplitMix64(self.seed)
         y_float = y.astype(float)
+        ranks = rank_codes(X)  # one rank coding shared by every tree
         trees = []
         for t in range(self.n_estimators):
             rng = root.spawn(t)
@@ -231,7 +232,7 @@ class RandomForestClassifier:
                 X, y_float, criterion="gini",
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
-                rows=boot, max_features=k, rng=rng,
+                rows=boot, max_features=k, rng=rng, ranks=ranks,
             )
             trees.append(tree)
         self.ensemble_ = TreeEnsemble(kind="random-forest", trees=trees)

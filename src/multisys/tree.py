@@ -8,20 +8,26 @@ appends each node's fields to these arrays in pre-order, so every child's id
 is above its parent's; `from_dict` checks that order on a tree read from disk,
 so a bottom-up pass such as `expected_value` is a reverse sweep over ids.
 
-Split search is exact greedy with one scan per node over a 2-D block that
-holds the node's rows of every candidate feature in sorted order, column by
-column; prefix sums score every threshold of every candidate at once.
-Growth on all rows and all features (gradient boosting) takes the block from
-one stable column-wise argsort of X shared by every tree: a split partitions
-the parent's block with one boolean mask, stably, and since the node's rows
-are an ascending subsequence of all rows this is the order a stable sort of
-the node's rows gives.  Growth with `max_features` (random forests) sorts
-only its sampled features, in each node.  Only the legal cuts are scored,
-those that leave at least min_samples_leaf rows on each side.  Thresholds
-are midpoints between adjacent distinct sorted feature values, and ties among
-equal-quality splits resolve to the lowest feature index, then the lowest
-threshold.  A row that appears more than once in `rows`, as in a bootstrap
-sample, counts once per appearance.
+Split search is exact greedy.  Each node lays its candidate features out as
+rows of a 2-D block, each holding the node's rows in sorted order, and one
+scoring routine scores every legal cut of every candidate at once from
+prefix sums: a legal cut leaves at least min_samples_leaf rows on each side
+and falls between distinct values.  Growth on all rows and all features
+(gradient boosting) takes the block from one stable column-wise argsort of
+X shared by every tree, without the columns that are constant over X, which
+have no legal cut: a split partitions the parent's block with one boolean
+mask and its negation, stably, and since the node's rows are an ascending
+subsequence of all rows this is the order a stable sort of the node's rows
+gives.  Any other growth (random forests, with `max_features`) sorts small
+integer keys in each node: each column's dense rank codes, computed once per
+X, shifted left past a tag.  A 0/1 target is the tag, since prefix counts of
+it do not depend on the order within a tie; any other target is fetched by
+its row's position in the node, which is the tag then.  The forest's node
+partitions only its own rows.  Thresholds are midpoints between adjacent
+distinct sorted feature values, and ties among equal-quality splits resolve
+to the lowest feature index, then the lowest threshold.  A row that appears
+more than once in `rows`, as in a bootstrap sample, counts once per
+appearance.
 """
 
 from __future__ import annotations
@@ -121,6 +127,18 @@ class DecisionTree:
         return cls(*(column.astype(dtype) for column, dtype in zip(t, FIELDS.values())))
 
 
+def rank_codes(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each column's dense rank codes, shape (p, n), and its sorted distinct
+    values, so that `values[f][codes[f]]` is `X[:, f]`.  The codes are int16
+    when twice the most distinct values of a column fits int16, so that every
+    key `code << 1 | 1` does, and int32 otherwise."""
+    uniques = [np.unique(column, return_inverse=True) for column in X.T]
+    values = [distinct for distinct, _ in uniques]
+    wide = 2 * max(map(len, values), default=0) > np.iinfo(np.int16).max
+    codes = np.array([code for _, code in uniques], dtype=np.int32 if wide else np.int16)
+    return codes.reshape(len(values), len(X)), values
+
+
 def _improves(score: float, f: int, best) -> bool:
     """Strictly better score, or an equal score on a lower feature index."""
     if best is None:
@@ -130,79 +148,114 @@ def _improves(score: float, f: int, best) -> bool:
     return abs(score - best[0]) <= 1e-12 and f < best[1]
 
 
-def _best_split(X: np.ndarray, target: np.ndarray, rows: np.ndarray,
-                criterion: str, min_samples_leaf: int,
-                max_features: int | None = None,
-                rng: SplitMix64 | None = None,
-                block: np.ndarray | None = None):
-    """Best (score, feature, threshold) over candidate features, or None.
+def _best_cut(ordered: np.ndarray, ts: np.ndarray, candidates, criterion: str,
+              min_samples_leaf: int):
+    """The one scoring routine: the best (score, feature, j, c) or None.
 
-    With `max_features` set, candidates are drawn without replacement from
-    `rng`; features that are constant within the node do not count toward
-    the quota, so a node only becomes a leaf when no sampled feature admits
-    a valid split.  `block`, when given, holds the node's rows of every
-    feature already in sorted order, column by column, and replaces the
-    node's sort.  All candidates are then scored in one scan over the legal
-    cuts: row i of `scores` holds the count-weighted impurity (lower is
-    better) of the cut after sorted position lo + i.  Ties resolve to the
-    lowest feature index, then to the lowest threshold.
+    Row j of `ordered` holds the node's sort keys of feature candidates[j] in
+    ascending order, and row j of `ts` the targets in that order.  Only legal
+    cuts are scored: a cut after position c leaves min_samples_leaf rows, and
+    at least one, on each side, and falls between distinct keys.  Scores are
+    count-weighted impurities, lower is better; ties resolve to the lowest
+    feature index, then to the lowest c.
     """
-    p = X.shape[1]
-    if block is not None:
-        candidates = range(p)
-        vs = X[block, np.arange(p)]
-        ts = target[block]
-    else:
-        X_node = X[rows]
-        if max_features is None or max_features >= p:
-            candidates = list(range(p))
-        else:
-            varies = X_node.max(axis=0) != X_node.min(axis=0)
-            candidates, pool = [], list(range(p))
-            while pool and len(candidates) < max_features:
-                f = pool.pop(rng.randint_below(len(pool)))
-                if varies[f]:  # a feature constant in the node is redrawn
-                    candidates.append(f)
-        v = X_node[:, candidates]
-        order = np.argsort(v, axis=0, kind="stable")
-        vs = np.take_along_axis(v, order, axis=0)
-        ts = target[rows][order]
-    n = len(ts)
-    # legal cuts leave min_samples_leaf rows, and at least one, on each side:
+    n = ts.shape[1]
     # left counts lo+1 .. hi
     lo = max(min_samples_leaf, 1) - 1
     hi = n - 1 - lo
     if hi <= lo:
         return None
-    csum = np.cumsum(ts, axis=0)
-    nl = np.arange(lo + 1, hi + 1)[:, None]
+    # integer counts stay exact in float64, and float-only arithmetic is faster
+    csum = np.cumsum(ts, axis=1, dtype=float)
+    nl = np.arange(lo + 1, hi + 1, dtype=float)
     nr = n - nl
-    sl = csum[lo:hi]
-    sr = csum[-1] - sl
+    sl = csum[:, lo:hi]
+    sr = csum[:, -1:] - sl
     if criterion == "gini":
         # binary targets: weighted gini = 2 * s * (n - s) / n per child
         left = 2.0 * sl * (nl - sl) / nl
         right = 2.0 * sr * (nr - sr) / nr
     elif criterion == "variance":
-        csq = np.cumsum(ts * ts, axis=0)
-        sql = csq[lo:hi]
+        csq = np.cumsum(ts * ts, axis=1)
+        sql = csq[:, lo:hi]
         left = sql - sl * sl / nl
-        right = (csq[-1] - sql) - sr * sr / nr
+        right = (csq[:, -1:] - sql) - sr * sr / nr
     else:
         raise TreeError(f"unknown criterion {criterion!r}")
-    valid = vs[lo + 1:hi + 1] > vs[lo:hi]
+    valid = ordered[:, lo + 1:hi + 1] > ordered[:, lo:hi]
     if not valid.any():
         return None
     scores = np.where(valid, left + right, np.inf)
-    cut = np.argmin(scores, axis=0)  # first, i.e. lowest threshold, on ties
-    columns = np.arange(len(candidates))
-    best, at = None, None
-    for j, (f, ok, score) in enumerate(zip(candidates, valid[cut, columns].tolist(),
-                                           scores[cut, columns].tolist())):
+    cut = np.argmin(scores, axis=1)  # first, i.e. lowest threshold, on ties
+    at, best = None, None
+    columns = np.arange(len(cut))
+    for j, (f, ok, score) in enumerate(zip(candidates, valid[columns, cut].tolist(),
+                                           scores[columns, cut].tolist())):
         if ok and _improves(score, f, best):
             best, at = (score, f), j
-    c = lo + cut[at]
-    return (*best, float(0.5 * (vs[c, at] + vs[c + 1, at])))
+    return (*best, at, lo + cut[at])
+
+
+def _best_split(X: np.ndarray, target: np.ndarray, rows: np.ndarray,
+                criterion: str, min_samples_leaf: int,
+                max_features: int | None = None,
+                rng: SplitMix64 | None = None,
+                ranks: tuple | None = None):
+    """Best (score, feature, threshold) of a node, or None, from the sorted
+    keys of its rows' rank codes; `ranks` is `rank_codes(X)`, computed here
+    when not given.  With `max_features` set, candidates are drawn without
+    replacement from `rng`, as many at a time as are still missing; a
+    feature constant within the node does not count toward the quota and is
+    redrawn, so a node only becomes a leaf when no sampled feature admits a
+    valid split.
+    """
+    codes, values = rank_codes(X) if ranks is None else ranks
+    if criterion == "gini":  # the 0/1 target is the tag
+        shift, tag = 1, target[rows].astype(codes.dtype)
+    else:  # the row's position in the node is the tag, and fetches its target
+        shift, tag = len(rows).bit_length(), np.arange(len(rows))
+
+    def sorted_keys(features: list[int]) -> np.ndarray:
+        keys = codes[features].take(rows, axis=1).astype(tag.dtype, copy=False)
+        keys <<= shift
+        keys |= tag
+        keys.sort(axis=1)  # equal integer keys are interchangeable
+        return keys
+
+    p = len(codes)
+    if max_features is None or max_features >= p:
+        candidates = list(range(p))
+        keys = sorted_keys(candidates)
+    else:
+        candidates, pool, blocks = [], list(range(p)), [np.empty((0, len(rows)), tag.dtype)]
+        while pool and len(candidates) < max_features:
+            drawn = [pool.pop(rng.randint_below(len(pool)))
+                     for _ in range(min(max_features - len(candidates), len(pool)))]
+            keys = sorted_keys(drawn)
+            varies = keys[:, -1] >> shift != keys[:, 0] >> shift  # else redrawn
+            candidates += [f for f, keep in zip(drawn, varies.tolist()) if keep]
+            blocks.append(keys[varies])
+        keys = np.concatenate(blocks)
+    ordered, low = keys >> shift, keys & ((1 << shift) - 1)
+    found = _best_cut(ordered, low if criterion == "gini" else target[rows].take(low),
+                      candidates, criterion, min_samples_leaf)
+    if found is None:
+        return None
+    score, f, j, c = found
+    return score, f, float(0.5 * (values[f][ordered[j, c]] + values[f][ordered[j, c + 1]]))
+
+
+def _best_presorted_split(XT: np.ndarray, target: np.ndarray, block: np.ndarray,
+                          live: list[int], criterion: str, min_samples_leaf: int):
+    """Best (score, feature, threshold) of a node whose rows of every live
+    feature, `block[j]`, are already in sorted order; `XT` is X's live
+    columns as rows."""
+    vs = XT.take(block + np.arange(0, XT.size, XT.shape[1])[:, None])  # a flat take
+    found = _best_cut(vs, target.take(block), live, criterion, min_samples_leaf)
+    if found is None:
+        return None
+    score, f, j, c = found
+    return score, f, float(0.5 * (vs[j, c] + vs[j, c + 1]))
 
 
 def grow_tree(X: np.ndarray, target: np.ndarray, *, criterion: str,
@@ -210,54 +263,80 @@ def grow_tree(X: np.ndarray, target: np.ndarray, *, criterion: str,
               leaf_value=None, rows: np.ndarray | None = None,
               max_features: int | None = None,
               rng: SplitMix64 | None = None,
-              order: np.ndarray | None = None) -> DecisionTree:
+              order: np.ndarray | None = None,
+              ranks: tuple | None = None) -> DecisionTree:
     """Grow a binary tree by greedy exact splitting.
 
-    `leaf_value(row_indices) -> float` computes the leaf output; by default
-    the mean of `target` over the leaf.  `max_features`, when set, draws that
-    many candidate features per node without replacement from `rng`.
+    `target` holds 0/1 values for the gini criterion.  `leaf_value(row_indices)
+    -> float` computes the leaf output; by default the mean of `target` over
+    the leaf.  `max_features`, when set, draws that many candidate features
+    per node without replacement from `rng`.
     `order`, `np.argsort(X, axis=0, kind="stable")`, serves growth on all
     rows and all features, and may be shared by every tree grown on X: each
     node then scores its stable partition of that order instead of sorting
-    its own rows.
+    its own rows.  Otherwise every node sorts the rank codes of its rows;
+    `ranks`, `rank_codes(X)`, may be shared by every tree grown on X and is
+    computed here when not given.
     """
     X = np.asarray(X, dtype=float)
     target = np.asarray(target, dtype=float)
-    if order is not None and (rows is not None or max_features is not None):
+    if order is not None and (rows is not None or max_features is not None
+                              or ranks is not None):
         raise TreeError("a presorted order serves growth on all rows and features")
     if rows is None:
         rows = np.arange(len(X))
     if len(rows) == 0:
         raise TreeError("cannot grow a tree on zero rows")
+    if criterion == "gini" and not np.isin(target, (0.0, 1.0)).all():
+        raise TreeError("the gini criterion needs 0/1 targets")
     if leaf_value is None:
         leaf_value = lambda idx: float(np.mean(target[idx]))
     if max_features is not None and rng is None:
         raise TreeError("max_features requires an rng")
+    if order is not None:
+        # the block keeps only the columns that vary over X (no other column
+        # has a legal cut), each as one contiguous row of row ids in sorted order
+        cols = np.arange(X.shape[1])
+        live = np.flatnonzero(X[order[-1], cols] > X[order[0], cols]).tolist()
+        XT, order = X.T[live], order.T[live]
+    elif ranks is None:
+        ranks = rank_codes(X)
 
     feature, threshold, left, right, value, _ = table = [[] for _ in FIELDS]  # pre-order
-
-    def build(rows: np.ndarray, block: np.ndarray | None, depth: int) -> int:
+    # nodes still to grow, as (rows, block, depth, the parent's child slot);
+    # a left child is popped, and so grown with its subtree, before its sibling
+    stack = [(np.asarray(rows, dtype=int), order, 0, None)]
+    while stack:
+        rows, block, depth, slot = stack.pop()
         index = len(feature)
+        if slot is not None:
+            slot[0][slot[1]] = index
         for column, blank in zip(table, (LEAF, np.nan, -1, -1, np.nan, len(rows))):
             column.append(blank)
         best = None
         if (depth < max_depth and len(rows) >= 2 * min_samples_leaf
                 and np.ptp(target[rows]) > 0):
-            best = _best_split(X, target, rows, criterion, min_samples_leaf,
-                               max_features=max_features, rng=rng, block=block)
+            if block is None:
+                best = _best_split(X, target, rows, criterion, min_samples_leaf,
+                                   max_features=max_features, rng=rng, ranks=ranks)
+            else:
+                best = _best_presorted_split(XT, target, block, live, criterion,
+                                             min_samples_leaf)
         if best is None:
             value[index] = leaf_value(rows)
-            return index
+            continue
         _, f, thr = best
         feature[index], threshold[index] = f, thr
-        goes_left = X[:, f] <= thr
-        for side, child in ((goes_left, left), (~goes_left, right)):
-            part = rows[side[rows]]
-            # a stable partition: every column of the block stays in sorted order
-            sub = None if block is None else block.T[side[block.T]].reshape(-1, len(part)).T
-            child[index] = build(part, sub, depth + 1)
-        return index
-
-    build(np.asarray(rows, dtype=int), order, 0)
+        if block is None:  # a node of the forest partitions only its own rows
+            goes_left = X[rows, f] <= thr
+            halves = (rows[goes_left], None, left), (rows[~goes_left], None, right)
+        else:  # one block mask and its negation: a stable partition of every row
+            side = X[:, f] <= thr
+            mask = side.take(block)
+            halves = ((rows[side[rows]], block[mask], left),
+                      (rows[~side[rows]], block[~mask], right))
+        for part, sub, children in halves[::-1]:
+            stack.append((part, None if sub is None else sub.reshape(-1, len(part)),
+                          depth + 1, (children, index)))
     return DecisionTree(*(np.array(column, dtype=dtype)
                           for column, dtype in zip(table, FIELDS.values())))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from multisys.ingest import (
-    ColumnSchema, ImputationError, IngestError, RawCohort,
+    ColumnSchema, FeatureMatrix, ImputationError, IngestError, RawCohort,
     apply_plausibility, clean_cohort, default_schema, load_cohort,
     parse_quantity, parse_semiquant, read_matrix_csv, schema_from_json,
     write_matrix_csv,
@@ -243,6 +243,21 @@ def test_matrix_csv_roundtrip(tmp_path, tiny_schemas):
     loaded = read_matrix_csv(path, tiny_schemas)
     np.testing.assert_array_equal(loaded.values, matrix.values)  # exact, via repr
     assert loaded.names == matrix.names
+
+
+def test_matrix_csv_write_that_fails_halfway_keeps_previous_bytes(tmp_path, tiny_schemas):
+    from conftest import make_matrix
+    path = tmp_path / "matrix.csv"
+    write_matrix_csv(make_matrix([[77.0, 5.5, 1.0]], tiny_schemas), str(path))
+    before = path.read_bytes()
+    # the second row's first cell is no number: the header and first row are
+    # written before the write fails
+    broken = FeatureMatrix(columns=list(tiny_schemas), values=np.array(
+        [[88.0, 6.25, 0.0], ["not a number", 1.0, 1.0]], dtype=object))
+    with pytest.raises(ValueError):
+        write_matrix_csv(broken, str(path))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["matrix.csv"]
 
 
 def test_matrix_csv_header_outside_schema_errors(tmp_path, tiny_schemas):

@@ -8,7 +8,7 @@ import pytest
 
 from multisys.models import GradientBoostingClassifier, RandomForestClassifier
 from multisys.rng import SplitMix64
-from multisys.tree import LEAF, DecisionTree, TreeError, _best_split, grow_tree
+from multisys.tree import LEAF, DecisionTree, TreeError, _best_split, grow_tree, rank_codes
 
 
 def _gini_weighted(y):
@@ -79,7 +79,7 @@ def test_presorted_growth_equals_node_local_sorting():
     # Integer features with few levels make many ties, so the stable order
     # among equal values decides every prefix sum.
     rng = SplitMix64(8)
-    deep = wide_leaves = 0
+    deep = wide_leaves = all_dead = 0
     for trial in range(120):
         n = 2 + rng.randint_below(60)
         p = 1 + rng.randint_below(5)
@@ -97,7 +97,119 @@ def test_presorted_growth_equals_node_local_sorting():
         assert presorted.to_dict() == grow_tree(X, y, **kwargs).to_dict(), trial
         deep += presorted.n_nodes >= 7
         wide_leaves += 2 * min_leaf > n
-    assert deep >= 50 and wide_leaves >= 10
+        # A column constant over X, first, in the middle or last, is left out
+        # of the presorted block; the trees keep the original feature ids.
+        at = (0, p // 2, p)[trial % 3]
+        X_dead = np.insert(X, at, 7.0, axis=1)
+        with_dead = grow_tree(X_dead, y, order=np.argsort(X_dead, axis=0, kind="stable"),
+                              **kwargs)
+        assert with_dead.to_dict() == grow_tree(X_dead, y, **kwargs).to_dict(), trial
+        shifted = presorted.feature + (presorted.feature >= at)
+        np.testing.assert_array_equal(with_dead.feature, np.where(
+            presorted.feature == LEAF, LEAF, shifted))
+        np.testing.assert_array_equal(with_dead.threshold, presorted.threshold)
+        if trial % 6 == 0:  # every column of X is constant
+            assert with_dead.n_nodes == presorted.n_nodes == 1
+            all_dead += 1
+    assert deep >= 50 and wide_leaves >= 10 and all_dead >= 20
+
+
+def _redrawn_candidates(X_node, k, rng):
+    """The features a node scores: popped from a pool by `rng` until k of them
+    vary within the node, none drawn when k >= p; and how many were skipped."""
+    p = X_node.shape[1]
+    if k >= p:
+        return list(range(p)), 0
+    candidates, pool, skipped = [], list(range(p)), 0
+    while pool and len(candidates) < k:
+        f = pool.pop(rng.randint_below(len(pool)))
+        if np.ptp(X_node[:, f]) > 0:
+            candidates.append(f)
+        else:
+            skipped += 1
+    return candidates, skipped
+
+
+def _brute_force_gini(X, y, features, min_leaf):
+    """Exhaustive gini oracle over `features`: every midpoint between distinct
+    values routes every row by comparison, a block of midpoints at a time.
+    The lowest (score, feature, threshold), and how many splits share its
+    score."""
+    best, ties = None, 0
+    ones = y == 1
+    for f in sorted(features):
+        vals = np.unique(X[:, f])
+        midpoints = (vals[:-1] + vals[1:]) / 2
+        for start in range(0, len(midpoints), 256):
+            thr = midpoints[start:start + 256]
+            left = X[:, f] <= thr[:, None]
+            nl, sl = left.sum(axis=1), (left & ones).sum(axis=1)
+            nr, sr = len(y) - nl, ones.sum() - sl
+            score = 2.0 * sl * (nl - sl) / nl + 2.0 * sr * (nr - sr) / nr
+            score = score[(nl >= min_leaf) & (nr >= min_leaf)]
+            thr = thr[(nl >= min_leaf) & (nr >= min_leaf)]
+            if not len(score):
+                continue
+            i = np.argmin(score)
+            if best is None or (score[i], f) < best[:2]:
+                best, ties = (score[i], f, thr[i]), 0
+            ties += np.count_nonzero(score == best[0])
+    return best, ties
+
+
+def _check_forest_split(X, y, rows, k, min_leaf, seed):
+    """The node's split equals the oracle's over the redrawn candidates, and
+    the node draws exactly as often as the redraw.  Returns (skipped, ties)."""
+    draws, again = SplitMix64(seed), SplitMix64(seed)
+    found = _best_split(X, y, rows, "gini", min_leaf, max_features=k, rng=draws)
+    candidates, skipped = _redrawn_candidates(X[rows], k, again)
+    assert draws.next_u64() == again.next_u64()
+    oracle, ties = _brute_force_gini(X[rows], y[rows], candidates, max(min_leaf, 1))
+    if oracle is None:
+        assert found is None
+    else:
+        score, f, thr = found
+        assert score == pytest.approx(oracle[0], abs=1e-9)
+        assert (f, thr) == (oracle[1], oracle[2])
+    return skipped, ties
+
+
+def test_forest_split_matches_brute_force_over_redrawn_candidates():
+    rng = SplitMix64(11)
+    redrawn = tied = no_draws = checked = 0
+    for trial in range(60):
+        n = 20 + rng.randint_below(40)
+        p = 2 + rng.randint_below(6)
+        levels = (2, 4, 1000)[trial % 3]  # few levels make many ties
+        X = np.array([[float(rng.randint_below(levels)) for _ in range(p)] for _ in range(n)])
+        X[:, rng.randint_below(p)] = X[:, rng.randint_below(p)]  # equal scores across features
+        X[:, rng.randint_below(p)] = 3.0  # constant: redrawn when drawn
+        y = np.array([float(rng.randint_below(2)) for _ in range(n)])
+        bootstrap = rng.randints_below(n, n)
+        k = 1 + rng.randint_below(p + 1)  # k >= p: every feature, no draws
+        for rows in (np.arange(n), bootstrap):
+            for min_leaf in (0, 1, 1 + rng.randint_below(n // 3)):
+                if len(np.unique(y[rows])) < 2:
+                    continue
+                skipped, ties = _check_forest_split(X, y, rows, k, min_leaf, rng.next_u64())
+                redrawn += skipped > 0
+                tied += ties > 1
+                no_draws += k >= p
+                checked += 1
+    assert checked >= 300 and redrawn >= 30 and tied >= 20 and no_draws >= 30
+
+
+def test_forest_split_with_int32_keys_matches_brute_force():
+    # 16,384 distinct values: a key code << 1 | 1 no longer fits int16.
+    rng = SplitMix64(12)
+    n = 16_400
+    x = np.array([rng.random() for _ in range(n)])
+    X = np.column_stack([np.full(n, 2.0), x])
+    y = ((x > 0.3) ^ (rng.randints_below(10, n) == 0)).astype(float)  # 10% of labels flipped
+    assert rank_codes(X[:16_383])[0].dtype == np.int16
+    assert rank_codes(X)[0].dtype == np.int32
+    for rows, min_leaf in ((np.arange(n), 1), (rng.randints_below(n, n), 50)):
+        _check_forest_split(X, y, rows, 1, min_leaf, rng.next_u64())
 
 
 def test_presorted_order_serves_only_full_growth():
@@ -215,6 +327,14 @@ def test_zero_rows_errors():
     with pytest.raises(TreeError):
         grow_tree(np.zeros((3, 1)), np.zeros(3), criterion="gini",
                   max_depth=1, min_samples_leaf=1, rows=np.array([], dtype=int))
+
+
+def test_gini_needs_binary_targets():
+    # the forest's sort keys carry the target in their lowest bit
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    with pytest.raises(TreeError, match="0/1"):
+        grow_tree(X, np.array([0.0, 0.5, 1.0, 1.0]), criterion="gini", max_depth=2,
+                  min_samples_leaf=1)
 
 
 def test_unknown_criterion_errors():
