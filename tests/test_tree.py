@@ -200,7 +200,7 @@ def test_forest_split_matches_brute_force_over_redrawn_candidates():
 
 
 def test_forest_split_with_int32_keys_matches_brute_force():
-    # 16,384 distinct values: a key code << 1 | 1 no longer fits int16.
+    # More than 16,383 distinct values: a key code << 1 | 1 no longer fits int16.
     rng = SplitMix64(12)
     n = 16_400
     x = np.array([rng.random() for _ in range(n)])
