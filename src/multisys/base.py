@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -67,6 +68,11 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def is_finite(value) -> bool:
+    """True for a finite int or float, never for a bool."""
+    return is_number(value) and -math.inf < value < math.inf
+
+
 def check_keys(doc: dict, allowed, where: str) -> dict:
     """`doc` itself; ValueError if it holds a key outside `allowed`."""
     unknown = sorted(set(doc) - set(allowed))
@@ -95,6 +101,8 @@ def check_X_y(X, y) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("y length does not match X")
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("y must be binary 0/1")
+    if len(np.unique(y)) < 2:
+        raise ValueError("y holds fewer than two classes")
     return X, y.astype(int)
 
 

@@ -406,11 +406,8 @@ def _load_model(ws: Workspace, kind: ModelKind, n_columns: int):
     """The fitted model in kind.artifact; CliError unless its weights, or its
     split features, fit the matrix's n_columns."""
     model = ws.read(kind.artifact, kind.load)
-    if isinstance(model, TreeEnsemble):
-        fits = max((int(tree.feature.max()) for tree in model.trees), default=-1) < n_columns
-    else:
-        fits = len(model.coef_) == n_columns
-    if not fits:
+    if not (model.splits_within(n_columns) if isinstance(model, TreeEnsemble)
+            else len(model.coef_) == n_columns):
         raise artifact_error(f"{kind.artifact} does not fit the {n_columns} columns of matrix.csv")
     return model
 

@@ -161,9 +161,8 @@ def tree_shap(ensemble: TreeEnsemble, X) -> ShapAttribution:
     n, p = X.shape
     boosting = ensemble.kind == "gradient-boosting"
     scale = ensemble.shrinkage if boosting else 1.0 / len(ensemble.trees)
-    used = max((int(tree.feature.max()) for tree in ensemble.trees), default=-1)
-    if used >= p:
-        raise ExplainError(f"X has {p} columns but the model splits on feature {used}")
+    if not ensemble.splits_within(p):
+        raise ExplainError(f"X has {p} columns, fewer than the model splits on")
     phi = np.zeros((n, p))
     for start in range(0, n, _ROW_BLOCK):
         block = slice(start, start + _ROW_BLOCK)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import MultisysError, check_keys, is_number, read_file
+from .base import MultisysError, check_keys, is_finite, read_file
 from .ingest import FeatureMatrix
 
 class SystemsError(MultisysError):
@@ -32,7 +32,7 @@ class ThresholdRule:
     def __post_init__(self):
         if self.direction not in ("above", "below", "at-or-above"):
             raise SystemsError(f"unknown direction {self.direction!r}")
-        if not (is_number(self.cutoff) and np.isfinite(self.cutoff)):
+        if not is_finite(self.cutoff):
             raise SystemsError(f"cutoff must be a finite number, got {self.cutoff!r}")
 
 

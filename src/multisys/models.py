@@ -1,20 +1,23 @@
 """From-scratch classifiers: L2 logistic regression on standardized
 inputs, random forest and gradient boosting.
 
-Each pipeline model has `fit`, `predict_proba` and a JSON-ready `to_dict`.
-`LogisticRegressionClassifier.from_dict` loads the logistic model back; the
-tree models load back as a `TreeEnsemble`, the schema `explain` consumes.
+Each classifier class holds its parameters, and `fit` returns the fitted
+model: the logistic model itself, and a `TreeEnsemble` for the forest and
+boosting.  A fitted model has `predict_proba` and a JSON-ready `to_dict`, and
+its class's `from_dict` loads that dict back as the same model, which is what
+`evaluate` and `explain` use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .base import MultisysError, check_fitted, check_X, check_X_y, is_number
+from .base import MultisysError, check_fitted, check_X, check_X_y, is_finite
 from .rng import SplitMix64
 from .tree import DecisionTree, TreeError, grow_tree, rank_codes
 
@@ -71,8 +74,6 @@ class LogisticRegressionClassifier:
 
     def fit(self, X, y) -> "LogisticRegressionClassifier":
         X, y = check_X_y(X, y)
-        if len(np.unique(y)) < 2:
-            raise ValueError("y contains a single class")
         self.mean_ = X.mean(axis=0)
         sd = X.std(axis=0)
         self.scale_ = np.where(sd == 0.0, 1.0, sd)
@@ -112,17 +113,22 @@ class LogisticRegressionClassifier:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LogisticRegressionClassifier":
-        """The model `to_dict` wrote; MultisysError (kind ModelError) if malformed."""
+        """The model `to_dict` wrote; MultisysError (kind ModelError) unless the
+        mean, scale and weights are lists of one length, every number is a
+        finite int or float and every scale is positive."""
         out = cls()
         try:
             std = d["standardizer"]
-            out.mean_, out.scale_, out.coef_ = (np.asarray(v, dtype=float) for v in (
-                std["mean"], std["scale"], d["weights"]))
-            out.intercept_, out.gradient_max_norm_ = d["intercept"], d["gradient_max_norm"]
-            if not (out.mean_.shape == out.scale_.shape == out.coef_.shape == (len(out.coef_),)
-                    and is_number(out.intercept_)):
-                raise ValueError("mean, scale and weights differ in length, or the "
-                                 "intercept is not a number")
+            vectors = std["mean"], std["scale"], d["weights"]
+            scalars = d["intercept"], d["gradient_max_norm"]
+            if not all(isinstance(v, list) and len(v) == len(d["weights"]) for v in vectors):
+                raise ValueError("mean, scale and weights are not lists of one length")
+            if not all(map(is_finite, chain(scalars, *vectors))):
+                raise ValueError("a value is not a finite number")
+            if any(scale <= 0 for scale in std["scale"]):
+                raise ValueError("a scale is not positive")
+            out.mean_, out.scale_, out.coef_ = (np.array(v, dtype=float) for v in vectors)
+            out.intercept_, out.gradient_max_norm_ = scalars
         except (KeyError, TypeError, ValueError) as exc:
             raise MultisysError(f"malformed logistic model: {exc!r}", kind="ModelError") from exc
         return out
@@ -135,13 +141,14 @@ class TreeEnsemble:
     kind "gradient-boosting": margin = base_score + shrinkage * sum of leaf
     values; probability = logistic(margin).  kind "random-forest": trees
     store leaf probabilities; probability = mean over trees; margins are
-    undefined.
+    undefined.  Boosting records its training deviance after each stage.
     """
 
     kind: str  # "gradient-boosting" | "random-forest"
     trees: list[DecisionTree]
     base_score: float = 0.0
     shrinkage: float = 1.0
+    train_deviance: list[float] | None = None  # boosting only
 
     def __post_init__(self):
         if self.kind not in ("gradient-boosting", "random-forest"):
@@ -152,6 +159,14 @@ class TreeEnsemble:
             raise ValueError("shrinkage must be in (0, 1]")
         if self.kind == "random-forest" and not self.trees:
             raise ValueError("empty forest")
+        if self.kind == "random-forest" and self.train_deviance is not None:
+            raise ValueError("random forests have no train_deviance")
+        if self.train_deviance is not None and len(self.train_deviance) != len(self.trees):
+            raise ValueError("train_deviance does not hold one value per tree")
+
+    def splits_within(self, n_columns: int) -> bool:
+        """True if every split feature is a column index below n_columns."""
+        return max((int(tree.feature.max()) for tree in self.trees), default=-1) < n_columns
 
     def predict_margin(self, X) -> np.ndarray:
         if self.kind != "gradient-boosting":
@@ -179,9 +194,12 @@ class TreeEnsemble:
         return total / len(self.trees)
 
     def to_dict(self) -> dict:
-        return {"schema_version": MODEL_SCHEMA_VERSION, "kind": self.kind,
-                "base_score": self.base_score, "shrinkage": self.shrinkage,
-                "trees": [tree.to_dict() for tree in self.trees]}
+        doc = {"schema_version": MODEL_SCHEMA_VERSION, "kind": self.kind,
+               "base_score": self.base_score, "shrinkage": self.shrinkage,
+               "trees": [tree.to_dict() for tree in self.trees]}
+        if self.train_deviance is not None:
+            doc["train_deviance"] = list(self.train_deviance)
+        return doc
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreeEnsemble":
@@ -190,10 +208,15 @@ class TreeEnsemble:
             if d["schema_version"] != MODEL_SCHEMA_VERSION:
                 raise ValueError(f"schema_version {d['schema_version']!r}, "
                                  f"expected {MODEL_SCHEMA_VERSION}")
-            if not is_number(d["base_score"]):
-                raise ValueError(f"base_score {d['base_score']!r}")
+            for key in ("base_score", "shrinkage"):
+                if not is_finite(d[key]):
+                    raise ValueError(f"{key} {d[key]!r}")
+            deviance = d.get("train_deviance")
+            if "train_deviance" in d and not (isinstance(deviance, list)
+                                              and all(map(is_finite, deviance))):
+                raise ValueError(f"train_deviance {deviance!r}")
             return cls(d["kind"], [DecisionTree.from_dict(t) for t in d["trees"]],
-                       d["base_score"], d["shrinkage"])
+                       d["base_score"], d["shrinkage"], deviance)
         except (KeyError, TypeError, ValueError) as exc:
             raise TreeError(f"malformed tree ensemble: {exc!r}") from exc
 
@@ -213,12 +236,8 @@ class RandomForestClassifier:
         self.min_samples_leaf = min_samples_leaf
         self.seed = seed
 
-    def fit(self, X, y) -> "RandomForestClassifier":
+    def fit(self, X, y) -> TreeEnsemble:
         X, y = check_X_y(X, y)
-        if len(X) < 2:
-            raise ValueError("need at least two rows")
-        if len(np.unique(y)) < 2:
-            raise ValueError("y contains a single class")
         n, p = X.shape
         k = max(1, int(round(math.sqrt(p))))
         root = SplitMix64(self.seed)
@@ -235,16 +254,7 @@ class RandomForestClassifier:
                 rows=boot, max_features=k, rng=rng, ranks=ranks,
             )
             trees.append(tree)
-        self.ensemble_ = TreeEnsemble(kind="random-forest", trees=trees)
-        self.n_features_in_ = p
-        return self
-
-    def predict_proba(self, X) -> np.ndarray:
-        check_fitted(self, "ensemble_")
-        return self.ensemble_.predict_proba(check_X(X, n_features=self.n_features_in_))
-
-    def to_dict(self) -> dict:
-        return self.ensemble_.to_dict()
+        return TreeEnsemble(kind="random-forest", trees=trees)
 
 
 class GradientBoostingClassifier:
@@ -263,11 +273,9 @@ class GradientBoostingClassifier:
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
 
-    def fit(self, X, y) -> "GradientBoostingClassifier":
+    def fit(self, X, y) -> TreeEnsemble:
         X, y = check_X_y(X, y)
-        if len(np.unique(y)) < 2:
-            raise ValueError("y contains a single class")
-        n, p = X.shape
+        n = len(X)
         prevalence = float(np.mean(y))
         base = logit(prevalence)
         margin = np.full(n, base)
@@ -295,20 +303,5 @@ class GradientBoostingClassifier:
             margin = margin + self.learning_rate * step
             trees.append(tree)
             deviance.append(binomial_deviance(y_float, logistic(margin)))
-        self.ensemble_ = TreeEnsemble(
-            kind="gradient-boosting", trees=trees,
-            base_score=base, shrinkage=self.learning_rate,
-        )
-        self.train_deviance_ = deviance
-        self.n_features_in_ = p
-        return self
-
-    def predict_margin(self, X) -> np.ndarray:
-        check_fitted(self, "ensemble_")
-        return self.ensemble_.predict_margin(check_X(X, n_features=self.n_features_in_))
-
-    def predict_proba(self, X) -> np.ndarray:
-        return logistic(self.predict_margin(X))
-
-    def to_dict(self) -> dict:
-        return {**self.ensemble_.to_dict(), "train_deviance": self.train_deviance_}
+        return TreeEnsemble(kind="gradient-boosting", trees=trees, base_score=base,
+                            shrinkage=self.learning_rate, train_deviance=deviance)

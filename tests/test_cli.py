@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 
@@ -617,7 +618,11 @@ def _point_past(doc):
     nodes[0]["left"] = len(nodes)
 
 
-@pytest.mark.parametrize("edit", [_point_back, _point_past])
+def _nan_base_score(doc):
+    doc["base_score"] = math.nan  # written as NaN, which json.load reads back
+
+
+@pytest.mark.parametrize("edit", [_point_back, _point_past, _nan_base_score])
 def test_malformed_tree_file_exits_2(trained_run, tmp_path, capsys, edit):
     # explain first: without the load check, a cyclic tree makes explain
     # recurse until RecursionError but evaluate's routing loop never ends.
@@ -630,7 +635,11 @@ def test_malformed_tree_file_exits_2(trained_run, tmp_path, capsys, edit):
     lambda doc: doc.pop("intercept"),
     lambda doc: doc["standardizer"].pop("scale"),
     lambda doc: doc["weights"].pop(),
-], ids=["no-intercept", "no-scale", "short-weights"])
+    lambda doc: doc.update(intercept=math.nan),
+    lambda doc: doc.update(weights=[str(w) for w in doc["weights"]]),
+    lambda doc: doc["standardizer"]["scale"].__setitem__(0, 0.0),
+], ids=["no-intercept", "no-scale", "short-weights", "nan-intercept", "string-weights",
+        "zero-scale"])
 def test_malformed_logistic_file_exits_2(trained_run, tmp_path, capsys, edit):
     config, out = _corrupt(trained_run, tmp_path, "model_lr.json", _edit_json(edit))
     assert _exit_kind(capsys, "evaluate", config, out) == (2, "ModelError")

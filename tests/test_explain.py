@@ -257,8 +257,8 @@ def test_tree_shap_bit_identical_to_scalar_oracle():
     many = np.vstack([X] * 5)  # more rows than one walk block
     for model in models:
         for rows in (X[:0], X[:1], many):
-            assert np.array_equal(tree_shap(model.ensemble_, rows).phi,
-                                  scalar_tree_shap(model.ensemble_, rows))
+            assert np.array_equal(tree_shap(model, rows).phi,
+                                  scalar_tree_shap(model, rows))
 
 
 def test_tree_shap_rejects_too_few_columns():
@@ -268,7 +268,7 @@ def test_tree_shap_rejects_too_few_columns():
     model = GradientBoostingClassifier(n_estimators=3, max_depth=2,
                                        min_samples_leaf=3).fit(X, y)
     with pytest.raises(ExplainError):
-        tree_shap(model.ensemble_, np.zeros((2, 3)))
+        tree_shap(model, np.zeros((2, 3)))
 
 
 def test_local_accuracy_gradient_boosting():
@@ -277,7 +277,7 @@ def test_local_accuracy_gradient_boosting():
     y = (X[:, 0] + X[:, 2] > 1.0).astype(int)
     model = GradientBoostingClassifier(n_estimators=10, max_depth=3,
                                        min_samples_leaf=3).fit(X, y)
-    attribution = tree_shap(model.ensemble_, X[:20])
+    attribution = tree_shap(model, X[:20])
     margins = model.predict_margin(X[:20])
     recon = attribution.base_value + attribution.phi.sum(axis=1)
     np.testing.assert_allclose(recon, margins, atol=1e-9)
@@ -289,8 +289,8 @@ def test_local_accuracy_random_forest():
     y = (X[:, 1] > 0.5).astype(int)
     model = RandomForestClassifier(n_estimators=8, max_depth=4,
                                    min_samples_leaf=3, seed=0).fit(X, y)
-    attribution = tree_shap(model.ensemble_, X[:15])
-    proba = model.ensemble_.predict_proba(X[:15])
+    attribution = tree_shap(model, X[:15])
+    proba = model.predict_proba(X[:15])
     recon = attribution.base_value + attribution.phi.sum(axis=1)
     np.testing.assert_allclose(recon, proba, atol=1e-9)
 

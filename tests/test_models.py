@@ -114,10 +114,12 @@ def test_lr_regularization_shrinks_weights():
     assert np.linalg.norm(tight.coef_) < np.linalg.norm(loose.coef_)
 
 
-def test_lr_rejects_single_class():
+@pytest.mark.parametrize("cls", [LogisticRegressionClassifier, RandomForestClassifier,
+                                 GradientBoostingClassifier], ids=lambda cls: cls.__name__)
+def test_lr_rejects_single_class(cls):
     X = np.zeros((5, 2))
     with pytest.raises(ValueError):
-        LogisticRegressionClassifier().fit(X, np.zeros(5))
+        cls().fit(X, np.zeros(5))
 
 
 def test_fractional_labels_rejected_not_truncated():
@@ -165,20 +167,20 @@ def test_forest_margin_undefined():
     X, y = _blobs(40, seed=8)
     model = RandomForestClassifier(n_estimators=3, seed=0).fit(X, y)
     with pytest.raises(ValueError):
-        model.ensemble_.predict_margin(X)
+        model.predict_margin(X)
 
 
 def test_gb_base_score_is_logit_prevalence():
     X, y = _blobs(100, seed=9)
     model = GradientBoostingClassifier(n_estimators=3).fit(X, y)
-    assert model.ensemble_.base_score == pytest.approx(logit(float(np.mean(y))))
+    assert model.base_score == pytest.approx(logit(float(np.mean(y))))
 
 
 def test_gb_training_deviance_nonincreasing():
     X, y = _blobs(150, seed=10)
     model = GradientBoostingClassifier(n_estimators=40, max_depth=3,
                                        min_samples_leaf=5).fit(X, y)
-    dev = model.train_deviance_
+    dev = model.train_deviance
     assert len(dev) == 40
     assert all(b <= a + 1e-12 for a, b in zip(dev, dev[1:]))
 
@@ -210,12 +212,14 @@ def test_ensemble_json_roundtrip():
     for model, load in fitted:
         again = load(json.loads(json.dumps(model.to_dict())))
         np.testing.assert_array_equal(again.predict_proba(X), model.predict_proba(X))
+        assert type(again) is type(model)  # the reload is the fitted model's class
+        assert again.to_dict() == model.to_dict()
     gb = fitted[2][0]
     doc = json.loads(json.dumps(gb.to_dict()))
-    assert doc["train_deviance"] == gb.train_deviance_
+    assert doc["train_deviance"] == gb.train_deviance
     again = TreeEnsemble.from_dict(doc)
-    assert again.base_score == gb.ensemble_.base_score
-    assert again.shrinkage == gb.ensemble_.shrinkage
+    assert again.base_score == gb.base_score
+    assert again.shrinkage == gb.shrinkage
 
 
 @pytest.mark.parametrize("edit, problem", [
@@ -227,8 +231,21 @@ def test_ensemble_json_roundtrip():
     (lambda doc: doc.update(base_score="0.1"), "base_score"),
     (lambda doc: doc.update(trees=[]), "empty forest"),
     (lambda doc: doc["trees"][1]["nodes"][0].update(left=0), "child"),
+    (lambda doc: doc.update(base_score=math.nan), "base_score"),
+    (lambda doc: doc.update(base_score=-math.inf), "base_score"),
+    (lambda doc: doc.update(shrinkage=True), "shrinkage"),
+    (lambda doc: doc.update(train_deviance=[0.9, 0.8, 0.7]), "forests have no train_deviance"),
+    (lambda doc: doc.update(kind="gradient-boosting", train_deviance=[0.9, math.nan, 0.7]),
+     "train_deviance"),
+    (lambda doc: doc.update(kind="gradient-boosting", train_deviance=[0.9, "0.8", 0.7]),
+     "train_deviance"),
+    (lambda doc: doc.update(kind="gradient-boosting", train_deviance=0.9), "train_deviance"),
+    (lambda doc: doc.update(kind="gradient-boosting", train_deviance=[0.9]),
+     "one value per tree"),
 ], ids=["no-kind", "no-trees", "unknown-kind", "schema-version-2", "no-schema-version",
-        "string-base-score", "no-trees-in-forest", "cyclic-tree"])
+        "string-base-score", "no-trees-in-forest", "cyclic-tree", "nan-base-score",
+        "inf-base-score", "bool-shrinkage", "forest-train-deviance", "nan-train-deviance",
+        "string-train-deviance", "scalar-train-deviance", "short-train-deviance"])
 def test_ensemble_from_dict_rejects_malformed(edit, problem):
     X, y = _blobs(60, seed=13)
     doc = RandomForestClassifier(n_estimators=3, min_samples_leaf=3, seed=2).fit(X, y).to_dict()
@@ -261,6 +278,6 @@ def test_expected_output_matches_mean_prediction_gb():
     # empirical mean margin.
     X, y = _blobs(80, seed=14)
     model = GradientBoostingClassifier(n_estimators=5).fit(X, y)
-    expected = model.ensemble_.expected_output()
+    expected = model.expected_output()
     empirical = float(np.mean(model.predict_margin(X)))
     assert expected == pytest.approx(empirical, abs=1e-8)

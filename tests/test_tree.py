@@ -380,7 +380,7 @@ def test_expected_value_sweep_bit_equal_to_recursion():
     y = (X[:, 0] + 0.3 * X[:, 1] > 0.6).astype(int)
     for model in (GradientBoostingClassifier(n_estimators=20, max_depth=4, min_samples_leaf=3),
                   RandomForestClassifier(n_estimators=20, max_depth=8, min_samples_leaf=2)):
-        trees += model.fit(X, y).ensemble_.trees
+        trees += model.fit(X, y).trees
     assert any(tree.n_nodes == 1 for tree in trees)
     assert max(tree.n_nodes for tree in trees) > 30
     for tree in trees:
