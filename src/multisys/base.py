@@ -28,10 +28,6 @@ class MultisysError(Exception):
         self.kind = kind or type(self).__name__
 
 
-class NotFittedError(RuntimeError):
-    pass
-
-
 def read_file(path: str, decode, error, parse=json.load):
     """`decode(parse(fh))` of the file at `path`; `error(message naming the file)`
     if it cannot be read, parsed or decoded, but a MultisysError keeps its kind."""
@@ -104,8 +100,3 @@ def check_X_y(X, y) -> tuple[np.ndarray, np.ndarray]:
     if len(np.unique(y)) < 2:
         raise ValueError("y holds fewer than two classes")
     return X, y.astype(int)
-
-
-def check_fitted(estimator, attribute: str) -> None:
-    if not hasattr(estimator, attribute):
-        raise NotFittedError(f"{type(estimator).__name__} is not fitted")

@@ -350,11 +350,17 @@ def stage_features(ws: Workspace) -> None:
 
 
 def _load_indices(ws: Workspace, n_rows: int | None, *columns: str) -> list[np.ndarray]:
-    """The integer `columns` of indices.csv, which must have n_rows rows if given."""
+    """The integer `columns` of indices.csv, which must have n_rows rows if given:
+    target_multi 0 or 1, every other column at least 0."""
     def decode(rows):
         if n_rows is not None and len(rows) != n_rows:
             raise ValueError(f"{len(rows)} rows, matrix.csv has {n_rows}")
-        return [np.asarray([int(row[c]) for row in rows]) for c in columns]
+        decoded = [np.asarray([int(row[c]) for row in rows]) for c in columns]
+        for c, values in zip(columns, decoded):
+            top = 1 if c == "target_multi" else np.inf
+            if ((values < 0) | (values > top)).any():
+                raise ValueError(f"{c} has a value outside [0, {top}]")
+        return decoded
     return ws.read("indices.csv", decode)
 
 

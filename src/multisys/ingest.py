@@ -126,15 +126,8 @@ def parse_quantity(raw: str) -> float | None:
     ignored: stored magnitudes are already on the displayed scale.  Strings
     without any digit yield None.
     """
-    if raw is None:
-        return None
     m = _NUMBER_RE.search(raw)
-    if m is None:
-        return None
-    try:
-        return float(m.group(0))
-    except ValueError:  # pragma: no cover - regex guarantees a float
-        return None
+    return None if m is None else float(m.group(0))
 
 
 def parse_semiquant(raw: str, tokens: dict[str, float] | None = None) -> float | None:
@@ -143,8 +136,6 @@ def parse_semiquant(raw: str, tokens: dict[str, float] | None = None) -> float |
     Matching is case-insensitive and whitespace-tolerant; unrecognized input
     yields None rather than an error.
     """
-    if raw is None:
-        return None
     if tokens is None:
         tokens = DEFAULT_SEMIQUANT_TOKENS
     key = "".join(raw.split()).lower()
@@ -353,8 +344,9 @@ def write_matrix_csv(matrix: FeatureMatrix, path: str) -> None:
 def read_matrix_csv(path: str, schemas: list[ColumnSchema]) -> FeatureMatrix:
     """Reload a cleaned matrix written by write_matrix_csv.
 
-    IngestError for an empty file, a header outside the schema, a row whose
-    length differs from the header's, or a cell that is not a finite number.
+    IngestError for an empty file, a header other than the schema's names in
+    schema order, a row whose length differs from the header's, or a cell that
+    is not a finite number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -365,10 +357,13 @@ def read_matrix_csv(path: str, schemas: list[ColumnSchema]) -> FeatureMatrix:
             rows = [[float(c) for c in row] for row in reader]
         except ValueError as exc:
             raise IngestError(f"{path}: line {reader.line_num}: {exc}") from exc
-    by_name = {s.name: s for s in schemas}
-    unknown = [h for h in header if h not in by_name]
+    names = [s.name for s in schemas]
+    unknown = [h for h in header if h not in names]
     if unknown:
         raise IngestError(f"{path}: column(s) not in the schema: {', '.join(unknown)}")
+    if header != names:
+        raise IngestError(f"{path}: header is not the schema's columns in schema order: "
+                          f"{', '.join(header)}")
     ragged = [i for i, row in enumerate(rows) if len(row) != len(header)]
     if ragged:
         raise IngestError(f"{path}: line {ragged[0] + 2} has {len(rows[ragged[0]])} cells, "
@@ -377,5 +372,4 @@ def read_matrix_csv(path: str, schemas: list[ColumnSchema]) -> FeatureMatrix:
     if not np.isfinite(values).all():
         line = np.flatnonzero(~np.isfinite(values).all(axis=1))[0] + 2
         raise IngestError(f"{path}: line {line} has a cell that is not a finite number")
-    columns = [by_name[h] for h in header]
-    return FeatureMatrix(columns=columns, values=values)
+    return FeatureMatrix(columns=list(schemas), values=values)

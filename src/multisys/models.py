@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 from scipy.optimize import minimize
 
-from .base import MultisysError, check_fitted, check_X, check_X_y, is_finite
+from .base import MultisysError, check_X, check_X_y, is_finite
 from .rng import SplitMix64
 from .tree import DecisionTree, TreeError, grow_tree, rank_codes
 
@@ -94,7 +94,6 @@ class LogisticRegressionClassifier:
 
     def standardize(self, X) -> np.ndarray:
         """X scaled with the training mean and standard deviation."""
-        check_fitted(self, "mean_")
         X = check_X(X, n_features=len(self.mean_))
         return (X - self.mean_) / self.scale_
 
@@ -242,7 +241,7 @@ class RandomForestClassifier:
         k = max(1, int(round(math.sqrt(p))))
         root = SplitMix64(self.seed)
         y_float = y.astype(float)
-        ranks = rank_codes(X)  # one rank coding shared by every tree
+        ranks = rank_codes(X)  # one presort shared by every tree
         trees = []
         for t in range(self.n_estimators):
             rng = root.spawn(t)
@@ -282,7 +281,7 @@ class GradientBoostingClassifier:
         trees: list[DecisionTree] = []
         deviance: list[float] = []
         y_float = y.astype(float)
-        order = np.argsort(X, axis=0, kind="stable")  # one sort shared by every stage
+        ranks = rank_codes(X)  # one presort shared by every stage
         for _ in range(self.n_estimators):
             prob = logistic(margin)
             residual = y_float - prob
@@ -298,7 +297,7 @@ class GradientBoostingClassifier:
                 X, residual, criterion="variance",
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
-                leaf_value=newton_leaf, order=order,
+                leaf_value=newton_leaf, ranks=ranks,
             )
             margin = margin + self.learning_rate * step
             trees.append(tree)

@@ -163,11 +163,17 @@ def spec_from_json(path: str) -> GeneratorSpec:
     return read_file(path, decode, SynthError)
 
 
-def _draw_continuous(spec: AnalyteSpec, rng: SplitMix64, latent: dict[str, float]) -> float:
+def _latent_normal(spec: AnalyteSpec, rng: SplitMix64, latent: dict[str, float]) -> float:
+    """One standard normal draw, mixed with the analyte's latent factor by its
+    loading; still standard normal."""
     load = spec.loading if spec.factor is not None else 0.0
     z = rng.normal()
     if load != 0.0:
         z = load * latent[spec.factor] + math.sqrt(1.0 - load * load) * z
+    return z
+
+
+def _draw_continuous(spec: AnalyteSpec, z: float) -> float:
     if spec.dist == "lognormal":
         value = math.exp(spec.mu + spec.sigma * z)
     else:
@@ -182,17 +188,13 @@ def _draw_continuous(spec: AnalyteSpec, rng: SplitMix64, latent: dict[str, float
 _STD_NORMAL = NormalDist()
 
 
-def _draw_ordinal(spec: AnalyteSpec, rng: SplitMix64, latent: dict[str, float]) -> float:
+def _draw_ordinal(spec: AnalyteSpec, z: float) -> float:
     """Threshold a latent normal at the cumulative-probability cutpoints.
 
     The marginal level probabilities are exact regardless of the loading;
     the factor only shifts *which* rows land in the upper levels.
     """
-    load = spec.loading if spec.factor is not None else 0.0
-    z = rng.normal()
-    if load != 0.0:
-        z = load * latent[spec.factor] + math.sqrt(1.0 - load * load) * z
-    levels = (0.0, 0.5, 1.0, 2.0, 3.0)
+    levels = tuple(ORDINAL_TOKENS)
     acc = 0.0
     for level, prob in zip(levels[:-1], spec.probs[:-1]):
         acc += prob
@@ -220,10 +222,8 @@ def generate(spec: GeneratorSpec) -> tuple[list[str], list[list[str]]]:
         latent = {name: rng.normal() for name in factors}
         cells = []
         for analyte in spec.analytes:
-            if analyte.dist == "categorical":
-                value = _draw_ordinal(analyte, rng, latent)
-            else:
-                value = _draw_continuous(analyte, rng, latent)
+            draw = _draw_ordinal if analyte.dist == "categorical" else _draw_continuous
+            value = draw(analyte, _latent_normal(analyte, rng, latent))
             cells.append(_format_cell(analyte, value))
         rows.append(cells)
     return header, rows

@@ -8,25 +8,27 @@ appends each node's fields to these arrays in pre-order, so every child's id
 is above its parent's; `from_dict` checks that order on a tree read from disk,
 so a bottom-up pass such as `expected_value` is a reverse sweep over ids.
 
-Split search is exact greedy.  Each node lays its candidate features out as
-rows of a 2-D block, each holding the node's rows in sorted order, and one
-scoring routine scores every legal cut of every candidate at once from
-prefix sums: a legal cut leaves at least min_samples_leaf rows on each side
-and falls between distinct values.  Growth on all rows and all features
-(gradient boosting) takes the block from one stable column-wise argsort of
-X shared by every tree, without the columns that are constant over X, which
-have no legal cut: a split partitions the parent's block with one boolean
-mask and its negation, stably, and since the node's rows are an ascending
-subsequence of all rows this is the order a stable sort of the node's rows
-gives.  Any other growth (random forests, with `max_features`) sorts small
-integer keys in each node: each column's dense rank codes, computed once per
-X, shifted left past a tag.  A 0/1 target is the tag, since prefix counts of
-it do not depend on the order within a tie; any other target is fetched by
-its row's position in the node, which is the tag then.  The forest's node
-partitions only its own rows.  Thresholds are midpoints between adjacent
-distinct sorted feature values, and ties among equal-quality splits resolve
-to the lowest feature index, then the lowest threshold.  A row that appears
-more than once in `rows`, as in a bootstrap sample, counts once per
+Split search is exact greedy over one presort of X, `rank_codes`: each
+column's dense rank codes, its sorted distinct values and the stable order of
+its codes, computed once per fit and shared by every tree.  Each node lays
+its candidate features out as rows of a 2-D block, each holding the node's
+rank codes in sorted order, and one scoring routine scores every legal cut of
+every candidate at once from prefix sums: a legal cut leaves at least
+min_samples_leaf rows on each side and falls between distinct codes.  The
+path is chosen from `rows` and `max_features`.  Growth on all rows and all
+features (gradient boosting) takes the block from the presort's order,
+without the columns that are constant over X, which have no legal cut: a
+split partitions the parent's block with one boolean mask and its negation,
+stably, and since the node's rows are an ascending subsequence of all rows
+this is the order a stable sort of the node's rows gives.  Any other growth
+(random forests, with `rows` and `max_features`) sorts small integer keys in
+each node: the codes shifted left past a tag.  A 0/1 target is the tag,
+since prefix counts of it do not depend on the order within a tie; any other
+target is fetched by its row's position in the node, which is the tag then.
+Such a node partitions only its own rows.  Thresholds are midpoints between
+adjacent distinct sorted feature values, and ties among equal-quality splits
+resolve to the lowest feature index, then the lowest threshold.  A row that
+appears more than once in `rows`, as in a bootstrap sample, counts once per
 appearance.
 """
 
@@ -127,16 +129,19 @@ class DecisionTree:
         return cls(*(column.astype(dtype) for column, dtype in zip(t, FIELDS.values())))
 
 
-def rank_codes(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Each column's dense rank codes, shape (p, n), and its sorted distinct
-    values, so that `values[f][codes[f]]` is `X[:, f]`.  The codes are int16
-    when twice the most distinct values of a column fits int16, so that every
-    key `code << 1 | 1` does, and int32 otherwise."""
+def rank_codes(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """The one presort of X: each column's dense rank codes, shape (p, n), its
+    sorted distinct values, so that `values[f][codes[f]]` is `X[:, f]`, and
+    the stable order of each column's codes, shape (p, n), which is
+    `np.argsort(X, axis=0, kind="stable").T`.  The codes are int16 when twice
+    the most distinct values of a column fits int16, so that every key
+    `code << 1 | 1` does, and int32 otherwise."""
     uniques = [np.unique(column, return_inverse=True) for column in X.T]
     values = [distinct for distinct, _ in uniques]
     wide = 2 * max(map(len, values), default=0) > np.iinfo(np.int16).max
     codes = np.array([code for _, code in uniques], dtype=np.int32 if wide else np.int16)
-    return codes.reshape(len(values), len(X)), values
+    codes = codes.reshape(len(values), len(X))
+    return codes, values, np.argsort(codes, axis=1, kind="stable")
 
 
 def _improves(score: float, f: int, best) -> bool:
@@ -148,16 +153,17 @@ def _improves(score: float, f: int, best) -> bool:
     return abs(score - best[0]) <= 1e-12 and f < best[1]
 
 
-def _best_cut(ordered: np.ndarray, ts: np.ndarray, candidates, criterion: str,
-              min_samples_leaf: int):
-    """The one scoring routine: the best (score, feature, j, c) or None.
+def _best_cut(ordered: np.ndarray, ts: np.ndarray, candidates, values: list[np.ndarray],
+              criterion: str, min_samples_leaf: int):
+    """The one scoring routine: the best (score, feature, threshold) or None.
 
-    Row j of `ordered` holds the node's sort keys of feature candidates[j] in
+    Row j of `ordered` holds the node's rank codes of feature candidates[j] in
     ascending order, and row j of `ts` the targets in that order.  Only legal
     cuts are scored: a cut after position c leaves min_samples_leaf rows, and
-    at least one, on each side, and falls between distinct keys.  Scores are
+    at least one, on each side, and falls between distinct codes.  Scores are
     count-weighted impurities, lower is better; ties resolve to the lowest
-    feature index, then to the lowest c.
+    feature index, then to the lowest c.  The threshold is the midpoint of the
+    feature's values at the codes either side of the cut.
     """
     n = ts.shape[1]
     # left counts lo+1 .. hi
@@ -193,23 +199,23 @@ def _best_cut(ordered: np.ndarray, ts: np.ndarray, candidates, criterion: str,
                                            scores[columns, cut].tolist())):
         if ok and _improves(score, f, best):
             best, at = (score, f), j
-    return (*best, at, lo + cut[at])
+    score, f = best
+    c = lo + cut[at]
+    return score, f, float(0.5 * (values[f][ordered[at, c]] + values[f][ordered[at, c + 1]]))
 
 
-def _best_split(X: np.ndarray, target: np.ndarray, rows: np.ndarray,
+def _best_split(ranks: tuple, target: np.ndarray, rows: np.ndarray,
                 criterion: str, min_samples_leaf: int,
                 max_features: int | None = None,
-                rng: SplitMix64 | None = None,
-                ranks: tuple | None = None):
+                rng: SplitMix64 | None = None):
     """Best (score, feature, threshold) of a node, or None, from the sorted
-    keys of its rows' rank codes; `ranks` is `rank_codes(X)`, computed here
-    when not given.  With `max_features` set, candidates are drawn without
-    replacement from `rng`, as many at a time as are still missing; a
-    feature constant within the node does not count toward the quota and is
-    redrawn, so a node only becomes a leaf when no sampled feature admits a
-    valid split.
+    keys of its rows' rank codes; `ranks` is `rank_codes(X)`.  With
+    `max_features` set, candidates are drawn without replacement from `rng`,
+    as many at a time as are still missing; a feature constant within the
+    node does not count toward the quota and is redrawn, so a node only
+    becomes a leaf when no sampled feature admits a valid split.
     """
-    codes, values = rank_codes(X) if ranks is None else ranks
+    codes, values, _ = ranks
     if criterion == "gini":  # the 0/1 target is the tag
         shift, tag = 1, target[rows].astype(codes.dtype)
     else:  # the row's position in the node is the tag, and fetches its target
@@ -237,25 +243,8 @@ def _best_split(X: np.ndarray, target: np.ndarray, rows: np.ndarray,
             blocks.append(keys[varies])
         keys = np.concatenate(blocks)
     ordered, low = keys >> shift, keys & ((1 << shift) - 1)
-    found = _best_cut(ordered, low if criterion == "gini" else target[rows].take(low),
-                      candidates, criterion, min_samples_leaf)
-    if found is None:
-        return None
-    score, f, j, c = found
-    return score, f, float(0.5 * (values[f][ordered[j, c]] + values[f][ordered[j, c + 1]]))
-
-
-def _best_presorted_split(XT: np.ndarray, target: np.ndarray, block: np.ndarray,
-                          live: list[int], criterion: str, min_samples_leaf: int):
-    """Best (score, feature, threshold) of a node whose rows of every live
-    feature, `block[j]`, are already in sorted order; `XT` is X's live
-    columns as rows."""
-    vs = XT.take(block + np.arange(0, XT.size, XT.shape[1])[:, None])  # a flat take
-    found = _best_cut(vs, target.take(block), live, criterion, min_samples_leaf)
-    if found is None:
-        return None
-    score, f, j, c = found
-    return score, f, float(0.5 * (vs[j, c] + vs[j, c + 1]))
+    return _best_cut(ordered, low if criterion == "gini" else target[rows].take(low),
+                     candidates, values, criterion, min_samples_leaf)
 
 
 def grow_tree(X: np.ndarray, target: np.ndarray, *, criterion: str,
@@ -263,26 +252,21 @@ def grow_tree(X: np.ndarray, target: np.ndarray, *, criterion: str,
               leaf_value=None, rows: np.ndarray | None = None,
               max_features: int | None = None,
               rng: SplitMix64 | None = None,
-              order: np.ndarray | None = None,
               ranks: tuple | None = None) -> DecisionTree:
     """Grow a binary tree by greedy exact splitting.
 
     `target` holds 0/1 values for the gini criterion.  `leaf_value(row_indices)
     -> float` computes the leaf output; by default the mean of `target` over
     the leaf.  `max_features`, when set, draws that many candidate features
-    per node without replacement from `rng`.
-    `order`, `np.argsort(X, axis=0, kind="stable")`, serves growth on all
-    rows and all features, and may be shared by every tree grown on X: each
-    node then scores its stable partition of that order instead of sorting
-    its own rows.  Otherwise every node sorts the rank codes of its rows;
-    `ranks`, `rank_codes(X)`, may be shared by every tree grown on X and is
-    computed here when not given.
+    per node without replacement from `rng`.  `ranks`, `rank_codes(X)`, is
+    the one presort of X, may be shared by every tree grown on X, and is
+    computed here when not given.  Growth on all rows and all features
+    (`rows` and `max_features` both None) scores each node's stable partition
+    of its order; any other growth sorts the rank codes of each node's rows.
     """
     X = np.asarray(X, dtype=float)
     target = np.asarray(target, dtype=float)
-    if order is not None and (rows is not None or max_features is not None
-                              or ranks is not None):
-        raise TreeError("a presorted order serves growth on all rows and features")
+    presorted = rows is None and max_features is None
     if rows is None:
         rows = np.arange(len(X))
     if len(rows) == 0:
@@ -293,19 +277,20 @@ def grow_tree(X: np.ndarray, target: np.ndarray, *, criterion: str,
         leaf_value = lambda idx: float(np.mean(target[idx]))
     if max_features is not None and rng is None:
         raise TreeError("max_features requires an rng")
-    if order is not None:
+    if ranks is None:
+        ranks = rank_codes(X)
+    codes, values, order = ranks
+    block = None
+    if presorted:
         # the block keeps only the columns that vary over X (no other column
         # has a legal cut), each as one contiguous row of row ids in sorted order
-        cols = np.arange(X.shape[1])
-        live = np.flatnonzero(X[order[-1], cols] > X[order[0], cols]).tolist()
-        XT, order = X.T[live], order.T[live]
-    elif ranks is None:
-        ranks = rank_codes(X)
+        live = [f for f, distinct in enumerate(values) if len(distinct) > 1]
+        block, offsets = order[live], np.array(live, dtype=int)[:, None] * codes.shape[1]
 
     feature, threshold, left, right, value, _ = table = [[] for _ in FIELDS]  # pre-order
     # nodes still to grow, as (rows, block, depth, the parent's child slot);
     # a left child is popped, and so grown with its subtree, before its sibling
-    stack = [(np.asarray(rows, dtype=int), order, 0, None)]
+    stack = [(np.asarray(rows, dtype=int), block, 0, None)]
     while stack:
         rows, block, depth, slot = stack.pop()
         index = len(feature)
@@ -317,17 +302,17 @@ def grow_tree(X: np.ndarray, target: np.ndarray, *, criterion: str,
         if (depth < max_depth and len(rows) >= 2 * min_samples_leaf
                 and np.ptp(target[rows]) > 0):
             if block is None:
-                best = _best_split(X, target, rows, criterion, min_samples_leaf,
-                                   max_features=max_features, rng=rng, ranks=ranks)
-            else:
-                best = _best_presorted_split(XT, target, block, live, criterion,
-                                             min_samples_leaf)
+                best = _best_split(ranks, target, rows, criterion, min_samples_leaf,
+                                   max_features=max_features, rng=rng)
+            else:  # a flat take of each live column's codes in its block order
+                best = _best_cut(codes.take(block + offsets), target.take(block), live,
+                                 values, criterion, min_samples_leaf)
         if best is None:
             value[index] = leaf_value(rows)
             continue
         _, f, thr = best
         feature[index], threshold[index] = f, thr
-        if block is None:  # a node of the forest partitions only its own rows
+        if block is None:  # a node grown from its own rows partitions only them
             goes_left = X[rows, f] <= thr
             halves = (rows[goes_left], None, left), (rows[~goes_left], None, right)
         else:  # one block mask and its negation: a stable partition of every row

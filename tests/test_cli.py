@@ -645,6 +645,13 @@ def test_malformed_logistic_file_exits_2(trained_run, tmp_path, capsys, edit):
     assert _exit_kind(capsys, "evaluate", config, out) == (2, "ModelError")
 
 
+def _edit_columns(edit):
+    """An edit of a CSV: `edit(cells) -> cells` applied to every line."""
+    def apply(text):
+        return "".join(",".join(edit(line.split(","))) + "\n" for line in text.splitlines())
+    return apply
+
+
 def _replace_cell(text, cell):
     """The CSV with the first cell of its second data row replaced by `cell`."""
     lines = text.splitlines(keepends=True)
@@ -658,7 +665,11 @@ def _replace_cell(text, cell):
     lambda text: _replace_cell(text, "abc"),
     lambda text: _replace_cell(text, "nan"),
     lambda text: _replace_cell(text, "inf"),
-], ids=["empty", "ragged", "non-numeric", "nan", "inf"])
+    lambda text: text.replace("Cr,UA,", "Cr,Cr,", 1),
+    _edit_columns(lambda cells: cells[:-1]),
+    _edit_columns(lambda cells: cells[1::-1] + cells[2:]),
+], ids=["empty", "ragged", "non-numeric", "nan", "inf", "duplicate-column", "missing-column",
+        "reordered-columns"])
 def test_corrupted_matrix_csv_exits_2(trained_run, tmp_path, capsys, edit):
     config, out = _corrupt(trained_run, tmp_path, "matrix.csv", edit)
     assert _exit_kind(capsys, "features", config, out) == (2, "IngestError")
@@ -741,7 +752,9 @@ def _extra_row(text):
     ("indices.csv", _set_cell(0, "target_multi", "target"), ("train",)),
     ("indices.csv", _set_cell(1, "target_multi", "x"), ("split",)),
     ("indices.csv", _set_cell(1, "target_multi", "x"), ("train",)),
+    ("indices.csv", _set_cell(1, "target_multi", "2"), ("train",)),
     ("indices.csv", _set_cell(0, "burden_score", "burden"), ("report",)),
+    ("indices.csv", _set_cell(1, "burden_score", "-1"), ("report",)),
     # split does not read matrix.csv, so it passes and writes a partition of n + 1 rows
     ("indices.csv", _extra_row, ("split", "train")),
     ("indices.csv", _extra_row, ("split", "evaluate")),
@@ -756,7 +769,8 @@ def _extra_row(text):
     ("beeswarm.csv", _set_cell(1, "shap", "big"), ("report",)),
     ("pdp_*.csv", _set_cell(0, "probability", "p"), ("report",)),
 ], ids=["indices-no-target-split", "indices-no-target-train", "indices-bad-target-split",
-        "indices-bad-target-train", "indices-no-burden-report", "indices-extra-row-train",
+        "indices-bad-target-train", "indices-target-2-train", "indices-no-burden-report",
+        "indices-negative-burden-report", "indices-extra-row-train",
         "indices-extra-row-evaluate", "indices-extra-row-report", "roc-empty-report",
         "explain-meta-empty-report", "explain-meta-pdp-file-not-a-string-report",
         "explain-meta-pdp-file-missing-report", "importance-header-report", "beeswarm-header-report",

@@ -31,7 +31,7 @@ def test_parse_quantity_golden(raw, expected):
     assert parse_quantity(raw) == expected
 
 
-@pytest.mark.parametrize("raw", ["", "   ", "N/A", "pending", "---", "μmol/L", None])
+@pytest.mark.parametrize("raw", ["", "   ", "N/A", "pending", "---", "μmol/L"])
 def test_parse_quantity_missing(raw):
     assert parse_quantity(raw) is None
 
@@ -63,7 +63,7 @@ def test_parse_semiquant_map(raw, expected):
     assert parse_semiquant(raw) == expected
 
 
-@pytest.mark.parametrize("raw", ["", "  ", "4+", "unknown", "++++", None])
+@pytest.mark.parametrize("raw", ["", "  ", "4+", "unknown", "++++"])
 def test_parse_semiquant_missing(raw):
     assert parse_semiquant(raw) is None
 

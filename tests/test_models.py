@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from multisys.base import NotFittedError, check_X_y
+from multisys.base import check_X_y
 from multisys.models import (
     GradientBoostingClassifier, LogisticRegressionClassifier,
     RandomForestClassifier, TreeEnsemble, binomial_deviance, logistic, logit,
@@ -67,11 +67,6 @@ def test_standardizer_constant_feature():
     assert np.all(scaled[:, 0] == 0.0)  # divisor 1, mean removed
 
 
-def test_standardizer_not_fitted():
-    with pytest.raises(NotFittedError):
-        LogisticRegressionClassifier().standardize(np.zeros((2, 2)))
-
-
 # ---------------------------------------------------------------------------
 # logistic regression
 
@@ -126,11 +121,6 @@ def test_fractional_labels_rejected_not_truncated():
     # 0.5 must not be cast to 0 before the 0/1 check.
     with pytest.raises(ValueError, match="binary"):
         check_X_y(np.zeros((3, 1)), [0.5, 1, 0])
-
-
-def test_lr_not_fitted():
-    with pytest.raises(NotFittedError):
-        LogisticRegressionClassifier().predict_proba(np.zeros((1, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -63,15 +63,22 @@ def test_best_split_matches_brute_force(criterion):
         for rows, min_leaf in itertools.product((np.arange(n), bootstrap), leaf_sizes):
             if len(np.unique(y[rows])) < 2:
                 continue
-            found = _best_split(X, y, rows, criterion, min_leaf)
+            found = _best_split(rank_codes(X), y, rows, criterion, min_leaf)
             oracle = _brute_force_best(X[rows], y[rows], min_leaf, IMPURITY[criterion])
+            # On all rows the default growth scores the presorted block instead.
+            root = None if rows is bootstrap else grow_tree(
+                X, y, criterion=criterion, max_depth=1, min_samples_leaf=min_leaf)
             if oracle is None:
                 assert found is None
+                assert root is None or root.n_nodes == 1
                 no_cut += 1
                 continue
             score, f, thr = found
             assert score == pytest.approx(oracle[0], abs=1e-9)
             assert (f, thr) == (oracle[1], pytest.approx(oracle[2]))
+            if root is not None:
+                assert (root.feature[0], root.threshold[0]) == (oracle[1],
+                                                                pytest.approx(oracle[2]))
     assert no_cut >= 60
 
 
@@ -93,17 +100,17 @@ def test_presorted_growth_equals_node_local_sorting():
         # small leaves on two trials in three, up to above n / 2 on the third
         min_leaf = 1 + rng.randint_below(4 if trial % 3 else n // 2 + 2)
         kwargs = dict(criterion=criterion, max_depth=1 + trial % 6, min_samples_leaf=min_leaf)
-        presorted = grow_tree(X, y, order=np.argsort(X, axis=0, kind="stable"), **kwargs)
-        assert presorted.to_dict() == grow_tree(X, y, **kwargs).to_dict(), trial
+        presorted = grow_tree(X, y, **kwargs)
+        assert presorted.to_dict() == grow_tree(X, y, rows=np.arange(n), **kwargs).to_dict(), trial
         deep += presorted.n_nodes >= 7
         wide_leaves += 2 * min_leaf > n
         # A column constant over X, first, in the middle or last, is left out
         # of the presorted block; the trees keep the original feature ids.
         at = (0, p // 2, p)[trial % 3]
         X_dead = np.insert(X, at, 7.0, axis=1)
-        with_dead = grow_tree(X_dead, y, order=np.argsort(X_dead, axis=0, kind="stable"),
-                              **kwargs)
-        assert with_dead.to_dict() == grow_tree(X_dead, y, **kwargs).to_dict(), trial
+        with_dead = grow_tree(X_dead, y, **kwargs)
+        assert with_dead.to_dict() == grow_tree(X_dead, y, rows=np.arange(n),
+                                                **kwargs).to_dict(), trial
         shifted = presorted.feature + (presorted.feature >= at)
         np.testing.assert_array_equal(with_dead.feature, np.where(
             presorted.feature == LEAF, LEAF, shifted))
@@ -161,7 +168,7 @@ def _check_forest_split(X, y, rows, k, min_leaf, seed):
     """The node's split equals the oracle's over the redrawn candidates, and
     the node draws exactly as often as the redraw.  Returns (skipped, ties)."""
     draws, again = SplitMix64(seed), SplitMix64(seed)
-    found = _best_split(X, y, rows, "gini", min_leaf, max_features=k, rng=draws)
+    found = _best_split(rank_codes(X), y, rows, "gini", min_leaf, max_features=k, rng=draws)
     candidates, skipped = _redrawn_candidates(X[rows], k, again)
     assert draws.next_u64() == again.next_u64()
     oracle, ties = _brute_force_gini(X[rows], y[rows], candidates, max(min_leaf, 1))
@@ -212,20 +219,10 @@ def test_forest_split_with_int32_keys_matches_brute_force():
         _check_forest_split(X, y, rows, 1, min_leaf, rng.next_u64())
 
 
-def test_presorted_order_serves_only_full_growth():
-    X = np.array([[0.0], [1.0], [2.0], [3.0]])
-    y = np.array([0.0, 0.0, 1.0, 1.0])
-    order = np.argsort(X, axis=0, kind="stable")
-    for extra in ({"rows": np.arange(4)}, {"max_features": 1, "rng": SplitMix64(0)}):
-        with pytest.raises(TreeError):
-            grow_tree(X, y, criterion="gini", max_depth=1, min_samples_leaf=1,
-                      order=order, **extra)
-
-
 def test_variance_criterion_matches_brute_force():
     X = np.array([[1.0], [2.0], [3.0], [4.0], [5.0], [6.0]])
     y = np.array([0.1, 0.2, 0.15, 0.9, 1.0, 0.95])
-    found = _best_split(X, y, np.arange(6), "variance", 1)
+    found = _best_split(rank_codes(X), y, np.arange(6), "variance", 1)
     # Best cut is clearly between 3 and 4.
     assert found[1] == 0
     assert found[2] == 3.5
@@ -235,7 +232,7 @@ def test_tie_resolves_to_lowest_feature():
     # Duplicate column: identical split quality on features 0 and 1.
     X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
-    _, f, thr = _best_split(X, y, np.arange(4), "gini", 1)
+    _, f, thr = _best_split(rank_codes(X), y, np.arange(4), "gini", 1)
     assert f == 0
     assert thr == 1.5
 
