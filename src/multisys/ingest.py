@@ -12,8 +12,10 @@ was cleaned.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,8 @@ DEFAULT_SEMIQUANT_TOKENS: dict[str, float] = {
 }
 
 ORDINAL_LEVELS = (0.0, 0.5, 1.0, 2.0, 3.0)
+
+_BLOCK_ROWS = 4096  # matrix.csv rows formatted or converted per block
 
 
 class IngestError(MultisysError):
@@ -190,6 +194,11 @@ def default_schema() -> list[ColumnSchema]:
     ]
 
 
+def _repeated(keys: list[str]) -> list[str]:
+    """The keys that occur more than once, each once, in order of first occurrence."""
+    return [k for k, count in Counter(keys).items() if count > 1]
+
+
 def schema_from_json(path: str) -> tuple[list[ColumnSchema], dict[str, float]]:
     """Load a schema config file.
 
@@ -221,6 +230,12 @@ def schema_from_json(path: str) -> tuple[list[ColumnSchema], dict[str, float]]:
                 fill_policy=entry.get("fill", "mode" if kind == "semiquant" else "median")))
         if not schemas:
             raise IngestError(f"schema config {path} lists no columns")
+        for what, keys in (("name", [s.name for s in schemas]),
+                           ("source header", [s.source_header for s in schemas])):
+            repeated = _repeated(keys)
+            if repeated:
+                raise IngestError(f"schema config {path}: more than one column with "
+                                  f"{what} {', '.join(repeated)}")
         tokens = dict(DEFAULT_SEMIQUANT_TOKENS)
         for tok, level in cfg.get("semiquant_tokens", {}).items():
             if not (is_number(level) and level in ORDINAL_LEVELS):
@@ -250,6 +265,9 @@ def load_cohort(csv_path: str, schemas: list[ColumnSchema]) -> RawCohort:
         raise IngestError(f"malformed CSV {csv_path}: {exc}") from exc
 
     by_source = {s.source_header: s.name for s in schemas}
+    repeated = _repeated([h for h in header if h in by_source])
+    if repeated:
+        raise IngestError(f"{csv_path}: more than one column headed {', '.join(repeated)}")
     missing_sources = [src for src in by_source if src not in header]
     if missing_sources:
         raise IngestError(
@@ -295,18 +313,28 @@ def clean_cohort(cohort: RawCohort, schemas: list[ColumnSchema],
     audit = {"n_rows": n, "columns": {}}
     for j, schema in enumerate(schemas):
         col = values[:, j]
-        unparsed = implausible = 0
-        for i, cell in enumerate(cohort.cells[schema.name]):
+        # Parsing and the bounds check are pure functions of the cell, so each
+        # runs once per distinct cell.  Distinct cells are numbered in order of
+        # first appearance, so nothing depends on the hash seed.
+        codes_of: dict[str, int] = {}
+        codes = np.fromiter((codes_of.setdefault(cell, len(codes_of))
+                             for cell in cohort.cells[schema.name]), dtype=np.intp, count=n)
+        kept = np.full(len(codes_of), np.nan)
+        status = np.zeros(len(codes_of), dtype=np.int8)  # 0 kept, 1 unparsed, 2 implausible
+        for k, cell in enumerate(codes_of):
             if schema.kind == "semiquant":
                 v = parse_semiquant(cell, tokens)
             else:
                 v = parse_quantity(cell)
             if v is None:
-                unparsed += 1
+                status[k] = 1
             elif apply_plausibility(v, schema) is None:
-                implausible += 1
+                status[k] = 2
             else:
-                col[i] = v
+                kept[k] = v
+        col[:] = kept[codes]
+        per_status = np.bincount(status[codes], minlength=3)
+        unparsed, implausible = int(per_status[1]), int(per_status[2])
         missing = ~np.isfinite(col)
         if schema.fill_policy == "zero":
             fill = 0.0
@@ -333,12 +361,39 @@ def clean_cohort(cohort: RawCohort, schemas: list[ColumnSchema],
 
 
 def write_matrix_csv(matrix: FeatureMatrix, path: str) -> None:
-    """Write the matrix atomically, so a failed write leaves the previous bytes."""
+    """Write the matrix atomically, so a failed write leaves the previous bytes.
+
+    A cell is written as the ``repr`` of its float, formatted once per
+    distinct bit pattern of its column (``0.0`` and ``-0.0`` stay apart).
+    """
+    bits = np.asarray(matrix.values, dtype=float).view(np.int64)
+    keys = [np.unique(bits[:, j]) for j in range(bits.shape[1])]
+    texts = [np.array([repr(v) for v in k.view(float).tolist()], dtype=object) for k in keys]
     with write_file(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(matrix.names)
-        for row in matrix.values:
-            writer.writerow([repr(float(v)) for v in row])
+        for start in range(0, len(bits), _BLOCK_ROWS):
+            block = bits[start:start + _BLOCK_ROWS]
+            columns = [text[np.searchsorted(key, block[:, j])]
+                       for j, (key, text) in enumerate(zip(keys, texts))]
+            writer.writerows(zip(*columns))
+
+
+def _matrix_block(path: str, rows: list[list[str]], first_line: int, width: int) -> np.ndarray:
+    """The float array of `rows`, read from the file's lines from `first_line` on."""
+    ragged = [i for i, row in enumerate(rows) if len(row) != width]
+    if ragged:
+        raise IngestError(f"{path}: line {first_line + ragged[0]} has {len(rows[ragged[0]])} "
+                          f"cells, the header {width}")
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError:
+        for i, row in enumerate(rows):  # only to name the first bad line
+            try:
+                np.array(row, dtype=float)
+            except ValueError as exc:
+                raise IngestError(f"{path}: line {first_line + i}: {exc}") from exc
+        raise
 
 
 def read_matrix_csv(path: str, schemas: list[ColumnSchema]) -> FeatureMatrix:
@@ -346,29 +401,27 @@ def read_matrix_csv(path: str, schemas: list[ColumnSchema]) -> FeatureMatrix:
 
     IngestError for an empty file, a header other than the schema's names in
     schema order, a row whose length differs from the header's, or a cell that
-    is not a finite number.
+    is not a finite number.  Rows are converted a block at a time; a cell
+    converts as ``float`` would convert it.
     """
+    names = [s.name for s in schemas]
+    blocks = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header:
             raise IngestError(f"{path}: empty file")
-        try:
-            rows = [[float(c) for c in row] for row in reader]
-        except ValueError as exc:
-            raise IngestError(f"{path}: line {reader.line_num}: {exc}") from exc
-    names = [s.name for s in schemas]
-    unknown = [h for h in header if h not in names]
-    if unknown:
-        raise IngestError(f"{path}: column(s) not in the schema: {', '.join(unknown)}")
-    if header != names:
-        raise IngestError(f"{path}: header is not the schema's columns in schema order: "
-                          f"{', '.join(header)}")
-    ragged = [i for i, row in enumerate(rows) if len(row) != len(header)]
-    if ragged:
-        raise IngestError(f"{path}: line {ragged[0] + 2} has {len(rows[ragged[0]])} cells, "
-                          f"the header {len(header)}")
-    values = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+        unknown = [h for h in header if h not in names]
+        if unknown:
+            raise IngestError(f"{path}: column(s) not in the schema: {', '.join(unknown)}")
+        if header != names:
+            raise IngestError(f"{path}: header is not the schema's columns in schema order: "
+                              f"{', '.join(header)}")
+        line = 2  # the line of the block's first row; the header is line 1
+        while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+            blocks.append(_matrix_block(path, rows, line, len(names)))
+            line += len(rows)
+    values = np.concatenate(blocks) if blocks else np.empty((0, len(names)))
     if not np.isfinite(values).all():
         line = np.flatnonzero(~np.isfinite(values).all(axis=1))[0] + 2
         raise IngestError(f"{path}: line {line} has a cell that is not a finite number")

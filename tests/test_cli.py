@@ -218,6 +218,26 @@ def test_missing_input_csv(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "missing-input"
 
 
+@pytest.mark.parametrize("header, columns, message", [
+    (["Cr", "Cr", "GLU"], [{"name": "Cr"}, {"name": "GLU"}], "column headed Cr"),
+    (["Cr", "GLU"], [{"name": "Cr"}, {"name": "Cr", "source": "GLU"}], "column with name Cr"),
+    (["Cr", "GLU"], [{"name": "Cr"}, {"name": "Cr2", "source": "Cr"}],
+     "column with source header Cr"),
+], ids=["repeated-header", "repeated-schema-name", "repeated-schema-source"])
+def test_ambiguous_column_mapping_exits_2(tmp_path, capsys, header, columns, message):
+    # Each would otherwise lose the first Cr column's cells, or fail with a KeyError.
+    cells = ["70 μmol/L", "900 μmol/L", "5.0"][-len(header):]
+    (tmp_path / "in.csv").write_text(",".join(header) + "\n" + ",".join(cells) + "\n",
+                                     encoding="utf-8")
+    (tmp_path / "schema.json").write_text(json.dumps({"columns": columns}))
+    cfg = _write_config(tmp_path, {"input_csv": str(tmp_path / "in.csv"),
+                                   "schema_config": str(tmp_path / "schema.json")})
+    assert _run("ingest", str(tmp_path / "run"), cfg) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "IngestError" and err["message"].endswith(message)
+    assert not os.path.exists(tmp_path / "run" / "matrix.csv")
+
+
 def test_malformed_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")

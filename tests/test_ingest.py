@@ -1,11 +1,13 @@
 """Parsing, plausibility, imputation and cohort-loading behavior."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from multisys import ingest
 from multisys.ingest import (
     ColumnSchema, FeatureMatrix, ImputationError, IngestError, RawCohort,
     apply_plausibility, clean_cohort, default_schema, load_cohort,
@@ -151,6 +153,15 @@ def test_load_cohort_ragged_row_errors(write_csv, tiny_schemas):
         load_cohort(path, tiny_schemas)
 
 
+def test_load_cohort_repeated_mapped_header_errors(write_csv, tiny_schemas):
+    # Read silently, the last "Cr" column would replace the first; a repeated
+    # header that the schema does not map is dropped like any other.
+    path = write_csv(["Cr", "Cr", "GLU", "PRO", "extra", "extra"],
+                     [["70 μmol/L", "900 μmol/L", "5.0", "1+", "x", "y"]])
+    with pytest.raises(IngestError, match="more than one column headed Cr$"):
+        load_cohort(path, tiny_schemas)
+
+
 def test_load_cohort_empty_file_errors(tmp_path, tiny_schemas):
     path = tmp_path / "empty.csv"
     path.write_text("")
@@ -225,6 +236,105 @@ def test_clean_cohort_audit_counts(write_csv, tiny_schemas):
     assert matrix.values[0, 0] == 77.0  # observed cells are kept as parsed
 
 
+def _clean_per_cell(cohort, schemas, tokens):
+    """The per-cell cleaning loop that clean_cohort's per-distinct-cell pass replaced."""
+    n = cohort.n_rows
+    values = np.full((n, len(schemas)), np.nan)
+    audit = {"n_rows": n, "columns": {}}
+    for j, schema in enumerate(schemas):
+        col = values[:, j]
+        unparsed = implausible = 0
+        for i, cell in enumerate(cohort.cells[schema.name]):
+            if schema.kind == "semiquant":
+                v = parse_semiquant(cell, tokens)
+            else:
+                v = parse_quantity(cell)
+            if v is None:
+                unparsed += 1
+            elif apply_plausibility(v, schema) is None:
+                implausible += 1
+            else:
+                col[i] = v
+        missing = ~np.isfinite(col)
+        if schema.fill_policy == "zero":
+            fill = 0.0
+            col.fill(fill)
+        else:
+            observed = col[~missing]
+            if observed.size == 0:
+                raise ImputationError(schema.name)
+            if schema.fill_policy == "median":
+                fill = float(np.median(observed))
+            else:
+                levels, counts = np.unique(observed, return_counts=True)
+                fill = float(levels[np.argmax(counts)])
+            col[missing] = fill
+        audit["columns"][schema.name] = {
+            "parsed": n - unparsed - implausible, "unparsed": unparsed,
+            "implausible": implausible, "imputed": int(np.sum(missing)), "fill": fill,
+            "zero_filled": schema.fill_policy == "zero"}
+    return values, audit
+
+
+# A small alphabet, so that most cells repeat: blanks, missing tokens, unit
+# text, out-of-bounds magnitudes, sign slips, signed zeros and restyled tokens.
+CELLS = ["", " ", "n/a", "pending", "77 μmol/L", "77", " 77.0 ", "1816 μmol/L",
+         "99999 μmol/L", "-62.0 μmol/L", "0", "-0", "0.5 g/L", "5.25", "12 ×10⁹/L",
+         "negative", "NEG", " 2+ ", "\tt r a c e", "±", "+++", "1+", "Faint", "??"]
+
+
+@st.composite
+def cohorts(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    schemas, cells = [], {}
+    for j in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(["continuous", "semiquant"]))
+        lower = draw(st.sampled_from([None, 0.0, 0.5, 10.0]))
+        upper = draw(st.sampled_from([None, 100.0, 2000.0]))
+        zero = draw(st.booleans())
+        fill = "zero" if zero else ("mode" if kind == "semiquant" else "median")
+        schemas.append(ColumnSchema(f"c{j}", kind, lower=lower, upper=upper, fill_policy=fill))
+        cells[f"c{j}"] = draw(st.lists(st.sampled_from(CELLS), min_size=n, max_size=n))
+    return RawCohort(n_rows=n, cells=cells), schemas
+
+
+@given(cohorts())
+@settings(max_examples=300, deadline=None)
+def test_clean_cohort_matches_per_cell_oracle(drawn):
+    cohort, schemas = drawn
+    tokens = {**ingest.DEFAULT_SEMIQUANT_TOKENS, "faint": 0.5}
+    try:
+        want = _clean_per_cell(cohort, schemas, tokens)
+    except ImputationError:
+        with pytest.raises(ImputationError):
+            clean_cohort(cohort, schemas, tokens)
+        return
+    matrix, audit = clean_cohort(cohort, schemas, tokens)
+    assert matrix.values.tobytes() == want[0].tobytes()  # bit for bit: -0.0 stays -0.0
+    assert audit == want[1]
+
+
+def test_clean_cohort_parses_each_distinct_cell_once(monkeypatch):
+    calls = []
+
+    def counted(parse):
+        def wrapper(raw, *args):
+            calls.append(raw)
+            return parse(raw, *args)
+        return wrapper
+
+    for name in ("parse_quantity", "parse_semiquant"):
+        monkeypatch.setattr(ingest, name, counted(getattr(ingest, name)))
+    schemas = [ColumnSchema("A", "continuous", lower=0, upper=10),
+               ColumnSchema("B", "continuous", lower=0, upper=10),
+               ColumnSchema("P", "semiquant", fill_policy="mode")]
+    cohort = RawCohort(n_rows=1000, cells={
+        "A": ["1", "2", "", "99"] * 250, "B": ["1"] * 1000, "P": ["neg", "2+"] * 500})
+    _, audit = clean_cohort(cohort, schemas)
+    assert sorted(calls) == sorted(["1", "2", "", "99", "1", "neg", "2+"])
+    assert (audit["columns"]["A"]["unparsed"], audit["columns"]["A"]["implausible"]) == (250, 250)
+
+
 def test_default_schema_is_valid_and_covers_systems():
     schemas = default_schema()
     names = {s.name for s in schemas}
@@ -268,3 +378,51 @@ def test_matrix_csv_header_outside_schema_errors(tmp_path, tiny_schemas):
     write_matrix_csv(make_matrix([[77.0, 5.5, 1.0]], tiny_schemas), path)
     with pytest.raises(IngestError, match="not in the schema: Cr, PRO"):
         read_matrix_csv(path, [tiny_schemas[1]])
+
+
+def _write_per_cell(values, names, path):
+    """The per-cell matrix.csv writer that write_matrix_csv's per-distinct-value pass replaced."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for row in values:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def test_matrix_csv_bytes_match_per_cell_writer(tmp_path, tiny_schemas):
+    # Signed zeros, a subnormal and the largest magnitudes, over more than
+    # two blocks of rows; the last column is constant.
+    cells = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 0.1, 77.123456789]
+    n = 2 * 4096 + 5
+    values = np.column_stack([np.resize(cells, n), np.resize(cells[::-1], n)[::-1],
+                              np.full(n, 1.5)])
+    path, oracle = tmp_path / "matrix.csv", tmp_path / "oracle.csv"
+    write_matrix_csv(FeatureMatrix(columns=list(tiny_schemas), values=values), str(path))
+    _write_per_cell(values, [s.name for s in tiny_schemas], str(oracle))
+    assert path.read_bytes() == oracle.read_bytes()
+    loaded = read_matrix_csv(str(path), tiny_schemas)
+    assert loaded.values.view(np.int64).tolist() == values.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("abc", "line 4502: could not convert string to float: 'abc'"),
+    ("1.0,2.0", "line 4502 has 4 cells, the header 3"),
+    ("inf", "line 4502 has a cell that is not a finite number"),
+])
+def test_matrix_csv_bad_cell_past_first_block_names_its_line(tmp_path, tiny_schemas, cell,
+                                                             message):
+    from conftest import make_matrix
+    path = tmp_path / "matrix.csv"
+    write_matrix_csv(make_matrix(np.ones((5000, 3)), tiny_schemas), str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    lines[4501] = f"{cell},1.0,1.0\n"  # data row 4501 is line 4502
+    path.write_text("".join(lines))
+    with pytest.raises(IngestError, match=message):
+        read_matrix_csv(str(path), tiny_schemas)
+
+
+def test_matrix_csv_cells_convert_as_float_does(tmp_path, tiny_schemas):
+    path = tmp_path / "matrix.csv"
+    path.write_text("Cr,GLU,PRO\n1_0, 2.5 ,١٢\n")
+    loaded = read_matrix_csv(str(path), tiny_schemas)
+    assert loaded.values.tolist() == [[10.0, 2.5, 12.0]]
