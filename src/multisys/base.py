@@ -29,14 +29,16 @@ class MultisysError(Exception):
 
 
 def read_file(path: str, decode, error, parse=json.load):
-    """`decode(parse(fh))` of the file at `path`; `error(message naming the file)`
-    if it cannot be read, parsed or decoded, but a MultisysError keeps its kind."""
+    """`decode(parse(fh))` of the UTF-8 file at `path`, a byte-order mark skipped;
+    `error(message naming the file)` if it cannot be read, parsed or decoded, but
+    a MultisysError keeps its kind."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return decode(parse(fh))
     except (OSError, csv.Error, AttributeError, LookupError, RecursionError, TypeError,
             ValueError) as exc:  # RecursionError: JSON nested too deep to parse
-        raise error(f"cannot read {path}: {exc!r}") from exc
+        # not the repr: a UnicodeDecodeError's holds the whole chunk it failed on
+        raise error(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
 
 
 @contextlib.contextmanager

@@ -240,7 +240,10 @@ class Workspace:
     def __init__(self, out_dir: str, cfg: RunConfig, force: bool = False):
         self.out_dir = out_dir
         self.cfg = cfg
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise config_error(f"cannot use {out_dir} as the run directory: {exc}") from exc
         self.manifest = {"config_hash": cfg.hash(), "artifacts": {}}
         path = self.path("manifest.json")
         if os.path.exists(path):
@@ -352,16 +355,17 @@ def stage_features(ws: Workspace) -> None:
 def _load_indices(ws: Workspace, n_rows: int | None, *columns: str) -> list[np.ndarray]:
     """The integer `columns` of indices.csv, which must have n_rows rows if given:
     target_multi 0 or 1, every other column at least 0."""
-    def decode(rows):
+    def decode(reader):
+        header, *rows = reader
         if n_rows is not None and len(rows) != n_rows:
             raise ValueError(f"{len(rows)} rows, matrix.csv has {n_rows}")
-        decoded = [np.asarray([int(row[c]) for row in rows]) for c in columns]
+        decoded = [np.asarray([int(row[i]) for row in rows]) for i in map(header.index, columns)]
         for c, values in zip(columns, decoded):
             top = 1 if c == "target_multi" else np.inf
             if ((values < 0) | (values > top)).any():
                 raise ValueError(f"{c} has a value outside [0, {top}]")
         return decoded
-    return ws.read("indices.csv", decode)
+    return read_file(ws.require("indices.csv"), decode, artifact_error, parse=csv.reader)
 
 
 def stage_split(ws: Workspace) -> None:

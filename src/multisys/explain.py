@@ -19,6 +19,7 @@ its hot-first order, and phi is bit-identical to explaining rows one by one.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,14 +173,11 @@ def tree_shap(ensemble: TreeEnsemble, X) -> ShapAttribution:
 
 
 def global_importance(attribution: ShapAttribution,
-                      feature_names: list[str] | None = None
-                      ) -> list[tuple[str, float]]:
+                      feature_names: Sequence[str] = ()) -> list[tuple[str, float]]:
     """Mean |phi| per feature, sorted descending; ties keep feature order."""
     if attribution.phi.shape[0] == 0:
         raise ExplainError("no rows to rank")
     mean_abs = np.mean(np.abs(attribution.phi), axis=0)
-    if feature_names is None:
-        feature_names = [f"f{i}" for i in range(len(mean_abs))]
     if len(feature_names) != len(mean_abs):
         raise ExplainError(f"{len(feature_names)} feature names for "
                            f"{len(mean_abs)} attributed features")
@@ -188,7 +186,7 @@ def global_importance(attribution: ShapAttribution,
 
 
 def beeswarm_export(attribution: ShapAttribution, X,
-                    feature_names: list[str] | None = None) -> list[dict]:
+                    feature_names: Sequence[str] = ()) -> list[dict]:
     """Long-format records (row, feature, shap, value, rank) for replotting."""
     X = check_X(X)
     if X.shape != attribution.phi.shape:
@@ -196,8 +194,6 @@ def beeswarm_export(attribution: ShapAttribution, X,
             f"feature values {X.shape} do not match attributions {attribution.phi.shape}"
         )
     ranking = global_importance(attribution, feature_names)
-    if feature_names is None:
-        feature_names = [f"f{i}" for i in range(X.shape[1])]
     rank_of = {name: r + 1 for r, (name, _) in enumerate(ranking)}
     records = []
     for i in range(X.shape[0]):

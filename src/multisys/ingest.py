@@ -39,7 +39,7 @@ DEFAULT_SEMIQUANT_TOKENS: dict[str, float] = {
 
 ORDINAL_LEVELS = (0.0, 0.5, 1.0, 2.0, 3.0)
 
-_BLOCK_ROWS = 4096  # matrix.csv rows formatted or converted per block
+_BLOCK_ROWS = 4096  # CSV rows read, coded, converted or formatted per block
 
 
 class IngestError(MultisysError):
@@ -86,11 +86,12 @@ class ColumnSchema:
 
 @dataclass
 class RawCohort:
-    """String cells straight from CSV, one list per kept column, under
-    canonical column names in file order."""
+    """String cells straight from CSV, dictionary-coded per kept column: under
+    its canonical name, in file order, each column maps to its distinct cells in
+    order of first appearance and to each row's index into them."""
 
     n_rows: int
-    cells: dict[str, list[str]]
+    columns: dict[str, tuple[list[str], np.ndarray]]
 
 
 @dataclass
@@ -114,10 +115,7 @@ class FeatureMatrix:
         return {c.name for c in self.columns if c.fill_policy == "zero"}
 
     def column_index(self, name: str) -> int:
-        for i, c in enumerate(self.columns):
-            if c.name == name:
-                return i
-        raise KeyError(f"no column named {name!r}")
+        return self.names.index(name)
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.column_index(name)]
@@ -245,44 +243,56 @@ def schema_from_json(path: str) -> tuple[list[ColumnSchema], dict[str, float]]:
     return read_file(path, decode, IngestError)
 
 
+def _blocks(path: str, reader, width: int):
+    """`(line, rows)` for the rows left in `reader`, `_BLOCK_ROWS` at a time,
+    `line` being the line of the block's first row (the header is line 1);
+    IngestError for a row whose length is not `width`."""
+    line = 2
+    while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+        ragged = [i for i, row in enumerate(rows) if len(row) != width]
+        if ragged:
+            raise IngestError(f"{path}: line {line + ragged[0]} has {len(rows[ragged[0]])} "
+                              f"cells, the header {width}")
+        yield line, rows
+        line += len(rows)
+
+
 def load_cohort(csv_path: str, schemas: list[ColumnSchema]) -> RawCohort:
     """Read a CSV export and rename raw headers to canonical analyte names.
 
     Columns not covered by the schema are dropped (counted in a warning);
     a schema entry whose source header is absent from the file is an error.
+    Kept columns are coded as the blocks are read, one table per column for
+    the whole file, so the codes depend on neither the blocks nor the hash seed.
     """
-    try:
-        with open(csv_path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise IngestError(f"{csv_path}: empty file, expected a header row")
-            data_rows = [row for row in reader]
-    except OSError as exc:
-        raise IngestError(f"cannot read {csv_path}: {exc}") from exc
-    except csv.Error as exc:
-        raise IngestError(f"malformed CSV {csv_path}: {exc}") from exc
-
     by_source = {s.source_header: s.name for s in schemas}
-    repeated = _repeated([h for h in header if h in by_source])
-    if repeated:
-        raise IngestError(f"{csv_path}: more than one column headed {', '.join(repeated)}")
-    missing_sources = [src for src in by_source if src not in header]
-    if missing_sources:
-        raise IngestError(
-            f"{csv_path}: schema references headers absent from the file: {missing_sources}"
-        )
-    keep = [(i, by_source[h]) for i, h in enumerate(header) if h in by_source]
-    dropped = len(header) - len(keep)
-    if dropped:
-        log.warning("%s: dropped %d unmapped column(s)", csv_path, dropped)
 
-    for row in data_rows:
-        if len(row) != len(header):
-            raise IngestError(f"{csv_path}: row with {len(row)} cells, expected {len(header)}")
-    cells = {name: [row[i] for row in data_rows] for i, name in keep}
-    return RawCohort(n_rows=len(data_rows), cells=cells)
+    def decode(reader) -> RawCohort:
+        header = next(reader, None)
+        if header is None:
+            raise IngestError(f"{csv_path}: empty file, expected a header row")
+        repeated = _repeated([h for h in header if h in by_source])
+        if repeated:
+            raise IngestError(f"{csv_path}: more than one column headed {', '.join(repeated)}")
+        missing_sources = [src for src in by_source if src not in header]
+        if missing_sources:
+            raise IngestError(f"{csv_path}: schema references headers absent from the file: "
+                              f"{missing_sources}")
+        keep = [(i, by_source[h]) for i, h in enumerate(header) if h in by_source]
+        dropped = len(header) - len(keep)
+        if dropped:
+            log.warning("%s: dropped %d unmapped column(s)", csv_path, dropped)
+        coded = {name: ({}, [np.empty(0, dtype=np.intp)]) for _, name in keep}
+        n = 0
+        for _, rows in _blocks(csv_path, reader, len(header)):
+            for i, name in keep:
+                table, codes = coded[name]
+                codes.append(np.fromiter((table.setdefault(row[i], len(table)) for row in rows),
+                                         dtype=np.intp, count=len(rows)))
+            n += len(rows)
+        return RawCohort(n_rows=n, columns={name: (list(table), np.concatenate(codes))
+                                            for name, (table, codes) in coded.items()})
+    return read_file(csv_path, decode, IngestError, parse=csv.reader)
 
 
 def _mode_lowest(observed: np.ndarray) -> float:
@@ -314,18 +324,12 @@ def clean_cohort(cohort: RawCohort, schemas: list[ColumnSchema],
     for j, schema in enumerate(schemas):
         col = values[:, j]
         # Parsing and the bounds check are pure functions of the cell, so each
-        # runs once per distinct cell.  Distinct cells are numbered in order of
-        # first appearance, so nothing depends on the hash seed.
-        codes_of: dict[str, int] = {}
-        codes = np.fromiter((codes_of.setdefault(cell, len(codes_of))
-                             for cell in cohort.cells[schema.name]), dtype=np.intp, count=n)
-        kept = np.full(len(codes_of), np.nan)
-        status = np.zeros(len(codes_of), dtype=np.int8)  # 0 kept, 1 unparsed, 2 implausible
-        for k, cell in enumerate(codes_of):
-            if schema.kind == "semiquant":
-                v = parse_semiquant(cell, tokens)
-            else:
-                v = parse_quantity(cell)
+        # runs once per distinct cell.
+        distinct, codes = cohort.columns[schema.name]
+        kept = np.full(len(distinct), np.nan)
+        status = np.zeros(len(distinct), dtype=np.int8)  # 0 kept, 1 unparsed, 2 implausible
+        for k, cell in enumerate(distinct):
+            v = parse_semiquant(cell, tokens) if schema.kind == "semiquant" else parse_quantity(cell)
             if v is None:
                 status[k] = 1
             elif apply_plausibility(v, schema) is None:
@@ -379,12 +383,8 @@ def write_matrix_csv(matrix: FeatureMatrix, path: str) -> None:
             writer.writerows(zip(*columns))
 
 
-def _matrix_block(path: str, rows: list[list[str]], first_line: int, width: int) -> np.ndarray:
-    """The float array of `rows`, read from the file's lines from `first_line` on."""
-    ragged = [i for i, row in enumerate(rows) if len(row) != width]
-    if ragged:
-        raise IngestError(f"{path}: line {first_line + ragged[0]} has {len(rows[ragged[0]])} "
-                          f"cells, the header {width}")
+def _floats(path: str, line: int, rows: list[list[str]]) -> np.ndarray:
+    """The float array of `rows`, read from the file's lines from `line` on."""
     try:
         return np.array(rows, dtype=float)
     except ValueError:
@@ -392,22 +392,21 @@ def _matrix_block(path: str, rows: list[list[str]], first_line: int, width: int)
             try:
                 np.array(row, dtype=float)
             except ValueError as exc:
-                raise IngestError(f"{path}: line {first_line + i}: {exc}") from exc
+                raise IngestError(f"{path}: line {line + i}: {exc}") from exc
         raise
 
 
 def read_matrix_csv(path: str, schemas: list[ColumnSchema]) -> FeatureMatrix:
     """Reload a cleaned matrix written by write_matrix_csv.
 
-    IngestError for an empty file, a header other than the schema's names in
-    schema order, a row whose length differs from the header's, or a cell that
-    is not a finite number.  Rows are converted a block at a time; a cell
-    converts as ``float`` would convert it.
+    IngestError for an unreadable or empty file, a header other than the
+    schema's names in schema order, a row whose length differs from the
+    header's, or a cell that is not a finite number.  Rows are converted a
+    block at a time; a cell converts as ``float`` would convert it.
     """
     names = [s.name for s in schemas]
-    blocks = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+
+    def decode(reader) -> FeatureMatrix:
         header = next(reader, None)
         if not header:
             raise IngestError(f"{path}: empty file")
@@ -417,12 +416,10 @@ def read_matrix_csv(path: str, schemas: list[ColumnSchema]) -> FeatureMatrix:
         if header != names:
             raise IngestError(f"{path}: header is not the schema's columns in schema order: "
                               f"{', '.join(header)}")
-        line = 2  # the line of the block's first row; the header is line 1
-        while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
-            blocks.append(_matrix_block(path, rows, line, len(names)))
-            line += len(rows)
-    values = np.concatenate(blocks) if blocks else np.empty((0, len(names)))
-    if not np.isfinite(values).all():
-        line = np.flatnonzero(~np.isfinite(values).all(axis=1))[0] + 2
-        raise IngestError(f"{path}: line {line} has a cell that is not a finite number")
-    return FeatureMatrix(columns=list(schemas), values=values)
+        blocks = [_floats(path, line, rows) for line, rows in _blocks(path, reader, len(names))]
+        values = np.concatenate([np.empty((0, len(names))), *blocks])
+        if not np.isfinite(values).all():
+            line = np.flatnonzero(~np.isfinite(values).all(axis=1))[0] + 2
+            raise IngestError(f"{path}: line {line} has a cell that is not a finite number")
+        return FeatureMatrix(columns=list(schemas), values=values)
+    return read_file(path, decode, IngestError, parse=csv.reader)

@@ -238,6 +238,64 @@ def test_ambiguous_column_mapping_exits_2(tmp_path, capsys, header, columns, mes
     assert not os.path.exists(tmp_path / "run" / "matrix.csv")
 
 
+def _cohort_text(n=60, seed=11):
+    """A synthetic cohort as CSV text."""
+    from multisys.synth import GeneratorSpec, generate
+    header, rows = generate(GeneratorSpec(n=n, seed=seed))
+    out = io.StringIO()
+    csv.writer(out).writerows([header, *rows])
+    return out.getvalue()
+
+
+def _error_line(capsys):
+    """The JSON error line on stderr, as bytes, and its decoded message."""
+    line = capsys.readouterr().err.encode("utf-8")
+    return line, json.loads(line)
+
+
+def test_latin1_input_csv_exits_2(tmp_path, capsys):
+    # An export saved as Latin-1: the micro sign is byte 0xb5, no UTF-8.
+    text = _cohort_text().replace("μ", "µ")
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(text.encode("latin-1", errors="replace"))
+    cfg = _write_config(tmp_path, {"input_csv": str(path)})
+    assert _run("ingest", str(tmp_path / "run"), cfg) == 2
+    line, err = _error_line(capsys)
+    assert err["error"] == "IngestError"
+    assert str(path) in err["message"] and "UnicodeDecodeError" in err["message"]
+    assert len(line) < 500
+    assert "mol/L" not in err["message"]  # no cell text
+    assert not os.path.exists(tmp_path / "run" / "matrix.csv")
+
+
+def test_bom_before_quoted_first_header_ingests_as_without_bom(tmp_path):
+    text = _cohort_text()
+    first = text[:text.index(",")]
+    quoted = '"' + first + '"' + text[len(first):]
+    outputs = []
+    for name, data in (("plain.csv", text), ("bom.csv", "\ufeff" + quoted)):
+        (tmp_path / name).write_text(data, encoding="utf-8")
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"input_csv": str(tmp_path / name)}))
+        out = tmp_path / f"run-{name}"
+        assert _run("ingest", str(out), str(cfg)) == 0, name
+        outputs.append([(out / a).read_bytes() for a in ("matrix.csv", "audit.json")])
+    assert (tmp_path / "bom.csv").read_bytes()[:4] == b'\xef\xbb\xbf"'
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("inside", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+def test_out_naming_a_file_exits_2(tmp_path, fast_config, capsys, inside):
+    path = tmp_path / "notes.txt"
+    path.write_bytes(b"keep me\n")
+    out = path / "run" if inside else path
+    assert _run("simulate", str(out), fast_config) == 2
+    line, err = _error_line(capsys)
+    assert err["error"] == "config" and str(out) in err["message"]
+    assert len(line) < 500
+    assert path.read_bytes() == b"keep me\n"
+
+
 def test_malformed_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
@@ -693,6 +751,22 @@ def _replace_cell(text, cell):
 def test_corrupted_matrix_csv_exits_2(trained_run, tmp_path, capsys, edit):
     config, out = _corrupt(trained_run, tmp_path, "matrix.csv", edit)
     assert _exit_kind(capsys, "features", config, out) == (2, "IngestError")
+
+
+def test_latin1_matrix_csv_exits_2(trained_run, tmp_path, capsys):
+    config, out = _corrupt(trained_run, tmp_path, "matrix.csv", lambda text: text)
+    path = os.path.join(out, "matrix.csv")
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    lines[-1] = lines[-1].replace(b",", "µ,".encode("latin-1"), 1)  # byte 0xb5
+    with open(path, "wb") as fh:
+        fh.write(b"".join(lines))
+    assert _run("features", out, config) == 2
+    line, err = _error_line(capsys)
+    assert err["error"] == "IngestError"
+    assert path in err["message"] and "UnicodeDecodeError" in err["message"]
+    assert len(line) < 500
+    assert lines[1].split(b",")[0].decode() not in err["message"]  # no cell text
 
 
 @pytest.mark.parametrize("edit", [

@@ -304,7 +304,7 @@ def test_global_importance_ranking():
 
 def test_global_importance_tie_keeps_feature_order():
     phi = np.array([[0.5, 0.5]])
-    ranking = global_importance(ShapAttribution(phi=phi, base_value=0.0))
+    ranking = global_importance(ShapAttribution(phi=phi, base_value=0.0), ["f0", "f1"])
     assert [name for name, _ in ranking] == ["f0", "f1"]
 
 

@@ -132,13 +132,50 @@ def test_schema_from_json_rejects_bad_token_level(tmp_path):
 # ---------------------------------------------------------------------------
 # cohort loading
 
+def _coded(cells):
+    """(distinct cells in order of first appearance, each cell's index into
+    them), coded cell by cell."""
+    distinct, codes = [], []
+    for cell in cells:
+        if cell not in distinct:
+            distinct.append(cell)
+        codes.append(distinct.index(cell))
+    return distinct, np.array(codes, dtype=np.intp)
+
+
+def _raw_cohort(cells):
+    """The RawCohort of equal-length cell lists keyed by column name."""
+    n_rows = len(next(iter(cells.values())))
+    return RawCohort(n_rows=n_rows, columns={name: _coded(c) for name, c in cells.items()})
+
+
 def test_load_cohort_renames_and_drops(write_csv, tiny_schemas):
     path = write_csv(["Cr", "GLU", "PRO", "extra"],
                      [["77 μmol/L", "5.0", "1+", "x"]])
     cohort = load_cohort(path, tiny_schemas)
     assert cohort.n_rows == 1
-    assert list(cohort.cells) == ["Cr", "GLU", "PRO"]
-    assert cohort.cells["Cr"] == ["77 μmol/L"]
+    assert list(cohort.columns) == ["Cr", "GLU", "PRO"]
+    distinct, codes = cohort.columns["Cr"]
+    assert [distinct[c] for c in codes] == ["77 μmol/L"]
+
+
+def test_load_cohort_codes_match_per_cell_coding_across_blocks(write_csv, tiny_schemas):
+    # Over more than two blocks of 4,096 rows; "5.0" first appears in the
+    # third block, and the PRO cells repeat with a period that is not a
+    # divisor of the block size.
+    n = 2 * 4096 + 5
+    glu = ["4.1", "", "4.1 mmol/L"] * 3000
+    glu[2 * 4096 + 2] = "5.0"
+    rows = [[f"{i % 7} μmol/L", glu[i], ["neg", "1+", "±", "2+", " 3+"][i % 5]]
+            for i in range(n)]
+    cohort = load_cohort(write_csv(["Cr", "GLU", "PRO"], rows), tiny_schemas)
+    assert cohort.n_rows == n
+    for j, name in enumerate(["Cr", "GLU", "PRO"]):
+        distinct, codes = cohort.columns[name]
+        want = _coded([row[j] for row in rows])
+        assert distinct == want[0]
+        assert codes.dtype == np.intp and codes.tolist() == want[1].tolist()
+    assert cohort.columns["GLU"][0] == ["4.1", "", "4.1 mmol/L", "5.0"]
 
 
 def test_load_cohort_missing_source_header_errors(write_csv, tiny_schemas):
@@ -151,6 +188,13 @@ def test_load_cohort_ragged_row_errors(write_csv, tiny_schemas):
     path = write_csv(["Cr", "GLU", "PRO"], [["77", "5.0"]])
     with pytest.raises(IngestError, match="cells"):
         load_cohort(path, tiny_schemas)
+
+
+def test_load_cohort_ragged_row_past_first_block_names_its_line(write_csv, tiny_schemas):
+    rows = [["77", "5.0", "neg"]] * 5000
+    rows[4100] = ["77", "5.0", "neg", "extra"]  # data row 4100 is line 4102
+    with pytest.raises(IngestError, match="line 4102 has 4 cells, the header 3$"):
+        load_cohort(write_csv(["Cr", "GLU", "PRO"], rows), tiny_schemas)
 
 
 def test_load_cohort_repeated_mapped_header_errors(write_csv, tiny_schemas):
@@ -178,7 +222,7 @@ def test_load_cohort_missing_file_errors(tiny_schemas):
 # imputation
 
 def _one_column(name, cells):
-    return RawCohort(n_rows=len(cells), cells={name: cells})
+    return _raw_cohort({name: cells})
 
 
 def test_median_imputation_brute_force_oracle():
@@ -209,7 +253,7 @@ def test_zero_policy_forces_whole_column():
 def test_all_missing_without_zero_policy_errors():
     schemas = [ColumnSchema("Z", "continuous", fill_policy="zero"),
                ColumnSchema("A", "continuous"), ColumnSchema("B", "continuous")]
-    cohort = RawCohort(n_rows=3, cells={"Z": [""] * 3, "A": ["", "n/a", "?"], "B": [""] * 3})
+    cohort = _raw_cohort({"Z": [""] * 3, "A": ["", "n/a", "?"], "B": [""] * 3})
     with pytest.raises(ImputationError, match="'A'"):
         clean_cohort(cohort, schemas)
 
@@ -236,15 +280,16 @@ def test_clean_cohort_audit_counts(write_csv, tiny_schemas):
     assert matrix.values[0, 0] == 77.0  # observed cells are kept as parsed
 
 
-def _clean_per_cell(cohort, schemas, tokens):
-    """The per-cell cleaning loop that clean_cohort's per-distinct-cell pass replaced."""
-    n = cohort.n_rows
+def _clean_per_cell(cells, schemas, tokens):
+    """The per-cell cleaning loop that clean_cohort's per-distinct-cell pass
+    replaced, over equal-length cell lists keyed by column name."""
+    n = len(next(iter(cells.values())))
     values = np.full((n, len(schemas)), np.nan)
     audit = {"n_rows": n, "columns": {}}
     for j, schema in enumerate(schemas):
         col = values[:, j]
         unparsed = implausible = 0
-        for i, cell in enumerate(cohort.cells[schema.name]):
+        for i, cell in enumerate(cells[schema.name]):
             if schema.kind == "semiquant":
                 v = parse_semiquant(cell, tokens)
             else:
@@ -295,16 +340,17 @@ def cohorts(draw):
         fill = "zero" if zero else ("mode" if kind == "semiquant" else "median")
         schemas.append(ColumnSchema(f"c{j}", kind, lower=lower, upper=upper, fill_policy=fill))
         cells[f"c{j}"] = draw(st.lists(st.sampled_from(CELLS), min_size=n, max_size=n))
-    return RawCohort(n_rows=n, cells=cells), schemas
+    return cells, schemas
 
 
 @given(cohorts())
 @settings(max_examples=300, deadline=None)
 def test_clean_cohort_matches_per_cell_oracle(drawn):
-    cohort, schemas = drawn
+    cells, schemas = drawn
+    cohort = _raw_cohort(cells)
     tokens = {**ingest.DEFAULT_SEMIQUANT_TOKENS, "faint": 0.5}
     try:
-        want = _clean_per_cell(cohort, schemas, tokens)
+        want = _clean_per_cell(cells, schemas, tokens)
     except ImputationError:
         with pytest.raises(ImputationError):
             clean_cohort(cohort, schemas, tokens)
@@ -328,7 +374,7 @@ def test_clean_cohort_parses_each_distinct_cell_once(monkeypatch):
     schemas = [ColumnSchema("A", "continuous", lower=0, upper=10),
                ColumnSchema("B", "continuous", lower=0, upper=10),
                ColumnSchema("P", "semiquant", fill_policy="mode")]
-    cohort = RawCohort(n_rows=1000, cells={
+    cohort = _raw_cohort({
         "A": ["1", "2", "", "99"] * 250, "B": ["1"] * 1000, "P": ["neg", "2+"] * 500})
     _, audit = clean_cohort(cohort, schemas)
     assert sorted(calls) == sorted(["1", "2", "", "99", "1", "neg", "2+"])
