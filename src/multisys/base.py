@@ -10,8 +10,8 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
-import math
 import os
+import sys
 
 import numpy as np
 
@@ -67,8 +67,8 @@ def is_number(value) -> bool:
 
 
 def is_finite(value) -> bool:
-    """True for a finite int or float, never for a bool."""
-    return is_number(value) and -math.inf < value < math.inf
+    """True for an int or float that is a finite float, never for a bool."""
+    return is_number(value) and abs(value) <= sys.float_info.max
 
 
 def check_keys(doc: dict, allowed, where: str) -> dict:

@@ -44,25 +44,32 @@ class SplitMix64:
             if r >= threshold:
                 return r % n
 
+    def _block(self, k: int) -> np.ndarray:
+        """The next k `next_u64()` outputs as one uint64 array.
+
+        SplitMix64 is counter-based: draw i of the block is the mix of
+        state + i * golden in wrapping uint64 arithmetic.
+        """
+        z = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        z += np.uint64(self._state)
+        self._state = (self._state + k * _GOLDEN) & _MASK64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        return z ^ (z >> np.uint64(31))
+
     def randints_below(self, n: int, k: int) -> np.ndarray:
         """k draws of `randint_below(n)` as one int64 array, leaving the
         generator in the state k scalar calls leave it in.
 
-        SplitMix64 is counter-based, so draw i of a block is the mix of
-        state + i * golden in wrapping uint64 arithmetic; each round draws as
-        many values as are still missing and drops the rejected ones.
+        Each round draws as many values as are still missing and drops the
+        rejected ones.
         """
         if not 0 < n < 1 << 63:
             raise ValueError("n must be in [1, 2**63)")
         threshold = np.uint64((1 << 64) % n)
         kept = [np.empty(0, np.uint64)]
         while k > 0:
-            z = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-            z += np.uint64(self._state)
-            self._state = int(z[-1])
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-            z ^= z >> np.uint64(31)
+            z = self._block(k)
             z = z[z >= threshold]
             kept.append(z % np.uint64(n))
             k -= len(z)
@@ -88,6 +95,41 @@ class SplitMix64:
             z = r * math.cos(2.0 * math.pi * u2)
             self._gauss_cache = r * math.sin(2.0 * math.pi * u2)
         return mu + sigma * z
+
+    def normals(self, k: int) -> np.ndarray:
+        """The next k values of `normal()` as one float64 array, leaving the
+        generator (the cached half-pair included) as k scalar calls leave it.
+
+        The uniforms of all pairs are drawn as one block.  `math.log`,
+        `math.cos` and `math.sin` run per element, since numpy's differ from
+        them in the last bit; from the first pair whose u1 would be redrawn,
+        the scalar loop takes over.
+        """
+        out = np.empty(k)
+        done = 0
+        if k and self._gauss_cache is not None:
+            out[0], self._gauss_cache, done = self._gauss_cache, None, 1
+        pairs = (k - done + 1) // 2
+        start = self._state
+        u = (self._block(2 * pairs) >> np.uint64(11)) * (1.0 / (1 << 53))
+        u1, u2 = u[0::2], u[1::2]
+        redraw = np.flatnonzero(u1 <= 1e-300)
+        if redraw.size:
+            pairs = int(redraw[0])
+            u1, u2 = u1[:pairs], u2[:pairs]
+            self._state = (start + 2 * pairs * _GOLDEN) & _MASK64
+        r = np.sqrt(-2.0 * np.array(list(map(math.log, u1.tolist()))))
+        theta = ((2.0 * math.pi) * u2).tolist()
+        z = np.empty(2 * pairs)
+        z[0::2] = r * np.array(list(map(math.cos, theta)))
+        z[1::2] = r * np.array(list(map(math.sin, theta)))
+        take = min(2 * pairs, k - done)
+        out[done:done + take] = z[:take]
+        if take < 2 * pairs:
+            self._gauss_cache = float(z[-1])
+        for i in range(done + take, k):
+            out[i] = self.normal()
+        return out
 
     def spawn(self, index: int) -> "SplitMix64":
         """Derive an independent child stream, e.g. one per tree."""

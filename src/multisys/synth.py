@@ -21,7 +21,9 @@ import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
-from .base import MultisysError, check_keys, is_number, read_file
+import numpy as np
+
+from .base import MultisysError, check_keys, is_finite, is_number, read_file
 from .rng import SplitMix64
 
 
@@ -49,9 +51,11 @@ class AnalyteSpec:
     def __post_init__(self):
         numbers = (self.mu, self.sigma, self.loading, *self.probs,
                    *(b for b in (self.lower, self.upper) if b is not None))
-        if not (all(map(is_number, numbers)) and is_number(self.decimals)
+        if not (all(map(is_finite, numbers)) and is_number(self.decimals)
                 and isinstance(self.decimals, int)):
-            raise SynthError(f"{self.name}: non-numeric distribution parameter")
+            raise SynthError(f"{self.name}: distribution parameters must be finite numbers")
+        if self.decimals < 0:
+            raise SynthError(f"{self.name}: decimals must be >= 0")
         if self.dist not in ("lognormal", "normal", "categorical"):
             raise SynthError(f"{self.name}: unknown distribution {self.dist!r}")
         if self.sigma <= 0 and self.dist != "categorical":
@@ -59,8 +63,8 @@ class AnalyteSpec:
         if self.dist == "categorical":
             if len(self.probs) != 5:
                 raise SynthError(f"{self.name}: need 5 level probabilities")
-            if abs(sum(self.probs) - 1.0) > 1e-9:
-                raise SynthError(f"{self.name}: probabilities must sum to 1")
+            if min(self.probs) < 0 or abs(sum(self.probs) - 1.0) > 1e-9:
+                raise SynthError(f"{self.name}: probabilities must be >= 0 and sum to 1")
         if self.lower is not None and self.upper is not None and self.lower >= self.upper:
             raise SynthError(f"{self.name}: truncation bounds out of order")
         if abs(self.loading) > 1.0:
@@ -71,7 +75,8 @@ class AnalyteSpec:
 class GeneratorSpec:
     n: int
     seed: int
-    analytes: list[AnalyteSpec] = field(default_factory=list)
+    # a lambda, since default_analytes is defined below
+    analytes: list[AnalyteSpec] = field(default_factory=lambda: default_analytes())
 
     def __post_init__(self):
         if not all(is_number(v) and isinstance(v, int) for v in (self.n, self.seed)):
@@ -79,7 +84,11 @@ class GeneratorSpec:
         if self.n < 1:
             raise SynthError("n must be >= 1")
         if not self.analytes:
-            self.analytes = default_analytes()
+            raise SynthError("analytes must not be empty; leave the key out for the defaults")
+        names = [a.name for a in self.analytes]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise SynthError(f"repeated analyte name(s): {', '.join(repeated)}")
 
 
 def _lognormal(name, median, sigma, lower, upper, unit, **kw) -> AnalyteSpec:
@@ -152,79 +161,79 @@ def spec_from_json(path: str) -> GeneratorSpec:
     """Load a generator spec from its JSON config representation.
 
     The file holds `n`, `seed` and optionally `analytes`, whose entries use
-    the `AnalyteSpec` field names.  An unreadable file, an unknown key or a
-    malformed entry raises SynthError.
+    the `AnalyteSpec` field names; without the key the cohort has the default
+    analytes.  An unreadable file, an unknown key or a malformed entry raises
+    SynthError.
     """
     def decode(cfg: dict) -> GeneratorSpec:
         check_keys(cfg, ("n", "seed", "analytes"), "spec")
+        if "analytes" not in cfg:
+            return GeneratorSpec(n=cfg["n"], seed=cfg["seed"])
         analytes = [AnalyteSpec(**{**entry, "probs": tuple(entry.get("probs", ()))})
-                    for entry in cfg.get("analytes", [])]
+                    for entry in cfg["analytes"]]
         return GeneratorSpec(n=cfg["n"], seed=cfg["seed"], analytes=analytes)
     return read_file(path, decode, SynthError)
-
-
-def _latent_normal(spec: AnalyteSpec, rng: SplitMix64, latent: dict[str, float]) -> float:
-    """One standard normal draw, mixed with the analyte's latent factor by its
-    loading; still standard normal."""
-    load = spec.loading if spec.factor is not None else 0.0
-    z = rng.normal()
-    if load != 0.0:
-        z = load * latent[spec.factor] + math.sqrt(1.0 - load * load) * z
-    return z
-
-
-def _draw_continuous(spec: AnalyteSpec, z: float) -> float:
-    if spec.dist == "lognormal":
-        value = math.exp(spec.mu + spec.sigma * z)
-    else:
-        value = spec.mu + spec.sigma * z
-    if spec.lower is not None:
-        value = max(value, spec.lower)
-    if spec.upper is not None:
-        value = min(value, spec.upper)
-    return value
 
 
 _STD_NORMAL = NormalDist()
 
 
-def _draw_ordinal(spec: AnalyteSpec, z: float) -> float:
-    """Threshold a latent normal at the cumulative-probability cutpoints.
+def _cut_points(probs: tuple[float, ...]) -> np.ndarray:
+    """The latent thresholds of the first four ordinal levels: a row takes the
+    first level whose cut point is >= its latent normal, else the last.
 
-    The marginal level probabilities are exact regardless of the loading;
-    the factor only shifts *which* rows land in the upper levels.
+    They are the standard normal quantiles of the running level probability,
+    so the marginal level probabilities are exact regardless of the loading;
+    the factor only shifts *which* rows land in the upper levels.  A level
+    whose running probability reaches 1 takes every remaining row, and one
+    whose running probability is 0 takes none.
     """
-    levels = tuple(ORDINAL_TOKENS)
-    acc = 0.0
-    for level, prob in zip(levels[:-1], spec.probs[:-1]):
+    cuts, acc = [], 0.0
+    for prob in probs[:-1]:
         acc += prob
-        if acc >= 1.0:
-            return level
-        if acc > 0.0 and z <= _STD_NORMAL.inv_cdf(acc):
-            return level
-    return levels[-1]
+        cuts.append(math.inf if acc >= 1.0
+                    else _STD_NORMAL.inv_cdf(acc) if acc > 0.0 else -math.inf)
+    return np.array(cuts)
 
 
-def _format_cell(spec: AnalyteSpec, value: float) -> str:
+def _column(spec: AnalyteSpec, z: np.ndarray, latent: dict[str, np.ndarray]) -> list[str]:
+    """One analyte's cells from its standard normal draws, mixed with its
+    latent factor by its loading (still standard normal)."""
+    load = spec.loading if spec.factor is not None else 0.0
+    if load != 0.0:
+        z = load * latent[spec.factor] + math.sqrt(1.0 - load * load) * z
     if spec.dist == "categorical":
-        return ORDINAL_TOKENS[value]
-    text = f"{value:.{spec.decimals}f}"
-    return f"{text} {spec.unit}" if spec.unit else text
+        tokens = list(ORDINAL_TOKENS.values())
+        return [tokens[i] for i in np.searchsorted(_cut_points(spec.probs), z).tolist()]
+    with np.errstate(over="ignore"):  # reported below as not finite
+        values = spec.mu + spec.sigma * z
+    not_finite = SynthError(f"{spec.name}: a drawn value is not finite; check its mu and sigma")
+    if spec.dist == "lognormal":
+        try:
+            values = np.array(list(map(math.exp, values.tolist())))
+        except OverflowError:
+            raise not_finite from None
+    if not np.isfinite(values).all():
+        raise not_finite
+    if spec.lower is not None:
+        values = np.where(spec.lower > values, spec.lower, values)
+    if spec.upper is not None:
+        values = np.where(spec.upper < values, spec.upper, values)
+    fmt, unit = f".{spec.decimals}f", f" {spec.unit}" if spec.unit else ""
+    return [f"{value:{fmt}}{unit}" for value in values.tolist()]
 
 
 def generate(spec: GeneratorSpec) -> tuple[list[str], list[list[str]]]:
-    """Generate (header, rows) of string cells; byte-deterministic per seed."""
-    rng = SplitMix64(spec.seed)
-    factors = sorted({a.factor for a in spec.analytes if a.factor is not None})
-    header = [a.name for a in spec.analytes]
-    rows = []
-    for _ in range(spec.n):
-        latent = {name: rng.normal() for name in factors}
-        cells = []
-        for analyte in spec.analytes:
-            draw = _draw_ordinal if analyte.dist == "categorical" else _draw_continuous
-            value = draw(analyte, _latent_normal(analyte, rng, latent))
-            cells.append(_format_cell(analyte, value))
-        rows.append(cells)
-    return header, rows
+    """Generate (header, rows) of string cells; byte-deterministic per seed.
 
+    Each row draws one standard normal per latent factor (in name order),
+    then one per analyte, from a single SplitMix64 stream; the whole stream
+    is drawn as one block and the cells are made column by column.
+    """
+    factors = sorted({a.factor for a in spec.analytes if a.factor is not None})
+    width = len(factors) + len(spec.analytes)
+    z = SplitMix64(spec.seed).normals(spec.n * width).reshape(spec.n, width)
+    latent = {name: z[:, j] for j, name in enumerate(factors)}
+    columns = [_column(analyte, z[:, len(factors) + i], latent)
+               for i, analyte in enumerate(spec.analytes)]
+    return [a.name for a in spec.analytes], [list(row) for row in zip(*columns)]

@@ -516,6 +516,12 @@ SIDEWAYS_SYSTEM = {"systems": [{"name": "kidney", "rules": [
      "SystemsError"),
     ("schema_config", {}, "IngestError"),  # no columns
     ("schema_config", {"columns": []}, "IngestError"),
+    # only an absent analytes key means the default analytes
+    ("spec_path", {"n": 10, "seed": 1, "analytes": []}, "SynthError"),
+    ("spec_path", {"n": 10, "seed": 1, "analytes": [
+        {"name": "A", "dist": "normal", "decimals": -1}]}, "SynthError"),
+    ("spec_path", {"n": 10, "seed": 1, "analytes": [
+        {"name": "A", "dist": "normal"}, {"name": "A", "dist": "lognormal"}]}, "SynthError"),
 ])
 def test_bad_config_files_exit_2_before_any_artifact(tmp_path, capsys, key, content, kind):
     path = tmp_path / "file.json"
@@ -571,6 +577,18 @@ def test_valid_configs_keep_their_hash(tmp_path, monkeypatch, name, seed):
     (tmp_path / "spec.json").write_text(json.dumps({"n": 50, "seed": 1}))
     path = None if raw is None else _write_config(tmp_path, raw)
     assert RunConfig.load(path, seed_override=seed).hash() == digests[seed is not None]
+
+
+def test_non_finite_draw_exits_2_naming_the_analyte(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 10, "seed": 1, "analytes": [
+        {"name": "TG", "dist": "lognormal", "mu": 800.0}]}))
+    cfg = _write_config(tmp_path, {"synth": {"spec_path": str(spec)}})
+    assert _run("simulate", str(tmp_path / "run"), cfg) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SynthError"
+    assert err["message"].startswith("TG: a drawn value is not finite")
+    assert not os.path.exists(tmp_path / "run" / "cohort.csv")
 
 
 def test_inline_analytes_rejected(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from multisys.rng import SplitMix64
+from multisys.rng import _GOLDEN, SplitMix64
 
 
 def test_same_seed_same_stream():
@@ -16,10 +16,11 @@ def test_same_seed_same_stream():
 
 
 def test_known_first_value_is_stable():
-    # Pin the stream so any accidental algorithm change is caught.
-    first = SplitMix64(0).next_u64()
-    assert first == SplitMix64(0).next_u64()
-    assert 0 <= first < 1 << 64
+    # The reference SplitMix64's first two outputs for seed 0, so any
+    # accidental algorithm change is caught.
+    rng = SplitMix64(0)
+    assert rng.next_u64() == 0xE220A8397B1DCDAF
+    assert rng.next_u64() == 0x6E789E6AA1B965F4
 
 
 def test_random_unit_interval():
@@ -122,3 +123,50 @@ def test_randints_below_edge_cases():
     for n in (0, -1):
         with pytest.raises(ValueError):
             rng.randints_below(n, 5)
+
+
+def _scalar_normals(rng: SplitMix64, k: int) -> list[float]:
+    return [rng.normal() for _ in range(k)]
+
+
+def _assert_normals_match(seed: int, k: int, cached: bool = False) -> None:
+    scalar, bulk = SplitMix64(seed), SplitMix64(seed)
+    if cached:  # enter with the second half of a pair in the cache
+        scalar.normal()
+        bulk.normal()
+    expected = _scalar_normals(scalar, k)
+    drawn = bulk.normals(k)
+    assert drawn.dtype == np.float64 and drawn.shape == (k,)
+    assert drawn.tolist() == expected, (seed, k, cached)
+    assert bulk._state == scalar._state, (seed, k, cached)
+    assert bulk._gauss_cache == scalar._gauss_cache, (seed, k, cached)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 10, 501])
+@pytest.mark.parametrize("cached", [False, True])
+def test_normals_match_scalar_draws(k, cached):
+    for seed in (0, 1, 42, 2**64 - 1, _GOLDEN):
+        _assert_normals_match(seed, k, cached)
+
+
+def test_normals_leave_the_last_half_pair_cached():
+    rng = SplitMix64(5)
+    rng.normals(3)
+    assert rng._gauss_cache is not None
+    rng.normals(1)
+    assert rng._gauss_cache is None
+
+
+def test_normals_fall_back_where_u1_is_redrawn():
+    # A seed of -(2m + 1) * golden makes draw 2m exactly 0.0: pair m's u1,
+    # which the scalar draw rejects and redraws, shifting every later pair.
+    assert SplitMix64(0x61C8864680B583EB).random() == 0.0
+    for m in (0, 1, 5):
+        seed = (-(2 * m + 1) * _GOLDEN) % 2**64
+        raw = SplitMix64(seed)
+        for _ in range(2 * m):
+            raw.random()
+        assert raw.random() == 0.0
+        for k in (2 * m + 1, 2 * m + 2, 2 * m + 9, 40):
+            for cached in (False, True):
+                _assert_normals_match(seed, k, cached)

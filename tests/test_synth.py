@@ -1,11 +1,13 @@
 """Synthetic cohort generator: determinism, marginals and formatting."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from multisys.cli import run_subcommand
 from multisys.synth import (
     ORDINAL_TOKENS, AnalyteSpec, GeneratorSpec, SynthError, default_analytes,
     generate, spec_from_json,
@@ -106,6 +108,20 @@ def test_spec_validation():
         AnalyteSpec("X", "normal", mu="5")  # would fail only when drawing
     with pytest.raises(SynthError):
         GeneratorSpec(n=3.5, seed=0)
+    with pytest.raises(SynthError):
+        AnalyteSpec("X", "normal", decimals=-1)
+    for bad in ({"mu": math.inf}, {"mu": 10**400}, {"sigma": math.nan}, {"upper": math.nan},
+                {"factor": "k", "loading": math.nan}):
+        with pytest.raises(SynthError, match="must be finite numbers"):
+            AnalyteSpec("X", "normal", **bad)
+    with pytest.raises(SynthError):
+        AnalyteSpec("X", "categorical", probs=(math.nan,) * 5)
+    with pytest.raises(SynthError, match="must be >= 0"):
+        AnalyteSpec("X", "categorical", probs=(0.5, -0.2, 0.3, 0.2, 0.2))
+    with pytest.raises(SynthError):
+        GeneratorSpec(n=1, seed=0, analytes=[])
+    with pytest.raises(SynthError, match="A"):
+        GeneratorSpec(n=1, seed=0, analytes=[AnalyteSpec("A", "normal")] * 2)
 
 
 def test_default_analytes_cover_default_schema():
@@ -133,3 +149,71 @@ def test_spec_from_json(tmp_path):
     header, rows = generate(spec)
     assert header == ["A", "P"]
     assert len(rows) == 10
+
+
+# sha256 of cohort.csv, recorded with the row-by-row generator that drew one
+# scalar normal at a time: the block draw must give the same bytes.  The spec
+# file mixes every distribution, bounds, units and loadings, and its 333 rows
+# of 2 factors and 5 analytes draw an odd number of normals.
+ODD_SPEC = {"n": 333, "seed": 7, "analytes": [
+    {"name": "A", "dist": "lognormal", "mu": 1.0, "sigma": 0.5, "lower": 1, "upper": 5,
+     "unit": "U/L", "decimals": 1, "factor": "f", "loading": -0.4},
+    {"name": "B", "dist": "normal", "mu": 0.0, "sigma": 1.0, "lower": -1, "upper": 1,
+     "decimals": 3},
+    {"name": "C", "dist": "categorical", "probs": [0.5, 0.2, 0.15, 0.1, 0.05],
+     "factor": "g", "loading": 0.6},
+    {"name": "D", "dist": "categorical", "probs": [0, 0.5, 0.5, 0, 0],
+     "factor": "f", "loading": 0.9},
+    {"name": "E", "dist": "normal", "mu": 100, "sigma": 15, "decimals": 0, "unit": "g/L"},
+]}
+PINNED_COHORTS = {
+    "default-1195": ({"n": 1195, "seed": 42}, None,
+                     "e41bb665b56819abcb93e3add81690725c845e8ed7db786b1c4905714260a137"),
+    "odd-spec": ({}, ODD_SPEC,
+                 "af3f9f0dffe9464fd139121f3003ff26f5852552c6363b5a557c9803eb9c5dc8"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_COHORTS)
+def test_cohort_bytes_are_pinned(tmp_path, name):
+    synth, spec, digest = PINNED_COHORTS[name]
+    if spec is not None:
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        synth = {**synth, "spec_path": str(tmp_path / "spec.json")}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": synth}))
+    assert run_subcommand("simulate", str(config), str(tmp_path / "run")) == 0
+    assert hashlib.sha256((tmp_path / "run" / "cohort.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("analyte", [
+    {"name": "BIG", "dist": "lognormal", "mu": 800.0},  # math.exp overflows
+    {"name": "BIG", "dist": "normal", "sigma": 1e308, "lower": 0},  # sigma * z is inf
+    {"name": "BIG", "dist": "normal", "mu": -1e308, "sigma": 1e308},
+])
+def test_non_finite_draw_raises_naming_the_analyte(analyte):
+    spec = GeneratorSpec(n=50, seed=1, analytes=[AnalyteSpec(**analyte)])
+    with pytest.raises(SynthError, match="BIG: a drawn value is not finite"):
+        generate(spec)
+
+
+def test_spec_file_without_analytes_uses_the_defaults(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"n": 3, "seed": 1}))
+    assert spec_from_json(str(path)).analytes == default_analytes()
+    path.write_text(json.dumps({"n": 3, "seed": 1, "analytes": []}))
+    with pytest.raises(SynthError, match="analytes must not be empty"):
+        spec_from_json(str(path))
+
+
+def test_ordinal_levels_follow_the_cut_points():
+    # A level whose running probability is 0 takes no row, one that reaches 1
+    # takes every remaining row.
+    cases = {(0.0, 0.5, 0.5, 0.0, 0.0): {"±", "1+"},
+             (0.0, 0.0, 0.0, 0.0, 1.0): {"3+"},
+             (1.0, 0.0, 0.0, 0.0, 0.0): {"negative"}}
+    for probs, levels in cases.items():
+        spec = GeneratorSpec(n=400, seed=3, analytes=[
+            AnalyteSpec("P", "categorical", probs=probs, factor="k", loading=0.5)])
+        _, rows = generate(spec)
+        assert {row[0] for row in rows} == levels, probs
