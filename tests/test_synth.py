@@ -151,10 +151,10 @@ def test_spec_from_json(tmp_path):
     assert len(rows) == 10
 
 
-# sha256 of cohort.csv, recorded with the row-by-row generator that drew one
-# scalar normal at a time: the block draw must give the same bytes.  The spec
-# file mixes every distribution, bounds, units and loadings, and its 333 rows
-# of 2 factors and 5 analytes draw an odd number of normals.
+# sha256 of cohort.csv, recorded when each normal was one scalar `normal()`
+# call, which the block draw must reproduce bit for bit.  The spec file mixes
+# every distribution, bounds, units and loadings, and its 333 rows of 2
+# factors and 5 analytes draw an odd number of normals.
 ODD_SPEC = {"n": 333, "seed": 7, "analytes": [
     {"name": "A", "dist": "lognormal", "mu": 1.0, "sigma": 0.5, "lower": 1, "upper": 5,
      "unit": "U/L", "decimals": 1, "factor": "f", "loading": -0.4},
