@@ -10,25 +10,30 @@ ensemble (scaled by shrinkage for boosting), and the base value is the
 cover-weighted expected ensemble output, so base + sum(phi) reproduces the
 model output exactly (local accuracy).
 
-Each tree is walked once per block of rows: path features and zero fractions
-are scalars, one fractions and path weights are arrays over the rows, and
-each row gets the floating-point operations of its own walk.  That walk takes
-the row's own child ("hot") first, so each row sums its leaf contributions in
-its hot-first order, and phi is bit-identical to explaining rows one by one.
+Rows are explained in blocks and trees in chunks, so that a walk holds at
+most _BUDGET rows x trees x leaves, and a chunk's trees are walked together,
+level by level.  A row's arithmetic depends only on the 0/1 one fractions on
+its path, so path weights are held per unit (a node and one such history) and
+each row holds its unit at each node.  The formulas keep the scalar
+algorithm's operations in order, and each row adds its leaves' contributions
+in its own hot-first order (own child first) from +0.0, tree by tree, so phi
+is bit-identical to explaining rows one by one.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .base import MultisysError, check_X
 from .models import TreeEnsemble
-from .tree import LEAF, DecisionTree
+from .tree import FIELDS, LEAF, DecisionTree
 
-_ROW_BLOCK = 512  # rows per walk; a tree's leaf contributions are held per block
+_BUDGET = 28_000  # rows x trees x leaves per tree in a walk's per-row arrays
 PDP_GRID_SIZE = 50  # quantile levels per partial-dependence curve
 
 
@@ -49,107 +54,169 @@ class PdpCurve:
     response: np.ndarray  # predicted probability at each grid point
 
 
-@dataclass
-class _Path:
-    """Root-to-node path; row-dependent fields are (len, n) arrays."""
-
-    features: list[int]
-    zeros: list[float]
-    ones: np.ndarray
-    pweights: np.ndarray
-
-    def extend(self, zero_fraction: float, one_fraction: np.ndarray,
-               feature: int) -> "_Path":
-        length = len(self.features)
-        pw = np.empty((length + 1, len(one_fraction)))
-        pw[length] = 1.0 if length == 0 else 0.0
-        i = np.arange(length, dtype=float)[:, None]
-        pw[:length] = zero_fraction * self.pweights * (length - i) / (length + 1)
-        pw[1:] += one_fraction * self.pweights * (i + 1) / (length + 1)
-        return _Path(self.features + [feature], self.zeros + [zero_fraction],
-                     np.vstack([self.ones, one_fraction]), pw)
-
-    def unwind(self, index: int) -> "_Path":
-        """The path without element `index` (both branches, selected per row)."""
-        last = len(self.features) - 1
-        one, zero = self.ones[index], self.zeros[index]
-        pw = np.empty((last, self.pweights.shape[1]))
-        carry = self.pweights[last]
-        for j in range(last - 1, -1, -1):
-            hot = carry * (last + 1) / ((j + 1) * one)
-            cold = self.pweights[j] * (last + 1) / (zero * (last - j))
-            carry = self.pweights[j] - hot * zero * (last - j) / (last + 1)
-            pw[j] = np.where(one != 0.0, hot, cold)
-        keep = [k for k in range(last + 1) if k != index]
-        return _Path([self.features[k] for k in keep], [self.zeros[k] for k in keep],
-                     self.ones[keep], pw)
-
-    def leaf_contributions(self, value: float) -> np.ndarray:
-        """(len - 1, n) contribution of elements 1.. at a leaf of this value."""
-        last = len(self.features) - 1
-        one = self.ones[1:]
-        zero = np.array(self.zeros[1:])[:, None]
-        hot_total = np.zeros(one.shape)
-        cold_total = np.zeros(one.shape)
-        carry = self.pweights[last]
-        for j in range(last - 1, -1, -1):
-            tmp = carry * (last + 1) / ((j + 1) * one)
-            hot_total += tmp
-            carry = self.pweights[j] - tmp * zero * (last - j) / (last + 1)
-            cold_total += self.pweights[j] * (last + 1) / (zero * (last - j))
-        return np.where(one != 0.0, hot_total, cold_total) * (one - zero) * value
+def _flatten(trees: Sequence[DecisionTree]) -> SimpleNamespace:
+    """The trees' node arrays end to end, child ids offset to match, with the
+    roots, each node's tree and the number of leaves below each node."""
+    sizes = [tree.n_nodes for tree in trees]
+    t = SimpleNamespace(**{name: np.concatenate([getattr(tree, name) for tree in trees])
+                           for name in FIELDS})
+    t.root = np.cumsum([0] + sizes[:-1])
+    t.tree = np.repeat(np.arange(len(trees)), sizes)
+    t.left, t.right = t.left + t.root[t.tree], t.right + t.root[t.tree]
+    t.leaves = np.ones(len(t.feature), dtype=np.int32)
+    for node in np.flatnonzero(t.feature != LEAF)[::-1]:  # children have higher ids
+        t.leaves[node] = t.leaves[t.left[node]] + t.leaves[t.right[node]]
+    return t
 
 
-def _leaf_counts(tree: DecisionTree) -> list[int]:
-    counts = [1] * tree.n_nodes
-    for node in np.flatnonzero(tree.feature != LEAF)[::-1]:  # children first
-        counts[node] = counts[tree.left[node]] + counts[tree.right[node]]
-    return counts
+# The nodes at one depth of some trees, with their units.  Node fields (N, ...):
+# ids, path features, path zero fractions; unit fields (U, ...): one fractions,
+# path weights, the unit's node; row fields (N, n): each row's unit and rank
+# (leaves it visits before the subtree).  Paths are right-aligned: a
+# length-L path fills the last L columns, from the root's dummy (feature -1);
+# the padding before it has feature -2.
+_Group = namedtuple("_Group", "node feat zero one pw unode unit rank")
+
+
+def _last(g: _Group) -> np.ndarray:
+    """(U, 1) index of each unit's last path element."""
+    return np.count_nonzero(g.feat > -2, axis=1)[g.unode, None] - 1
+
+
+def _select(g: _Group, keep: np.ndarray) -> _Group:
+    """g's nodes where keep holds, with their units renumbered."""
+    if keep.all():
+        return g
+    ukeep = keep[g.unode]
+    return _Group(g.node[keep], g.feat[keep], g.zero[keep], g.one[ukeep], g.pw[ukeep],
+                  (np.cumsum(keep) - 1)[g.unode[ukeep]],
+                  (np.cumsum(ukeep, dtype=np.int32) - 1)[g.unit[keep]], g.rank[keep])
+
+
+def _unwind(g: _Group, f: np.ndarray) -> tuple[_Group, np.ndarray, np.ndarray]:
+    """g with the element of feature f[node] unwound from each path holding
+    one (both branches, selected per unit), and that element's zero (per
+    node) and one (per unit) fractions, 1.0 where there is none."""
+    hit = g.feat == f[:, None]
+    repeated = hit.any(axis=1)
+    if not repeated.any():
+        return g, np.ones(len(g.node)), np.ones(len(g.one))
+    found, last = hit.argmax(axis=1), _last(g)[:, 0]
+    one = g.one[np.arange(len(g.one)), found[g.unode]]
+    incoming_zero = np.where(repeated, g.zero[np.arange(len(g.node)), found], 1.0)
+    zero = incoming_zero[g.unode]
+    pw, carry = np.zeros(g.pw.shape), g.pw[:, -1]
+    for c in range(g.pw.shape[1] - 1):  # element j = last - 1 - c, in column -2 - c
+        hot = carry * (last + 1) / ((last - c) * one)
+        cold = g.pw[:, -2 - c] * (last + 1) / (zero * (c + 1))
+        carry = g.pw[:, -2 - c] - hot * zero * (c + 1) / (last + 1)
+        pw[:, -1 - c] = np.where(one != 0.0, hot, cold)
+    cols = np.arange(g.feat.shape[1])
+    source = cols - (repeated[:, None] & (cols <= found[:, None]))  # -1 wraps to padding
+    feat = np.take_along_axis(g.feat, source, axis=1)
+    feat[repeated, 0] = -2
+    unwound = repeated[g.unode]
+    return (g._replace(feat=feat, zero=np.take_along_axis(g.zero, source, axis=1),
+                       one=np.take_along_axis(g.one, source[g.unode], axis=1),
+                       pw=np.where(unwound[:, None], pw, g.pw)),
+            incoming_zero, np.where(unwound, one, 1.0))
+
+
+def _children(t: SimpleNamespace, g: _Group, incoming_zero: np.ndarray,
+              incoming_one: np.ndarray, XT: np.ndarray) -> _Group:
+    """The children of g's nodes, left ones first, their paths extended.  A
+    child's units are the distinct (parent unit, nonzero one fraction) pairs
+    of its rows."""
+    (n_nodes, width), n_units = g.feat.shape, len(g.one)
+    f, left, right = t.feature[g.node], t.left[g.node], t.right[g.node]
+    goes_left = XT[f] <= t.threshold[g.node][:, None]
+    carries = (incoming_one != 0.0)[g.unit]
+    key = 2 * np.concatenate([g.unit, g.unit + n_units])
+    key += np.concatenate([goes_left & carries, carries & ~goes_left])
+    seen = np.zeros(4 * n_units, dtype=bool)
+    seen[key] = True
+    kept = np.flatnonzero(seen)
+    parent = (kept >> 1) % n_units
+    unode = g.unode[parent] + n_nodes * (kept >= 2 * n_units)
+    one = np.where(kept & 1, incoming_one[parent], 0.0)
+    children = np.concatenate([left, right])
+    zero = np.tile(incoming_zero, 2) * t.cover[children] / np.tile(t.cover[g.node], 2)
+    rank = np.concatenate([g.rank + np.where(goes_left, 0, t.leaves[right, None]),
+                           g.rank + np.where(goes_left, t.leaves[left, None], 0)])
+    # element k of a length-m path is in column width - m + k, of width + 1 after
+    pweights, m = g.pw[parent], _last(g)[parent] + 1
+    cols = np.arange(width, dtype=float)
+    pw = np.zeros((len(kept), width + 1))
+    pw[:, :width] = zero[unode, None] * pweights * (width - cols) / (m + 1)
+    np.add(pw[:, 1:], one[:, None] * pweights * (cols + 1 - (width - m)) / (m + 1),
+           out=pw[:, 1:], where=cols >= width - m)
+    feat = np.column_stack([g.feat, f])
+    return _Group(children, np.concatenate([feat, feat]),
+                  np.column_stack([np.tile(g.zero, (2, 1)), zero]),
+                  np.column_stack([g.one[parent], one]), pw, unode,
+                  (np.cumsum(seen, dtype=np.int32) - 1)[key], rank)
+
+
+def _leaf_contributions(g: _Group, value: np.ndarray) -> np.ndarray:
+    """(U, width - 1) contribution of the path element in each column but the
+    first, at leaves of these values; columns off the path hold garbage."""
+    last, carry = _last(g), g.pw[:, -1:]
+    one, zero = g.one[:, 1:], g.zero[g.unode, 1:]
+    hot_total, cold_total = np.zeros(one.shape), np.zeros(one.shape)
+    for c in range(one.shape[1]):  # element j = last - 1 - c, in column -2 - c
+        tmp = carry * (last + 1) / ((last - c) * one)
+        np.add(hot_total, tmp, out=hot_total, where=c < last)
+        carry = g.pw[:, -2 - c, None] - tmp * zero * (c + 1) / (last + 1)
+        np.add(cold_total, g.pw[:, -2 - c, None] * (last + 1) / (zero * (c + 1)),
+               out=cold_total, where=c < last)
+    return np.where(one != 0.0, hot_total, cold_total) * (one - zero) * value[g.unode, None]
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")  # unselected branches
-def _tree_phi(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
-    """One tree's Shapley values (n, p) for every row of X."""
-    n, p = X.shape
-    leaf_counts = _leaf_counts(tree)
-    by_feature: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    # node, the path above it, the element it adds, and per row the number of
-    # leaves visited before the node's subtree in that row's hot-first order
-    stack = [(0, _Path([], [], np.empty((0, n)), np.empty((0, n))),
-              1.0, np.ones(n), -1, np.zeros(n, dtype=np.int64))]
-    while stack:
-        node, path, zero_fraction, one_fraction, feature, rank = stack.pop()
-        path = path.extend(zero_fraction, one_fraction, feature)
-        if tree.feature[node] == LEAF:
-            if len(path.features) > 1:
-                contrib = path.leaf_contributions(float(tree.value[node]))
-                for f, values in zip(path.features[1:], contrib):
-                    by_feature.setdefault(f, []).append((values, rank))
-            continue
-        f = int(tree.feature[node])
-        left, right = int(tree.left[node]), int(tree.right[node])
-        cl, cr, cn = (int(tree.cover[i]) for i in (left, right, node))
-        goes_left = X[:, f] <= tree.threshold[node]
-        incoming_zero, incoming_one = 1.0, np.ones(n)
-        if f in path.features[1:]:
-            found = path.features.index(f, 1)
-            incoming_zero, incoming_one = path.zeros[found], path.ones[found]
-            path = path.unwind(found)
-        stack.append((left, path, incoming_zero * cl / cn,
-                      np.where(goes_left, incoming_one, 0.0), f,
-                      np.where(goes_left, rank, rank + leaf_counts[right])))
-        stack.append((right, path, incoming_zero * cr / cn,
-                      np.where(goes_left, 0.0, incoming_one), f,
-                      np.where(goes_left, rank + leaf_counts[left], rank)))
-
-    phi = np.zeros((n, p))
-    for f, items in by_feature.items():
-        values = np.array([v for v, _ in items])
-        order = np.argsort(np.array([r for _, r in items]), axis=0)
-        values = np.take_along_axis(values, order, axis=0)
-        values[0] += 0.0  # the per-row sum starts from +0.0
-        phi[:, f] = np.add.accumulate(values, axis=0)[-1]
-    return phi
+def _add_shap(trees: Sequence[DecisionTree], XT: np.ndarray, phi: np.ndarray,
+              scale: float) -> None:
+    """Add scale times each tree's Shapley values on the rows of XT (p, n) to
+    phi (p, n), tree by tree."""
+    p, n = XT.shape
+    t = _flatten(trees)
+    inner = t.feature != LEAF
+    pairs = np.unique(t.tree[inner] * p + t.feature[inner])  # (tree, feature), by tree
+    tree, feature = pairs // p, pairs % p
+    first = np.searchsorted(tree, np.arange(len(trees) + 1))
+    width = int(np.diff(first).max(initial=0))
+    # each feature's column in its tree's values; padding and dummies (-2, -1) add to a spare
+    slot = np.full((len(trees), p + 2), width)
+    slot[tree, feature] = np.arange(len(pairs)) - first[tree]
+    # order[tree, s, row]: the leaf unit the row meets at rank s; unit 0 adds nothing
+    order = np.zeros((len(trees), int(t.leaves[t.root].max()), n), dtype=np.int32)
+    parts = []  # (first unit, contributions, each unit's leaf, each leaf's columns)
+    n_units, k = 1, len(trees)
+    g = _Group(t.root, np.full((k, 1), -1), np.ones((k, 1)), np.ones((k, 1)), np.ones((k, 1)),
+               np.arange(k), np.repeat(np.arange(k, dtype=np.int32)[:, None], n, axis=1),
+               np.zeros((k, n), dtype=np.int32))
+    while len(g.node):
+        is_leaf = t.feature[g.node] == LEAF
+        if is_leaf.any() and g.feat.shape[1] > 1:  # a root leaf adds nothing
+            leaf = _select(g, is_leaf)
+            order[t.tree[leaf.node, None], leaf.rank, np.arange(n)] = leaf.unit + n_units
+            parts.append((n_units, _leaf_contributions(leaf, t.value[leaf.node]), leaf.unode,
+                          slot[t.tree[leaf.node, None], leaf.feat[:, 1:]]))
+            n_units += len(leaf.one)
+            del leaf  # its rows go before the next level's are made
+        g = _select(g, ~is_leaf)
+        if len(g.node):
+            g = _children(t, *_unwind(g, t.feature[g.node]), XT)
+    # Each row adds its leaves' contributions in its own hot-first order, rank
+    # by rank from +0.0; a leaf adds +0.0 to the features off its path.
+    contrib = np.zeros((n_units, width + 1))
+    while parts:
+        start, values, unode, cols = parts.pop()
+        contrib[np.arange(start, start + len(values))[:, None], cols[unode]] = values
+    for k, (a, b) in enumerate(zip(first[:-1], first[1:])):
+        total = np.zeros((n, width + 1))
+        for units in order[k, :t.leaves[t.root[k]]]:
+            total += contrib[units]
+        phi[feature[a:b]] += scale * total[:, :b - a].T
 
 
 def tree_shap(ensemble: TreeEnsemble, X) -> ShapAttribution:
@@ -164,12 +231,16 @@ def tree_shap(ensemble: TreeEnsemble, X) -> ShapAttribution:
     scale = ensemble.shrinkage if boosting else 1.0 / len(ensemble.trees)
     if not ensemble.splits_within(p):
         raise ExplainError(f"X has {p} columns, fewer than the model splits on")
-    phi = np.zeros((n, p))
-    for start in range(0, n, _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
-        for tree in ensemble.trees:
-            phi[block] += scale * _tree_phi(tree, X[block])
-    return ShapAttribution(phi=phi, base_value=ensemble.expected_output())
+    leaves = max(int(np.count_nonzero(tree.feature == LEAF)) for tree in ensemble.trees)
+    block = max(1, min(n, _BUDGET // leaves))
+    chunk = max(1, _BUDGET // (block * leaves))
+    phi = np.zeros((p, n))
+    for start in range(0, n, block):
+        XT = np.ascontiguousarray(X[start:start + block].T)
+        for first in range(0, len(ensemble.trees), chunk):
+            _add_shap(ensemble.trees[first:first + chunk], XT, phi[:, start:start + block],
+                      scale)
+    return ShapAttribution(np.ascontiguousarray(phi.T), ensemble.expected_output())
 
 
 def global_importance(attribution: ShapAttribution,
@@ -195,17 +266,9 @@ def beeswarm_export(attribution: ShapAttribution, X,
         )
     ranking = global_importance(attribution, feature_names)
     rank_of = {name: r + 1 for r, (name, _) in enumerate(ranking)}
-    records = []
-    for i in range(X.shape[0]):
-        for j, name in enumerate(feature_names):
-            records.append({
-                "row": i,
-                "feature": name,
-                "shap": float(attribution.phi[i, j]),
-                "value": float(X[i, j]),
-                "rank": rank_of[name],
-            })
-    return records
+    return [{"row": i, "feature": name, "shap": float(attribution.phi[i, j]),
+             "value": float(X[i, j]), "rank": rank_of[name]}
+            for i in range(X.shape[0]) for j, name in enumerate(feature_names)]
 
 
 def partial_dependence(model, X_train, feature: int) -> PdpCurve:
@@ -218,12 +281,9 @@ def partial_dependence(model, X_train, feature: int) -> PdpCurve:
     X_train = check_X(X_train)
     if not 0 <= feature < X_train.shape[1]:
         raise ExplainError(f"feature {feature} is outside 0..{X_train.shape[1] - 1}")
-    col = X_train[:, feature]
-    levels = np.linspace(0.025, 0.975, PDP_GRID_SIZE)
-    grid = np.unique(np.quantile(col, levels))
+    grid = np.unique(np.quantile(X_train[:, feature], np.linspace(0.025, 0.975, PDP_GRID_SIZE)))
     if len(grid) < 2:
         raise ExplainError(f"feature {feature} is (near-)constant; PDP grid degenerate")
     profile = np.tile(X_train.mean(axis=0), (len(grid), 1))
     profile[:, feature] = grid
-    responses = np.asarray(model.predict_proba(profile), dtype=float)
-    return PdpCurve(feature=feature, grid=grid, response=responses)
+    return PdpCurve(feature, grid, np.asarray(model.predict_proba(profile), dtype=float))

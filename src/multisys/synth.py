@@ -18,7 +18,7 @@ not clinical claims.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from statistics import NormalDist
 
 import numpy as np
@@ -32,6 +32,9 @@ class SynthError(MultisysError):
 
 
 ORDINAL_TOKENS = {0.0: "negative", 0.5: "±", 1.0: "1+", 2.0: "2+", 3.0: "3+"}
+# The AnalyteSpec fields each distribution draws without; a spec may not set them.
+_UNUSED_FIELDS = {"categorical": ("mu", "sigma", "lower", "upper", "unit", "decimals"),
+                  "normal": ("probs",), "lognormal": ("probs",)}
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,10 @@ class AnalyteSpec:
             raise SynthError(f"{self.name}: decimals must be >= 0")
         if self.dist not in ("lognormal", "normal", "categorical"):
             raise SynthError(f"{self.name}: unknown distribution {self.dist!r}")
+        unused = [f.name for f in fields(self)
+                  if f.name in _UNUSED_FIELDS[self.dist] and getattr(self, f.name) != f.default]
+        if unused:
+            raise SynthError(f"{self.name}: a {self.dist} analyte takes no {', '.join(unused)}")
         if self.sigma <= 0 and self.dist != "categorical":
             raise SynthError(f"{self.name}: sigma must be positive")
         if self.dist == "categorical":
@@ -161,16 +168,21 @@ def spec_from_json(path: str) -> GeneratorSpec:
     """Load a generator spec from its JSON config representation.
 
     The file holds `n`, `seed` and optionally `analytes`, whose entries use
-    the `AnalyteSpec` field names; without the key the cohort has the default
-    analytes.  An unreadable file, an unknown key or a malformed entry raises
-    SynthError.
+    the `AnalyteSpec` field names, less those their distribution draws
+    without; without the key the cohort has the default analytes.  An
+    unreadable file, an unknown key or a malformed entry raises SynthError.
     """
+    def analyte(entry: dict) -> AnalyteSpec:
+        unused = _UNUSED_FIELDS.get(entry.get("dist"), ())
+        check_keys(entry, [f.name for f in fields(AnalyteSpec) if f.name not in unused],
+                   f"{entry['dist']} analyte" if unused else "analyte")
+        return AnalyteSpec(**{**entry, "probs": tuple(entry.get("probs", ()))})
+
     def decode(cfg: dict) -> GeneratorSpec:
         check_keys(cfg, ("n", "seed", "analytes"), "spec")
         if "analytes" not in cfg:
             return GeneratorSpec(n=cfg["n"], seed=cfg["seed"])
-        analytes = [AnalyteSpec(**{**entry, "probs": tuple(entry.get("probs", ()))})
-                    for entry in cfg["analytes"]]
+        analytes = [analyte(entry) for entry in cfg["analytes"]]
         return GeneratorSpec(n=cfg["n"], seed=cfg["seed"], analytes=analytes)
     return read_file(path, decode, SynthError)
 

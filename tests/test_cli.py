@@ -522,6 +522,17 @@ SIDEWAYS_SYSTEM = {"systems": [{"name": "kidney", "rules": [
         {"name": "A", "dist": "normal", "decimals": -1}]}, "SynthError"),
     ("spec_path", {"n": 10, "seed": 1, "analytes": [
         {"name": "A", "dist": "normal"}, {"name": "A", "dist": "lognormal"}]}, "SynthError"),
+    # a key the analyte's distribution draws without, even at its default value
+    ("spec_path", {"n": 10, "seed": 1, "analytes": [
+        {"name": "P", "dist": "categorical", "probs": [1, 0, 0, 0, 0], "lower": 5,
+         "unit": "g/L"}]}, "SynthError"),
+    ("spec_path", {"n": 10, "seed": 1, "analytes": [
+        {"name": "A", "dist": "normal", "probs": [1, 0, 0, 0, 0]}]}, "SynthError"),
+    ("spec_path", {"n": 10, "seed": 1, "analytes": [
+        {"name": "P", "dist": "categorical", "probs": [1, 0, 0, 0, 0], "sigma": 1.0}]},
+     "SynthError"),
+    ("spec_path", {"n": 10, "seed": 1, "analytes": [
+        {"name": "A", "dist": "lognormal", "probs": []}]}, "SynthError"),
 ])
 def test_bad_config_files_exit_2_before_any_artifact(tmp_path, capsys, key, content, kind):
     path = tmp_path / "file.json"

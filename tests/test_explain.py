@@ -4,10 +4,12 @@ partial dependence."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from multisys import explain
 from multisys.explain import (
     ExplainError, ShapAttribution, beeswarm_export, global_importance,
     partial_dependence, tree_shap,
@@ -259,6 +261,106 @@ def test_tree_shap_bit_identical_to_scalar_oracle():
         for rows in (X[:0], X[:1], many):
             assert np.array_equal(tree_shap(model, rows).phi,
                                   scalar_tree_shap(model, rows))
+
+
+def _assert_bitwise_oracle(ensemble: TreeEnsemble, rows) -> None:
+    phi = tree_shap(ensemble, rows).phi
+    expected = scalar_tree_shap(ensemble, rows)
+    assert phi.shape == expected.shape
+    assert phi.tobytes() == expected.tobytes()  # signed zeros included
+
+
+def _oracle_data(seed: int, n: int = 90):
+    rng = SplitMix64(seed)
+    X = np.array([[rng.random() for _ in range(5)] for _ in range(n)])
+    X[:, 2] = np.round(X[:, 2] * 3)
+    y = (X[:, 0] + X[:, 1] * X[:, 2] > 1.1).astype(int)
+    return X, y
+
+
+def _n_leaves(tree: DecisionTree) -> int:
+    return int(np.count_nonzero(tree.feature == LEAF))
+
+
+def _depth(tree: DecisionTree, node: int = 0) -> int:
+    if tree.feature[node] == LEAF:
+        return 0
+    return 1 + max(_depth(tree, int(tree.left[node])), _depth(tree, int(tree.right[node])))
+
+
+def test_tree_shap_chunks_and_row_blocks_match_oracle(monkeypatch):
+    X, y = _oracle_data(7)
+    models = [GradientBoostingClassifier(n_estimators=12, max_depth=3,
+                                         min_samples_leaf=3).fit(X, y),
+              RandomForestClassifier(n_estimators=9, max_depth=6, min_samples_leaf=2,
+                                     seed=5).fit(X, y)]
+    for model in models:
+        leaves = max(map(_n_leaves, model.trees))
+        # three 32-row blocks (the last one short) of one-tree chunks, then
+        # one 80-row block of three-tree chunks
+        expected = scalar_tree_shap(model, X[:80]).tobytes()
+        for budget in (32 * leaves, 3 * 80 * leaves):
+            monkeypatch.setattr(explain, "_BUDGET", budget)
+            assert tree_shap(model, X[:80]).phi.tobytes() == expected
+
+
+def test_tree_shap_forest_of_unequal_depths_matches_oracle():
+    X, y = _oracle_data(8)
+    trees = [grow_tree(X, y.astype(float), criterion="variance", max_depth=depth,
+                       min_samples_leaf=2) for depth in (5, 1, 3, 7, 2)]
+    assert len({_depth(tree) for tree in trees}) >= 4
+    _assert_bitwise_oracle(TreeEnsemble("random-forest", trees), X)
+
+
+def test_tree_shap_single_leaf_tree_matches_oracle():
+    X, y = _oracle_data(9)
+    leaf = grow_tree(X, np.ones(len(X)), criterion="variance", max_depth=4,
+                     min_samples_leaf=1)
+    assert leaf.n_nodes == 1
+    deep = grow_tree(X, y.astype(float), criterion="variance", max_depth=4,
+                     min_samples_leaf=2)
+    for trees in ([leaf], [leaf, deep], [deep, leaf, deep]):
+        ensemble = TreeEnsemble("gradient-boosting", trees, shrinkage=0.5)
+        _assert_bitwise_oracle(ensemble, X[:30])
+        assert tree_shap(ensemble, X[:2]).base_value == ensemble.expected_output()
+
+
+def test_tree_shap_identical_rows_match_oracle():
+    X, y = _oracle_data(10)
+    model = RandomForestClassifier(n_estimators=6, max_depth=6, min_samples_leaf=2,
+                                   seed=1).fit(X, y)
+    rows = np.tile(X[4], (25, 1))  # one unit at every node
+    _assert_bitwise_oracle(model, rows)
+    phi = tree_shap(model, rows).phi
+    assert (phi == phi[0]).all()
+
+
+def test_tree_shap_of_zero_rows():
+    X, y = _oracle_data(11)
+    model = GradientBoostingClassifier(n_estimators=4, max_depth=3,
+                                       min_samples_leaf=3).fit(X, y)
+    attribution = tree_shap(model, X[:0])
+    assert attribution.phi.shape == (0, X.shape[1])
+    assert attribution.base_value == model.expected_output()
+
+
+def test_tree_shap_memory_is_bounded_by_the_budget():
+    # A leaked view of a chunk's arrays, or one chunk of every tree, would
+    # hold megabytes; the walk's arrays stay within a small multiple of
+    # the budget.
+    rng = SplitMix64(12)
+    X = np.array([[rng.random() for _ in range(6)] for _ in range(512)])
+    y = (X[:, 0] + X[:, 1] * X[:, 2] > 0.8).astype(int)
+    model = RandomForestClassifier(n_estimators=200, max_depth=8, min_samples_leaf=25,
+                                   seed=4).fit(X, y)
+    tracemalloc.start()
+    try:
+        attribution = tree_shap(model, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert attribution.phi.shape == X.shape
+    assert peak < 40 * explain._BUDGET + 4 * X.nbytes
 
 
 def test_tree_shap_rejects_too_few_columns():

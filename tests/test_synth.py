@@ -122,6 +122,14 @@ def test_spec_validation():
         GeneratorSpec(n=1, seed=0, analytes=[])
     with pytest.raises(SynthError, match="A"):
         GeneratorSpec(n=1, seed=0, analytes=[AnalyteSpec("A", "normal")] * 2)
+    # a field the distribution draws without is rejected, not ignored
+    for unused in ({"mu": 1.0}, {"sigma": 2.0}, {"lower": 5}, {"upper": 5},
+                   {"unit": "g/L"}, {"decimals": 1}):
+        with pytest.raises(SynthError, match=f"categorical analyte takes no {[*unused][0]}"):
+            AnalyteSpec("X", "categorical", probs=(1, 0, 0, 0, 0), **unused)
+    for dist in ("normal", "lognormal"):
+        with pytest.raises(SynthError, match=f"{dist} analyte takes no probs"):
+            AnalyteSpec("X", dist, probs=(1, 0, 0, 0, 0))
 
 
 def test_default_analytes_cover_default_schema():
