@@ -65,7 +65,7 @@ class AnalyteSpec:
                   if f.name in _UNUSED_FIELDS[self.dist] and getattr(self, f.name) != f.default]
         if unused:
             raise SynthError(f"{self.name}: a {self.dist} analyte takes no {', '.join(unused)}")
-        if self.sigma <= 0 and self.dist != "categorical":
+        if self.sigma <= 0:  # a categorical analyte keeps the default 1.0
             raise SynthError(f"{self.name}: sigma must be positive")
         if self.dist == "categorical":
             if len(self.probs) != 5:
