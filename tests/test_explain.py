@@ -339,6 +339,7 @@ def test_tree_shap_of_zero_rows():
     X, y = _oracle_data(11)
     model = GradientBoostingClassifier(n_estimators=4, max_depth=3,
                                        min_samples_leaf=3).fit(X, y)
+    _assert_bitwise_oracle(model, X[:0])
     attribution = tree_shap(model, X[:0])
     assert attribution.phi.shape == (0, X.shape[1])
     assert attribution.base_value == model.expected_output()
