@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -69,6 +70,11 @@ def is_number(value) -> bool:
 def is_finite(value) -> bool:
     """True for an int or float that is a finite float, never for a bool."""
     return is_number(value) and abs(value) <= sys.float_info.max
+
+
+def repeated(keys) -> list:
+    """The keys that occur more than once, each once, in order of first occurrence."""
+    return [k for k, count in Counter(keys).items() if count > 1]
 
 
 def check_keys(doc: dict, allowed, where: str) -> dict:

@@ -525,8 +525,9 @@ def stage_explain(ws: Workspace) -> None:
 def stage_report(ws: Workspace) -> None:
     matrix = _load_matrix(ws)
     figures = {}
+    # a column that never varies has no spread to draw and no correlation
     continuous = [(c.name, matrix.column(c.name)) for c in matrix.columns
-                  if c.kind == "continuous" and c.name not in matrix.zero_filled][:12]
+                  if c.kind == "continuous" and np.ptp(matrix.column(c.name)) > 0][:12]
     figures["histograms"] = report_mod.render_histogram_grid(continuous)
 
     figures["burden"] = report_mod.render_burden_distribution(

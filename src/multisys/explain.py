@@ -14,10 +14,11 @@ Rows are explained in blocks and trees in chunks, so that a walk holds at
 most _BUDGET rows x trees x leaves, and a chunk's trees are walked together,
 level by level.  A row's arithmetic depends only on the 0/1 one fractions on
 its path, so path weights are held per unit (a node and one such history) and
-each row holds its unit at each node.  The formulas keep the scalar
-algorithm's operations in order, and each row adds its leaves' contributions
-in its own hot-first order (own child first) from +0.0, tree by tree, so phi
-is bit-identical to explaining rows one by one.
+each row holds its unit at each node.  One unwinding recurrence, in the scalar
+algorithm's operation order, unwinds repeated features and sums at leaves;
+each row adds its leaves' contributions, in the model's feature columns, in
+its own hot-first order from +0.0, tree by tree, so phi is bit-identical to
+explaining rows one by one.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ def _flatten(trees: Sequence[DecisionTree]) -> SimpleNamespace:
 # path weights, the unit's node; row fields (N, n): each row's unit and rank
 # (leaves it visits before the subtree).  Paths are right-aligned: a
 # length-L path fills the last L columns, from the root's dummy (feature -1);
-# the padding before it has feature -2.
+# the padding before it has feature -2 and path weight +0.0, so it adds +0.0
+# when a path is extended or unwound.
 _Group = namedtuple("_Group", "node feat zero one pw unode unit rank")
 
 
@@ -93,24 +95,33 @@ def _select(g: _Group, keep: np.ndarray) -> _Group:
                   (np.cumsum(ukeep, dtype=np.int32) - 1)[g.unit[keep]], g.rank[keep])
 
 
+def _unwound(pw: np.ndarray, last: np.ndarray, one: np.ndarray, zero: np.ndarray):
+    """The scalar unwinding recurrence: for c = 0, 1, ..., the weight of the
+    path element last - 1 - c (column -2 - c of pw) once the element with
+    fractions one and zero is unwound.  Past the path it takes the cold step
+    over +0.0 padding, which yields +0.0."""
+    hot = one != 0.0
+    carry = pw[..., -1]
+    for c in range(pw.shape[-1] - 1):
+        tmp = carry * (last + 1) / ((last - c) * one)
+        carry = pw[..., -2 - c] - tmp * zero * (c + 1) / (last + 1)
+        yield np.where(hot & (c < last), tmp, pw[..., -2 - c] * (last + 1) / (zero * (c + 1)))
+
+
 def _unwind(g: _Group, f: np.ndarray) -> tuple[_Group, np.ndarray, np.ndarray]:
     """g with the element of feature f[node] unwound from each path holding
-    one (both branches, selected per unit), and that element's zero (per
-    node) and one (per unit) fractions, 1.0 where there is none."""
+    one, and that element's zero (per node) and one (per unit) fractions,
+    1.0 where there is none."""
     hit = g.feat == f[:, None]
     repeated = hit.any(axis=1)
     if not repeated.any():
         return g, np.ones(len(g.node)), np.ones(len(g.one))
-    found, last = hit.argmax(axis=1), _last(g)[:, 0]
+    found = hit.argmax(axis=1)
     one = g.one[np.arange(len(g.one)), found[g.unode]]
     incoming_zero = np.where(repeated, g.zero[np.arange(len(g.node)), found], 1.0)
-    zero = incoming_zero[g.unode]
-    pw, carry = np.zeros(g.pw.shape), g.pw[:, -1]
-    for c in range(g.pw.shape[1] - 1):  # element j = last - 1 - c, in column -2 - c
-        hot = carry * (last + 1) / ((last - c) * one)
-        cold = g.pw[:, -2 - c] * (last + 1) / (zero * (c + 1))
-        carry = g.pw[:, -2 - c] - hot * zero * (c + 1) / (last + 1)
-        pw[:, -1 - c] = np.where(one != 0.0, hot, cold)
+    pw = np.zeros(g.pw.shape)  # column 0 becomes padding
+    for c, weight in enumerate(_unwound(g.pw, _last(g)[:, 0], one, incoming_zero[g.unode])):
+        pw[:, -1 - c] = weight
     cols = np.arange(g.feat.shape[1])
     source = cols - (repeated[:, None] & (cols <= found[:, None]))  # -1 wraps to padding
     feat = np.take_along_axis(g.feat, source, axis=1)
@@ -148,8 +159,7 @@ def _children(t: SimpleNamespace, g: _Group, incoming_zero: np.ndarray,
     cols = np.arange(width, dtype=float)
     pw = np.zeros((len(kept), width + 1))
     pw[:, :width] = zero[unode, None] * pweights * (width - cols) / (m + 1)
-    np.add(pw[:, 1:], one[:, None] * pweights * (cols + 1 - (width - m)) / (m + 1),
-           out=pw[:, 1:], where=cols >= width - m)
+    pw[:, 1:] += one[:, None] * pweights * (cols + 1 - (width - m)) / (m + 1)
     feat = np.column_stack([g.feat, f])
     return _Group(children, np.concatenate([feat, feat]),
                   np.column_stack([np.tile(g.zero, (2, 1)), zero]),
@@ -160,36 +170,21 @@ def _children(t: SimpleNamespace, g: _Group, incoming_zero: np.ndarray,
 def _leaf_contributions(g: _Group, value: np.ndarray) -> np.ndarray:
     """(U, width - 1) contribution of the path element in each column but the
     first, at leaves of these values; columns off the path hold garbage."""
-    last, carry = _last(g), g.pw[:, -1:]
-    one, zero = g.one[:, 1:], g.zero[g.unode, 1:]
-    hot_total, cold_total = np.zeros(one.shape), np.zeros(one.shape)
-    for c in range(one.shape[1]):  # element j = last - 1 - c, in column -2 - c
-        tmp = carry * (last + 1) / ((last - c) * one)
-        np.add(hot_total, tmp, out=hot_total, where=c < last)
-        carry = g.pw[:, -2 - c, None] - tmp * zero * (c + 1) / (last + 1)
-        np.add(cold_total, g.pw[:, -2 - c, None] * (last + 1) / (zero * (c + 1)),
-               out=cold_total, where=c < last)
-    return np.where(one != 0.0, hot_total, cold_total) * (one - zero) * value[g.unode, None]
+    one, zero = g.one[:, 1:], g.zero[g.unode, 1:]  # each element's, along the last axis
+    total = sum(_unwound(g.pw[:, None, :], _last(g), one, zero), np.zeros(one.shape))
+    return total * (one - zero) * value[g.unode, None]
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")  # unselected branches
 def _add_shap(trees: Sequence[DecisionTree], XT: np.ndarray, phi: np.ndarray,
               scale: float) -> None:
     """Add scale times each tree's Shapley values on the rows of XT (p, n) to
-    phi (p, n), tree by tree."""
+    phi (n, p), tree by tree."""
     p, n = XT.shape
     t = _flatten(trees)
-    inner = t.feature != LEAF
-    pairs = np.unique(t.tree[inner] * p + t.feature[inner])  # (tree, feature), by tree
-    tree, feature = pairs // p, pairs % p
-    first = np.searchsorted(tree, np.arange(len(trees) + 1))
-    width = int(np.diff(first).max(initial=0))
-    # each feature's column in its tree's values; padding and dummies (-2, -1) add to a spare
-    slot = np.full((len(trees), p + 2), width)
-    slot[tree, feature] = np.arange(len(pairs)) - first[tree]
     # order[tree, s, row]: the leaf unit the row meets at rank s; unit 0 adds nothing
     order = np.zeros((len(trees), int(t.leaves[t.root].max()), n), dtype=np.int32)
-    parts = []  # (first unit, contributions, each unit's leaf, each leaf's columns)
+    parts = []  # (first unit, contributions, each unit's leaf, each leaf's features)
     n_units, k = 1, len(trees)
     g = _Group(t.root, np.full((k, 1), -1), np.ones((k, 1)), np.ones((k, 1)), np.ones((k, 1)),
                np.arange(k), np.repeat(np.arange(k, dtype=np.int32)[:, None], n, axis=1),
@@ -200,23 +195,25 @@ def _add_shap(trees: Sequence[DecisionTree], XT: np.ndarray, phi: np.ndarray,
             leaf = _select(g, is_leaf)
             order[t.tree[leaf.node, None], leaf.rank, np.arange(n)] = leaf.unit + n_units
             parts.append((n_units, _leaf_contributions(leaf, t.value[leaf.node]), leaf.unode,
-                          slot[t.tree[leaf.node, None], leaf.feat[:, 1:]]))
+                          leaf.feat[:, 1:]))
             n_units += len(leaf.one)
             del leaf  # its rows go before the next level's are made
         g = _select(g, ~is_leaf)
         if len(g.node):
             g = _children(t, *_unwind(g, t.feature[g.node]), XT)
     # Each row adds its leaves' contributions in its own hot-first order, rank
-    # by rank from +0.0; a leaf adds +0.0 to the features off its path.
-    contrib = np.zeros((n_units, width + 1))
+    # by rank from +0.0; a leaf adds +0.0 to the features off its path.  The
+    # spare column p takes the padding's and the root dummy's (-2, -1).
+    contrib = np.zeros((n_units, p + 1))
     while parts:
-        start, values, unode, cols = parts.pop()
-        contrib[np.arange(start, start + len(values))[:, None], cols[unode]] = values
-    for k, (a, b) in enumerate(zip(first[:-1], first[1:])):
-        total = np.zeros((n, width + 1))
-        for units in order[k, :t.leaves[t.root[k]]]:
+        start, values, unode, feat = parts.pop()
+        units = np.arange(start, start + len(values))[:, None]
+        contrib[units, np.maximum(feat, -1)[unode]] = values
+    for k, root in enumerate(t.root):
+        total = np.zeros((n, p + 1))
+        for units in order[k, :t.leaves[root]]:
             total += contrib[units]
-        phi[feature[a:b]] += scale * total[:, :b - a].T
+        phi += scale * total[:, :p]
 
 
 def tree_shap(ensemble: TreeEnsemble, X) -> ShapAttribution:
@@ -234,13 +231,12 @@ def tree_shap(ensemble: TreeEnsemble, X) -> ShapAttribution:
     leaves = max(int(np.count_nonzero(tree.feature == LEAF)) for tree in ensemble.trees)
     block = max(1, min(n, _BUDGET // leaves))
     chunk = max(1, _BUDGET // (block * leaves))
-    phi = np.zeros((p, n))
+    phi = np.zeros((n, p))
     for start in range(0, n, block):
         XT = np.ascontiguousarray(X[start:start + block].T)
         for first in range(0, len(ensemble.trees), chunk):
-            _add_shap(ensemble.trees[first:first + chunk], XT, phi[:, start:start + block],
-                      scale)
-    return ShapAttribution(np.ascontiguousarray(phi.T), ensemble.expected_output())
+            _add_shap(ensemble.trees[first:first + chunk], XT, phi[start:start + block], scale)
+    return ShapAttribution(phi, ensemble.expected_output())
 
 
 def global_importance(attribution: ShapAttribution,

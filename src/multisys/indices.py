@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import MultisysError, check_keys, is_finite, read_file
+from .base import MultisysError, check_keys, is_finite, read_file, repeated
 from .ingest import FeatureMatrix
 
 class SystemsError(MultisysError):
@@ -78,13 +78,20 @@ def default_systems() -> list[SystemDefinition]:
 
 
 def systems_from_json(path: str) -> list[SystemDefinition]:
-    """Load system definitions; a bad file, an unknown key or a malformed
-    entry raises SystemsError.  A rule's keys are the ThresholdRule fields."""
+    """Load system definitions; a bad file, an unknown key, a malformed entry,
+    an empty list or a repeated system name raises SystemsError.  A rule's
+    keys are the ThresholdRule fields."""
     def decode(cfg: dict) -> list[SystemDefinition]:
         check_keys(cfg, ("systems",), "systems config")
-        return [SystemDefinition(check_keys(entry, ("name", "rules"), "system")["name"],
-                                 tuple(ThresholdRule(**rule) for rule in entry["rules"]))
-                for entry in cfg["systems"]]
+        systems = [SystemDefinition(check_keys(entry, ("name", "rules"), "system")["name"],
+                                    tuple(ThresholdRule(**rule) for rule in entry["rules"]))
+                   for entry in cfg["systems"]]
+        if not systems:
+            raise SystemsError(f"systems config {path} lists no systems")
+        if twice := repeated(s.name for s in systems):
+            raise SystemsError(f"systems config {path}: more than one system named "
+                               f"{', '.join(twice)}")
+        return systems
     return read_file(path, decode, SystemsError)
 
 

@@ -15,12 +15,11 @@ import csv
 import itertools
 import logging
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base import MultisysError, check_keys, is_number, read_file, write_file
+from .base import MultisysError, check_keys, is_number, read_file, repeated, write_file
 
 log = logging.getLogger("multisys.ingest")
 
@@ -109,11 +108,6 @@ class FeatureMatrix:
     def names(self) -> list[str]:
         return [c.name for c in self.columns]
 
-    @property
-    def zero_filled(self) -> set[str]:
-        """Columns forced to zero by their fill policy."""
-        return {c.name for c in self.columns if c.fill_policy == "zero"}
-
     def column_index(self, name: str) -> int:
         return self.names.index(name)
 
@@ -192,11 +186,6 @@ def default_schema() -> list[ColumnSchema]:
     ]
 
 
-def _repeated(keys: list[str]) -> list[str]:
-    """The keys that occur more than once, each once, in order of first occurrence."""
-    return [k for k, count in Counter(keys).items() if count > 1]
-
-
 def schema_from_json(path: str) -> tuple[list[ColumnSchema], dict[str, float]]:
     """Load a schema config file.
 
@@ -230,10 +219,9 @@ def schema_from_json(path: str) -> tuple[list[ColumnSchema], dict[str, float]]:
             raise IngestError(f"schema config {path} lists no columns")
         for what, keys in (("name", [s.name for s in schemas]),
                            ("source header", [s.source_header for s in schemas])):
-            repeated = _repeated(keys)
-            if repeated:
+            if twice := repeated(keys):
                 raise IngestError(f"schema config {path}: more than one column with "
-                                  f"{what} {', '.join(repeated)}")
+                                  f"{what} {', '.join(twice)}")
         tokens = dict(DEFAULT_SEMIQUANT_TOKENS)
         for tok, level in cfg.get("semiquant_tokens", {}).items():
             if not (is_number(level) and level in ORDINAL_LEVELS):
@@ -271,9 +259,8 @@ def load_cohort(csv_path: str, schemas: list[ColumnSchema]) -> RawCohort:
         header = next(reader, None)
         if header is None:
             raise IngestError(f"{csv_path}: empty file, expected a header row")
-        repeated = _repeated([h for h in header if h in by_source])
-        if repeated:
-            raise IngestError(f"{csv_path}: more than one column headed {', '.join(repeated)}")
+        if twice := repeated(h for h in header if h in by_source):
+            raise IngestError(f"{csv_path}: more than one column headed {', '.join(twice)}")
         missing_sources = [src for src in by_source if src not in header]
         if missing_sources:
             raise IngestError(f"{csv_path}: schema references headers absent from the file: "

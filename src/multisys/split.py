@@ -89,7 +89,8 @@ def stratified_split(labels, ratios: tuple[float, float, float],
     """Deterministic stratified train/validation/test partition.
 
     Every class must have at least 3 members; ratios must be positive and sum
-    to 1 within 1e-9, and leave every subset at least one row.
+    to 1 within 1e-9, and leave every subset at least one row; the labels
+    must hold two classes or more.
     """
     labels = np.asarray(labels)
     n = len(labels)
@@ -108,6 +109,8 @@ def stratified_split(labels, ratios: tuple[float, float, float],
     for subset, size in (("train", n - n_test - n_val), ("validation", n_val), ("test", n_test)):
         if size < 1:
             raise SplitError(f"ratios {list(ratios)} leave the {subset} subset of {n} rows empty")
+    if len(classes) < 2:
+        raise SplitError(f"every row is of class {classes[0][0]}; a classifier needs two")
 
     rng = SplitMix64(seed)
     shuffled = []

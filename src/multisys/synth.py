@@ -23,7 +23,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .base import MultisysError, check_keys, is_finite, is_number, read_file
+from .base import MultisysError, check_keys, is_finite, is_number, read_file, repeated
 from .rng import SplitMix64
 
 
@@ -92,10 +92,8 @@ class GeneratorSpec:
             raise SynthError("n must be >= 1")
         if not self.analytes:
             raise SynthError("analytes must not be empty; leave the key out for the defaults")
-        names = [a.name for a in self.analytes]
-        repeated = sorted({name for name in names if names.count(name) > 1})
-        if repeated:
-            raise SynthError(f"repeated analyte name(s): {', '.join(repeated)}")
+        if twice := repeated(a.name for a in self.analytes):
+            raise SynthError(f"repeated analyte name(s): {', '.join(twice)}")
 
 
 def _lognormal(name, median, sigma, lower, upper, unit, **kw) -> AnalyteSpec:

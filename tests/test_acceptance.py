@@ -255,14 +255,18 @@ def test_criterion_10_determinism(default_run, tmp_path_factory):
                     f"(mismatches: {mismatches})")
 
 
-# sha256 of the default run's tree models and metrics: depth-8 bootstrap
-# trees and 200 boosting stages on 836 rows, which the fast config in
-# test_cli.py never grows.  A faster split search must leave them
-# byte-identical.  Recorded with numpy 2.4.6 and scipy 1.17.1.
+# sha256 of the default run's tree models, metrics and explanation:
+# depth-8 bootstrap trees and 200 boosting stages on 836 rows, which the
+# fast config in test_cli.py never grows.  A faster split search or
+# Shapley walk must leave them byte-identical.  Recorded with numpy 2.4.6
+# and scipy 1.17.1.
 PINNED_DEFAULT = {
     "model_rf.json": "a2ffe66f922d698fe41a08da3bcfac20e2cd3f39306bdab3feee6c29c6d56dbb",
     "model_gb.json": "e3d937a10d66f4e99cbc25a13815cb3ba94d2fd43cf726fdc05053c5c33155c1",
     "metrics.json": "711cb7ff925733186bc7f9239443961da3d7d5ff2714972bcfc6db9d7152521a",
+    "beeswarm.csv": "49a11dd8428a227d871aea8f14637151d01052a92c2fb70b4a6cc52ce92b7b9c",
+    "importance.csv": "db4a0fd6b476a90723050b0c239535c633fac2f3912bdcd80b58bf620818600b",
+    "explain_meta.json": "e56d490b0d90742fba35dae74de00ed851d4a0a72b5277805f3fa4ac7ed58c7d",
 }
 
 

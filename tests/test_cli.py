@@ -425,6 +425,45 @@ def test_split_that_leaves_a_subset_empty_exits_2_before_writing(tmp_path, capsy
     assert not (out / "partition.json").exists()
 
 
+def test_split_of_a_single_class_target_exits_2_before_writing(tmp_path, capsys):
+    # one system never fires together with another, so no row is a positive
+    systems = tmp_path / "systems.json"
+    systems.write_text(json.dumps({"systems": [{"name": "kidney", "rules": [
+        {"analyte": "Cr", "direction": "above", "cutoff": 110},
+        {"analyte": "BUN", "direction": "above", "cutoff": 8.2}]}]}))
+    cfg = _write_config(tmp_path, {**FAST_CONFIG, "systems_config": str(systems)})
+    out = tmp_path / "run"
+    for stage in ("simulate", "ingest", "features"):
+        assert _run(stage, str(out), cfg) == 0, stage
+    assert _run("split", str(out), cfg) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SplitError"
+    assert "class 0" in err["message"]
+    assert not (out / "partition.json").exists()
+
+
+def test_report_leaves_out_a_column_that_never_varies(tmp_path):
+    # A constant median-filled ALB has no histogram spread, and its NaN
+    # correlations would be drawn as r = +1.
+    gen = tmp_path / "gen"
+    assert _run("simulate", str(gen), _write_config(tmp_path, FAST_CONFIG)) == 0
+    with open(gen / "cohort.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    alb = rows[0].index("ALB")
+    for row in rows[1:]:
+        row[alb] = "40.0 g/L"
+    cohort = tmp_path / "cohort.csv"
+    with open(cohort, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    config = {key: value for key, value in FAST_CONFIG.items() if key != "synth"}
+    config["input_csv"] = str(cohort)
+    out = tmp_path / "run"
+    assert _run("all", str(out), _write_config(tmp_path, config)) == 0
+    for figure in ("correlation.svg", "histograms.svg"):
+        svg = (out / "figures" / figure).read_text(encoding="utf-8")
+        assert ">ALB<" not in svg and ">UA<" in svg, figure
+
+
 def test_unknown_top_level_key_rejected(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"split_seed": 3})
     assert _run("simulate", str(tmp_path / "run"), cfg) == 2
@@ -533,6 +572,11 @@ SIDEWAYS_SYSTEM = {"systems": [{"name": "kidney", "rules": [
      "SynthError"),
     ("spec_path", {"n": 10, "seed": 1, "analytes": [
         {"name": "A", "dist": "lognormal", "probs": []}]}, "SynthError"),
+    # no systems, or two of one name (two flag columns in indices.csv)
+    ("systems_config", {"systems": []}, "SystemsError"),
+    ("systems_config", {"systems": [{"name": "kidney", "rules": [
+        {"analyte": "Cr", "direction": "above", "cutoff": 110},
+        {"analyte": "BUN", "direction": "above", "cutoff": 8.2}]}] * 2}, "SystemsError"),
 ])
 def test_bad_config_files_exit_2_before_any_artifact(tmp_path, capsys, key, content, kind):
     path = tmp_path / "file.json"

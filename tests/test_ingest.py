@@ -246,7 +246,6 @@ def test_zero_policy_forces_whole_column():
     schemas = [ColumnSchema("B", "continuous", fill_policy="zero")]
     matrix, audit = clean_cohort(_one_column("B", ["4.2", ""]), schemas)
     assert np.all(matrix.values[:, 0] == 0.0)
-    assert "B" in matrix.zero_filled
     assert audit["columns"]["B"]["zero_filled"]
 
 
