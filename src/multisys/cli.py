@@ -32,6 +32,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -226,6 +227,11 @@ class RunConfig(dict):
 
 def _fit(cls: type, params: dict, X, y):
     return cls(**params).fit(X, y)
+
+
+def _call(fn: Callable, *args):
+    """`fn(*args)`, as a module-level function that a process pool can map."""
+    return fn(*args)
 
 
 def _check_manifest(doc: dict) -> dict:
@@ -426,9 +432,12 @@ def stage_train(ws: Workspace) -> None:
     matrix = _load_matrix(ws)
     [y] = _load_indices(ws, len(matrix.values), "target_multi")
     train_idx = np.asarray(_load_partition(ws, len(y)).train)
-    X_train, y_train = matrix.values[train_idx], y[train_idx]
-    for kind in MODELS.values():
-        model = ws.cfg.fitter(kind)(X_train, y_train)
+    fitters = [ws.cfg.fitter(kind) for kind in MODELS.values()]
+    # every fit ends before the first model file is written
+    with _task_map(len(fitters)) as task_map:
+        fitted = list(task_map(_call, fitters, repeat(matrix.values[train_idx]),
+                               repeat(y[train_idx])))
+    for kind, model in zip(MODELS.values(), fitted):
         ws.write(kind.artifact, {**model.to_dict(), "config_hash": ws.cfg.hash()})
     log.info("train: fitted %d models on %d rows", len(MODELS), len(train_idx))
 
@@ -445,6 +454,10 @@ def _task_map(n_tasks: int):
     # Imported here, so that a run that starts no pool does not load them.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+
+    # The logistic fit's solver, loaded once here so that the workers inherit
+    # it rather than each importing it.
+    import scipy.optimize  # noqa: F401
 
     # fork, named because Python 3.14 changes the default: workers start with
     # the parent's imports and do not re-run __main__, and a fork pool starts
@@ -534,7 +547,8 @@ def stage_report(ws: Workspace) -> None:
         *_load_indices(ws, len(matrix.values), "burden_score", "affected_systems"))
 
     names = [name for name, _ in continuous]
-    corr = np.corrcoef(np.column_stack([matrix.column(n) for n in names]), rowvar=False)
+    # at least 2-d: corrcoef of one column is a 0-d 1.0
+    corr = np.atleast_2d(np.corrcoef(np.column_stack([c for _, c in continuous]), rowvar=False))
     figures["correlation"] = report_mod.render_correlation_heatmap(names, corr)
 
     figures["roc"] = report_mod.render_roc(ws.read("roc.json", lambda doc: [

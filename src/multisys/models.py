@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .base import MultisysError, check_X, check_X_y, is_finite
 from .rng import SplitMix64
@@ -50,8 +49,10 @@ class LogisticRegressionClassifier:
     `fit` scales each column by its training mean and population standard
     deviation (a zero-variance column gets divisor 1), then minimizes mean
     negative log-likelihood + (lambda / (2n)) * ||w||^2 with lambda = 1/C,
-    starting from zero weights, via L-BFGS.  Converged when the gradient
-    max-norm is <= tol or the iteration cap is reached.
+    starting from zero weights, via scipy's L-BFGS.  Converged when the
+    gradient max-norm is <= tol or the iteration cap is reached.  `fit`
+    imports scipy when it runs, so a process that fits no logistic model
+    never loads it.
     """
 
     def __init__(self, C: float = 1.0, max_iter: int = 2000, tol: float = 1e-6):
@@ -73,6 +74,8 @@ class LogisticRegressionClassifier:
         return obj, np.concatenate([grad_w, [grad_b]])
 
     def fit(self, X, y) -> "LogisticRegressionClassifier":
+        from scipy.optimize import minimize
+
         X, y = check_X_y(X, y)
         self.mean_ = X.mean(axis=0)
         sd = X.std(axis=0)

@@ -8,12 +8,18 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from conftest import FAST_CONFIG
 
+import multisys
+from multisys.base import MultisysError
 from multisys.cli import CliError, RunConfig, Workspace, main, run_subcommand
+from multisys.ingest import default_schema
+from multisys.models import GradientBoostingClassifier
 
 
 def _run(sub, out, config=None, **kw):
@@ -322,15 +328,17 @@ def test_all_writes_summary(tmp_path, fast_config):
     assert summary["config_hash"] == RunConfig.load(fast_config).hash()
 
 
-def _trained_run(tmp_path, config) -> str:
+def _trained_run(tmp_path, config, last: str = "train") -> str:
     out = str(tmp_path / "run")
-    for stage in ("simulate", "ingest", "features", "split", "train"):
+    stages = ("simulate", "ingest", "features", "split", "train")
+    for stage in stages[:stages.index(last) + 1]:
         assert _run(stage, out, config) == 0, stage
     return out
 
 
 def test_evaluate_outputs_are_the_same_at_any_pool_width(tmp_path, fast_config, monkeypatch):
-    out = _trained_run(tmp_path, fast_config)
+    # train's three fits and evaluate's refits, each on a pool 2 wide or in-process
+    out = _trained_run(tmp_path, fast_config, last="split")
     widths = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -344,11 +352,51 @@ def test_evaluate_outputs_are_the_same_at_any_pool_width(tmp_path, fast_config, 
         run = tmp_path / f"cpus{len(cpus)}"
         shutil.copytree(out, run)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        assert _run("train", str(run), fast_config) == 0
         assert _run("evaluate", str(run), fast_config) == 0
         outputs.append({name: (run / name).read_bytes()
-                        for name in ("metrics.json", "roc.json", "metrics.csv")})
-    assert widths == [2]  # width 1 starts no pool
+                        for name in ("model_lr.json", "model_rf.json", "model_gb.json",
+                                     "metrics.json", "roc.json", "metrics.csv")})
+    assert widths == [2, 2]  # train, then evaluate; width 1 starts no pool
     assert outputs[0] == outputs[1]
+
+
+def test_fit_failure_in_a_worker_exits_2_before_any_model_file(tmp_path, fast_config,
+                                                                monkeypatch, capsys):
+    out = _trained_run(tmp_path, fast_config, last="split")
+
+    def fail(self, X, y):
+        raise MultisysError(f"no fit on {len(y)} rows", kind="ModelError")
+
+    monkeypatch.setattr(GradientBoostingClassifier, "fit", fail)
+    errors = []
+    for cpus in ({0}, {0, 1}):
+        run = tmp_path / f"cpus{len(cpus)}"
+        shutil.copytree(out, run)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        assert _run("train", str(run), fast_config) == 2
+        errors.append(json.loads(capsys.readouterr().err))
+        assert not list(run.glob("model_*.json"))
+    assert errors[0] == errors[1] == {"error": "ModelError", "message": "no fit on 112 rows"}
+
+
+def test_only_the_logistic_fit_loads_scipy(tmp_path, fast_config):
+    # a fresh interpreter: this one has loaded scipy already
+    script = f"""
+import os, sys
+import multisys.cli
+assert "scipy" not in sys.modules, "import multisys.cli"
+for stage in ("simulate", "ingest", "features", "split"):
+    assert multisys.cli.run_subcommand(stage, {fast_config!r}, {str(tmp_path / "run")!r}) == 0
+    assert "scipy" not in sys.modules, stage
+os.sched_getaffinity = lambda pid: {{0}}
+assert multisys.cli.run_subcommand("train", {fast_config!r}, {str(tmp_path / "run")!r}) == 0
+assert "scipy.optimize" in sys.modules, "train"
+"""
+    src = os.path.dirname(os.path.dirname(multisys.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_refit_failure_in_a_worker_exits_2(tmp_path, fast_config, monkeypatch, capsys):
@@ -442,26 +490,67 @@ def test_split_of_a_single_class_target_exits_2_before_writing(tmp_path, capsys)
     assert not (out / "partition.json").exists()
 
 
-def test_report_leaves_out_a_column_that_never_varies(tmp_path):
-    # A constant median-filled ALB has no histogram spread, and its NaN
-    # correlations would be drawn as r = +1.
+def _cohort_config(tmp_path, edit) -> str:
+    """A config for the fast config's cohort after `edit(header, rows)` has
+    changed its data rows in place."""
     gen = tmp_path / "gen"
     assert _run("simulate", str(gen), _write_config(tmp_path, FAST_CONFIG)) == 0
     with open(gen / "cohort.csv", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    alb = rows[0].index("ALB")
-    for row in rows[1:]:
-        row[alb] = "40.0 g/L"
+        header, *rows = list(csv.reader(fh))
+    edit(header, rows)
     cohort = tmp_path / "cohort.csv"
     with open(cohort, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+        csv.writer(fh).writerows([header, *rows])
     config = {key: value for key, value in FAST_CONFIG.items() if key != "synth"}
     config["input_csv"] = str(cohort)
+    return _write_config(tmp_path, config)
+
+
+def test_report_leaves_out_a_column_that_never_varies(tmp_path):
+    # A constant median-filled ALB has no histogram spread, and its NaN
+    # correlations would be drawn as r = +1.
+    def constant_alb(header, rows):
+        for row in rows:
+            row[header.index("ALB")] = "40.0 g/L"
+
     out = tmp_path / "run"
-    assert _run("all", str(out), _write_config(tmp_path, config)) == 0
+    assert _run("all", str(out), _cohort_config(tmp_path, constant_alb)) == 0
     for figure in ("correlation.svg", "histograms.svg"):
         svg = (out / "figures" / figure).read_text(encoding="utf-8")
         assert ">ALB<" not in svg and ">UA<" in svg, figure
+
+
+def _freeze(header, rows, keep=()) -> None:
+    """Set every continuous column but those in `keep` to its first row's cell."""
+    for column in default_schema():
+        if column.kind == "continuous" and column.name not in keep:
+            i = header.index(column.name)
+            for row in rows:
+                row[i] = rows[0][i]
+
+
+def test_report_of_one_varying_column_draws_a_one_cell_heatmap(tmp_path, capsys):
+    def only_glu_varies(header, rows):
+        _freeze(header, rows, keep={"GLU"})
+        # urine protein and leukocytes at 2+ in every third and fifth row, so
+        # that the trees use three features and explain has three to plot
+        for k, row in enumerate(rows):
+            row[header.index("PRO")] = "2+" if k % 3 == 0 else "negative"
+            row[header.index("LEU")] = "2+" if k % 5 == 0 else "negative"
+
+    out = tmp_path / "run"
+    assert _run("all", str(out), _cohort_config(tmp_path, only_glu_varies)) == 0, \
+        capsys.readouterr().err
+    assert 0 < json.loads((out / "prevalence.json").read_text())["target_prevalence"] < 1
+    svg = (out / "figures" / "correlation.svg").read_text(encoding="utf-8")
+    assert svg.count("<rect") == 1 and svg.count(">GLU<") == 2
+
+
+def test_report_of_no_varying_column_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert _run("all", str(out), _cohort_config(tmp_path, _freeze)) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ReportError", "message": "no columns to plot"}
 
 
 def test_unknown_top_level_key_rejected(tmp_path, capsys):
