@@ -32,7 +32,6 @@ import math
 import os
 import sys
 from dataclasses import replace
-from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -45,7 +44,7 @@ from . import report as report_mod
 from . import synth as synth_mod
 from .base import MultisysError, csv_rows, read_file, write_file
 from .models import (GradientBoostingClassifier, RandomForestClassifier,
-                     LogisticRegressionClassifier, TreeEnsemble)
+                     LogisticRegressionClassifier, TreeEnsemble, load_solver)
 from .split import FoldPlan, Partition, stratified_kfold, stratified_split
 
 log = logging.getLogger("multisys.cli")
@@ -227,11 +226,6 @@ class RunConfig(dict):
 
 def _fit(cls: type, params: dict, X, y):
     return cls(**params).fit(X, y)
-
-
-def _call(fn: Callable, *args):
-    """`fn(*args)`, as a module-level function that a process pool can map."""
-    return fn(*args)
 
 
 def _check_manifest(doc: dict) -> dict:
@@ -432,11 +426,9 @@ def stage_train(ws: Workspace) -> None:
     matrix = _load_matrix(ws)
     [y] = _load_indices(ws, len(matrix.values), "target_multi")
     train_idx = np.asarray(_load_partition(ws, len(y)).train)
-    fitters = [ws.cfg.fitter(kind) for kind in MODELS.values()]
+    X_train, y_train = matrix.values[train_idx], y[train_idx]
     # every fit ends before the first model file is written
-    with _task_map(len(fitters)) as task_map:
-        fitted = list(task_map(_call, fitters, repeat(matrix.values[train_idx]),
-                               repeat(y[train_idx])))
+    fitted = [ws.cfg.fitter(kind)(X_train, y_train) for kind in MODELS.values()]
     for kind, model in zip(MODELS.values(), fitted):
         ws.write(kind.artifact, {**model.to_dict(), "config_hash": ws.cfg.hash()})
     log.info("train: fitted %d models on %d rows", len(MODELS), len(train_idx))
@@ -455,9 +447,9 @@ def _task_map(n_tasks: int):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # The logistic fit's solver, loaded once here so that the workers inherit
-    # it rather than each importing it.
-    import scipy.optimize  # noqa: F401
+    # loaded once here, so that the workers inherit it rather than each
+    # importing it
+    load_solver()
 
     # fork, named because Python 3.14 changes the default: workers start with
     # the parent's imports and do not re-run __main__, and a fork pool starts

@@ -23,6 +23,14 @@ from .tree import DecisionTree, TreeError, grow_tree, rank_codes
 MODEL_SCHEMA_VERSION = 1
 
 
+def load_solver():
+    """The logistic fit's L-BFGS, scipy's `minimize`.  scipy is imported on
+    the first call, so a process that fits no logistic model never loads it."""
+    from scipy.optimize import minimize
+
+    return minimize
+
+
 def logistic(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z, dtype=float)
     pos = z >= 0
@@ -49,10 +57,9 @@ class LogisticRegressionClassifier:
     `fit` scales each column by its training mean and population standard
     deviation (a zero-variance column gets divisor 1), then minimizes mean
     negative log-likelihood + (lambda / (2n)) * ||w||^2 with lambda = 1/C,
-    starting from zero weights, via scipy's L-BFGS.  Converged when the
-    gradient max-norm is <= tol or the iteration cap is reached.  `fit`
-    imports scipy when it runs, so a process that fits no logistic model
-    never loads it.
+    starting from zero weights, via scipy's L-BFGS (`load_solver`).
+    Converged when the gradient max-norm is <= tol or the iteration cap is
+    reached.
     """
 
     def __init__(self, C: float = 1.0, max_iter: int = 2000, tol: float = 1e-6):
@@ -74,8 +81,7 @@ class LogisticRegressionClassifier:
         return obj, np.concatenate([grad_w, [grad_b]])
 
     def fit(self, X, y) -> "LogisticRegressionClassifier":
-        from scipy.optimize import minimize
-
+        minimize = load_solver()
         X, y = check_X_y(X, y)
         self.mean_ = X.mean(axis=0)
         sd = X.std(axis=0)

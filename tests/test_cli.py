@@ -337,8 +337,7 @@ def _trained_run(tmp_path, config, last: str = "train") -> str:
 
 
 def test_evaluate_outputs_are_the_same_at_any_pool_width(tmp_path, fast_config, monkeypatch):
-    # train's three fits and evaluate's refits, each on a pool 2 wide or in-process
-    out = _trained_run(tmp_path, fast_config, last="split")
+    out = _trained_run(tmp_path, fast_config)
     widths = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -352,51 +351,61 @@ def test_evaluate_outputs_are_the_same_at_any_pool_width(tmp_path, fast_config, 
         run = tmp_path / f"cpus{len(cpus)}"
         shutil.copytree(out, run)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        assert _run("train", str(run), fast_config) == 0
         assert _run("evaluate", str(run), fast_config) == 0
         outputs.append({name: (run / name).read_bytes()
-                        for name in ("model_lr.json", "model_rf.json", "model_gb.json",
-                                     "metrics.json", "roc.json", "metrics.csv")})
-    assert widths == [2, 2]  # train, then evaluate; width 1 starts no pool
+                        for name in ("metrics.json", "roc.json", "metrics.csv")})
+    assert widths == [2]  # width 1 starts no pool
     assert outputs[0] == outputs[1]
 
 
-def test_fit_failure_in_a_worker_exits_2_before_any_model_file(tmp_path, fast_config,
-                                                                monkeypatch, capsys):
+def test_fit_failure_exits_2_before_any_model_file(tmp_path, fast_config, monkeypatch,
+                                                   capsys):
     out = _trained_run(tmp_path, fast_config, last="split")
 
     def fail(self, X, y):
         raise MultisysError(f"no fit on {len(y)} rows", kind="ModelError")
 
+    # the last of the three fits, so the first two have ended
     monkeypatch.setattr(GradientBoostingClassifier, "fit", fail)
-    errors = []
-    for cpus in ({0}, {0, 1}):
-        run = tmp_path / f"cpus{len(cpus)}"
-        shutil.copytree(out, run)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        assert _run("train", str(run), fast_config) == 2
-        errors.append(json.loads(capsys.readouterr().err))
-        assert not list(run.glob("model_*.json"))
-    assert errors[0] == errors[1] == {"error": "ModelError", "message": "no fit on 112 rows"}
+    assert _run("train", out, fast_config) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "ModelError",
+                                                   "message": "no fit on 112 rows"}
+    assert not list((tmp_path / "run").glob("model_*.json"))
 
 
-def test_only_the_logistic_fit_loads_scipy(tmp_path, fast_config):
-    # a fresh interpreter: this one has loaded scipy already
-    script = f"""
-import os, sys
-import multisys.cli
-assert "scipy" not in sys.modules, "import multisys.cli"
-for stage in ("simulate", "ingest", "features", "split"):
-    assert multisys.cli.run_subcommand(stage, {fast_config!r}, {str(tmp_path / "run")!r}) == 0
-    assert "scipy" not in sys.modules, stage
-os.sched_getaffinity = lambda pid: {{0}}
-assert multisys.cli.run_subcommand("train", {fast_config!r}, {str(tmp_path / "run")!r}) == 0
-assert "scipy.optimize" in sys.modules, "train"
-"""
+def _fresh_interpreter(script: str) -> None:
+    """Run `script` in a new Python process that imports this checkout's
+    multisys; this process has loaded scipy already."""
     src = os.path.dirname(os.path.dirname(multisys.__file__))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_only_the_logistic_fit_loads_scipy(tmp_path, fast_config):
+    run = str(tmp_path / "run")
+    stages = f"""
+import os, sys
+os.sched_getaffinity = lambda pid: {{0}}  # no pool: every fit in this process
+import multisys.cli
+
+def run(stage):
+    assert multisys.cli.run_subcommand(stage, {fast_config!r}, {run!r}) == 0, stage
+"""
+    _fresh_interpreter(stages + """
+assert "scipy" not in sys.modules, "import multisys.cli"
+for stage in ("simulate", "ingest", "features", "split"):
+    run(stage)
+    assert "scipy" not in sys.modules, stage
+run("train")
+assert "scipy.optimize" in sys.modules, "train"
+run("evaluate")
+""")
+    _fresh_interpreter(stages + """
+for stage in ("explain", "report"):
+    run(stage)
+    assert "scipy" not in sys.modules, stage
+""")
 
 
 def test_refit_failure_in_a_worker_exits_2(tmp_path, fast_config, monkeypatch, capsys):
