@@ -44,7 +44,7 @@ from . import report as report_mod
 from . import synth as synth_mod
 from .base import MultisysError, csv_rows, read_file, write_file
 from .models import (GradientBoostingClassifier, RandomForestClassifier,
-                     LogisticRegressionClassifier, TreeEnsemble, load_solver)
+                     LogisticRegressionClassifier, TreeEnsemble)
 from .split import FoldPlan, Partition, stratified_kfold, stratified_split
 
 log = logging.getLogger("multisys.cli")
@@ -131,7 +131,8 @@ def _validate(value, shape, where: str = "") -> None:
     A dict shape lists the allowed keys, a list shape holds that many
     numbers, and any other shape is a default (or a `Bound`) whose type the
     value must have: an int may stand for a float, a bool never for a
-    number.  The top-level keys whose default is null may also be null.
+    number, and a float must be finite (JSON has no Infinity or NaN).  The
+    top-level keys whose default is null may also be null.
     """
     name = where or "config"
     if value is None and where in DEFAULTS and DEFAULTS[where] is None:
@@ -155,6 +156,8 @@ def _validate(value, shape, where: str = "") -> None:
         if not isinstance(value, allowed) or isinstance(value, bool) != isinstance(default, bool):
             raise CliError(f"{name} is {value!r}, expected {type(default).__name__}",
                            kind="config")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise CliError(f"{name} is {value!r}, expected a finite number", kind="config")
         if isinstance(shape, Bound) and not shape.above < value <= shape.most:
             raise CliError(f"{name} is {value!r}, outside ({shape.above:g}, {shape.most:g}]",
                            kind="config")
@@ -447,10 +450,6 @@ def _task_map(n_tasks: int):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # loaded once here, so that the workers inherit it rather than each
-    # importing it
-    load_solver()
-
     # fork, named because Python 3.14 changes the default: workers start with
     # the parent's imports and do not re-run __main__, and a fork pool starts
     # every worker before its own thread.
@@ -507,6 +506,10 @@ def stage_explain(ws: Workspace) -> None:
 
     attribution = explain_mod.tree_shap(gb, X_test)
     ranking = explain_mod.global_importance(attribution, names)
+    # a feature no tree splits on has no importance, and may be constant
+    top = [feature for feature, importance in ranking if importance > 0][:3]
+    if not top:
+        raise explain_mod.ExplainError("no feature has a non-zero mean |SHAP|")
     ws.write("importance.csv", [["rank", "feature", "mean_abs_shap"]]
              + [[r, feature, value] for r, (feature, value) in enumerate(ranking, 1)])
     records = explain_mod.beeswarm_export(attribution, X_test, names)
@@ -514,7 +517,7 @@ def stage_explain(ws: Workspace) -> None:
 
     X_train = matrix.values[np.asarray(partition.train)]
     pdp_files = []
-    for feature, _ in ranking[:3]:
+    for feature in top:
         curve = explain_mod.partial_dependence(gb, X_train, matrix.column_index(feature))
         fname = f"pdp_{feature}.csv"
         ws.write(fname, [[feature, "probability"]]
@@ -522,9 +525,8 @@ def stage_explain(ws: Workspace) -> None:
         pdp_files.append(fname)
     ws.write("explain_meta.json", {"config_hash": ws.cfg.hash(),
                                    "base_value": attribution.base_value,
-                                   "top_features": [f for f, _ in ranking[:3]],
-                                   "pdp_files": pdp_files})
-    log.info("explain: top feature %s", ranking[0][0])
+                                   "top_features": top, "pdp_files": pdp_files})
+    log.info("explain: top feature %s", top[0])
 
 
 def stage_report(ws: Workspace) -> None:

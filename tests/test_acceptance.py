@@ -258,8 +258,7 @@ def test_criterion_10_determinism(default_run, tmp_path_factory):
 # sha256 of the default run's tree models, metrics and explanation:
 # depth-8 bootstrap trees and 200 boosting stages on 836 rows, which the
 # fast config in test_cli.py never grows.  A faster split search or
-# Shapley walk must leave them byte-identical.  Recorded with numpy 2.4.6
-# and scipy 1.17.1.
+# Shapley walk must leave them byte-identical.  Recorded with numpy 2.4.6.
 PINNED_DEFAULT = {
     "model_rf.json": "a2ffe66f922d698fe41a08da3bcfac20e2cd3f39306bdab3feee6c29c6d56dbb",
     "model_gb.json": "e3d937a10d66f4e99cbc25a13815cb3ba94d2fd43cf726fdc05053c5c33155c1",

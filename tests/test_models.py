@@ -109,6 +109,35 @@ def test_lr_regularization_shrinks_weights():
     assert np.linalg.norm(tight.coef_) < np.linalg.norm(loose.coef_)
 
 
+@pytest.mark.parametrize("C", [1e308, math.inf])
+def test_lr_constant_column_keeps_weight_zero_without_penalty(C):
+    # At lambda 1/C ~ 0 the constant column's Hessian row is all but empty; the
+    # Newton system must stay solvable and leave that weight at exactly 0.
+    X, y = _blobs(120, seed=6)
+    X = np.column_stack([X[:, 0], np.full(len(X), 5.0), X[:, 1]])
+    model = LogisticRegressionClassifier(C=C).fit(X, y)
+    assert model.coef_[1] == 0.0
+    assert np.all(np.isfinite(model.coef_)) and math.isfinite(model.intercept_)
+    assert model.gradient_max_norm_ <= 1e-8
+
+
+def test_lr_converges_on_separable_blobs():
+    # 60 SDs apart, so only the 1e-6 penalty keeps the weights finite; the
+    # fit must not overflow or divide by zero on the way (RuntimeWarning).
+    X, y = _blobs(100, seed=7, gap=60.0)
+    model = LogisticRegressionClassifier(C=1e6).fit(X, y)
+    assert model.gradient_max_norm_ <= 1e-8 and model.n_iter_ < model.max_iter
+    assert np.all(np.isfinite(model.coef_)) and math.isfinite(model.intercept_)
+    assert np.all((model.predict_proba(X) >= 0.5) == y)
+
+
+def test_lr_max_iter_caps_newton_steps():
+    X, y = _blobs(120, seed=8)
+    model = LogisticRegressionClassifier(max_iter=1).fit(X, y)
+    assert model.n_iter_ == 1
+    assert model.gradient_max_norm_ > model.tol * 1e-2  # one step is not enough
+
+
 @pytest.mark.parametrize("cls", [LogisticRegressionClassifier, RandomForestClassifier,
                                  GradientBoostingClassifier], ids=lambda cls: cls.__name__)
 def test_lr_rejects_single_class(cls):
