@@ -26,6 +26,7 @@ import csv
 import functools
 import hashlib
 import inspect
+import itertools
 import json
 import logging
 import math
@@ -272,10 +273,10 @@ class Workspace:
             if isinstance(content, dict):
                 json.dump(content, fh, sort_keys=True, indent=1)
                 fh.write("\n")
-            elif isinstance(content, list):
-                csv.writer(fh).writerows(content)
-            else:
+            elif isinstance(content, str):
                 fh.write(content)
+            else:
+                csv.writer(fh).writerows(content)
 
     def register(self, name: str) -> None:
         """Record an artifact written at `path(name)` in the manifest."""
@@ -283,8 +284,8 @@ class Workspace:
         self._put("manifest.json", self.manifest)
 
     def write(self, name: str, content) -> None:
-        """Write and register an artifact: a dict as JSON, a list as CSV
-        rows (header first), a str verbatim."""
+        """Write and register an artifact: a dict as JSON, a str verbatim,
+        anything else as an iterable of CSV rows (header first)."""
         self._put(name, content)
         self.register(name)
 
@@ -349,7 +350,10 @@ def stage_features(ws: Workspace) -> None:
               + ["burden_score", "affected_systems", "target_multi"])
     columns = ([idx.flags[s] for s in names] + [idx.grades[s] for s in names]
                + [idx.burden_score, idx.affected_systems, idx.target_multi])
-    ws.write("indices.csv", [header, *np.column_stack(columns).astype(int).tolist()])
+    step = ingest_mod._BLOCK_ROWS
+    rows = (row for i in range(0, len(idx.target_multi), step)
+            for row in np.column_stack([c[i:i + step] for c in columns]).astype(int).tolist())
+    ws.write("indices.csv", itertools.chain([header], rows))
     summary = indices_mod.prevalence_summary(idx, systems, matrix)
     ws.write("prevalence.json", summary)
     log.info("features: target prevalence %.3f", summary["target_prevalence"])
@@ -357,12 +361,13 @@ def stage_features(ws: Workspace) -> None:
 
 def _load_indices(ws: Workspace, n_rows: int | None, *columns: str) -> list[np.ndarray]:
     """The integer `columns` of indices.csv, which must have n_rows rows if given:
-    target_multi 0 or 1, every other column at least 0."""
+    target_multi 0 or 1, every other column at least 0; read with no per-row list."""
     def decode(reader):
-        header, *rows = reader
-        if n_rows is not None and len(rows) != n_rows:
-            raise ValueError(f"{len(rows)} rows, matrix.csv has {n_rows}")
-        decoded = [np.asarray([int(row[i]) for row in rows]) for i in map(header.index, columns)]
+        at = [*map(next(reader, []).index, columns)]
+        table = np.fromiter((int(row[i]) for row in reader for i in at), dtype=int)
+        if n_rows is not None and len(table) != n_rows * len(at):
+            raise ValueError(f"{len(table) // len(at)} rows, matrix.csv has {n_rows}")
+        decoded = list(table.reshape(-1, len(at)).T)
         for c, values in zip(columns, decoded):
             top = 1 if c == "target_multi" else np.inf
             if ((values < 0) | (values > top)).any():

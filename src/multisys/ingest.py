@@ -38,7 +38,7 @@ DEFAULT_SEMIQUANT_TOKENS: dict[str, float] = {
 
 ORDINAL_LEVELS = (0.0, 0.5, 1.0, 2.0, 3.0)
 
-_BLOCK_ROWS = 4096  # CSV rows read, coded, converted or formatted per block
+_BLOCK_ROWS = 1024  # CSV rows read, coded, converted or formatted per block
 
 
 class IngestError(MultisysError):
@@ -234,7 +234,9 @@ def schema_from_json(path: str) -> tuple[list[ColumnSchema], dict[str, float]]:
 def _blocks(path: str, reader, width: int):
     """`(line, rows)` for the rows left in `reader`, `_BLOCK_ROWS` at a time,
     `line` being the line of the block's first row (the header is line 1);
-    IngestError for a row whose length is not `width`."""
+    IngestError for a row whose length is not `width`.  A block is valid only
+    until the next is requested: it is emptied first, so one block of row
+    strings is alive at a time."""
     line = 2
     while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
         ragged = [i for i, row in enumerate(rows) if len(row) != width]
@@ -243,6 +245,7 @@ def _blocks(path: str, reader, width: int):
                               f"cells, the header {width}")
         yield line, rows
         line += len(rows)
+        rows.clear()
 
 
 def load_cohort(csv_path: str, schemas: list[ColumnSchema]) -> RawCohort:
@@ -269,16 +272,19 @@ def load_cohort(csv_path: str, schemas: list[ColumnSchema]) -> RawCohort:
         dropped = len(header) - len(keep)
         if dropped:
             log.warning("%s: dropped %d unmapped column(s)", csv_path, dropped)
-        coded = {name: ({}, [np.empty(0, dtype=np.intp)]) for _, name in keep}
+        coded = {name: ({}, [np.empty(0, dtype=np.int32)]) for _, name in keep}
         n = 0
         for _, rows in _blocks(csv_path, reader, len(header)):
             for i, name in keep:
                 table, codes = coded[name]
                 codes.append(np.fromiter((table.setdefault(row[i], len(table)) for row in rows),
-                                         dtype=np.intp, count=len(rows)))
+                                         dtype=np.int32, count=len(rows)))
             n += len(rows)
-        return RawCohort(n_rows=n, columns={name: (list(table), np.concatenate(codes))
-                                            for name, (table, codes) in coded.items()})
+        columns = {}
+        for name, (table, codes) in coded.items():  # each column's pieces dropped once joined
+            columns[name] = (list(table), np.concatenate(codes))
+            codes.clear()
+        return RawCohort(n_rows=n, columns=columns)
     return read_file(csv_path, decode, IngestError, parse=csv.reader)
 
 
@@ -404,7 +410,9 @@ def read_matrix_csv(path: str, schemas: list[ColumnSchema]) -> FeatureMatrix:
             raise IngestError(f"{path}: header is not the schema's columns in schema order: "
                               f"{', '.join(header)}")
         blocks = [_floats(path, line, rows) for line, rows in _blocks(path, reader, len(names))]
-        values = np.concatenate([np.empty((0, len(names))), *blocks])
+        values = np.empty((sum(map(len, blocks)), len(names)))
+        for start in range(0, len(values), _BLOCK_ROWS):  # each block dropped once copied
+            values[start:start + _BLOCK_ROWS] = blocks.pop(0)
         if not np.isfinite(values).all():
             line = np.flatnonzero(~np.isfinite(values).all(axis=1))[0] + 2
             raise IngestError(f"{path}: line {line} has a cell that is not a finite number")

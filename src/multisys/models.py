@@ -48,7 +48,7 @@ class LogisticRegressionClassifier:
     training rows, with an unpenalized intercept.
 
     `fit` scales each column by its training mean and population standard
-    deviation (a zero-variance column gets divisor 1), then minimizes mean
+    deviation (a constant column by its value and 1), then minimizes mean
     negative log-likelihood + (lambda / (2n)) * ||w||^2 with lambda = 1/C,
     starting from zero weights, by damped Newton: each step solves the
     Hessian system once and backtracks from the full step until the
@@ -76,9 +76,11 @@ class LogisticRegressionClassifier:
 
     def fit(self, X, y) -> "LogisticRegressionClassifier":
         X, y = check_X_y(X, y)
-        self.mean_ = X.mean(axis=0)
-        sd = X.std(axis=0)
-        self.scale_ = np.where(sd == 0.0, 1.0, sd)
+        # A constant column is centred on its value and scaled by 1: its mean
+        # need not round back (0.1 over 120 rows has an SD of 2.2e-16).
+        constant, sd = np.ptp(X, axis=0) == 0.0, X.std(axis=0)
+        self.mean_ = np.where(constant, X[0], X.mean(axis=0))
+        self.scale_ = np.where(constant | (sd == 0.0), 1.0, sd)
         X = self.standardize(X)
         n, d = X.shape
         Xb = np.column_stack([X, np.ones(n)])

@@ -152,19 +152,46 @@ CORRUPTED_CELLS = [
 ]
 
 
-def test_corrupted_input_ingest_is_pinned(tmp_path):
+def _corrupted_config(tmp_path, n, cells):
+    """A config whose input is the n-row synthetic cohort (seed 11) with
+    `cells` set: (row, column, cell) triples."""
     from multisys.synth import GeneratorSpec, generate
-    header, rows = generate(GeneratorSpec(n=60, seed=11))
-    for i, name, cell in CORRUPTED_CELLS:
+    header, rows = generate(GeneratorSpec(n=n, seed=11))
+    for i, name, cell in cells:
         rows[i][header.index(name)] = cell
     path = tmp_path / "corrupted.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([header, *rows])
-    cfg = _write_config(tmp_path, {"input_csv": str(path)})
+    return _write_config(tmp_path, {"input_csv": str(path)})
+
+
+def test_corrupted_input_ingest_is_pinned(tmp_path):
+    cfg = _corrupted_config(tmp_path, 60, CORRUPTED_CELLS)
     _assert_pinned(tmp_path, cfg, ("ingest",), PINNED_INGEST)
     audit = json.loads((tmp_path / "run" / "audit.json").read_text())["columns"]
     assert [audit["Cr"][k] for k in ("unparsed", "implausible", "imputed")] == [1, 1, 2]
     assert audit["BUN"]["unparsed"] == 10 and audit["BUN"]["fill"] == 0.0
+
+
+# sha256 of ingest, features and split on a 9,000-row cohort, more than two of
+# the readers' blocks, with the corrupted cells above repeated in six places.
+# A change to how the CSVs are read or written a block at a time must leave
+# every artifact byte-identical.
+PINNED_PREP = {
+    "matrix.csv": "92dba246bdc0ea8866c4aae386b7713274a4527f22456a164bc87ba01b05be8d",
+    "audit.json": "5572850d34210cbdad41d237185ed8eb68fc95e425824c14599f2ffb28390c4c",
+    "indices.csv": "a79a7a2486377d34466d308b0f4e70dc84ee507d8a0bf09cfdbeee4e7a11cc98",
+    "partition.json": "bd13d77cfd61f1a35e72e4a564bbccce7705843625e076c7afabd14fc0d8e977",
+}
+
+
+def test_corrupted_input_over_several_blocks_is_pinned(tmp_path):
+    cells = [(i + k * 1790, name, cell) for k in range(6) for i, name, cell in CORRUPTED_CELLS]
+    cfg = _corrupted_config(tmp_path, 9000, cells)
+    _assert_pinned(tmp_path, cfg, ("ingest", "features", "split"), PINNED_PREP)
+    audit = json.loads((tmp_path / "run" / "audit.json").read_text())
+    assert audit["n_rows"] == 9000
+    assert [audit["columns"]["Cr"][k] for k in ("unparsed", "implausible")] == [6, 6]
 
 
 def test_missing_upstream_artifact(tmp_path, fast_config, capsys):

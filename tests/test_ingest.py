@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,9 +161,9 @@ def test_load_cohort_renames_and_drops(write_csv, tiny_schemas):
 
 
 def test_load_cohort_codes_match_per_cell_coding_across_blocks(write_csv, tiny_schemas):
-    # Over more than two blocks of 4,096 rows; "5.0" first appears in the
-    # third block, and the PRO cells repeat with a period that is not a
-    # divisor of the block size.
+    # Over more than two blocks of 4,096 rows (and eight of 1,024); "5.0" first
+    # appears in the last block, and the PRO cells repeat with a period that
+    # is not a divisor of the block size.
     n = 2 * 4096 + 5
     glu = ["4.1", "", "4.1 mmol/L"] * 3000
     glu[2 * 4096 + 2] = "5.0"
@@ -174,8 +175,28 @@ def test_load_cohort_codes_match_per_cell_coding_across_blocks(write_csv, tiny_s
         distinct, codes = cohort.columns[name]
         want = _coded([row[j] for row in rows])
         assert distinct == want[0]
-        assert codes.dtype == np.intp and codes.tolist() == want[1].tolist()
+        assert codes.dtype == np.int32 and codes.tolist() == want[1].tolist()
     assert cohort.columns["GLU"][0] == ["4.1", "", "4.1 mmol/L", "5.0"]
+
+
+def test_load_cohort_holds_one_block_of_rows_at_a_time(write_csv, tiny_schemas, monkeypatch):
+    # Long cells, so that a block of row strings outweighs the codes of the
+    # whole file: the peak must not grow with the number of blocks.
+    monkeypatch.setattr(ingest, "_BLOCK_ROWS", 64)
+
+    def peak(n_rows):
+        rows = [[f"{i % 3} μmol/L{' ' * 1000}", f"{i % 5}.0 mmol/L{' ' * 1000}", "neg"]
+                for i in range(n_rows)]
+        path = write_csv(["Cr", "GLU", "PRO"], rows, name=f"{n_rows}.csv")
+        tracemalloc.start()
+        try:
+            assert load_cohort(path, tiny_schemas).n_rows == n_rows
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(64)  # the first read also allocates what later reads reuse
+    assert peak(8 * 64) <= 1.25 * peak(64)
 
 
 def test_load_cohort_missing_source_header_errors(write_csv, tiny_schemas):

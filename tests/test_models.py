@@ -121,6 +121,19 @@ def test_lr_constant_column_keeps_weight_zero_without_penalty(C):
     assert model.gradient_max_norm_ <= 1e-8
 
 
+def test_lr_column_constant_at_an_inexact_mean_keeps_weight_zero():
+    # 0.1 over 120 rows has a mean that does not round back to 0.1 and an SD
+    # of 2.2e-16; scaled by that SD, a predict-time 0.2 would move the margin
+    # by about 245.
+    X, y = _blobs(120, seed=3)
+    X = np.column_stack([X, np.full(len(X), 0.1)])
+    model = LogisticRegressionClassifier(C=1e6).fit(X, y)
+    assert (model.mean_[2], model.scale_[2], model.coef_[2]) == (0.1, 1.0, 0.0)
+    assert np.all(model.standardize(X)[:, 2] == 0.0)
+    shifted = np.column_stack([X[:, :2], np.full(len(X), 0.2)])
+    assert model.predict_proba(shifted).tolist() == model.predict_proba(X).tolist()
+
+
 def test_lr_converges_on_separable_blobs():
     # 60 SDs apart, so only the 1e-6 penalty keeps the weights finite; the
     # fit must not overflow or divide by zero on the way (RuntimeWarning).
