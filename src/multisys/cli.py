@@ -174,7 +174,9 @@ def _merge(into: dict, update: dict) -> None:
 
 
 class RunConfig(dict):
-    """The checked run config: DEFAULTS with the config file merged onto it."""
+    """The checked run config: DEFAULTS with the config file merged onto it,
+    and the files it names, parsed once by `load`, as attributes the config
+    hash does not see: `spec` (None without synth), `schemas`, `tokens`, `systems`."""
 
     @classmethod
     def load(cls, path: str | None, seed_override: int | None = None) -> "RunConfig":
@@ -192,35 +194,23 @@ class RunConfig(dict):
             cfg["split"]["seed"] = cfg["models"]["random_forest"]["seed"] = seed_override
             if cfg["synth"] is not None:
                 cfg["synth"]["seed"] = seed_override
-        # Read every file the config names, so a bad one fails before any stage writes.
-        if cfg["synth"] is not None:
-            cfg.spec()
-        cfg.schemas()
-        cfg.systems()
+        # Parse every file the config names here, so a bad one fails before any stage writes.
+        synth = cfg["synth"]
+        cfg.spec = None if synth is None else replace(
+            synth_mod.spec_from_json(synth["spec_path"]) if "spec_path" in synth
+            else synth_mod.GeneratorSpec(**DEFAULT_SYNTH),
+            # the config's n and seed override the spec file's
+            **{k: synth[k] for k in ("n", "seed") if k in synth})
+        cfg.schemas, cfg.tokens = (
+            ingest_mod.schema_from_json(cfg["schema_config"]) if cfg["schema_config"] is not None
+            else (ingest_mod.default_schema(), dict(ingest_mod.DEFAULT_SEMIQUANT_TOKENS)))
+        cfg.systems = (indices_mod.systems_from_json(cfg["systems_config"])
+                       if cfg["systems_config"] is not None else indices_mod.default_systems())
         return cfg
 
     def hash(self) -> str:
         text = json.dumps(self, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-    def spec(self) -> synth_mod.GeneratorSpec:
-        synth = self["synth"]
-        if synth is None:
-            raise config_error("simulate requires a synth spec in the config")
-        spec = (synth_mod.spec_from_json(synth["spec_path"]) if "spec_path" in synth
-                else synth_mod.GeneratorSpec(**DEFAULT_SYNTH))
-        # the config's n and seed override the spec file's
-        return replace(spec, **{k: synth[k] for k in ("n", "seed") if k in synth})
-
-    def schemas(self):
-        if self["schema_config"] is not None:
-            return ingest_mod.schema_from_json(self["schema_config"])
-        return ingest_mod.default_schema(), dict(ingest_mod.DEFAULT_SEMIQUANT_TOKENS)
-
-    def systems(self):
-        if self["systems_config"] is not None:
-            return indices_mod.systems_from_json(self["systems_config"])
-        return indices_mod.default_systems()
 
     def fitter(self, kind: ModelKind) -> Callable:
         """`fitter(X, y)` returning a fresh model of `kind` fitted on X, y;
@@ -314,7 +304,9 @@ def _table(records: list[dict]) -> list[list]:
 # stages
 
 def stage_simulate(ws: Workspace) -> None:
-    spec = ws.cfg.spec()
+    spec = ws.cfg.spec
+    if spec is None:
+        raise config_error("simulate requires a synth spec in the config")
     header, rows = synth_mod.generate(spec)
     ws.write("cohort.csv", [header, *rows])
     log.info("simulate: wrote %d-row cohort", spec.n)
@@ -327,9 +319,8 @@ def stage_ingest(ws: Workspace) -> None:
             raise CliError(f"input CSV {source} does not exist", kind="missing-input")
     else:
         source = ws.require("cohort.csv")
-    schemas, tokens = ws.cfg.schemas()
-    cohort = ingest_mod.load_cohort(source, schemas)
-    matrix, audit = ingest_mod.clean_cohort(cohort, schemas, tokens)
+    cohort = ingest_mod.load_cohort(source, ws.cfg.schemas)
+    matrix, audit = ingest_mod.clean_cohort(cohort, ws.cfg.schemas, ws.cfg.tokens)
     ingest_mod.write_matrix_csv(matrix, ws.path("matrix.csv"))
     ws.register("matrix.csv")
     ws.write("audit.json", audit)
@@ -337,14 +328,12 @@ def stage_ingest(ws: Workspace) -> None:
 
 
 def _load_matrix(ws: Workspace) -> ingest_mod.FeatureMatrix:
-    schemas, _ = ws.cfg.schemas()
-    return ingest_mod.read_matrix_csv(ws.require("matrix.csv"), schemas)
+    return ingest_mod.read_matrix_csv(ws.require("matrix.csv"), ws.cfg.schemas)
 
 
 def stage_features(ws: Workspace) -> None:
     matrix = _load_matrix(ws)
-    systems = ws.cfg.systems()
-    idx = indices_mod.compute_indices(matrix, systems)
+    idx = indices_mod.compute_indices(matrix, ws.cfg.systems)
     names = idx.systems
     header = ([f"{s}_flag" for s in names] + [f"{s}_grade" for s in names]
               + ["burden_score", "affected_systems", "target_multi"])
@@ -354,7 +343,7 @@ def stage_features(ws: Workspace) -> None:
     rows = (row for i in range(0, len(idx.target_multi), step)
             for row in np.column_stack([c[i:i + step] for c in columns]).astype(int).tolist())
     ws.write("indices.csv", itertools.chain([header], rows))
-    summary = indices_mod.prevalence_summary(idx, systems, matrix)
+    summary = indices_mod.prevalence_summary(idx)
     ws.write("prevalence.json", summary)
     log.info("features: target prevalence %.3f", summary["target_prevalence"])
 
@@ -507,20 +496,23 @@ def stage_explain(ws: Workspace) -> None:
     partition = _load_partition(ws, len(matrix.values))
     gb = _load_model(ws, MODELS["gradient_boosting"], matrix.values.shape[1])
     X_test = matrix.values[np.asarray(partition.test)]
+    X_train = matrix.values[np.asarray(partition.train)]
     names = matrix.names
 
     attribution = explain_mod.tree_shap(gb, X_test)
     ranking = explain_mod.global_importance(attribution, names)
-    # a feature no tree splits on has no importance, and may be constant
-    top = [feature for feature, importance in ranking if importance > 0][:3]
+    # a feature no tree splits on has no importance, and one that is mostly
+    # a single value has no curve to draw
+    top = [feature for feature, importance in ranking if importance > 0
+           and len(explain_mod.pdp_grid(X_train[:, matrix.column_index(feature)])) > 1][:3]
     if not top:
-        raise explain_mod.ExplainError("no feature has a non-zero mean |SHAP|")
+        raise explain_mod.ExplainError(
+            "no feature has a non-zero mean |SHAP| and a PDP grid of two or more points")
     ws.write("importance.csv", [["rank", "feature", "mean_abs_shap"]]
              + [[r, feature, value] for r, (feature, value) in enumerate(ranking, 1)])
     records = explain_mod.beeswarm_export(attribution, X_test, names)
     ws.write("beeswarm.csv", _table(records))
 
-    X_train = matrix.values[np.asarray(partition.train)]
     pdp_files = []
     for feature in top:
         curve = explain_mod.partial_dependence(gb, X_train, matrix.column_index(feature))

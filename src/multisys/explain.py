@@ -267,17 +267,19 @@ def beeswarm_export(attribution: ShapAttribution, X,
             for i in range(X.shape[0]) for j, name in enumerate(feature_names)]
 
 
-def partial_dependence(model, X_train, feature: int) -> PdpCurve:
-    """Model response as one feature sweeps a quantile grid.
+def pdp_grid(column) -> np.ndarray:
+    """The distinct values of PDP_GRID_SIZE equally spaced quantiles of a training
+    column from its 2.5th to its 97.5th percentile; a curve needs two or more."""
+    return np.unique(np.quantile(column, np.linspace(0.025, 0.975, PDP_GRID_SIZE)))
 
-    The grid spans PDP_GRID_SIZE equally spaced quantiles of the training
-    feature between the 2.5th and 97.5th percentiles (tails suppressed); all
-    other features sit at their training means.
-    """
+
+def partial_dependence(model, X_train, feature: int) -> PdpCurve:
+    """Model response as one feature sweeps its `pdp_grid`; all other
+    features sit at their training means."""
     X_train = check_X(X_train)
     if not 0 <= feature < X_train.shape[1]:
         raise ExplainError(f"feature {feature} is outside 0..{X_train.shape[1] - 1}")
-    grid = np.unique(np.quantile(X_train[:, feature], np.linspace(0.025, 0.975, PDP_GRID_SIZE)))
+    grid = pdp_grid(X_train[:, feature])
     if len(grid) < 2:
         raise ExplainError(f"feature {feature} is (near-)constant; PDP grid degenerate")
     profile = np.tile(X_train.mean(axis=0), (len(grid), 1))

@@ -35,6 +35,11 @@ class ThresholdRule:
         if not is_finite(self.cutoff):
             raise SystemsError(f"cutoff must be a finite number, got {self.cutoff!r}")
 
+    @property
+    def key(self) -> str:
+        """The rule's name in prevalence.json, unique within its system."""
+        return f"{self.analyte} {self.direction} {self.cutoff:g}"
+
 
 @dataclass(frozen=True)
 class SystemDefinition:
@@ -45,6 +50,8 @@ class SystemDefinition:
         if len(self.rules) not in (2, 3):
             raise SystemsError(
                 f"system {self.name}: expected 2 or 3 rules, got {len(self.rules)}")
+        if twice := repeated(rule.key for rule in self.rules):
+            raise SystemsError(f"system {self.name}: more than one rule {', '.join(twice)}")
 
 
 def default_systems() -> list[SystemDefinition]:
@@ -105,6 +112,7 @@ class SystemIndices:
     burden_score: np.ndarray  # (n,) int
     affected_systems: np.ndarray  # (n,) int
     target_multi: np.ndarray  # (n,) bool
+    rule_counts: dict[str, dict[str, int]]  # name -> rule key -> patients it fires on
 
     def __len__(self) -> int:
         return len(self.burden_score)
@@ -124,16 +132,19 @@ def compute_indices(matrix: FeatureMatrix, systems: list[SystemDefinition]) -> S
     n = matrix.values.shape[0]
     flags: dict[str, np.ndarray] = {}
     grades: dict[str, np.ndarray] = {}
+    rule_counts: dict[str, dict[str, int]] = {}
     burden = np.zeros(n, dtype=int)
     affected = np.zeros(n, dtype=int)
     for system in systems:
         grade = np.zeros(n, dtype=int)
+        counts = rule_counts[system.name] = {}
         for rule in system.rules:
             if rule.analyte not in names:
                 raise MissingAnalyteError(
-                    f"system {system.name}: column {rule.analyte!r} not in matrix"
-                )
-            grade += evaluate_rule(matrix.column(rule.analyte), rule).astype(int)
+                    f"system {system.name}: column {rule.analyte!r} not in matrix")
+            fired = evaluate_rule(matrix.column(rule.analyte), rule)
+            counts[rule.key] = int(np.count_nonzero(fired))
+            grade += fired.astype(int)
         flags[system.name] = grade >= 1
         grades[system.name] = grade
         burden += grade
@@ -145,11 +156,11 @@ def compute_indices(matrix: FeatureMatrix, systems: list[SystemDefinition]) -> S
         burden_score=burden,
         affected_systems=affected,
         target_multi=affected >= 2,
+        rule_counts=rule_counts,
     )
 
 
-def prevalence_summary(indices: SystemIndices, systems: list[SystemDefinition],
-                       matrix: FeatureMatrix) -> dict:
+def prevalence_summary(indices: SystemIndices) -> dict:
     """Cohort-level prevalences plus burden statistics.
 
     The summary also breaks each system's prevalence down per rule, so the
@@ -159,24 +170,15 @@ def prevalence_summary(indices: SystemIndices, systems: list[SystemDefinition],
     n = len(indices)
     if n == 0:
         raise ValueError("empty cohort")
-    summary: dict = {
+    return {
         "n": n,
         "target_prevalence": float(np.mean(indices.target_multi)),
         "target_count": int(np.sum(indices.target_multi)),
-        "systems": {},
+        "systems": {name: {
+            "prevalence": float(np.mean(indices.flags[name])),
+            "mean_grade": float(np.mean(indices.grades[name])),
+            "per_rule": {key: count / n for key, count in indices.rule_counts[name].items()},
+        } for name in indices.systems},
         "burden_mean": float(np.mean(indices.burden_score)),
         "burden_sd": float(np.std(indices.burden_score, ddof=1)) if n > 1 else 0.0,
     }
-    for name in indices.systems:
-        summary["systems"][name] = {
-            "prevalence": float(np.mean(indices.flags[name])),
-            "mean_grade": float(np.mean(indices.grades[name])),
-        }
-    for system in systems:
-        per_rule = {}
-        for rule in system.rules:
-            fired = evaluate_rule(matrix.column(rule.analyte), rule)
-            key = f"{rule.analyte} {rule.direction} {rule.cutoff:g}"
-            per_rule[key] = float(np.mean(fired))
-        summary["systems"][system.name]["per_rule"] = per_rule
-    return summary

@@ -16,7 +16,6 @@ class MetricError(MultisysError):
 
 @dataclass
 class RocCurve:
-    thresholds: np.ndarray  # descending distinct scores
     fpr: np.ndarray  # includes leading 0 and trailing 1
     tpr: np.ndarray
     auc: float
@@ -58,7 +57,7 @@ def roc_curve(scores, labels) -> RocCurve:
         raise MetricError("ROC endpoints inconsistent")
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     auc = float(trapezoid(tpr, fpr))
-    return RocCurve(thresholds=s[ends], fpr=fpr, tpr=tpr, auc=auc)
+    return RocCurve(fpr=fpr, tpr=tpr, auc=auc)
 
 
 def roc_auc(scores, labels) -> float:

@@ -51,6 +51,16 @@ FAST_CONFIG = {
     },
 }
 
+# Systems under which the default cohort's GB (at 40 trees) ranks NIT third by
+# mean |SHAP|, though NIT is 0 in more than 97.5% of the train rows, so that
+# its partial dependence grid is one point.
+NIT_SYSTEMS = {"systems": [
+    {"name": name, "rules": [{"analyte": analyte, "direction": direction, "cutoff": cutoff}
+                             for analyte, direction, cutoff in rules]}
+    for name, rules in (("a", [("NIT", "at-or-above", 1), ("NIT", "at-or-above", 0.5)]),
+                        ("b", [("GLU", "above", 7), ("GLU", "above", 8)]),
+                        ("c", [("TG", "above", 1.7), ("TG", "above", 2)]))]}
+
 
 @pytest.fixture
 def fast_config(tmp_path):

@@ -284,9 +284,7 @@ def test_criterion_11_registry_reproduction(tmp_path):
     schemas = default_schema()
     cohort = load_cohort(os.environ["MULTISYS_REGISTRY_CSV"], schemas)
     matrix, _ = clean_cohort(cohort, schemas)
-    systems = default_systems()
-    idx = compute_indices(matrix, systems)
-    summary = prevalence_summary(idx, systems, matrix)
+    summary = prevalence_summary(compute_indices(matrix, default_systems()))
     cr = matrix.column("Cr")
     ok = (abs(summary["target_prevalence"] - 0.168) < 0.005
           and abs(summary["systems"]["lipid"]["prevalence"] - 0.650) < 0.01

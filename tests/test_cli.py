@@ -13,11 +13,13 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import FAST_CONFIG
+from conftest import FAST_CONFIG, NIT_SYSTEMS
 
 import multisys
+from multisys import indices as indices_mod, ingest as ingest_mod, synth as synth_mod
 from multisys.base import MultisysError
 from multisys.cli import CliError, RunConfig, Workspace, main, run_subcommand
+from multisys.indices import default_systems
 from multisys.ingest import default_schema
 from multisys.models import GradientBoostingClassifier
 
@@ -365,6 +367,42 @@ def _trained_run(tmp_path, config, last: str = "train") -> str:
     return out
 
 
+def _counted(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a wrapper that appends each call to the list it returns."""
+    calls, inner = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_each_named_file_is_parsed_once_per_run(tmp_path, monkeypatch):
+    (tmp_path / "spec.json").write_text(json.dumps({"n": 160, "seed": 7}))
+    (tmp_path / "schema.json").write_text(json.dumps({"columns": [
+        {"name": c.name, "kind": c.kind, "unit": c.unit_hint, "lower": c.lower,
+         "upper": c.upper, "fill": c.fill_policy} for c in default_schema()]}))
+    (tmp_path / "systems.json").write_text(json.dumps({"systems": [
+        {"name": s.name, "rules": [vars(r) for r in s.rules]} for s in default_systems()]}))
+    config = _write_config(tmp_path, {
+        **FAST_CONFIG, "synth": {"spec_path": str(tmp_path / "spec.json")},
+        "schema_config": str(tmp_path / "schema.json"),
+        "systems_config": str(tmp_path / "systems.json")})
+    parsers = [_counted(monkeypatch, module, name) for module, name in (
+        (synth_mod, "spec_from_json"), (ingest_mod, "schema_from_json"),
+        (indices_mod, "systems_from_json"))]
+    assert _run("all", str(tmp_path / "run"), config) == 0
+    assert [len(calls) for calls in parsers] == [1, 1, 1]
+
+
+def test_features_evaluates_each_rule_once(tmp_path, fast_config, monkeypatch):
+    out = _trained_run(tmp_path, fast_config, last="ingest")
+    calls = _counted(monkeypatch, indices_mod, "evaluate_rule")
+    assert _run("features", out, fast_config) == 0
+    assert len(calls) == sum(len(system.rules) for system in default_systems())
+
+
 def test_evaluate_outputs_are_the_same_at_any_pool_width(tmp_path, fast_config, monkeypatch):
     out = _trained_run(tmp_path, fast_config)
     widths = []
@@ -599,6 +637,20 @@ def test_explain_draws_only_features_with_importance(tmp_path, capsys):
     assert meta["pdp_files"] == [f"pdp_{f}.csv" for f in meta["top_features"]]
 
 
+def test_explain_skips_a_feature_whose_pdp_grid_is_one_point(tmp_path, capsys):
+    systems = tmp_path / "systems.json"
+    systems.write_text(json.dumps(NIT_SYSTEMS))
+    config = _write_config(tmp_path, {"systems_config": str(systems), "models": {
+        "random_forest": {"n_estimators": 20}, "gradient_boosting": {"n_estimators": 40}}})
+    out = _trained_run(tmp_path, config)
+    assert _run("explain", out, config) == 0, capsys.readouterr().err
+    with open(os.path.join(out, "importance.csv"), encoding="utf-8", newline="") as fh:
+        ranking = [(r["feature"], float(r["mean_abs_shap"])) for r in csv.DictReader(fh)]
+    assert ranking[2][0] == "NIT" and ranking[2][1] > 0
+    with open(os.path.join(out, "explain_meta.json"), encoding="utf-8") as fh:
+        assert json.load(fh)["top_features"] == ["GLU", "TG", "Cr"]
+
+
 def test_explain_of_no_feature_with_importance_exits_2(tmp_path, capsys):
     # No node holds two 1,000-row leaves, so every boosting tree is one leaf
     # and every Shapley value is 0.
@@ -609,7 +661,8 @@ def test_explain_of_no_feature_with_importance_exits_2(tmp_path, capsys):
     out = _trained_run(tmp_path, config)
     assert _run("explain", out, config) == 2
     assert json.loads(capsys.readouterr().err) == {
-        "error": "ExplainError", "message": "no feature has a non-zero mean |SHAP|"}
+        "error": "ExplainError", "message": "no feature has a non-zero mean |SHAP| "
+                                            "and a PDP grid of two or more points"}
     for name in ("importance.csv", "beeswarm.csv", "explain_meta.json"):
         assert not os.path.exists(os.path.join(out, name)), name
 
@@ -730,6 +783,10 @@ SIDEWAYS_SYSTEM = {"systems": [{"name": "kidney", "rules": [
     ("systems_config", {"systems": [{"name": "kidney", "rules": [
         {"analyte": "Cr", "direction": "above", "cutoff": 110},
         {"analyte": "BUN", "direction": "above", "cutoff": 8.2}]}] * 2}, "SystemsError"),
+    # two rules of one system under one prevalence.json key
+    ("systems_config", {"systems": [{"name": "metabolic", "rules": [
+        {"analyte": "GLU", "direction": "above", "cutoff": 7.0000001},
+        {"analyte": "GLU", "direction": "above", "cutoff": 7.0000002}]}]}, "SystemsError"),
 ])
 def test_bad_config_files_exit_2_before_any_artifact(tmp_path, capsys, key, content, kind):
     path = tmp_path / "file.json"

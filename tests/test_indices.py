@@ -40,6 +40,10 @@ def test_rule_validation():
         ThresholdRule("X", "above", float("nan"))
     with pytest.raises(SystemsError):
         SystemDefinition("s", (ThresholdRule("X", "above", 1.0),))  # needs 2-3
+    # both would be "GLU above 7" in prevalence.json's per_rule breakdown
+    with pytest.raises(SystemsError, match="more than one rule GLU above 7$"):
+        SystemDefinition("s", (ThresholdRule("GLU", "above", 7.0000001),
+                               ThresholdRule("GLU", "above", 7.0000002)))
 
 
 def test_hand_computed_indices():
@@ -100,9 +104,7 @@ def test_prevalence_summary_counts():
         [70, 5.0, 0.0, 1.0, 2.0, 1.5, 6.0, 0.0, 0.0, 5.0, 0.0],
     ]
     matrix = make_matrix(rows, _schemas(*names))
-    systems = default_systems()
-    idx = compute_indices(matrix, systems)
-    summary = prevalence_summary(idx, systems, matrix)
+    summary = prevalence_summary(compute_indices(matrix, default_systems()))
     assert summary["n"] == 2
     assert summary["target_prevalence"] == 0.5
     assert summary["target_count"] == 1

@@ -66,7 +66,7 @@ def test_roc_curve_endpoints_and_monotone():
     assert curve.fpr[-1] == 1.0 and curve.tpr[-1] == 1.0
     assert np.all(np.diff(curve.fpr) >= 0)
     assert np.all(np.diff(curve.tpr) >= 0)
-    assert np.all(np.diff(curve.thresholds) < 0)  # strictly descending
+    assert len(curve.fpr) == len(np.unique(scores)) + 1  # one point per distinct score
 
 
 def test_roc_errors():
