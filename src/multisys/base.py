@@ -62,14 +62,10 @@ def csv_rows(fh) -> list[dict]:
     return list(csv.DictReader(fh))
 
 
-def is_number(value) -> bool:
-    """True for an int or a float, never for a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def is_finite(value) -> bool:
     """True for an int or float that is a finite float, never for a bool."""
-    return is_number(value) and abs(value) <= sys.float_info.max
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def repeated(keys) -> list:

@@ -43,7 +43,7 @@ from . import ingest as ingest_mod
 from . import metrics as metrics_mod
 from . import report as report_mod
 from . import synth as synth_mod
-from .base import MultisysError, csv_rows, read_file, write_file
+from .base import MultisysError, check_keys, csv_rows, is_finite, read_file, write_file
 from .models import (GradientBoostingClassifier, RandomForestClassifier,
                      LogisticRegressionClassifier, TreeEnsemble)
 from .split import FoldPlan, Partition, stratified_kfold, stratified_split
@@ -126,42 +126,36 @@ def _shape() -> dict:
             "cv_folds": Bound(DEFAULTS["cv_folds"], 1), "models": models}
 
 
-def _validate(value, shape, where: str = "") -> None:
-    """Raise a config CliError unless `value` fits `shape`.
+def _validate(value, shape, where: str = ""):
+    """`value` itself; ValueError unless it fits `shape`.
 
     A dict shape lists the allowed keys, a list shape holds that many
     numbers, and any other shape is a default (or a `Bound`) whose type the
-    value must have: an int may stand for a float, a bool never for a
-    number, and a float must be finite (JSON has no Infinity or NaN).  The
-    top-level keys whose default is null may also be null.
+    value must have: a float default takes any finite number (an int, never
+    a bool), any other default a value of exactly its type.  The top-level
+    keys whose default is null may also be null.
     """
     name = where or "config"
     if value is None and where in DEFAULTS and DEFAULTS[where] is None:
-        return
+        return value
     if isinstance(shape, dict):
         if not isinstance(value, dict):
-            raise CliError(f"{name} must be a JSON object", kind="config")
-        unknown = sorted(set(value) - set(shape))
-        if unknown:
-            raise CliError(f"unknown {name} key(s): {', '.join(unknown)}", kind="config")
-        for key, item in value.items():
+            raise ValueError(f"{name} must be a JSON object")
+        for key, item in check_keys(value, shape, name).items():
             _validate(item, shape[key], f"{where}.{key}" if where else key)
     elif isinstance(shape, list):
         if not isinstance(value, list) or len(value) != len(shape):
-            raise CliError(f"{name} is {value!r}, expected {len(shape)} numbers", kind="config")
+            raise ValueError(f"{name} is {value!r}, expected {len(shape)} numbers")
         for item, item_shape in zip(value, shape):
             _validate(item, item_shape, name)
     else:
         default = shape.default if isinstance(shape, Bound) else shape
-        allowed = (int, float) if isinstance(default, float) else type(default)
-        if not isinstance(value, allowed) or isinstance(value, bool) != isinstance(default, bool):
-            raise CliError(f"{name} is {value!r}, expected {type(default).__name__}",
-                           kind="config")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise CliError(f"{name} is {value!r}, expected a finite number", kind="config")
+        if not (is_finite(value) if isinstance(default, float) else type(value) is type(default)):
+            expected = "a finite number" if isinstance(default, float) else type(default).__name__
+            raise ValueError(f"{name} is {value!r}, expected {expected}")
         if isinstance(shape, Bound) and not shape.above < value <= shape.most:
-            raise CliError(f"{name} is {value!r}, outside ({shape.above:g}, {shape.most:g}]",
-                           kind="config")
+            raise ValueError(f"{name} is {value!r}, outside ({shape.above:g}, {shape.most:g}]")
+    return value
 
 
 def _merge(into: dict, update: dict) -> None:
@@ -180,8 +174,8 @@ class RunConfig(dict):
 
     @classmethod
     def load(cls, path: str | None, seed_override: int | None = None) -> "RunConfig":
-        raw = {} if path is None else read_file(path, lambda doc: doc, config_error)
-        _validate(raw, _shape())
+        raw = {} if path is None else read_file(path, lambda doc: _validate(doc, _shape()),
+                                                config_error)
         cfg = cls(copy.deepcopy(DEFAULTS))
         _merge(cfg, raw)
         if cfg["input_csv"] is None and cfg["synth"] is None:
@@ -393,19 +387,19 @@ def _load_partition(ws: Workspace, n_rows: int) -> Partition:
     return ws.read("partition.json", decode)
 
 
-def _load_folds(ws: Workspace, n_rows: int) -> tuple[np.ndarray, FoldPlan]:
-    """folds.json's train indices, checked against the matrix's n_rows, and
-    its fold plan: k >= 2 folds, one assignment in [0, k) per train index."""
+def _load_folds(ws: Workspace, train: list) -> FoldPlan:
+    """folds.json's fold plan of partition.json's `train` rows: k >= 2 folds,
+    one assignment in [0, k) per row, and `train` as its train_indices."""
     def decode(doc):
-        k, train_idx, assignments = doc["k"], doc["train_indices"], doc["assignments"]
+        k, listed, assignments = doc["k"], doc["train_indices"], doc["assignments"]
         if type(k) is not int or k < 2:
             raise ValueError(f"k is {k!r}, expected an integer >= 2")
-        _check_ints("train_indices", train_idx, n_rows)
+        if listed != train or not all(type(i) is int for i in listed):
+            raise ValueError("train_indices are not partition.json's train rows")
         _check_ints("assignments", assignments, k)
-        if len(assignments) != len(train_idx):
-            raise ValueError(f"{len(assignments)} fold assignments for "
-                             f"{len(train_idx)} train_indices")
-        return np.asarray(train_idx), FoldPlan(k=k, assignments=assignments)
+        if len(assignments) != len(train):
+            raise ValueError(f"{len(assignments)} fold assignments for {len(train)} train rows")
+        return FoldPlan(k=k, assignments=assignments)
     return ws.read("folds.json", decode)
 
 
@@ -455,7 +449,8 @@ def stage_evaluate(ws: Workspace) -> None:
     matrix = _load_matrix(ws)
     [y] = _load_indices(ws, len(matrix.values), "target_multi")
     partition = _load_partition(ws, len(y))
-    train_idx, fold_plan = _load_folds(ws, len(y))
+    fold_plan = _load_folds(ws, partition.train)
+    train_idx = np.asarray(partition.train)
     # every model file is loaded, and so checked, before the first refit
     fitted = {name: _load_model(ws, kind, matrix.values.shape[1])
               for name, kind in MODELS.items()}

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import MultisysError, check_keys, is_number, read_file, repeated, write_file
+from .base import MultisysError, check_keys, is_finite, read_file, repeated, write_file
 
 log = logging.getLogger("multisys.ingest")
 
@@ -67,8 +67,9 @@ class ColumnSchema:
         if self.fill_policy not in ("median", "mode", "zero"):
             raise IngestError(f"{self.name}: unknown fill policy {self.fill_policy!r}")
         for bound in (self.lower, self.upper):
-            if bound is not None and not is_number(bound):
-                raise IngestError(f"{self.name}: plausibility bound {bound!r} is not a number")
+            if bound is not None and not is_finite(bound):
+                raise IngestError(
+                    f"{self.name}: plausibility bound {bound!r} is not a finite number")
         if self.lower is not None and self.upper is not None and not self.lower < self.upper:
             raise IngestError(f"{self.name}: plausibility bounds out of order")
         if self.fill_policy != "zero":
@@ -224,7 +225,7 @@ def schema_from_json(path: str) -> tuple[list[ColumnSchema], dict[str, float]]:
                                   f"{what} {', '.join(twice)}")
         tokens = dict(DEFAULT_SEMIQUANT_TOKENS)
         for tok, level in cfg.get("semiquant_tokens", {}).items():
-            if not (is_number(level) and level in ORDINAL_LEVELS):
+            if not (is_finite(level) and level in ORDINAL_LEVELS):
                 raise IngestError(f"semiquant token {tok!r} maps to invalid level {level!r}")
             tokens["".join(tok.split()).lower()] = float(level)
         return schemas, tokens
@@ -252,7 +253,8 @@ def load_cohort(csv_path: str, schemas: list[ColumnSchema]) -> RawCohort:
     """Read a CSV export and rename raw headers to canonical analyte names.
 
     Columns not covered by the schema are dropped (counted in a warning);
-    a schema entry whose source header is absent from the file is an error.
+    a schema entry whose source header is absent from the file, or a file
+    without data rows, is an error.
     Kept columns are coded as the blocks are read, one table per column for
     the whole file, so the codes depend on neither the blocks nor the hash seed.
     """
@@ -280,6 +282,8 @@ def load_cohort(csv_path: str, schemas: list[ColumnSchema]) -> RawCohort:
                 codes.append(np.fromiter((table.setdefault(row[i], len(table)) for row in rows),
                                          dtype=np.int32, count=len(rows)))
             n += len(rows)
+        if n == 0:
+            raise IngestError(f"{csv_path}: no data rows")
         columns = {}
         for name, (table, codes) in coded.items():  # each column's pieces dropped once joined
             columns[name] = (list(table), np.concatenate(codes))
@@ -392,10 +396,10 @@ def _floats(path: str, line: int, rows: list[list[str]]) -> np.ndarray:
 def read_matrix_csv(path: str, schemas: list[ColumnSchema]) -> FeatureMatrix:
     """Reload a cleaned matrix written by write_matrix_csv.
 
-    IngestError for an unreadable or empty file, a header other than the
-    schema's names in schema order, a row whose length differs from the
-    header's, or a cell that is not a finite number.  Rows are converted a
-    block at a time; a cell converts as ``float`` would convert it.
+    IngestError for an unreadable file, one without data rows, a header
+    other than the schema's names in schema order, a row whose length differs
+    from the header's, or a cell that is not a finite number.  Rows are
+    converted a block at a time; a cell converts as ``float`` would convert it.
     """
     names = [s.name for s in schemas]
 
@@ -410,6 +414,8 @@ def read_matrix_csv(path: str, schemas: list[ColumnSchema]) -> FeatureMatrix:
             raise IngestError(f"{path}: header is not the schema's columns in schema order: "
                               f"{', '.join(header)}")
         blocks = [_floats(path, line, rows) for line, rows in _blocks(path, reader, len(names))]
+        if not blocks:
+            raise IngestError(f"{path}: no data rows")
         values = np.empty((sum(map(len, blocks)), len(names)))
         for start in range(0, len(values), _BLOCK_ROWS):  # each block dropped once copied
             values[start:start + _BLOCK_ROWS] = blocks.pop(0)

@@ -55,8 +55,7 @@ def roc_curve(scores, labels) -> RocCurve:
     fpr = np.concatenate([[0.0], fp / neg, ])
     if tpr[-1] != 1.0 or fpr[-1] != 1.0:  # pragma: no cover - cumulative totals
         raise MetricError("ROC endpoints inconsistent")
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    auc = float(trapezoid(tpr, fpr))
+    auc = float(np.trapezoid(tpr, fpr))
     return RocCurve(fpr=fpr, tpr=tpr, auc=auc)
 
 

@@ -23,7 +23,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .base import MultisysError, check_keys, is_finite, is_number, read_file, repeated
+from .base import MultisysError, check_keys, is_finite, read_file, repeated
 from .rng import SplitMix64
 
 
@@ -54,8 +54,7 @@ class AnalyteSpec:
     def __post_init__(self):
         numbers = (self.mu, self.sigma, self.loading, *self.probs,
                    *(b for b in (self.lower, self.upper) if b is not None))
-        if not (all(map(is_finite, numbers)) and is_number(self.decimals)
-                and isinstance(self.decimals, int)):
+        if not (all(map(is_finite, numbers)) and type(self.decimals) is int):
             raise SynthError(f"{self.name}: distribution parameters must be finite numbers")
         if self.decimals < 0:
             raise SynthError(f"{self.name}: decimals must be >= 0")
@@ -86,7 +85,7 @@ class GeneratorSpec:
     analytes: list[AnalyteSpec] = field(default_factory=lambda: default_analytes())
 
     def __post_init__(self):
-        if not all(is_number(v) and isinstance(v, int) for v in (self.n, self.seed)):
+        if not all(type(v) is int for v in (self.n, self.seed)):
             raise SynthError(f"n and seed must be integers, got {self.n!r} and {self.seed!r}")
         if self.n < 1:
             raise SynthError("n must be >= 1")

@@ -204,7 +204,7 @@ def test_missing_upstream_artifact(tmp_path, fast_config, capsys):
     assert err["error"] == "missing-artifact"
 
 
-@pytest.mark.parametrize("manifest", ["{", "[]", '{"config_hash": "x"}'])
+@pytest.mark.parametrize("manifest", ["{", "[]", '{"config_hash": "x"}', '{"artifacts": []}'])
 def test_malformed_manifest_exits_2(tmp_path, fast_config, capsys, manifest):
     out = tmp_path / "run"
     out.mkdir()
@@ -288,6 +288,24 @@ def _error_line(capsys):
     """The JSON error line on stderr, as bytes, and its decoded message."""
     line = capsys.readouterr().err.encode("utf-8")
     return line, json.loads(line)
+
+
+def test_header_only_input_csv_exits_2_before_any_artifact(tmp_path, capsys):
+    # zero fill, so no column is 100% missing: the error names the empty file
+    schema, systems, cohort = (tmp_path / n for n in ("schema.json", "systems.json", "in.csv"))
+    schema.write_text(json.dumps({"columns": [{"name": "Cr", "fill": "zero"},
+                                              {"name": "GLU", "fill": "zero"}]}))
+    systems.write_text(json.dumps({"systems": [{"name": "s", "rules": [
+        {"analyte": "Cr", "direction": "above", "cutoff": 1},
+        {"analyte": "GLU", "direction": "above", "cutoff": 1}]}]}))
+    cohort.write_text("Cr,GLU\n")
+    cfg = _write_config(tmp_path, {"input_csv": str(cohort), "schema_config": str(schema),
+                                   "systems_config": str(systems)})
+    out = tmp_path / "run"
+    assert _run("ingest", str(out), cfg) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "IngestError", "message": f"{cohort}: no data rows"}
+    assert os.listdir(out) == []
 
 
 def test_latin1_input_csv_exits_2(tmp_path, capsys):
@@ -670,9 +688,9 @@ def test_explain_of_no_feature_with_importance_exits_2(tmp_path, capsys):
 def test_unknown_top_level_key_rejected(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"split_seed": 3})
     assert _run("simulate", str(tmp_path / "run"), cfg) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "config"
-    assert "split_seed" in err["message"]
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config",
+        "message": f"cannot read {cfg}: ValueError: unknown config key(s): split_seed"}
     assert not os.path.exists(tmp_path / "run")
 
 
@@ -725,6 +743,9 @@ def test_config_validator_rejects_unknown_sections(tmp_path, raw):
     # not JSON, though Python's parser reads it: no bound's top lets it through
     ({"models": {"logistic": {"C": math.inf}}}, "models.logistic.C"),
     ({"models": {"logistic": {"tol": math.nan}}}, "models.logistic.tol"),
+    # an integer literal past the float range is no finite number
+    ({"models": {"logistic": {"C": 10**400}}}, "models.logistic.C"),
+    ({"split": {"ratios": [0.5, 0.3, 0.3]}}, "split ratios must sum to 1"),
 ])
 def test_config_value_types_checked(tmp_path, capsys, raw, where):
     assert _run("all", str(tmp_path / "run"), _write_config(tmp_path, raw)) == 2
@@ -787,6 +808,11 @@ SIDEWAYS_SYSTEM = {"systems": [{"name": "kidney", "rules": [
     ("systems_config", {"systems": [{"name": "metabolic", "rules": [
         {"analyte": "GLU", "direction": "above", "cutoff": 7.0000001},
         {"analyte": "GLU", "direction": "above", "cutoff": 7.0000002}]}]}, "SystemsError"),
+    ("schema_config", {"columns": [{"name": "Cr", "fill": "mean"}]}, "IngestError"),
+    # json.load reads NaN, Infinity and -Infinity; each would switch the bound off
+    ("schema_config", {"columns": [{"name": "Cr", "upper": math.nan}]}, "IngestError"),
+    ("schema_config", {"columns": [{"name": "Cr", "upper": math.inf}]}, "IngestError"),
+    ("schema_config", {"columns": [{"name": "Cr", "lower": -math.inf}]}, "IngestError"),
 ])
 def test_bad_config_files_exit_2_before_any_artifact(tmp_path, capsys, key, content, kind):
     path = tmp_path / "file.json"
@@ -1029,8 +1055,9 @@ def _replace_cell(text, cell):
     lambda text: text.replace("Cr,UA,", "Cr,Cr,", 1),
     _edit_columns(lambda cells: cells[:-1]),
     _edit_columns(lambda cells: cells[1::-1] + cells[2:]),
+    lambda text: text[:text.index("\n") + 1],
 ], ids=["empty", "ragged", "non-numeric", "nan", "inf", "duplicate-column", "missing-column",
-        "reordered-columns"])
+        "reordered-columns", "header-only"])
 def test_corrupted_matrix_csv_exits_2(trained_run, tmp_path, capsys, edit):
     config, out = _corrupt(trained_run, tmp_path, "matrix.csv", edit)
     assert _exit_kind(capsys, "features", config, out) == (2, "IngestError")
@@ -1052,19 +1079,28 @@ def test_latin1_matrix_csv_exits_2(trained_run, tmp_path, capsys):
     assert lines[1].split(b",")[0].decode() not in err["message"]  # no cell text
 
 
+def _swap_in_test_rows(doc, partition):
+    doc["train_indices"][:5] = partition["test"][:5]
+
+
 @pytest.mark.parametrize("edit", [
-    lambda doc: doc.pop("k"),
-    lambda doc: doc.pop("assignments"),
-    lambda doc: doc.pop("train_indices"),
-    lambda doc: doc["assignments"].pop(),
-    lambda doc: doc.update(k="3"),
-    lambda doc: doc["train_indices"].__setitem__(0, 10**6),
-    lambda doc: doc.update(k=0),
-    lambda doc: doc["assignments"].__setitem__(0, 9),
+    lambda doc, _: doc.pop("k"),
+    lambda doc, _: doc.pop("assignments"),
+    lambda doc, _: doc.pop("train_indices"),
+    lambda doc, _: doc["assignments"].pop(),
+    lambda doc, _: doc.update(k="3"),
+    lambda doc, _: doc["train_indices"].__setitem__(0, 10**6),
+    lambda doc, _: doc.update(k=0),
+    lambda doc, _: doc["assignments"].__setitem__(0, 9),
+    _swap_in_test_rows,
+    lambda doc, _: doc.update(train_indices=[float(i) for i in doc["train_indices"]]),
 ], ids=["no-k", "no-assignments", "no-train-indices", "short-assignments", "string-k",
-        "index-out-of-range", "zero-k", "fold-past-k"])
+        "index-out-of-range", "zero-k", "fold-past-k", "test-rows-as-train", "float-rows"])
 def test_malformed_folds_file_exits_2(trained_run, tmp_path, capsys, edit):
-    config, out = _corrupt(trained_run, tmp_path, "folds.json", _edit_json(edit))
+    # evaluate's CV rows are partition.json's train rows, which folds.json must list
+    partition = json.loads((trained_run[1] / "partition.json").read_text())
+    config, out = _corrupt(trained_run, tmp_path, "folds.json",
+                           _edit_json(lambda doc: edit(doc, partition)))
     assert _exit_kind(capsys, "evaluate", config, out) == (2, "malformed-artifact")
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -98,6 +99,9 @@ def test_schema_rejects_bad_kind_and_policy():
         ColumnSchema("X", "continuous", lower=5, upper=5)
     with pytest.raises(IngestError):
         ColumnSchema("X", "continuous", lower="10")  # would fail only when cleaning
+    for bound in (math.nan, math.inf, True):
+        with pytest.raises(IngestError, match="is not a finite number$"):
+            ColumnSchema("X", "continuous", upper=bound)
 
 
 def test_zero_policy_allowed_for_both_kinds():
@@ -232,6 +236,11 @@ def test_load_cohort_empty_file_errors(tmp_path, tiny_schemas):
     path.write_text("")
     with pytest.raises(IngestError, match="empty"):
         load_cohort(str(path), tiny_schemas)
+
+
+def test_load_cohort_header_only_errors(write_csv, tiny_schemas):
+    with pytest.raises(IngestError, match="no data rows$"):
+        load_cohort(write_csv(["Cr", "GLU", "PRO"], []), tiny_schemas)
 
 
 def test_load_cohort_missing_file_errors(tiny_schemas):

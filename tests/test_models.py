@@ -3,11 +3,12 @@ gradient boosting."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from multisys.base import check_X_y
+from multisys.base import check_X, check_X_y
 from multisys.models import (
     GradientBoostingClassifier, LogisticRegressionClassifier,
     RandomForestClassifier, TreeEnsemble, binomial_deviance, logistic, logit,
@@ -157,6 +158,22 @@ def test_lr_rejects_single_class(cls):
     X = np.zeros((5, 2))
     with pytest.raises(ValueError):
         cls().fit(X, np.zeros(5))
+
+
+@pytest.mark.parametrize("X, n_features, message", [
+    (np.zeros((2, 2, 2)), None, "expected a 2-d matrix, got ndim=3"),
+    ([[0.0, math.nan]], None, "X contains non-finite values"),
+    ([[0.0, math.inf]], 2, "X contains non-finite values"),
+    (np.zeros((3, 2)), 3, "X has 2 features, expected 3"),
+])
+def test_check_X_rejects(X, n_features, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_X(X, n_features)
+
+
+def test_check_X_y_rejects_a_length_mismatch():
+    with pytest.raises(ValueError, match="y length does not match X"):
+        check_X_y(np.zeros((3, 1)), [0, 1])
 
 
 def test_fractional_labels_rejected_not_truncated():
