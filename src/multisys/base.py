@@ -32,12 +32,15 @@ class MultisysError(Exception):
 def read_file(path: str, decode, error, parse=json.load):
     """`decode(parse(fh))` of the UTF-8 file at `path`, a byte-order mark skipped;
     `error(message naming the file)` if it cannot be read, parsed or decoded, but
-    a MultisysError keeps its kind."""
+    a MultisysError keeps its class and kind, its message naming the file too."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             return decode(parse(fh))
-    except (OSError, csv.Error, AttributeError, LookupError, RecursionError, TypeError,
-            ValueError) as exc:  # RecursionError: JSON nested too deep to parse
+    except MultisysError as exc:
+        exc.args = (f"cannot read {path}: {exc}",)
+        raise
+    except (OSError, csv.Error, AttributeError, LookupError, OverflowError, RecursionError,
+            TypeError, ValueError) as exc:  # RecursionError: JSON nested too deep to parse
         # not the repr: a UnicodeDecodeError's holds the whole chunk it failed on
         raise error(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
 
@@ -66,6 +69,20 @@ def is_finite(value) -> bool:
     """True for an int or float that is a finite float, never for a bool."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
+
+
+def numbers(values, name: str, n: int | None = None, below: int | None = None) -> np.ndarray:
+    """The one decode of numbers read back from an artifact: `values`, a JSON list
+    or a CSV column after float() or int(), as a float array, or with `below` an
+    int array.  ValueError naming `name` unless it is a list (of n items if n is
+    given) of finite numbers (never a bool), with `below` integers in [0, below)."""
+    if not isinstance(values, list) or n is not None and len(values) != n:
+        raise ValueError(f"{name} is not a list" + ("" if n is None else f" of {n} numbers"))
+    valid = is_finite if below is None else lambda v: type(v) is int and 0 <= v < below
+    if not all(map(valid, values)):
+        expected = "a finite number" if below is None else f"an integer in [0, {below})"
+        raise ValueError(f"{name} holds a value that is not {expected}")
+    return np.array(values, dtype=float if below is None else int)
 
 
 def repeated(keys) -> list:

@@ -43,7 +43,7 @@ from . import ingest as ingest_mod
 from . import metrics as metrics_mod
 from . import report as report_mod
 from . import synth as synth_mod
-from .base import MultisysError, check_keys, csv_rows, is_finite, read_file, write_file
+from .base import MultisysError, check_keys, csv_rows, is_finite, numbers, read_file, write_file
 from .models import (GradientBoostingClassifier, RandomForestClassifier,
                      LogisticRegressionClassifier, TreeEnsemble)
 from .split import FoldPlan, Partition, stratified_kfold, stratified_split
@@ -294,6 +294,12 @@ def _table(records: list[dict]) -> list[list]:
     return [list(records[0]), *(list(r.values()) for r in records)]
 
 
+def _columns(rows: list[dict], *keys: str, below: int | None = None) -> list[list]:
+    """Columns `keys` of CSV rows, each through `numbers`: floats, or integers in [0, below)."""
+    convert = float if below is None else int
+    return [numbers([convert(r[key]) for r in rows], key, below=below).tolist() for key in keys]
+
+
 # ---------------------------------------------------------------------------
 # stages
 
@@ -371,35 +377,23 @@ def stage_split(ws: Workspace) -> None:
              len(partition.test))
 
 
-def _check_ints(name: str, values, below: int) -> None:
-    """ValueError unless `values` is a list of integers in [0, below)."""
-    if not isinstance(values, list) or not all(type(i) is int and 0 <= i < below for i in values):
-        raise ValueError(f"{name} is not a list of integers in [0, {below})")
-
-
 def _load_partition(ws: Workspace, n_rows: int) -> Partition:
-    """partition.json, checked against the matrix's n_rows."""
-    def decode(doc):
-        partition = Partition(**doc)
-        for subset in ("train", "validation", "test"):
-            _check_ints(subset, getattr(partition, subset), n_rows)
-        return partition
-    return ws.read("partition.json", decode)
+    """partition.json, its subsets int arrays of rows below the matrix's n_rows."""
+    return ws.read("partition.json", lambda doc: Partition(**{**doc, **{
+        subset: numbers(doc[subset], subset, below=n_rows)
+        for subset in ("train", "validation", "test")}}))
 
 
-def _load_folds(ws: Workspace, train: list) -> FoldPlan:
+def _load_folds(ws: Workspace, train: np.ndarray, n_rows: int) -> FoldPlan:
     """folds.json's fold plan of partition.json's `train` rows: k >= 2 folds,
     one assignment in [0, k) per row, and `train` as its train_indices."""
     def decode(doc):
-        k, listed, assignments = doc["k"], doc["train_indices"], doc["assignments"]
+        k = doc["k"]
         if type(k) is not int or k < 2:
             raise ValueError(f"k is {k!r}, expected an integer >= 2")
-        if listed != train or not all(type(i) is int for i in listed):
+        if not np.array_equal(numbers(doc["train_indices"], "train_indices", below=n_rows), train):
             raise ValueError("train_indices are not partition.json's train rows")
-        _check_ints("assignments", assignments, k)
-        if len(assignments) != len(train):
-            raise ValueError(f"{len(assignments)} fold assignments for {len(train)} train rows")
-        return FoldPlan(k=k, assignments=assignments)
+        return FoldPlan(k=k, assignments=numbers(doc["assignments"], "assignments", len(train), k))
     return ws.read("folds.json", decode)
 
 
@@ -416,7 +410,7 @@ def _load_model(ws: Workspace, kind: ModelKind, n_columns: int):
 def stage_train(ws: Workspace) -> None:
     matrix = _load_matrix(ws)
     [y] = _load_indices(ws, len(matrix.values), "target_multi")
-    train_idx = np.asarray(_load_partition(ws, len(y)).train)
+    train_idx = _load_partition(ws, len(y)).train
     X_train, y_train = matrix.values[train_idx], y[train_idx]
     # every fit ends before the first model file is written
     fitted = [ws.cfg.fitter(kind)(X_train, y_train) for kind in MODELS.values()]
@@ -449,22 +443,20 @@ def stage_evaluate(ws: Workspace) -> None:
     matrix = _load_matrix(ws)
     [y] = _load_indices(ws, len(matrix.values), "target_multi")
     partition = _load_partition(ws, len(y))
-    fold_plan = _load_folds(ws, partition.train)
-    train_idx = np.asarray(partition.train)
+    fold_plan = _load_folds(ws, partition.train, len(y))
     # every model file is loaded, and so checked, before the first refit
     fitted = {name: _load_model(ws, kind, matrix.values.shape[1])
               for name, kind in MODELS.items()}
 
     fitters = {name: ws.cfg.fitter(kind) for name, kind in MODELS.items()}
     with _task_map(len(fitters) * fold_plan.k) as task_map:
-        results = metrics_mod.cv_evaluate(fitters, matrix.values[train_idx], y[train_idx],
-                                          fold_plan, task_map)
+        results = metrics_mod.cv_evaluate(fitters, matrix.values[partition.train],
+                                          y[partition.train], fold_plan, task_map)
     roc_doc = {}
     for name, model in fitted.items():
         entry = results[name]
         for subset, rows in (("validation", partition.validation),
                              ("test", partition.test)):
-            rows = np.asarray(rows)
             scores = model.predict_proba(matrix.values[rows])
             curve = metrics_mod.roc_curve(scores, y[rows])
             entry[subset] = {"auc": curve.auc, **metrics_mod.confusion_at(scores, y[rows])}
@@ -490,8 +482,7 @@ def stage_explain(ws: Workspace) -> None:
     matrix = _load_matrix(ws)
     partition = _load_partition(ws, len(matrix.values))
     gb = _load_model(ws, MODELS["gradient_boosting"], matrix.values.shape[1])
-    X_test = matrix.values[np.asarray(partition.test)]
-    X_train = matrix.values[np.asarray(partition.train)]
+    X_test, X_train = matrix.values[partition.test], matrix.values[partition.train]
     names = matrix.names
 
     attribution = explain_mod.tree_shap(gb, X_test)
@@ -538,25 +529,21 @@ def stage_report(ws: Workspace) -> None:
     figures["correlation"] = report_mod.render_correlation_heatmap(names, corr)
 
     figures["roc"] = report_mod.render_roc(ws.read("roc.json", lambda doc: [
-        (name, np.asarray(c["fpr"], dtype=float), np.asarray(c["tpr"], dtype=float),
-         float(c["auc"])) for name, c in sorted(doc["curves"].items())]))
+        (name, numbers(c["fpr"], "fpr"), numbers(c["tpr"], "tpr", len(c["fpr"])),
+         numbers([c["auc"]], "auc").item()) for name, c in sorted(doc["curves"].items())]))
 
     figures["beeswarm"] = report_mod.render_beeswarm(ws.read("beeswarm.csv", lambda rows: [
-        {"row": int(r["row"]), "feature": r["feature"], "shap": float(r["shap"]),
-         "value": float(r["value"]), "rank": int(r["rank"])} for r in rows]))
+        {"feature": r["feature"], **dict(zip(("shap", "value", "row", "rank"), cells))}
+        for r, *cells in zip(rows, *_columns(rows, "shap", "value"),
+                             *_columns(rows, "row", "rank", below=len(rows) + 1))]))
 
-    figures["importance"] = report_mod.render_importance_bar(ws.read(
-        "importance.csv", lambda rows: [(r["feature"], float(r["mean_abs_shap"])) for r in rows]))
+    figures["importance"] = report_mod.render_importance_bar(ws.read("importance.csv", lambda rows:
+        list(zip([r["feature"] for r in rows], *_columns(rows, "mean_abs_shap")))))
 
     # read inside explain_meta.json's decode, so a bad pdp file name is that file's error
-    def pdp_curves(meta: dict) -> list:
-        curves = []
-        for feature, fname in zip(meta["top_features"], meta["pdp_files"], strict=True):
-            curves.append((feature, *ws.read(fname, lambda rows: (
-                np.asarray([float(r[feature]) for r in rows]),
-                np.asarray([float(r["probability"]) for r in rows])))))
-        return curves
-    figures["pdp"] = report_mod.render_pdp_panel(ws.read("explain_meta.json", pdp_curves))
+    figures["pdp"] = report_mod.render_pdp_panel(ws.read("explain_meta.json", lambda meta: [
+        (feature, *ws.read(fname, lambda rows: _columns(rows, feature, "probability")))
+        for feature, fname in zip(meta["top_features"], meta["pdp_files"], strict=True)]))
 
     for name, svg in figures.items():
         ws.write(f"figures/{name}.svg", svg)
@@ -585,8 +572,9 @@ def stage_all(ws: Workspace) -> None:
         "prevalence": prevalence,
         "metrics": ws.read("metrics.json", lambda doc: doc["models"]),
         "importance_top10": ws.read("importance.csv", lambda rows: [
-            {"rank": int(r["rank"]), "feature": r["feature"],
-             "mean_abs_shap": float(r["mean_abs_shap"])} for r in rows[:10]]),
+            {"rank": rank, "feature": r["feature"], "mean_abs_shap": value}
+            for r, rank, value in zip(rows, *_columns(rows, "rank", below=len(rows) + 1),
+                                      *_columns(rows, "mean_abs_shap"))][:10]),
     })
     log.info("all: summary written")
 

@@ -94,10 +94,9 @@ def systems_from_json(path: str) -> list[SystemDefinition]:
                                     tuple(ThresholdRule(**rule) for rule in entry["rules"]))
                    for entry in cfg["systems"]]
         if not systems:
-            raise SystemsError(f"systems config {path} lists no systems")
+            raise SystemsError("systems config lists no systems")
         if twice := repeated(s.name for s in systems):
-            raise SystemsError(f"systems config {path}: more than one system named "
-                               f"{', '.join(twice)}")
+            raise SystemsError(f"more than one system named {', '.join(twice)}")
         return systems
     return read_file(path, decode, SystemsError)
 

@@ -217,12 +217,11 @@ def schema_from_json(path: str) -> tuple[list[ColumnSchema], dict[str, float]]:
                 lower=entry.get("lower"), upper=entry.get("upper"), source=entry.get("source"),
                 fill_policy=entry.get("fill", "mode" if kind == "semiquant" else "median")))
         if not schemas:
-            raise IngestError(f"schema config {path} lists no columns")
+            raise IngestError("schema config lists no columns")
         for what, keys in (("name", [s.name for s in schemas]),
                            ("source header", [s.source_header for s in schemas])):
             if twice := repeated(keys):
-                raise IngestError(f"schema config {path}: more than one column with "
-                                  f"{what} {', '.join(twice)}")
+                raise IngestError(f"more than one column with {what} {', '.join(twice)}")
         tokens = dict(DEFAULT_SEMIQUANT_TOKENS)
         for tok, level in cfg.get("semiquant_tokens", {}).items():
             if not (is_finite(level) and level in ORDINAL_LEVELS):
@@ -232,7 +231,7 @@ def schema_from_json(path: str) -> tuple[list[ColumnSchema], dict[str, float]]:
     return read_file(path, decode, IngestError)
 
 
-def _blocks(path: str, reader, width: int):
+def _blocks(reader, width: int):
     """`(line, rows)` for the rows left in `reader`, `_BLOCK_ROWS` at a time,
     `line` being the line of the block's first row (the header is line 1);
     IngestError for a row whose length is not `width`.  A block is valid only
@@ -242,8 +241,8 @@ def _blocks(path: str, reader, width: int):
     while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
         ragged = [i for i, row in enumerate(rows) if len(row) != width]
         if ragged:
-            raise IngestError(f"{path}: line {line + ragged[0]} has {len(rows[ragged[0]])} "
-                              f"cells, the header {width}")
+            raise IngestError(f"line {line + ragged[0]} has {len(rows[ragged[0]])} cells, "
+                              f"the header {width}")
         yield line, rows
         line += len(rows)
         rows.clear()
@@ -263,27 +262,26 @@ def load_cohort(csv_path: str, schemas: list[ColumnSchema]) -> RawCohort:
     def decode(reader) -> RawCohort:
         header = next(reader, None)
         if header is None:
-            raise IngestError(f"{csv_path}: empty file, expected a header row")
+            raise IngestError("empty file, expected a header row")
         if twice := repeated(h for h in header if h in by_source):
-            raise IngestError(f"{csv_path}: more than one column headed {', '.join(twice)}")
+            raise IngestError(f"more than one column headed {', '.join(twice)}")
         missing_sources = [src for src in by_source if src not in header]
         if missing_sources:
-            raise IngestError(f"{csv_path}: schema references headers absent from the file: "
-                              f"{missing_sources}")
+            raise IngestError(f"schema references headers absent from the file: {missing_sources}")
         keep = [(i, by_source[h]) for i, h in enumerate(header) if h in by_source]
         dropped = len(header) - len(keep)
         if dropped:
             log.warning("%s: dropped %d unmapped column(s)", csv_path, dropped)
         coded = {name: ({}, [np.empty(0, dtype=np.int32)]) for _, name in keep}
         n = 0
-        for _, rows in _blocks(csv_path, reader, len(header)):
+        for _, rows in _blocks(reader, len(header)):
             for i, name in keep:
                 table, codes = coded[name]
                 codes.append(np.fromiter((table.setdefault(row[i], len(table)) for row in rows),
                                          dtype=np.int32, count=len(rows)))
             n += len(rows)
         if n == 0:
-            raise IngestError(f"{csv_path}: no data rows")
+            raise IngestError("no data rows")
         columns = {}
         for name, (table, codes) in coded.items():  # each column's pieces dropped once joined
             columns[name] = (list(table), np.concatenate(codes))
@@ -380,7 +378,7 @@ def write_matrix_csv(matrix: FeatureMatrix, path: str) -> None:
             writer.writerows(zip(*columns))
 
 
-def _floats(path: str, line: int, rows: list[list[str]]) -> np.ndarray:
+def _floats(line: int, rows: list[list[str]]) -> np.ndarray:
     """The float array of `rows`, read from the file's lines from `line` on."""
     try:
         return np.array(rows, dtype=float)
@@ -389,7 +387,7 @@ def _floats(path: str, line: int, rows: list[list[str]]) -> np.ndarray:
             try:
                 np.array(row, dtype=float)
             except ValueError as exc:
-                raise IngestError(f"{path}: line {line + i}: {exc}") from exc
+                raise IngestError(f"line {line + i}: {exc}") from exc
         raise
 
 
@@ -406,21 +404,21 @@ def read_matrix_csv(path: str, schemas: list[ColumnSchema]) -> FeatureMatrix:
     def decode(reader) -> FeatureMatrix:
         header = next(reader, None)
         if not header:
-            raise IngestError(f"{path}: empty file")
+            raise IngestError("empty file")
         unknown = [h for h in header if h not in names]
         if unknown:
-            raise IngestError(f"{path}: column(s) not in the schema: {', '.join(unknown)}")
+            raise IngestError(f"column(s) not in the schema: {', '.join(unknown)}")
         if header != names:
-            raise IngestError(f"{path}: header is not the schema's columns in schema order: "
+            raise IngestError(f"header is not the schema's columns in schema order: "
                               f"{', '.join(header)}")
-        blocks = [_floats(path, line, rows) for line, rows in _blocks(path, reader, len(names))]
+        blocks = [_floats(line, rows) for line, rows in _blocks(reader, len(names))]
         if not blocks:
-            raise IngestError(f"{path}: no data rows")
+            raise IngestError("no data rows")
         values = np.empty((sum(map(len, blocks)), len(names)))
         for start in range(0, len(values), _BLOCK_ROWS):  # each block dropped once copied
             values[start:start + _BLOCK_ROWS] = blocks.pop(0)
         if not np.isfinite(values).all():
             line = np.flatnonzero(~np.isfinite(values).all(axis=1))[0] + 2
-            raise IngestError(f"{path}: line {line} has a cell that is not a finite number")
+            raise IngestError(f"line {line} has a cell that is not a finite number")
         return FeatureMatrix(columns=list(schemas), values=values)
     return read_file(path, decode, IngestError, parse=csv.reader)

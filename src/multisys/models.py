@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .base import MultisysError, check_X, check_X_y, is_finite
+from .base import MultisysError, check_X, check_X_y, numbers
 from .rng import SplitMix64
 from .tree import DecisionTree, TreeError, grow_tree, rank_codes
 
@@ -129,21 +128,17 @@ class LogisticRegressionClassifier:
     @classmethod
     def from_dict(cls, d: dict) -> "LogisticRegressionClassifier":
         """The model `to_dict` wrote; MultisysError (kind ModelError) unless the
-        mean, scale and weights are lists of one length, every number is a
-        finite int or float and every scale is positive."""
+        mean, scale and weights are lists of one length, every number is finite
+        and every scale is positive."""
         out = cls()
         try:
-            std = d["standardizer"]
-            vectors = std["mean"], std["scale"], d["weights"]
-            scalars = d["intercept"], d["gradient_max_norm"]
-            if not all(isinstance(v, list) and len(v) == len(d["weights"]) for v in vectors):
-                raise ValueError("mean, scale and weights are not lists of one length")
-            if not all(map(is_finite, chain(scalars, *vectors))):
-                raise ValueError("a value is not a finite number")
-            if any(scale <= 0 for scale in std["scale"]):
+            out.coef_ = numbers(d["weights"], "weights")
+            out.mean_, out.scale_ = (numbers(d["standardizer"][key], key, len(out.coef_))
+                                     for key in ("mean", "scale"))
+            out.intercept_, out.gradient_max_norm_ = (
+                numbers([d[key]], key).item() for key in ("intercept", "gradient_max_norm"))
+            if (out.scale_ <= 0).any():
                 raise ValueError("a scale is not positive")
-            out.mean_, out.scale_, out.coef_ = (np.array(v, dtype=float) for v in vectors)
-            out.intercept_, out.gradient_max_norm_ = scalars
         except (KeyError, TypeError, ValueError) as exc:
             raise MultisysError(f"malformed logistic model: {exc!r}", kind="ModelError") from exc
         return out
@@ -223,15 +218,13 @@ class TreeEnsemble:
             if d["schema_version"] != MODEL_SCHEMA_VERSION:
                 raise ValueError(f"schema_version {d['schema_version']!r}, "
                                  f"expected {MODEL_SCHEMA_VERSION}")
-            for key in ("base_score", "shrinkage"):
-                if not is_finite(d[key]):
-                    raise ValueError(f"{key} {d[key]!r}")
-            deviance = d.get("train_deviance")
-            if "train_deviance" in d and not (isinstance(deviance, list)
-                                              and all(map(is_finite, deviance))):
-                raise ValueError(f"train_deviance {deviance!r}")
+            # stored as floats, so that an integer base_score adds into a float margin
+            base_score, shrinkage = (numbers([d[key]], key).item()
+                                     for key in ("base_score", "shrinkage"))
+            deviance = (numbers(d["train_deviance"], "train_deviance").tolist()
+                        if "train_deviance" in d else None)
             return cls(d["kind"], [DecisionTree.from_dict(t) for t in d["trees"]],
-                       d["base_score"], d["shrinkage"], deviance)
+                       base_score, shrinkage, deviance)
         except (KeyError, TypeError, ValueError) as exc:
             raise TreeError(f"malformed tree ensemble: {exc!r}") from exc
 

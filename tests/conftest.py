@@ -5,8 +5,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from multisys.ingest import ColumnSchema, FeatureMatrix
+
+# The seeded mutation test's longer run (a CI step):
+# pytest tests/test_mutations.py --hypothesis-profile=mutations
+settings.register_profile("mutations", max_examples=2000)
 
 
 @pytest.fixture

@@ -304,7 +304,7 @@ def test_header_only_input_csv_exits_2_before_any_artifact(tmp_path, capsys):
     out = tmp_path / "run"
     assert _run("ingest", str(out), cfg) == 2
     assert json.loads(capsys.readouterr().err) == {
-        "error": "IngestError", "message": f"{cohort}: no data rows"}
+        "error": "IngestError", "message": f"cannot read {cohort}: no data rows"}
     assert os.listdir(out) == []
 
 
@@ -820,7 +820,8 @@ def test_bad_config_files_exit_2_before_any_artifact(tmp_path, capsys, key, cont
         path.write_text(json.dumps(content))
     raw = {"synth": {"spec_path": str(path)}} if key == "spec_path" else {key: str(path)}
     assert _run("simulate", str(tmp_path / "run"), _write_config(tmp_path, raw)) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == kind
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == kind and str(path) in err["message"]  # the NaN bound's too
     assert not os.path.exists(tmp_path / "run")
 
 
@@ -1018,6 +1019,21 @@ def test_malformed_tree_file_exits_2(trained_run, tmp_path, capsys, edit):
     assert _exit_kind(capsys, "evaluate", config, out) == (2, "TreeError")
 
 
+def test_integer_base_score_loads_as_a_float(trained_run, tmp_path):
+    # json.load reads 0 as an int, which the margin must not take as its dtype
+    config, source = trained_run
+    beeswarms = []
+    for base_score in (0, 0.0):
+        out = tmp_path / repr(base_score)
+        shutil.copytree(source, out)
+        doc = json.loads((out / "model_gb.json").read_text())
+        (out / "model_gb.json").write_text(json.dumps({**doc, "base_score": base_score}))
+        for stage in ("explain", "evaluate"):
+            assert _run(stage, str(out), config) == 0, stage
+        beeswarms.append((out / "beeswarm.csv").read_bytes())
+    assert beeswarms[0] == beeswarms[1]
+
+
 @pytest.mark.parametrize("edit", [
     lambda doc: doc.pop("intercept"),
     lambda doc: doc["standardizer"].pop("scale"),
@@ -1181,13 +1197,23 @@ def _extra_row(text):
     ("beeswarm.csv", _set_cell(0, "row", "id"), ("report",)),
     ("beeswarm.csv", _set_cell(1, "shap", "big"), ("report",)),
     ("pdp_*.csv", _set_cell(0, "probability", "p"), ("report",)),
+    # each number read back is finite, and a curve's lists are lists of one length
+    ("roc.json", _edit_json(lambda doc: doc["curves"]["random_forest"].update(fpr=0.5)),
+     ("report",)),
+    ("roc.json", _edit_json(lambda doc: doc["curves"]["random_forest"]["tpr"].pop()),
+     ("report",)),
+    ("beeswarm.csv", _set_cell(1, "value", "inf"), ("report",)),
+    ("pdp_*.csv", _set_cell(1, "probability", "nan"), ("report",)),
+    ("indices.csv", _set_cell(1, "target_multi", str(2**70)), ("split",)),  # past int64
 ], ids=["indices-no-target-split", "indices-no-target-train", "indices-bad-target-split",
         "indices-bad-target-train", "indices-target-2-train", "indices-no-burden-report",
         "indices-negative-burden-report", "indices-extra-row-train",
         "indices-extra-row-evaluate", "indices-extra-row-report", "roc-empty-report",
         "explain-meta-empty-report", "explain-meta-pdp-file-not-a-string-report",
         "explain-meta-pdp-file-missing-report", "importance-header-report", "beeswarm-header-report",
-        "beeswarm-bad-shap-report", "pdp-header-report"])
+        "beeswarm-bad-shap-report", "pdp-header-report", "roc-scalar-fpr-report",
+        "roc-short-tpr-report", "beeswarm-inf-value-report", "pdp-nan-probability-report",
+        "indices-huge-target-split"])
 def test_malformed_artifact_exits_2(explained_run, tmp_path, capsys, pattern, edit, stages):
     config, source = explained_run
     out = tmp_path / "run"

@@ -435,6 +435,9 @@ def _edited(base, node, **fields):
     ({"nodes": [{"feature": -1, "left": None, "right": None, "cover": 1, "value": 0.0}]},
      "threshold"),
     ({}, "nodes"),
+    # past the int64 range, so that casting it would wrap
+    (_edited(_stump(), 2, cover=2**70), "cover"),
+    (_edited(_stump(), 0, feature=2**70), "column index"),
 ])
 def test_from_dict_rejects_malformed_trees(d, problem):
     with pytest.raises(TreeError, match=problem):
