@@ -109,21 +109,28 @@ class Bound(NamedTuple):
     most: float = math.inf
 
 
+# The largest value of each bounded model parameter.  The size keys' bounds lie
+# far past any run of this pipeline, but keep a fit from running until killed.
+MOST = {"learning_rate": 1, "n_estimators": 10_000, "max_depth": 100,
+        "min_samples_leaf": synth_mod.MAX_ROWS, "max_iter": 100_000}
+
+
 def _shape() -> dict:
     """Everything a config may hold; see `_validate` for the notation.
 
     Model parameters are the model constructors' arguments; all but `seed`
-    must be positive, and `learning_rate` at most 1.
+    must be positive, and at most their `MOST` value.
     """
     models = {kind.config_field: {
                   key: p.default if key == "seed"
-                  else Bound(p.default, 0, 1 if key == "learning_rate" else math.inf)
+                  else Bound(p.default, 0, MOST.get(key, math.inf))
                   for key, p in inspect.signature(kind.cls).parameters.items()}
               for kind in MODELS.values()}
-    return {"input_csv": "", "synth": {**DEFAULT_SYNTH, "spec_path": ""},
-            "schema_config": "", "systems_config": "",
+    synth = {"n": Bound(DEFAULT_SYNTH["n"], 0, synth_mod.MAX_ROWS),
+             "seed": DEFAULT_SYNTH["seed"], "spec_path": ""}
+    return {"input_csv": "", "synth": synth, "schema_config": "", "systems_config": "",
             "split": {"ratios": [Bound(0.0, 0)] * 3, "seed": DEFAULTS["split"]["seed"]},
-            "cv_folds": Bound(DEFAULTS["cv_folds"], 1), "models": models}
+            "cv_folds": Bound(DEFAULTS["cv_folds"], 1, 100), "models": models}
 
 
 def _validate(value, shape, where: str = ""):
@@ -154,7 +161,7 @@ def _validate(value, shape, where: str = ""):
             expected = "a finite number" if isinstance(default, float) else type(default).__name__
             raise ValueError(f"{name} is {value!r}, expected {expected}")
         if isinstance(shape, Bound) and not shape.above < value <= shape.most:
-            raise ValueError(f"{name} is {value!r}, outside ({shape.above:g}, {shape.most:g}]")
+            raise ValueError(f"{name} is {value!r}, outside ({shape.above:g}, {shape.most:,}]")
     return value
 
 

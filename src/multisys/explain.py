@@ -10,15 +10,17 @@ ensemble (scaled by shrinkage for boosting), and the base value is the
 cover-weighted expected ensemble output, so base + sum(phi) reproduces the
 model output exactly (local accuracy).
 
-Rows are explained in blocks and trees in chunks, so that a walk holds at
-most _BUDGET rows x trees x leaves, and a chunk's trees are walked together,
-level by level.  A row's arithmetic depends only on the 0/1 one fractions on
-its path, so path weights are held per unit (a node and one such history) and
-each row holds its unit at each node.  One unwinding recurrence, in the scalar
-algorithm's operation order, unwinds repeated features and sums at leaves;
-each row adds its leaves' contributions, in the model's feature columns, in
-its own hot-first order from +0.0, tree by tree, so phi is bit-identical to
-explaining rows one by one.
+Rows are explained in blocks and trees in chunks of consecutive trees,
+packed by each tree's own leaf count so that a walk holds at most _BUDGET
+rows x the chunk's leaves, and a chunk's trees are walked together, level by
+level, over their flattened node table (`tree.flatten`).  A row's arithmetic
+depends only on the 0/1 one fractions on its path, so path weights are held
+per unit (a node and one such history) and each row holds its unit at each
+node.  One unwinding recurrence, in the scalar algorithm's operation order,
+unwinds repeated features and sums at leaves; each row adds its leaves'
+contributions, in the model's feature columns, in its own hot-first order
+from +0.0, tree by tree, so phi is bit-identical to explaining rows one by
+one.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ import numpy as np
 
 from .base import MultisysError, check_X
 from .models import TreeEnsemble
-from .tree import FIELDS, LEAF, DecisionTree
+from .tree import LEAF, DecisionTree, flatten
 
-_BUDGET = 28_000  # rows x trees x leaves per tree in a walk's per-row arrays
+_BUDGET = 28_000  # rows x the chunk's leaves in a walk's per-row arrays
 PDP_GRID_SIZE = 50  # quantile levels per partial-dependence curve
 
 
@@ -53,21 +55,6 @@ class PdpCurve:
     feature: int
     grid: np.ndarray  # strictly ascending
     response: np.ndarray  # predicted probability at each grid point
-
-
-def _flatten(trees: Sequence[DecisionTree]) -> SimpleNamespace:
-    """The trees' node arrays end to end, child ids offset to match, with the
-    roots, each node's tree and the number of leaves below each node."""
-    sizes = [tree.n_nodes for tree in trees]
-    t = SimpleNamespace(**{name: np.concatenate([getattr(tree, name) for tree in trees])
-                           for name in FIELDS})
-    t.root = np.cumsum([0] + sizes[:-1])
-    t.tree = np.repeat(np.arange(len(trees)), sizes)
-    t.left, t.right = t.left + t.root[t.tree], t.right + t.root[t.tree]
-    t.leaves = np.ones(len(t.feature), dtype=np.int32)
-    for node in np.flatnonzero(t.feature != LEAF)[::-1]:  # children have higher ids
-        t.leaves[node] = t.leaves[t.left[node]] + t.leaves[t.right[node]]
-    return t
 
 
 # The nodes at one depth of some trees, with their units.  Node fields (N, ...):
@@ -181,9 +168,11 @@ def _add_shap(trees: Sequence[DecisionTree], XT: np.ndarray, phi: np.ndarray,
     """Add scale times each tree's Shapley values on the rows of XT (p, n) to
     phi (n, p), tree by tree."""
     p, n = XT.shape
-    t = _flatten(trees)
-    # order[tree, s, row]: the leaf unit the row meets at rank s; unit 0 adds nothing
-    order = np.zeros((len(trees), int(t.leaves[t.root].max()), n), dtype=np.int32)
+    t = flatten(trees)
+    # order[first[tree] + s, row]: the leaf unit the row meets at rank s in the
+    # tree, whose leaves are packed end to end; unit 0 adds nothing
+    first = np.cumsum(t.leaves[t.root]) - t.leaves[t.root]
+    order = np.zeros((int(t.leaves[t.root].sum()), n), dtype=np.int32)
     parts = []  # (first unit, contributions, each unit's leaf, each leaf's features)
     n_units, k = 1, len(trees)
     g = _Group(t.root, np.full((k, 1), -1), np.ones((k, 1)), np.ones((k, 1)), np.ones((k, 1)),
@@ -193,7 +182,7 @@ def _add_shap(trees: Sequence[DecisionTree], XT: np.ndarray, phi: np.ndarray,
         is_leaf = t.feature[g.node] == LEAF
         if is_leaf.any() and g.feat.shape[1] > 1:  # a root leaf adds nothing
             leaf = _select(g, is_leaf)
-            order[t.tree[leaf.node, None], leaf.rank, np.arange(n)] = leaf.unit + n_units
+            order[first[t.tree[leaf.node], None] + leaf.rank, np.arange(n)] = leaf.unit + n_units
             parts.append((n_units, _leaf_contributions(leaf, t.value[leaf.node]), leaf.unode,
                           leaf.feat[:, 1:]))
             n_units += len(leaf.one)
@@ -209,9 +198,9 @@ def _add_shap(trees: Sequence[DecisionTree], XT: np.ndarray, phi: np.ndarray,
         start, values, unode, feat = parts.pop()
         units = np.arange(start, start + len(values))[:, None]
         contrib[units, np.maximum(feat, -1)[unode]] = values
-    for k, root in enumerate(t.root):
+    for start, count in zip(first, t.leaves[t.root]):
         total = np.zeros((n, p + 1))
-        for units in order[k, :t.leaves[root]]:
+        for units in order[start:start + count]:
             total += contrib[units]
         phi += scale * total[:, :p]
 
@@ -228,14 +217,22 @@ def tree_shap(ensemble: TreeEnsemble, X) -> ShapAttribution:
     scale = ensemble.shrinkage if boosting else 1.0 / len(ensemble.trees)
     if not ensemble.splits_within(p):
         raise ExplainError(f"X has {p} columns, fewer than the model splits on")
-    leaves = max(int(np.count_nonzero(tree.feature == LEAF)) for tree in ensemble.trees)
-    block = max(1, min(n, _BUDGET // leaves))
-    chunk = max(1, _BUDGET // (block * leaves))
+    leaves = [int(np.count_nonzero(tree.feature == LEAF)) for tree in ensemble.trees]
+    block = max(1, min(n, _BUDGET // max(leaves)))
+    # chunks of consecutive trees, each as many as keep block x their leaves
+    # within the budget (one tree at least)
+    cuts, room = [0], _BUDGET // block
+    for k, count in enumerate(leaves):
+        if k > cuts[-1] and count > room:
+            cuts.append(k)
+            room = _BUDGET // block
+        room -= count
+    cuts.append(len(leaves))
     phi = np.zeros((n, p))
     for start in range(0, n, block):
         XT = np.ascontiguousarray(X[start:start + block].T)
-        for first in range(0, len(ensemble.trees), chunk):
-            _add_shap(ensemble.trees[first:first + chunk], XT, phi[start:start + block], scale)
+        for first, end in zip(cuts, cuts[1:]):
+            _add_shap(ensemble.trees[first:end], XT, phi[start:start + block], scale)
     return ShapAttribution(phi, ensemble.expected_output())
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .base import MultisysError, check_X, check_X_y, numbers
 from .rng import SplitMix64
-from .tree import DecisionTree, TreeError, grow_tree, rank_codes
+from .tree import DecisionTree, TreeError, flatten, grow_tree, rank_codes, walk
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -178,23 +178,29 @@ class TreeEnsemble:
         """True if every split feature is a column index below n_columns."""
         return max((int(tree.feature.max()) for tree in self.trees), default=-1) < n_columns
 
+    def _leaf_sum(self, X, start: float) -> np.ndarray:
+        """start plus shrinkage times each tree's leaf value, added tree by tree
+        in model order (a running sum down the trees), the leaves from one
+        `walk` over every tree."""
+        X = check_X(X)
+        total = np.full(len(X), start)
+        if self.trees:
+            t = flatten(self.trees)
+            for rows, leaves in walk(t, X):
+                steps = self.shrinkage * t.value.take(leaves)  # (trees, rows)
+                steps[0] += total[rows]  # start + the first step: + commutes exactly
+                total[rows] = np.add.accumulate(steps, out=steps)[-1]
+        return total
+
     def predict_margin(self, X) -> np.ndarray:
         if self.kind != "gradient-boosting":
             raise ValueError("margins are defined for gradient boosting only")
-        X = check_X(X)
-        margin = np.full(len(X), self.base_score)
-        for tree in self.trees:
-            margin += self.shrinkage * tree.predict(X)
-        return margin
+        return self._leaf_sum(X, self.base_score)
 
     def predict_proba(self, X) -> np.ndarray:
         if self.kind == "gradient-boosting":
             return logistic(self.predict_margin(X))
-        X = check_X(X)
-        acc = np.zeros(len(X))
-        for tree in self.trees:
-            acc += tree.predict(X)
-        return acc / len(self.trees)
+        return self._leaf_sum(X, 0.0) / len(self.trees)  # shrinkage 1.0
 
     def expected_output(self) -> float:
         """Cover-weighted expected ensemble output (margin or probability)."""

@@ -31,6 +31,7 @@ class SynthError(MultisysError):
     pass
 
 
+MAX_ROWS = 1_000_000  # the most rows a cohort may be drawn with
 ORDINAL_TOKENS = {0.0: "negative", 0.5: "±", 1.0: "1+", 2.0: "2+", 3.0: "3+"}
 # The AnalyteSpec fields each distribution draws without; a spec may not set them.
 _UNUSED_FIELDS = {"categorical": ("mu", "sigma", "lower", "upper", "unit", "decimals"),
@@ -87,8 +88,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if not all(type(v) is int for v in (self.n, self.seed)):
             raise SynthError(f"n and seed must be integers, got {self.n!r} and {self.seed!r}")
-        if self.n < 1:
-            raise SynthError("n must be >= 1")
+        if not 1 <= self.n <= MAX_ROWS:
+            raise SynthError(f"n must be in 1..{MAX_ROWS:,}, got {self.n}")
         if not self.analytes:
             raise SynthError("analytes must not be empty; leave the key out for the defaults")
         if twice := repeated(a.name for a in self.analytes):

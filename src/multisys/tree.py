@@ -7,15 +7,19 @@ empirical weight used by the Shapley attribution in `explain`.  Growth
 appends each node's fields to these arrays in pre-order, so every child's id
 is above its parent's; `from_dict` checks that order on a tree read from disk,
 so a bottom-up pass such as `expected_value` is a reverse sweep over ids.
+`flatten` lays the node arrays of several trees end to end as one table, and
+`walk` is the one traversal of it: every (tree, row) pair of a block of rows
+moves down one level per step.  It serves `DecisionTree.predict` and ensemble
+prediction; the Shapley walk in `explain` runs over the same table.
 
 Split search is exact greedy over one presort of X, `rank_codes`: each
 column's dense rank codes, its sorted distinct values and the stable order of
 its codes, computed once per fit and shared by every tree.  Each node lays
 its candidate features out as rows of a 2-D block, each holding the node's
 rank codes in sorted order, and one scoring routine scores every legal cut of
-every candidate at once from prefix sums: a legal cut leaves at least
-min_samples_leaf rows on each side and falls between distinct codes.  The
-path is chosen from `rows` and `max_features`.  Growth on all rows and all
+every candidate from prefix sums, at most _CHUNK elements of the block at a
+time: a legal cut leaves at least min_samples_leaf rows on each side and
+falls between distinct codes.  The path is chosen from `rows` and `max_features`.  Growth on all rows and all
 features (gradient boosting) takes the block from the presort's order,
 without the columns that are constant over X, which have no legal cut: a
 split partitions the parent's block with one boolean mask and its negation,
@@ -34,9 +38,11 @@ appearance.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,6 +50,8 @@ from .base import MultisysError
 from .rng import SplitMix64
 
 LEAF = -1
+_WALK_PAIRS = 1 << 14  # (tree, row) pairs a walk routes at once
+_CHUNK = 8192  # elements of the block a split search scores at once
 FIELDS = {"feature": int, "threshold": float, "left": int, "right": int,
           "value": float, "cover": int}  # node fields and their dtypes
 
@@ -77,16 +85,11 @@ class DecisionTree:
         return float(ev[0])
 
     def leaf_ids(self, X: np.ndarray) -> np.ndarray:
-        """Route rows to leaves; x goes left iff x[feature] <= threshold."""
+        """Each row's leaf: `walk` over this one tree."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        node = np.zeros(len(X), dtype=int)
-        active = self.feature[node] != LEAF
-        while np.any(active):
-            idx = np.flatnonzero(active)
-            nd = node[idx]
-            go_left = X[idx, self.feature[nd]] <= self.threshold[nd]
-            node[idx] = np.where(go_left, self.left[nd], self.right[nd])
-            active = self.feature[node] != LEAF
+        node = np.empty(len(X), dtype=np.intp)
+        for rows, leaves in walk(flatten([self]), X):
+            node[rows] = leaves[0]
         return node
 
     def to_dict(self) -> dict:
@@ -124,9 +127,60 @@ class DecisionTree:
         }.items():
             if not ok.all():
                 raise TreeError(f"malformed tree: node {np.argmin(ok)} has {problem}")
+        parents = np.bincount(t[2:4, ~leaf].astype(np.intp).ravel(), minlength=len(ids))
+        if (parents[1:] != 1).any():
+            node = np.argmax(parents[1:] != 1) + 1
+            raise TreeError(f"malformed tree: node {node} is the child of "
+                            f"{parents[node]} nodes, not of one")
         threshold[leaf], value[~leaf] = np.nan, np.nan
         left[leaf], right[leaf] = -1, -1
         return cls(*(column.astype(dtype) for column, dtype in zip(t, FIELDS.values())))
+
+
+def flatten(trees: Sequence[DecisionTree]) -> SimpleNamespace:
+    """The one flattened node table: the trees' node arrays end to end, child
+    ids offset to match, with the roots, each node's tree, the number of
+    leaves below each node, the depth of the deepest tree, and for `walk`
+    each node's split column and its (right, left) children, 0 and itself
+    for a leaf."""
+    sizes = [tree.n_nodes for tree in trees]
+    t = SimpleNamespace(**{name: np.concatenate([getattr(tree, name) for tree in trees])
+                           for name in FIELDS})
+    t.root = np.cumsum([0] + sizes[:-1])
+    t.tree = np.repeat(np.arange(len(trees)), sizes)
+    inner = t.feature != LEAF
+    ids = np.arange(len(inner))
+    t.left = np.where(inner, t.left + t.root[t.tree], ids)
+    t.right = np.where(inner, t.right + t.root[t.tree], ids)
+    t.split = np.where(inner, t.feature, 0)
+    t.kids = np.column_stack([t.right, t.left]).ravel()
+    levels, level = [], t.root  # each level's internal nodes, from the roots down
+    while len(level := level[inner[level]]):
+        levels.append(level)
+        level = np.concatenate([t.left[level], t.right[level]])
+    t.depth = len(levels)
+    t.leaves = np.ones(len(inner), dtype=np.int32)
+    for level in levels[::-1]:
+        t.leaves[level] = t.leaves[t.left[level]] + t.leaves[t.right[level]]
+    return t
+
+
+def walk(t: SimpleNamespace, X: np.ndarray):
+    """The one tree traversal: route every (tree, row) pair of the table t and
+    the rows of X at once, level by level, x going left iff x[feature] <=
+    threshold (a leaf loops to itself).  Yields, per block of at most
+    _WALK_PAIRS // trees rows (one row at least), the block's slice of X and
+    the leaf of each pair, shape (trees, block rows)."""
+    n, p = X.shape
+    block = max(1, _WALK_PAIRS // len(t.root))
+    for start in range(0, n, block):
+        rows = np.ascontiguousarray(X[start:start + block])
+        first = np.arange(len(rows)) * p  # each row's first cell in the flat rows
+        node = np.repeat(t.root[:, None], len(rows), axis=1)
+        for _ in range(t.depth):
+            go_left = rows.take(first + t.split.take(node)) <= t.threshold.take(node)
+            node = t.kids.take(2 * node + go_left)
+        yield slice(start, start + len(rows)), node
 
 
 def rank_codes(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
@@ -163,7 +217,11 @@ def _best_cut(ordered: np.ndarray, ts: np.ndarray, candidates, values: list[np.n
     at least one, on each side, and falls between distinct codes.  Scores are
     count-weighted impurities, lower is better; ties resolve to the lowest
     feature index, then to the lowest c.  The threshold is the midpoint of the
-    feature's values at the codes either side of the cut.
+    feature's values at the codes either side of the cut.  Features are
+    scored a chunk of rows of the block at a time, at most _CHUNK elements
+    (one feature at least), and each keeps its first best cut; one chain of
+    `_improves` then runs over all features in order, since its tie tolerance
+    is not transitive and chunk winners compared alone could pick another.
     """
     n = ts.shape[1]
     # left counts lo+1 .. hi
@@ -171,36 +229,43 @@ def _best_cut(ordered: np.ndarray, ts: np.ndarray, candidates, values: list[np.n
     hi = n - 1 - lo
     if hi <= lo:
         return None
-    # integer counts stay exact in float64, and float-only arithmetic is faster
-    csum = np.cumsum(ts, axis=1, dtype=float)
+    if criterion not in ("gini", "variance"):
+        raise TreeError(f"unknown criterion {criterion!r}")
     nl = np.arange(lo + 1, hi + 1, dtype=float)
     nr = n - nl
-    sl = csum[:, lo:hi]
-    sr = csum[:, -1:] - sl
-    if criterion == "gini":
-        # binary targets: weighted gini = 2 * s * (n - s) / n per child
-        left = 2.0 * sl * (nl - sl) / nl
-        right = 2.0 * sr * (nr - sr) / nr
-    elif criterion == "variance":
-        csq = np.cumsum(ts * ts, axis=1)
-        sql = csq[:, lo:hi]
-        left = sql - sl * sl / nl
-        right = (csq[:, -1:] - sql) - sr * sr / nr
-    else:
-        raise TreeError(f"unknown criterion {criterion!r}")
-    valid = ordered[:, lo + 1:hi + 1] > ordered[:, lo:hi]
-    if not valid.any():
-        return None
-    scores = np.where(valid, left + right, np.inf)
-    cut = np.argmin(scores, axis=1)  # first, i.e. lowest threshold, on ties
+    step = max(1, _CHUNK // n)
+    cuts, legal, best_scores = [], [], []
+    for first in range(0, len(ts), step):
+        chunk = ts[first:first + step]
+        # integer counts stay exact in float64, and float-only arithmetic is faster
+        csum = np.cumsum(chunk, axis=1, dtype=float)
+        sl = csum[:, lo:hi]
+        sr = csum[:, -1:] - sl
+        if criterion == "gini":
+            # binary targets: weighted gini = 2 * s * (n - s) / n per child
+            left = 2.0 * sl * (nl - sl) / nl
+            right = 2.0 * sr * (nr - sr) / nr
+        else:
+            csq = np.cumsum(chunk * chunk, axis=1)
+            sql = csq[:, lo:hi]
+            left = sql - sl * sl / nl
+            right = (csq[:, -1:] - sql) - sr * sr / nr
+        codes = ordered[first:first + step]
+        valid = codes[:, lo + 1:hi + 1] > codes[:, lo:hi]
+        scores = np.where(valid, left + right, np.inf)
+        cut = np.argmin(scores, axis=1)  # first, i.e. lowest threshold, on ties
+        rows = np.arange(len(cut))
+        cuts += cut.tolist()
+        legal += valid[rows, cut].tolist()
+        best_scores += scores[rows, cut].tolist()
     at, best = None, None
-    columns = np.arange(len(cut))
-    for j, (f, ok, score) in enumerate(zip(candidates, valid[columns, cut].tolist(),
-                                           scores[columns, cut].tolist())):
+    for j, (f, ok, score) in enumerate(zip(candidates, legal, best_scores)):
         if ok and _improves(score, f, best):
             best, at = (score, f), j
+    if best is None:
+        return None
     score, f = best
-    c = lo + cut[at]
+    c = lo + cuts[at]
     return score, f, float(0.5 * (values[f][ordered[at, c]] + values[f][ordered[at, c + 1]]))
 
 

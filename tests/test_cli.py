@@ -746,6 +746,17 @@ def test_config_validator_rejects_unknown_sections(tmp_path, raw):
     # an integer literal past the float range is no finite number
     ({"models": {"logistic": {"C": 10**400}}}, "models.logistic.C"),
     ({"split": {"ratios": [0.5, 0.3, 0.3]}}, "split ratios must sum to 1"),
+    # a size key past its bound, which would otherwise fit or draw until killed
+    ({"models": {"gradient_boosting": {"n_estimators": 2**70}}},
+     "models.gradient_boosting.n_estimators"),
+    ({"models": {"random_forest": {"n_estimators": 10_001}}},
+     "models.random_forest.n_estimators"),
+    ({"models": {"random_forest": {"max_depth": 2**70}}}, "models.random_forest.max_depth"),
+    ({"models": {"gradient_boosting": {"min_samples_leaf": 2**70}}},
+     "models.gradient_boosting.min_samples_leaf"),
+    ({"models": {"logistic": {"max_iter": 2**70}}}, "models.logistic.max_iter"),
+    ({"cv_folds": 2**70}, "cv_folds"),
+    ({"synth": {"n": 2**70, "seed": 1}}, "synth.n"),
 ])
 def test_config_value_types_checked(tmp_path, capsys, raw, where):
     assert _run("all", str(tmp_path / "run"), _write_config(tmp_path, raw)) == 2
@@ -813,6 +824,8 @@ SIDEWAYS_SYSTEM = {"systems": [{"name": "kidney", "rules": [
     ("schema_config", {"columns": [{"name": "Cr", "upper": math.nan}]}, "IngestError"),
     ("schema_config", {"columns": [{"name": "Cr", "upper": math.inf}]}, "IngestError"),
     ("schema_config", {"columns": [{"name": "Cr", "lower": -math.inf}]}, "IngestError"),
+    # a cohort size past synth.MAX_ROWS, which would draw until memory ran out
+    ("spec_path", {"n": 2**70, "seed": 1}, "SynthError"),
 ])
 def test_bad_config_files_exit_2_before_any_artifact(tmp_path, capsys, key, content, kind):
     path = tmp_path / "file.json"

@@ -296,12 +296,42 @@ def test_tree_shap_chunks_and_row_blocks_match_oracle(monkeypatch):
                                      seed=5).fit(X, y)]
     for model in models:
         leaves = max(map(_n_leaves, model.trees))
-        # three 32-row blocks (the last one short) of one-tree chunks, then
-        # one 80-row block of three-tree chunks
+        # three 32-row blocks (the last one short) of chunks holding at most
+        # the largest tree's leaves, then one 80-row block of chunks holding
+        # at most three times as many
         expected = scalar_tree_shap(model, X[:80]).tobytes()
         for budget in (32 * leaves, 3 * 80 * leaves):
             monkeypatch.setattr(explain, "_BUDGET", budget)
             assert tree_shap(model, X[:80]).phi.tobytes() == expected
+
+
+def test_tree_shap_packs_chunks_by_leaf_count(monkeypatch):
+    X, y = _oracle_data(13)
+    trees = [grow_tree(X, y.astype(float), criterion="variance", max_depth=depth,
+                       min_samples_leaf=2) for depth in (6, 1, 4, 2, 5, 3)]
+    leaves = list(map(_n_leaves, trees))
+    assert len(set(leaves)) >= 4 and leaves[0] == max(leaves)
+    rows = X[:40]
+    walks = []
+    add_shap = explain._add_shap
+    monkeypatch.setattr(explain, "_add_shap", lambda trees, XT, phi, scale: (
+        walks.append((len(trees), XT.shape[1])), add_shap(trees, XT, phi, scale)))
+    for ensemble in (TreeEnsemble("gradient-boosting", trees, shrinkage=0.5),
+                     TreeEnsemble("random-forest", trees)):
+        expected = scalar_tree_shap(ensemble, rows).tobytes()
+        for budget, chunks in (
+                (1, [1] * len(trees) * len(rows)),  # one tree and one row per walk
+                # the first two trees' leaves fill the budget; the rest follow
+                (len(rows) * (leaves[0] + leaves[1]), None),
+                (len(rows) * sum(leaves), [len(trees)])):  # one walk in total
+            monkeypatch.setattr(explain, "_BUDGET", budget)
+            walks.clear()
+            assert tree_shap(ensemble, rows).phi.tobytes() == expected
+            assert all(block * sum(leaves[:n]) <= budget or n == 1 for n, block in walks)
+            if chunks is None:
+                assert walks[0] == (2, len(rows)) and len(walks) > 1
+            else:
+                assert [n for n, _ in walks] == chunks
 
 
 def test_tree_shap_forest_of_unequal_depths_matches_oracle():

@@ -4,6 +4,7 @@ gradient boosting."""
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from multisys.models import (
     RandomForestClassifier, TreeEnsemble, binomial_deviance, logistic, logit,
 )
 from multisys.rng import SplitMix64
-from multisys.tree import TreeError
+from multisys import tree as tree_mod
+from multisys.tree import LEAF, DecisionTree, TreeError, grow_tree
 
 
 def _blobs(n=120, seed=0, gap=2.0):
@@ -246,6 +248,91 @@ def test_gb_margin_probability_consistent():
     model = GradientBoostingClassifier(n_estimators=10).fit(X, y)
     np.testing.assert_allclose(model.predict_proba(X),
                                logistic(model.predict_margin(X)))
+
+
+def _per_tree(model: TreeEnsemble, X) -> np.ndarray:
+    """The per-tree loop the forest walk replaced, over DecisionTree.predict:
+    the margin for boosting, the probability for a forest."""
+    if model.kind == "gradient-boosting":
+        margin = np.full(len(X), model.base_score)
+        for tree in model.trees:
+            margin += model.shrinkage * tree.predict(X)
+        return margin
+    acc = np.zeros(len(X))
+    for tree in model.trees:
+        acc += tree.predict(X)
+    return acc / len(model.trees)
+
+
+def _scalar_leaf(tree: DecisionTree, x) -> int:
+    node = 0
+    while tree.feature[node] != LEAF:
+        go_left = x[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return int(node)
+
+
+def _walk_cases():
+    """Random GB and RF ensembles, one with a root-leaf tree in it, and rows
+    of which every other one sits exactly on a threshold."""
+    rng = SplitMix64(21)
+    X = np.array([[float(rng.randint_below(5)) for _ in range(4)] for _ in range(150)])
+    X[:, 1] += np.array([rng.random() for _ in range(150)])
+    y = (X[:, 0] + X[:, 1] > 3.5).astype(int)
+    gb = GradientBoostingClassifier(n_estimators=30, max_depth=3, min_samples_leaf=2).fit(X, y)
+    rf = RandomForestClassifier(n_estimators=40, max_depth=7, min_samples_leaf=1,
+                                seed=4).fit(X, y)
+    leaf = grow_tree(X, np.full(len(X), 0.25), criterion="variance", max_depth=3,
+                     min_samples_leaf=1)
+    assert leaf.n_nodes == 1
+    mixed = [TreeEnsemble("gradient-boosting", [leaf, *gb.trees[:5], leaf], base_score=-0.3,
+                          shrinkage=0.5),
+             TreeEnsemble("random-forest", [leaf, *rf.trees[:5]])]
+    rows = np.vstack([X] * 3)
+    for i, tree in enumerate(rf.trees[:len(rows) // 2]):
+        if tree.n_nodes > 1:
+            rows[2 * i, tree.feature[0]] = tree.threshold[0]
+    return [gb, rf, *mixed], rows
+
+
+def test_forest_walk_matches_the_per_tree_loop(monkeypatch):
+    models, rows = _walk_cases()
+    on_threshold = 0
+    for tree in models[1].trees:
+        on_threshold += int(np.sum(rows[:, tree.feature[0]] == tree.threshold[0]))
+        assert tree.leaf_ids(rows[:40]).tolist() == [_scalar_leaf(tree, x) for x in rows[:40]]
+    assert on_threshold >= 40
+    # the default block, then blocks of a few rows, then of one row
+    default = tree_mod._WALK_PAIRS
+    for pairs in (default, 97, 1):
+        monkeypatch.setattr(tree_mod, "_WALK_PAIRS", pairs)
+        for model in models:
+            blocks = list(tree_mod.walk(tree_mod.flatten(model.trees), rows))
+            assert len(blocks) > 1 or pairs == default
+            expected = _per_tree(model, rows)
+            if model.kind == "gradient-boosting":
+                assert model.predict_margin(rows).tobytes() == expected.tobytes()
+                expected = logistic(expected)
+            assert model.predict_proba(rows).tobytes() == expected.tobytes()
+            assert model.predict_proba(rows[:0]).shape == (0,)
+
+
+def test_forest_walk_memory_is_bounded_by_its_block():
+    # Routing every (tree, row) pair at once would hold 8 MiB per array here.
+    rng = SplitMix64(22)
+    X = np.array([[rng.random() for _ in range(3)] for _ in range(300)])
+    y = (X[:, 0] + X[:, 1] > 1.0).astype(int)
+    model = RandomForestClassifier(n_estimators=50, max_depth=6, min_samples_leaf=3,
+                                   seed=5).fit(X, y)
+    rows = np.tile(X, (70, 1))  # 21,000 rows, 1,050,000 pairs
+    tracemalloc.start()
+    try:
+        proba = model.predict_proba(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert proba.tobytes() == _per_tree(model, rows).tobytes()
+    assert peak < 64 * tree_mod._WALK_PAIRS + 2 * rows.nbytes
 
 
 def test_ensemble_json_roundtrip():

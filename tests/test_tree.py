@@ -438,6 +438,8 @@ def _edited(base, node, **fields):
     # past the int64 range, so that casting it would wrap
     (_edited(_stump(), 2, cover=2**70), "cover"),
     (_edited(_stump(), 0, feature=2**70), "column index"),
+    # node 2 shared by nodes 0 and 1, and node 4 no node's child
+    (_edited(_two_level(), 0, right=2), "node 2 is the child of 2 nodes"),
 ])
 def test_from_dict_rejects_malformed_trees(d, problem):
     with pytest.raises(TreeError, match=problem):
