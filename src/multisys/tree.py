@@ -19,14 +19,15 @@ its candidate features out as rows of a 2-D block, each holding the node's
 rank codes in sorted order, and one scoring routine scores every legal cut of
 every candidate from prefix sums, at most _CHUNK elements of the block at a
 time: a legal cut leaves at least min_samples_leaf rows on each side and
-falls between distinct codes.  The path is chosen from `rows` and `max_features`.  Growth on all rows and all
-features (gradient boosting) takes the block from the presort's order,
-without the columns that are constant over X, which have no legal cut: a
-split partitions the parent's block with one boolean mask and its negation,
-stably, and since the node's rows are an ascending subsequence of all rows
-this is the order a stable sort of the node's rows gives.  Any other growth
-(random forests, with `rows` and `max_features`) sorts small integer keys in
-each node: the codes shifted left past a tag.  A 0/1 target is the tag,
+falls between distinct codes.  The path is chosen from `rows` and
+`max_features`.  Growth on all rows and all features (gradient boosting)
+takes the block from the presort's order, without the columns that are
+constant over X, which have no legal cut: a split partitions the parent's
+block with one boolean mask and its negation, stably, and since the node's
+rows are an ascending subsequence of all rows this is the order a stable
+sort of the node's rows gives.  Any other growth (random forests, with
+`rows` and `max_features`) sorts small integer keys in each node: the codes
+shifted left past a tag.  A 0/1 target is the tag,
 since prefix counts of it do not depend on the order within a tie; any other
 target is fetched by its row's position in the node, which is the tag then.
 Such a node partitions only its own rows.  Thresholds are midpoints between
@@ -170,8 +171,11 @@ def walk(t: SimpleNamespace, X: np.ndarray):
     the rows of X at once, level by level, x going left iff x[feature] <=
     threshold (a leaf loops to itself).  Yields, per block of at most
     _WALK_PAIRS // trees rows (one row at least), the block's slice of X and
-    the leaf of each pair, shape (trees, block rows)."""
+    the leaf of each pair, shape (trees, block rows); TreeError if X has too
+    few columns."""
     n, p = X.shape
+    if t.split.max(initial=0) >= p:  # else a flat index would read the next row
+        raise TreeError(f"X has {p} columns, fewer than the trees split on")
     block = max(1, _WALK_PAIRS // len(t.root))
     for start in range(0, n, block):
         rows = np.ascontiguousarray(X[start:start + block])
@@ -254,10 +258,10 @@ def _best_cut(ordered: np.ndarray, ts: np.ndarray, candidates, values: list[np.n
         valid = codes[:, lo + 1:hi + 1] > codes[:, lo:hi]
         scores = np.where(valid, left + right, np.inf)
         cut = np.argmin(scores, axis=1)  # first, i.e. lowest threshold, on ties
-        rows = np.arange(len(cut))
+        columns = np.arange(len(cut))
         cuts += cut.tolist()
-        legal += valid[rows, cut].tolist()
-        best_scores += scores[rows, cut].tolist()
+        legal += valid[columns, cut].tolist()
+        best_scores += scores[columns, cut].tolist()
     at, best = None, None
     for j, (f, ok, score) in enumerate(zip(candidates, legal, best_scores)):
         if ok and _improves(score, f, best):

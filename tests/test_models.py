@@ -315,6 +315,8 @@ def test_forest_walk_matches_the_per_tree_loop(monkeypatch):
                 expected = logistic(expected)
             assert model.predict_proba(rows).tobytes() == expected.tobytes()
             assert model.predict_proba(rows[:0]).shape == (0,)
+    with pytest.raises(TreeError, match="1 columns"):
+        models[0].predict_proba(rows[:, :1])
 
 
 def test_forest_walk_memory_is_bounded_by_its_block():
