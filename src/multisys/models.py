@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
 from .base import MultisysError, check_X, check_X_y, numbers
 from .rng import SplitMix64
-from .tree import DecisionTree, TreeError, flatten, grow_tree, rank_codes, walk
+from .tree import (DecisionTree, TreeError, expectations, flatten, grow_tree, rank_codes,
+                   walk)
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -152,6 +155,9 @@ class TreeEnsemble:
     values; probability = logistic(margin).  kind "random-forest": trees
     store leaf probabilities; probability = mean over trees; margins are
     undefined.  Boosting records its training deviance after each stage.
+    The trees are not changed once the ensemble is made: their one flattened
+    node table, `table`, is built on first use and serves prediction, the
+    expected output and the Shapley walk.
     """
 
     kind: str  # "gradient-boosting" | "random-forest"
@@ -178,6 +184,18 @@ class TreeEnsemble:
         """True if every split feature is a column index below n_columns."""
         return max((int(tree.feature.max()) for tree in self.trees), default=-1) < n_columns
 
+    @cached_property
+    def table(self) -> SimpleNamespace:
+        """The trees' one flattened node table (`tree.flatten`).  Each tree's
+        feature, threshold, value and cover arrays become views of the
+        table's, so that the nodes are held once."""
+        t = flatten(self.trees)
+        for tree, start in zip(self.trees, t.root.tolist()):
+            nodes = slice(start, start + tree.n_nodes)
+            for name in ("feature", "threshold", "value", "cover"):
+                setattr(tree, name, getattr(t, name)[nodes])
+        return t
+
     def _leaf_sum(self, X, start: float) -> np.ndarray:
         """start plus shrinkage times each tree's leaf value, added tree by tree
         in model order (a running sum down the trees), the leaves from one
@@ -185,7 +203,7 @@ class TreeEnsemble:
         X = check_X(X)
         total = np.full(len(X), start)
         if self.trees:
-            t = flatten(self.trees)
+            t = self.table
             for rows, leaves in walk(t, X):
                 steps = self.shrinkage * t.value.take(leaves)  # (trees, rows)
                 steps[0] += total[rows]  # start + the first step: + commutes exactly
@@ -203,8 +221,13 @@ class TreeEnsemble:
         return self._leaf_sum(X, 0.0) / len(self.trees)  # shrinkage 1.0
 
     def expected_output(self) -> float:
-        """Cover-weighted expected ensemble output (margin or probability)."""
-        total = sum(tree.expected_value() for tree in self.trees)
+        """Cover-weighted expected ensemble output (margin or probability): the
+        trees' expected values (`tree.expectations` at their roots) summed in
+        model order."""
+        total = 0.0
+        if self.trees:
+            for value in expectations(self.table)[self.table.root].tolist():
+                total += value
         if self.kind == "gradient-boosting":
             return self.base_score + self.shrinkage * total
         return total / len(self.trees)

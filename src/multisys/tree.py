@@ -5,12 +5,12 @@ carry (feature, threshold, left, right, cover); leaves carry (value, cover).
 Cover is the exact count of training rows routed through the node; it is the
 empirical weight used by the Shapley attribution in `explain`.  Growth
 appends each node's fields to these arrays in pre-order, so every child's id
-is above its parent's; `from_dict` checks that order on a tree read from disk,
-so a bottom-up pass such as `expected_value` is a reverse sweep over ids.
+is above its parent's; `from_dict` checks that order on a tree read from disk.
 `flatten` lays the node arrays of several trees end to end as one table, and
 `walk` is the one traversal of it: every (tree, row) pair of a block of rows
 moves down one level per step.  It serves `DecisionTree.predict` and ensemble
-prediction; the Shapley walk in `explain` runs over the same table.
+prediction; `expectations` sweeps the same table bottom-up, one level at a
+time, and the Shapley walk in `explain` runs over it too.
 
 Split search is exact greedy over one presort of X, `rank_codes`: each
 column's dense rank codes, its sorted distinct values and the stable order of
@@ -79,11 +79,7 @@ class DecisionTree:
 
     def expected_value(self) -> float:
         """Cover-weighted expectation of the tree output."""
-        ev = self.value.copy()
-        for node in np.flatnonzero(self.feature != LEAF)[::-1]:  # children first
-            cl, cr = self.cover[self.left[node]], self.cover[self.right[node]]
-            ev[node] = (cl * ev[self.left[node]] + cr * ev[self.right[node]]) / (cl + cr)
-        return float(ev[0])
+        return float(expectations(flatten([self]))[0])
 
     def leaf_ids(self, X: np.ndarray) -> np.ndarray:
         """Each row's leaf: `walk` over this one tree."""
@@ -139,31 +135,48 @@ class DecisionTree:
 
 
 def flatten(trees: Sequence[DecisionTree]) -> SimpleNamespace:
-    """The one flattened node table: the trees' node arrays end to end, child
-    ids offset to match, with the roots, each node's tree, the number of
-    leaves below each node, the depth of the deepest tree, and for `walk`
-    each node's split column and its (right, left) children, 0 and itself
-    for a leaf."""
+    """The one flattened node table: the trees' node features, thresholds,
+    values and covers end to end, with the roots, the number of leaves below
+    each node, the depth of the deepest tree, and each node's (right, left)
+    children, ids offset to match, itself twice for a leaf; `left` and
+    `right` are views of those pairs."""
     sizes = [tree.n_nodes for tree in trees]
     t = SimpleNamespace(**{name: np.concatenate([getattr(tree, name) for tree in trees])
-                           for name in FIELDS})
+                           for name in ("feature", "threshold", "value", "cover")})
     t.root = np.cumsum([0] + sizes[:-1])
-    t.tree = np.repeat(np.arange(len(trees)), sizes)
-    inner = t.feature != LEAF
+    inner, offset = t.feature != LEAF, np.repeat(t.root, sizes)
     ids = np.arange(len(inner))
-    t.left = np.where(inner, t.left + t.root[t.tree], ids)
-    t.right = np.where(inner, t.right + t.root[t.tree], ids)
-    t.split = np.where(inner, t.feature, 0)
-    t.kids = np.column_stack([t.right, t.left]).ravel()
-    levels, level = [], t.root  # each level's internal nodes, from the roots down
-    while len(level := level[inner[level]]):
-        levels.append(level)
-        level = np.concatenate([t.left[level], t.right[level]])
-    t.depth = len(levels)
+    t.kids = np.column_stack([
+        np.where(inner, np.concatenate([getattr(tree, side) for tree in trees]) + offset, ids)
+        for side in ("right", "left")]).ravel()
+    t.right, t.left = t.kids[0::2], t.kids[1::2]
     t.leaves = np.ones(len(inner), dtype=np.int32)
-    for level in levels[::-1]:
+    bottom_up = list(levels(t))[::-1]
+    for level in bottom_up:
         t.leaves[level] = t.leaves[t.left[level]] + t.leaves[t.right[level]]
+    t.depth = len(bottom_up)
     return t
+
+
+def levels(t: SimpleNamespace):
+    """The internal nodes of the table t, one level at a time from the roots
+    down."""
+    level = t.root
+    while len(level := level[t.feature[level] != LEAF]):
+        yield level
+        level = np.concatenate([t.left[level], t.right[level]])
+
+
+def expectations(t: SimpleNamespace) -> np.ndarray:
+    """Each node's cover-weighted expected output over the table t: a leaf's
+    value, and an internal node's (cl * left + cr * right) / (cl + cr) of its
+    children's covers and expectations, swept bottom-up one level at a time."""
+    ev = t.value.copy()
+    for level in list(levels(t))[::-1]:
+        left, right = t.left[level], t.right[level]
+        cl, cr = t.cover[left], t.cover[right]
+        ev[level] = (cl * ev[left] + cr * ev[right]) / (cl + cr)
+    return ev
 
 
 def walk(t: SimpleNamespace, X: np.ndarray):
@@ -174,7 +187,7 @@ def walk(t: SimpleNamespace, X: np.ndarray):
     the leaf of each pair, shape (trees, block rows); TreeError if X has too
     few columns."""
     n, p = X.shape
-    if t.split.max(initial=0) >= p:  # else a flat index would read the next row
+    if t.feature.max(initial=0) >= p:  # else a flat index would read the next row
         raise TreeError(f"X has {p} columns, fewer than the trees split on")
     block = max(1, _WALK_PAIRS // len(t.root))
     for start in range(0, n, block):
@@ -182,7 +195,8 @@ def walk(t: SimpleNamespace, X: np.ndarray):
         first = np.arange(len(rows)) * p  # each row's first cell in the flat rows
         node = np.repeat(t.root[:, None], len(rows), axis=1)
         for _ in range(t.depth):
-            go_left = rows.take(first + t.split.take(node)) <= t.threshold.take(node)
+            # a leaf's column -1 reads any cell: both its children are itself
+            go_left = rows.take(first + t.feature.take(node)) <= t.threshold.take(node)
             node = t.kids.take(2 * node + go_left)
         yield slice(start, start + len(rows)), node
 

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from multisys import explain
+from multisys import explain, models
 from multisys.explain import (
     ExplainError, ShapAttribution, beeswarm_export, global_importance,
     partial_dependence, tree_shap,
@@ -314,8 +314,8 @@ def test_tree_shap_packs_chunks_by_leaf_count(monkeypatch):
     rows = X[:40]
     walks = []
     add_shap = explain._add_shap
-    monkeypatch.setattr(explain, "_add_shap", lambda trees, XT, phi, scale: (
-        walks.append((len(trees), XT.shape[1])), add_shap(trees, XT, phi, scale)))
+    monkeypatch.setattr(explain, "_add_shap", lambda t, trees, XT, phi, scale: (
+        walks.append((len(trees), XT.shape[1])), add_shap(t, trees, XT, phi, scale)))
     for ensemble in (TreeEnsemble("gradient-boosting", trees, shrinkage=0.5),
                      TreeEnsemble("random-forest", trees)):
         expected = scalar_tree_shap(ensemble, rows).tobytes()
@@ -373,6 +373,11 @@ def test_tree_shap_of_zero_rows():
     attribution = tree_shap(model, X[:0])
     assert attribution.phi.shape == (0, X.shape[1])
     assert attribution.base_value == model.expected_output()
+    # and of no trees: boosting with its base score alone
+    empty = TreeEnsemble("gradient-boosting", [], base_score=0.3, train_deviance=[])
+    attribution = tree_shap(empty, X[:5])
+    assert attribution.phi.tobytes() == np.zeros((5, X.shape[1])).tobytes()
+    assert attribution.base_value == 0.3
 
 
 def test_tree_shap_memory_is_bounded_by_the_budget():
@@ -391,7 +396,47 @@ def test_tree_shap_memory_is_bounded_by_the_budget():
     finally:
         tracemalloc.stop()
     assert attribution.phi.shape == X.shape
-    assert peak < 40 * explain._BUDGET + 4 * X.nbytes
+    assert peak < 20 * explain._BUDGET + 4 * X.nbytes
+
+
+def test_tree_shap_leaves_out_zero_leaves_bit_for_bit():
+    # A forest's pure-negative leaves hold exactly 0.0, and add +-0.0 on their
+    # paths, which leaves every row's total as it was; the walk leaves them out.
+    X, y = _oracle_data(14, n=120)
+    model = RandomForestClassifier(n_estimators=8, max_depth=6, min_samples_leaf=1,
+                                   seed=2).fit(X, y)
+    leaves = np.concatenate([tree.value[tree.feature == LEAF] for tree in model.trees])
+    assert np.count_nonzero(leaves == 0.0) >= 8 and np.count_nonzero(leaves) >= 8
+    _assert_bitwise_oracle(model, X)
+    zero = DecisionTree.from_dict({"nodes": [
+        {"feature": 1, "threshold": 0.5, "left": 1, "right": 2, "cover": 5, "value": None},
+        {"feature": -1, "threshold": None, "left": None, "right": None, "cover": 2,
+         "value": 0.0},
+        {"feature": -1, "threshold": None, "left": None, "right": None, "cover": 3,
+         "value": 0.0},
+    ]})
+    for trees in ([zero], [zero, *model.trees[:3], zero]):  # a walk with no leaf to add
+        _assert_bitwise_oracle(TreeEnsemble("random-forest", trees), X[:20])
+
+
+def test_an_ensemble_builds_its_node_table_once(monkeypatch):
+    X, y = _oracle_data(15)
+    tables = []
+    flatten = models.flatten
+    monkeypatch.setattr(models, "flatten", lambda trees: tables.append(len(trees)) or
+                        flatten(trees))
+    for model in (GradientBoostingClassifier(n_estimators=6, max_depth=3,
+                                             min_samples_leaf=3).fit(X, y),
+                  RandomForestClassifier(n_estimators=5, max_depth=5, min_samples_leaf=2,
+                                         seed=1).fit(X, y)):
+        ensemble = TreeEnsemble.from_dict(model.to_dict())
+        tables.clear()
+        for _ in range(2):
+            ensemble.predict_proba(X)
+            ensemble.expected_output()
+            tree_shap(ensemble, X)
+        assert tables == [len(model.trees)]
+        assert tree_shap(ensemble, X).phi.tobytes() == tree_shap(model, X).phi.tobytes()
 
 
 def test_tree_shap_rejects_too_few_columns():

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from multisys.models import GradientBoostingClassifier, RandomForestClassifier
+from multisys.models import GradientBoostingClassifier, RandomForestClassifier, TreeEnsemble
 from multisys.rng import SplitMix64
 from multisys.tree import LEAF, DecisionTree, TreeError, _best_split, grow_tree, rank_codes
 
@@ -382,6 +382,14 @@ def test_expected_value_sweep_bit_equal_to_recursion():
     assert max(tree.n_nodes for tree in trees) > 30
     for tree in trees:
         assert tree.expected_value() == recursive_expected_value(tree)
+    # the ensemble sweeps all its trees at once and sums them in model order
+    # (a pairwise sum, as np.sum makes, rounds differently)
+    total = 0.0
+    for tree in trees:
+        total += recursive_expected_value(tree)
+    assert TreeEnsemble("random-forest", trees).expected_output() == total / len(trees)
+    boosting = TreeEnsemble("gradient-boosting", trees, base_score=-0.7, shrinkage=0.3)
+    assert boosting.expected_output() == -0.7 + 0.3 * total
 
 
 def _stump() -> dict:
