@@ -80,7 +80,9 @@ def _slices(count: int, width: int):
 
 
 def _index(largest: int) -> type:
-    """The narrower of int16 and int32 that holds 0..largest."""
+    """The narrower of int16 and int32 that holds 0..largest.  Arithmetic
+    into an array of this type names it (`dtype=`): numpy picks a ufunc's
+    loop from its inputs, so a narrower input would wrap before `out`."""
     return np.int16 if largest <= np.iinfo(np.int16).max else np.int32
 
 
@@ -157,7 +159,7 @@ def _children(t: SimpleNamespace, g: _Group, incoming_zero: np.ndarray,
     # row carries a nonzero one fraction into the child; it becomes the unit
     unit = np.empty((2 * n_nodes, n), dtype=_index(4 * n_units - 1))
     lower, upper = unit[:n_nodes], unit[n_nodes:]
-    np.multiply(g.unit, 2, out=lower)
+    np.multiply(g.unit, 2, out=lower, dtype=lower.dtype)
     np.add(lower, 2 * n_units, out=upper)
     lower += goes_left & carries
     upper += carries > goes_left
@@ -170,9 +172,9 @@ def _children(t: SimpleNamespace, g: _Group, incoming_zero: np.ndarray,
         half[...] = renumber[half]
     # a child comes after its sibling's leaves where the row takes the sibling
     rank = np.empty((2 * n_nodes, n), dtype=g.rank.dtype)
-    np.multiply(goes_left, t.leaves[right, None], out=rank[:n_nodes])
-    np.subtract(t.leaves[right, None], rank[:n_nodes], out=rank[:n_nodes])
-    np.multiply(goes_left, t.leaves[left, None], out=rank[n_nodes:])
+    np.multiply(goes_left, t.leaves[right, None], out=rank[:n_nodes], dtype=rank.dtype)
+    np.subtract(t.leaves[right, None], rank[:n_nodes], out=rank[:n_nodes], dtype=rank.dtype)
+    np.multiply(goes_left, t.leaves[left, None], out=rank[n_nodes:], dtype=rank.dtype)
     del goes_left
     rank[:n_nodes] += g.rank
     rank[n_nodes:] += g.rank

@@ -12,8 +12,8 @@ its class's `from_dict` loads that dict back as the same model, which is what
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -155,16 +155,22 @@ class TreeEnsemble:
     values; probability = logistic(margin).  kind "random-forest": trees
     store leaf probabilities; probability = mean over trees; margins are
     undefined.  Boosting records its training deviance after each stage.
-    The trees are not changed once the ensemble is made: their one flattened
-    node table, `table`, is built on first use and serves prediction, the
-    expected output and the Shapley walk.
+
+    The ensemble's nodes are held once, in its flattened node table `table`
+    (`tree.flatten`, None without trees), built when the ensemble is made; it
+    serves prediction, the expected output and the Shapley walk.  `trees` is a
+    tuple of the ensemble's own trees, whose feature, threshold, value and
+    cover arrays are views of the table's and whose left and right arrays are
+    those of the trees it was given.  The given trees are left as they are;
+    changing their node arrays in place afterwards leaves the table stale.
     """
 
     kind: str  # "gradient-boosting" | "random-forest"
-    trees: list[DecisionTree]
+    trees: Sequence[DecisionTree]
     base_score: float = 0.0
     shrinkage: float = 1.0
     train_deviance: list[float] | None = None  # boosting only
+    table: SimpleNamespace | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("gradient-boosting", "random-forest"):
@@ -179,22 +185,18 @@ class TreeEnsemble:
             raise ValueError("random forests have no train_deviance")
         if self.train_deviance is not None and len(self.train_deviance) != len(self.trees):
             raise ValueError("train_deviance does not hold one value per tree")
+        self.trees, self.table = tuple(self.trees), None
+        if self.trees:
+            t = self.table = flatten(self.trees)
+            starts = t.root.tolist()
+            self.trees = tuple(
+                DecisionTree(t.feature[nodes], t.threshold[nodes], tree.left, tree.right,
+                             t.value[nodes], t.cover[nodes])
+                for tree, nodes in zip(self.trees, map(slice, starts, starts[1:] + [None])))
 
     def splits_within(self, n_columns: int) -> bool:
         """True if every split feature is a column index below n_columns."""
         return max((int(tree.feature.max()) for tree in self.trees), default=-1) < n_columns
-
-    @cached_property
-    def table(self) -> SimpleNamespace:
-        """The trees' one flattened node table (`tree.flatten`).  Each tree's
-        feature, threshold, value and cover arrays become views of the
-        table's, so that the nodes are held once."""
-        t = flatten(self.trees)
-        for tree, start in zip(self.trees, t.root.tolist()):
-            nodes = slice(start, start + tree.n_nodes)
-            for name in ("feature", "threshold", "value", "cover"):
-                setattr(tree, name, getattr(t, name)[nodes])
-        return t
 
     def _leaf_sum(self, X, start: float) -> np.ndarray:
         """start plus shrinkage times each tree's leaf value, added tree by tree

@@ -53,8 +53,8 @@ from .rng import SplitMix64
 LEAF = -1
 _WALK_PAIRS = 1 << 14  # (tree, row) pairs a walk routes at once
 _CHUNK = 8192  # elements of the block a split search scores at once
-FIELDS = {"feature": int, "threshold": float, "left": int, "right": int,
-          "value": float, "cover": int}  # node fields and their dtypes
+FIELDS = {"feature": np.int32, "threshold": float, "left": np.int32, "right": np.int32,
+          "value": float, "cover": np.int32}  # node fields and their dtypes
 
 
 class TreeError(MultisysError):
@@ -63,12 +63,12 @@ class TreeError(MultisysError):
 
 @dataclass
 class DecisionTree:
-    feature: np.ndarray  # (m,) int, LEAF for leaves
+    feature: np.ndarray  # (m,) int32, LEAF for leaves
     threshold: np.ndarray  # (m,) float, NaN for leaves
-    left: np.ndarray  # (m,) int, -1 for leaves
-    right: np.ndarray  # (m,) int, -1 for leaves
+    left: np.ndarray  # (m,) int32, -1 for leaves
+    right: np.ndarray  # (m,) int32, -1 for leaves
     value: np.ndarray  # (m,) float, leaf output (NaN for internal nodes)
-    cover: np.ndarray  # (m,) int
+    cover: np.ndarray  # (m,) int32
 
     @property
     def n_nodes(self) -> int:
@@ -113,7 +113,8 @@ class DecisionTree:
             raise TreeError("malformed tree: no nodes, or a field not a number or null")
         feature, threshold, left, right, value, cover = t
         ids, leaf = np.arange(len(feature)), feature == LEAF
-        whole = (t == np.floor(t)) & (np.abs(t) <= 2**53)  # an exact integer, cast safely
+        # an exact integer that the int32 fields hold
+        whole = (t == np.floor(t)) & (np.abs(t) <= np.iinfo(np.int32).max)
         for problem, ok in {
             "no column index and finite threshold":
                 leaf | (feature >= 0) & whole[0] & np.isfinite(threshold),
@@ -144,13 +145,17 @@ def flatten(trees: Sequence[DecisionTree]) -> SimpleNamespace:
     t = SimpleNamespace(**{name: np.concatenate([getattr(tree, name) for tree in trees])
                            for name in ("feature", "threshold", "value", "cover")})
     t.root = np.cumsum([0] + sizes[:-1])
-    inner, offset = t.feature != LEAF, np.repeat(t.root, sizes)
-    ids = np.arange(len(inner))
-    t.kids = np.column_stack([
-        np.where(inner, np.concatenate([getattr(tree, side) for tree in trees]) + offset, ids)
-        for side in ("right", "left")]).ravel()
+    # built in place: each node's (right, left), offset to the table's ids,
+    # int32 like the trees' own node fields
+    kids = np.empty((len(t.feature), 2), dtype=np.int32)
+    t.leaves = np.ones(len(t.feature), dtype=np.int32)
+    for column, side in enumerate(("right", "left")):
+        np.concatenate([getattr(tree, side) for tree in trees], out=kids[:, column])
+    kids += np.repeat(t.root, sizes)[:, None]
+    leaf = np.flatnonzero(t.feature == LEAF)
+    kids[leaf] = leaf[:, None]
+    t.kids = kids.ravel()
     t.right, t.left = t.kids[0::2], t.kids[1::2]
-    t.leaves = np.ones(len(inner), dtype=np.int32)
     bottom_up = list(levels(t))[::-1]
     for level in bottom_up:
         t.leaves[level] = t.leaves[t.left[level]] + t.leaves[t.right[level]]
@@ -197,7 +202,7 @@ def walk(t: SimpleNamespace, X: np.ndarray):
         for _ in range(t.depth):
             # a leaf's column -1 reads any cell: both its children are itself
             go_left = rows.take(first + t.feature.take(node)) <= t.threshold.take(node)
-            node = t.kids.take(2 * node + go_left)
+            node = t.kids.take(2 * node + go_left).astype(np.intp)  # take's own type
         yield slice(start, start + len(rows)), node
 
 

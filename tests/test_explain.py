@@ -419,18 +419,42 @@ def test_tree_shap_leaves_out_zero_leaves_bit_for_bit():
         _assert_bitwise_oracle(TreeEnsemble("random-forest", trees), X[:20])
 
 
+def test_tree_shap_row_fields_widen_bit_for_bit(monkeypatch):
+    # A walk whose units grow from at most 8,192 to more than 16,384 in one
+    # level: the int16 unit numbers of the smaller level must widen before
+    # they are doubled into the larger level's int32 ones.
+    rng = SplitMix64(5)
+    X = np.array([[rng.random() for _ in range(5)] for _ in range(1500)])
+    # steps at each column's quarters grow a near-complete tree of depth 10
+    tree = grow_tree(X, np.floor(X * 4) @ (4.0 ** np.arange(5)), criterion="variance",
+                     max_depth=10, min_samples_leaf=1)
+    model = TreeEnsemble("gradient-boosting", [tree], shrinkage=0.5)
+    rows, units = X[:300], []
+    children = explain._children
+    monkeypatch.setattr(explain, "_children", lambda t, g, *rest: (
+        units.append(len(g.one)), children(t, g, *rest))[1])
+    monkeypatch.setattr(explain, "_BUDGET", 10**6)  # all 300 rows in one walk
+    phi = tree_shap(model, rows).phi
+    assert any(a <= 8192 and b > 16384 for a, b in zip(units, units[1:]))
+    assert phi[:60].tobytes() == scalar_tree_shap(model, rows[:60]).tobytes()
+    monkeypatch.setattr(explain, "_BUDGET", 7_000)  # blocks of 9 rows, small walks
+    assert phi.tobytes() == tree_shap(model, rows).phi.tobytes()
+
+
 def test_an_ensemble_builds_its_node_table_once(monkeypatch):
+    # The table is built when the ensemble is made; every later use reads it.
     X, y = _oracle_data(15)
+    fitted = (GradientBoostingClassifier(n_estimators=6, max_depth=3,
+                                         min_samples_leaf=3).fit(X, y),
+              RandomForestClassifier(n_estimators=5, max_depth=5, min_samples_leaf=2,
+                                     seed=1).fit(X, y))
     tables = []
     flatten = models.flatten
     monkeypatch.setattr(models, "flatten", lambda trees: tables.append(len(trees)) or
                         flatten(trees))
-    for model in (GradientBoostingClassifier(n_estimators=6, max_depth=3,
-                                             min_samples_leaf=3).fit(X, y),
-                  RandomForestClassifier(n_estimators=5, max_depth=5, min_samples_leaf=2,
-                                         seed=1).fit(X, y)):
-        ensemble = TreeEnsemble.from_dict(model.to_dict())
+    for model in fitted:
         tables.clear()
+        ensemble = TreeEnsemble.from_dict(model.to_dict())
         for _ in range(2):
             ensemble.predict_proba(X)
             ensemble.expected_output()

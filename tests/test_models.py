@@ -337,6 +337,26 @@ def test_forest_walk_memory_is_bounded_by_its_block():
     assert peak < 64 * tree_mod._WALK_PAIRS + 2 * rows.nbytes
 
 
+def test_ensembles_that_share_trees_keep_their_own_nodes():
+    # An ensemble's trees are its own, their node arrays views of its table:
+    # trees given to two ensembles, or twice to one, are left as they were.
+    X, y = _blobs(seed=7)
+    given = RandomForestClassifier(n_estimators=3, max_depth=3, seed=2).fit(X, y).trees
+    arrays = [vars(tree).copy() for tree in given]
+    twice = TreeEnsemble("random-forest", [given[1], given[1], given[0]])
+    pair = TreeEnsemble("gradient-boosting", given[:2], base_score=0.2, shrinkage=0.5)
+    for tree, fields in zip(given, arrays):
+        assert all(getattr(tree, name) is array for name, array in fields.items())
+    assert isinstance(twice.trees, tuple) and twice.trees[0] is not twice.trees[1]
+    for ensemble in (twice, pair):
+        for tree in ensemble.trees:
+            assert np.shares_memory(tree.value, ensemble.table.value)
+    steps = [tree.predict(X) for tree in given]
+    assert twice.predict_proba(X).tobytes() == ((steps[1] + steps[1] + steps[0]) / 3).tobytes()
+    margin = 0.2 + 0.5 * steps[0] + 0.5 * steps[1]
+    assert pair.predict_margin(X).tobytes() == margin.tobytes()
+
+
 def test_ensemble_json_roundtrip():
     # Every model kind survives to_dict -> JSON text -> its loader exactly.
     X, y = _blobs(60, seed=13)

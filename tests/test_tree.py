@@ -406,6 +406,10 @@ def test_from_dict_reads_back_to_dict():
     tree = DecisionTree.from_dict(_stump())
     assert tree.to_dict() == _stump()
     np.testing.assert_array_equal(tree.left, [1, -1, -1])
+    assert {tree.feature.dtype, tree.left.dtype, tree.right.dtype, tree.cover.dtype} == {
+        np.dtype(np.int32)}
+    big = DecisionTree.from_dict(_edited(_stump(), 2, cover=2**31 - 1))
+    assert big.cover[2] == 2**31 - 1
     assert tree.expected_value() == (2 * 0.25 + 3 * 0.75) / 5
 
 
@@ -443,9 +447,11 @@ def _edited(base, node, **fields):
     ({"nodes": [{"feature": -1, "left": None, "right": None, "cover": 1, "value": 0.0}]},
      "threshold"),
     ({}, "nodes"),
-    # past the int64 range, so that casting it would wrap
+    # past the int32 range of the node fields, so that casting it would wrap
     (_edited(_stump(), 2, cover=2**70), "cover"),
+    (_edited(_stump(), 2, cover=2**31), "cover"),
     (_edited(_stump(), 0, feature=2**70), "column index"),
+    (_edited(_stump(), 0, feature=2**31), "column index"),
     # node 2 shared by nodes 0 and 1, and node 4 no node's child
     (_edited(_two_level(), 0, right=2), "node 2 is the child of 2 nodes"),
 ])
