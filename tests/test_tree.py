@@ -449,11 +449,12 @@ def _edited(base, node, **fields):
     ({}, "nodes"),
     # past the int32 range of the node fields, so that casting it would wrap
     (_edited(_stump(), 2, cover=2**70), "cover"),
-    (_edited(_stump(), 2, cover=2**31), "cover"),
     (_edited(_stump(), 0, feature=2**70), "column index"),
-    (_edited(_stump(), 0, feature=2**31), "column index"),
     # node 2 shared by nodes 0 and 1, and node 4 no node's child
     (_edited(_two_level(), 0, right=2), "node 2 is the child of 2 nodes"),
+    # just past the int32 range
+    (_edited(_stump(), 2, cover=2**31), "cover"),
+    (_edited(_stump(), 0, feature=2**31), "column index"),
 ])
 def test_from_dict_rejects_malformed_trees(d, problem):
     with pytest.raises(TreeError, match=problem):
