@@ -357,7 +357,11 @@ def stage_features(ws: Workspace) -> None:
 
 def _load_indices(ws: Workspace, n_rows: int | None, *columns: str) -> list[np.ndarray]:
     """The integer `columns` of indices.csv, which must have n_rows rows if given:
-    target_multi 0 or 1, every other column at least 0; read with no per-row list."""
+    target_multi 0 or 1, burden_score at most the config's rules and
+    affected_systems at most its systems, each at least 0; read with no per-row list."""
+    top = {"target_multi": 1, "burden_score": sum(len(s.rules) for s in ws.cfg.systems),
+           "affected_systems": len(ws.cfg.systems)}
+
     def decode(reader):
         at = [*map(next(reader, []).index, columns)]
         table = np.fromiter((int(row[i]) for row in reader for i in at), dtype=int)
@@ -365,9 +369,8 @@ def _load_indices(ws: Workspace, n_rows: int | None, *columns: str) -> list[np.n
             raise ValueError(f"{len(table) // len(at)} rows, matrix.csv has {n_rows}")
         decoded = list(table.reshape(-1, len(at)).T)
         for c, values in zip(columns, decoded):
-            top = 1 if c == "target_multi" else np.inf
-            if ((values < 0) | (values > top)).any():
-                raise ValueError(f"{c} has a value outside [0, {top}]")
+            if ((values < 0) | (values > top[c])).any():
+                raise ValueError(f"{c} has a value outside [0, {top[c]}]")
         return decoded
     return read_file(ws.require("indices.csv"), decode, artifact_error, parse=csv.reader)
 
@@ -392,12 +395,13 @@ def _load_partition(ws: Workspace, n_rows: int) -> Partition:
 
 
 def _load_folds(ws: Workspace, train: np.ndarray, n_rows: int) -> FoldPlan:
-    """folds.json's fold plan of partition.json's `train` rows: k >= 2 folds,
-    one assignment in [0, k) per row, and `train` as its train_indices."""
+    """folds.json's fold plan of partition.json's `train` rows: the config's
+    cv_folds as k, one assignment in [0, k) per row, and `train` as its
+    train_indices."""
     def decode(doc):
         k = doc["k"]
-        if type(k) is not int or k < 2:
-            raise ValueError(f"k is {k!r}, expected an integer >= 2")
+        if type(k) is not int or k != ws.cfg["cv_folds"]:
+            raise ValueError(f"k is {k!r}, expected cv_folds {ws.cfg['cv_folds']}")
         if not np.array_equal(numbers(doc["train_indices"], "train_indices", below=n_rows), train):
             raise ValueError("train_indices are not partition.json's train rows")
         return FoldPlan(k=k, assignments=numbers(doc["assignments"], "assignments", len(train), k))

@@ -64,8 +64,8 @@ class PdpCurve:
 # The nodes at one depth of some trees, with their units.  Node fields (N, ...):
 # ids, path features, path zero fractions; unit fields (U, ...): one fractions
 # (each 1.0 or 0.0, held as bool), path weights, the unit's node; row fields
-# (N, n), int16 where their values fit: each row's unit and rank (the row of
-# `order` of the first leaf it visits in the subtree).  Paths are
+# (N, n), int32 like the node fields in `tree.FIELDS`: each row's unit and rank
+# (the row of `order` of the first leaf it visits in the subtree).  Paths are
 # right-aligned: a length-L path fills the last L columns, from the root's
 # dummy (feature -1); the padding before it has feature -2 and path weight
 # +0.0, so it adds +0.0 when a path is extended or unwound.
@@ -77,13 +77,6 @@ def _slices(count: int, width: int):
     items (one at least), each item width elements wide."""
     step = max(1, _BUDGET // (_SHARE * width))
     return (slice(start, start + step) for start in range(0, count, step))
-
-
-def _index(largest: int) -> type:
-    """The narrower of int16 and int32 that holds 0..largest.  Arithmetic
-    into an array of this type names it (`dtype=`): numpy picks a ufunc's
-    loop from its inputs, so a narrower input would wrap before `out`."""
-    return np.int16 if largest <= np.iinfo(np.int16).max else np.int32
 
 
 def _last(g: _Group) -> np.ndarray:
@@ -99,7 +92,7 @@ def _select(g: _Group, keep: np.ndarray) -> _Group:
     ukeep = keep[g.unode]
     return _Group(g.node[keep], g.feat[keep], g.zero[keep], g.one[ukeep], g.pw[ukeep],
                   (np.cumsum(keep) - 1)[g.unode[ukeep]],
-                  (np.cumsum(ukeep, dtype=g.unit.dtype) - 1)[g.unit[keep]], g.rank[keep])
+                  (np.cumsum(ukeep, dtype=np.int32) - 1)[g.unit[keep]], g.rank[keep])
 
 
 def _unwound(pw: np.ndarray, last: np.ndarray, hot: np.ndarray, zero: np.ndarray):
@@ -157,9 +150,9 @@ def _children(t: SimpleNamespace, g: _Group, incoming_zero: np.ndarray,
     carries = incoming_one[g.unit]
     # key: 2 x (the parent unit, + n_units in a right child) + 1 where the
     # row carries a nonzero one fraction into the child; it becomes the unit
-    unit = np.empty((2 * n_nodes, n), dtype=_index(4 * n_units - 1))
+    unit = np.empty((2 * n_nodes, n), dtype=np.int32)
     lower, upper = unit[:n_nodes], unit[n_nodes:]
-    np.multiply(g.unit, 2, out=lower, dtype=lower.dtype)
+    np.multiply(g.unit, 2, out=lower)
     np.add(lower, 2 * n_units, out=upper)
     lower += goes_left & carries
     upper += carries > goes_left
@@ -167,14 +160,14 @@ def _children(t: SimpleNamespace, g: _Group, incoming_zero: np.ndarray,
     seen = np.zeros(4 * n_units, dtype=bool)
     seen[unit] = True
     kept = np.flatnonzero(seen)
-    renumber = np.cumsum(seen, dtype=unit.dtype) - 1
+    renumber = np.cumsum(seen, dtype=np.int32) - 1
     for half in (lower, upper):
         half[...] = renumber[half]
     # a child comes after its sibling's leaves where the row takes the sibling
-    rank = np.empty((2 * n_nodes, n), dtype=g.rank.dtype)
-    np.multiply(goes_left, t.leaves[right, None], out=rank[:n_nodes], dtype=rank.dtype)
-    np.subtract(t.leaves[right, None], rank[:n_nodes], out=rank[:n_nodes], dtype=rank.dtype)
-    np.multiply(goes_left, t.leaves[left, None], out=rank[n_nodes:], dtype=rank.dtype)
+    rank = np.empty((2 * n_nodes, n), dtype=np.int32)
+    np.multiply(goes_left, t.leaves[right, None], out=rank[:n_nodes])
+    np.subtract(t.leaves[right, None], rank[:n_nodes], out=rank[:n_nodes])
+    np.multiply(goes_left, t.leaves[left, None], out=rank[n_nodes:])
     del goes_left
     rank[:n_nodes] += g.rank
     rank[n_nodes:] += g.rank
@@ -225,7 +218,7 @@ def _add_shap(t: SimpleNamespace, trees: range, XT: np.ndarray, phi: np.ndarray,
     # tree, numbered within the tree from 1 (at most its leaves x rows), whose
     # leaves are packed end to end; unit 0 adds nothing
     first = np.cumsum(counts, dtype=np.int32) - counts
-    order = np.zeros((int(counts.sum()), n), dtype=_index(int(counts.max()) * n))
+    order = np.zeros((int(counts.sum()), n), dtype=np.int32)
     columns, k = np.arange(n), len(roots)
     units = np.zeros(k, dtype=np.int32)  # each tree's leaf units so far
     # per level with leaves, its leaf units grouped by tree: their
@@ -234,8 +227,8 @@ def _add_shap(t: SimpleNamespace, trees: range, XT: np.ndarray, phi: np.ndarray,
     parts = []
     g = _Group(roots, np.full((k, 1), -1), np.ones((k, 1)), np.ones((k, 1), dtype=bool),
                np.ones((k, 1)), np.arange(k),
-               np.repeat(np.arange(k, dtype=_index(k))[:, None], n, axis=1),
-               np.repeat(first.astype(_index(len(order)))[:, None], n, axis=1))
+               np.repeat(np.arange(k, dtype=np.int32)[:, None], n, axis=1),
+               np.repeat(first[:, None], n, axis=1))
     while len(g.node):
         is_leaf = t.feature[g.node] == LEAF
         # a 0.0 leaf adds +-0.0 on its path, and a row's total, which starts at
@@ -248,7 +241,7 @@ def _add_shap(t: SimpleNamespace, trees: range, XT: np.ndarray, phi: np.ndarray,
             leaf_units, tree = leaf_units[by_tree], tree[by_tree]
             count = np.bincount(tree, minlength=k)
             offset = np.cumsum(count) - count
-            unit = np.zeros(len(g.one), dtype=order.dtype)  # numbered within the tree
+            unit = np.zeros(len(g.one), dtype=np.int32)  # numbered within the tree
             unit[leaf_units] = np.arange(1, len(tree) + 1) + (units - offset)[tree]
             at = np.flatnonzero(live)
             for nodes in _slices(len(at), n):

@@ -30,6 +30,8 @@ class ThresholdRule:
     cutoff: float
 
     def __post_init__(self):
+        if type(self.analyte) is not str:
+            raise SystemsError(f"analyte must be a string, got {self.analyte!r}")
         if self.direction not in ("above", "below", "at-or-above"):
             raise SystemsError(f"unknown direction {self.direction!r}")
         if not is_finite(self.cutoff):
@@ -47,6 +49,8 @@ class SystemDefinition:
     rules: tuple[ThresholdRule, ...]
 
     def __post_init__(self):
+        if type(self.name) is not str:
+            raise SystemsError(f"system name must be a string, got {self.name!r}")
         if len(self.rules) not in (2, 3):
             raise SystemsError(
                 f"system {self.name}: expected 2 or 3 rules, got {len(self.rules)}")

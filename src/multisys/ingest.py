@@ -62,6 +62,8 @@ class ColumnSchema:
     source: str | None = None  # raw header in the input file; defaults to name
 
     def __post_init__(self):
+        if not all(type(text) is str for text in (self.name, self.unit_hint, self.source_header)):
+            raise IngestError(f"{self.name!r}: name, unit and source must be strings")
         if self.kind not in ("continuous", "semiquant"):
             raise IngestError(f"{self.name}: unknown kind {self.kind!r}")
         if self.fill_policy not in ("median", "mode", "zero"):

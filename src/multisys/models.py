@@ -156,13 +156,10 @@ class TreeEnsemble:
     store leaf probabilities; probability = mean over trees; margins are
     undefined.  Boosting records its training deviance after each stage.
 
-    The ensemble's nodes are held once, in its flattened node table `table`
-    (`tree.flatten`, None without trees), built when the ensemble is made; it
-    serves prediction, the expected output and the Shapley walk.  `trees` is a
-    tuple of the ensemble's own trees, whose feature, threshold, value and
-    cover arrays are views of the table's and whose left and right arrays are
-    those of the trees it was given.  The given trees are left as they are;
-    changing their node arrays in place afterwards leaves the table stale.
+    `trees` is the tuple of the trees it was given, and `table` their
+    flattened node table (`tree.flatten`, None without trees), built when the
+    ensemble is made; it serves prediction, the expected output and the
+    Shapley walk.
     """
 
     kind: str  # "gradient-boosting" | "random-forest"
@@ -185,18 +182,12 @@ class TreeEnsemble:
             raise ValueError("random forests have no train_deviance")
         if self.train_deviance is not None and len(self.train_deviance) != len(self.trees):
             raise ValueError("train_deviance does not hold one value per tree")
-        self.trees, self.table = tuple(self.trees), None
-        if self.trees:
-            t = self.table = flatten(self.trees)
-            starts = t.root.tolist()
-            self.trees = tuple(
-                DecisionTree(t.feature[nodes], t.threshold[nodes], tree.left, tree.right,
-                             t.value[nodes], t.cover[nodes])
-                for tree, nodes in zip(self.trees, map(slice, starts, starts[1:] + [None])))
+        self.trees = tuple(self.trees)
+        self.table = flatten(self.trees) if self.trees else None
 
     def splits_within(self, n_columns: int) -> bool:
         """True if every split feature is a column index below n_columns."""
-        return max((int(tree.feature.max()) for tree in self.trees), default=-1) < n_columns
+        return self.table is None or int(self.table.feature.max()) < n_columns
 
     def _leaf_sum(self, X, start: float) -> np.ndarray:
         """start plus shrinkage times each tree's leaf value, added tree by tree

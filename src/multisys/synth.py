@@ -53,12 +53,15 @@ class AnalyteSpec:
     loading: float = 0.0  # correlation loading in [-1, 1]
 
     def __post_init__(self):
+        if not all(type(text) is str for text in (self.name, self.dist, self.unit,
+                                                   "" if self.factor is None else self.factor)):
+            raise SynthError(f"{self.name!r}: name, dist, unit and factor must be strings")
         numbers = (self.mu, self.sigma, self.loading, *self.probs,
                    *(b for b in (self.lower, self.upper) if b is not None))
         if not (all(map(is_finite, numbers)) and type(self.decimals) is int):
             raise SynthError(f"{self.name}: distribution parameters must be finite numbers")
-        if self.decimals < 0:
-            raise SynthError(f"{self.name}: decimals must be >= 0")
+        if not 0 <= self.decimals <= 17:  # a double has at most 17 significant digits
+            raise SynthError(f"{self.name}: decimals must be in 0..17")
         if self.dist not in ("lognormal", "normal", "categorical"):
             raise SynthError(f"{self.name}: unknown distribution {self.dist!r}")
         unused = [f.name for f in fields(self)

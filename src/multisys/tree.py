@@ -75,19 +75,12 @@ class DecisionTree:
         return len(self.feature)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.value[self.leaf_ids(X)]
-
-    def expected_value(self) -> float:
-        """Cover-weighted expectation of the tree output."""
-        return float(expectations(flatten([self]))[0])
-
-    def leaf_ids(self, X: np.ndarray) -> np.ndarray:
-        """Each row's leaf: `walk` over this one tree."""
+        """Each row's leaf value: `walk` over this one tree."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        node = np.empty(len(X), dtype=np.intp)
+        out = np.empty(len(X))
         for rows, leaves in walk(flatten([self]), X):
-            node[rows] = leaves[0]
-        return node
+            out[rows] = self.value[leaves[0]]
+        return out
 
     def to_dict(self) -> dict:
         """One dict per node; the fields a node's kind lacks are None."""

@@ -826,6 +826,18 @@ SIDEWAYS_SYSTEM = {"systems": [{"name": "kidney", "rules": [
     ("schema_config", {"columns": [{"name": "Cr", "lower": -math.inf}]}, "IngestError"),
     # a cohort size past synth.MAX_ROWS, which would draw until memory ran out
     ("spec_path", {"n": 2**70, "seed": 1}, "SynthError"),
+    # a name or other text that is not a string, or more decimals than a cell format takes
+    ("spec_path", {"n": 10, "seed": 1, "analytes": [
+        {"name": "A", "dist": "normal", "factor": 0, "loading": 0.5}]}, "SynthError"),
+    ("spec_path", {"n": 10, "seed": 1, "analytes": [
+        {"name": "A", "dist": "normal", "decimals": 2**70}]}, "SynthError"),
+    ("systems_config", {"systems": [{"name": 0, "rules": [
+        {"analyte": "Cr", "direction": "above", "cutoff": 110},
+        {"analyte": "BUN", "direction": "above", "cutoff": 8.2}]}]}, "SystemsError"),
+    ("systems_config", {"systems": [{"name": "k", "rules": [
+        {"analyte": [], "direction": "above", "cutoff": 110},
+        {"analyte": "BUN", "direction": "above", "cutoff": 8.2}]}]}, "SystemsError"),
+    ("schema_config", {"columns": [{"name": "Cr", "unit": 0}]}, "IngestError"),
 ])
 def test_bad_config_files_exit_2_before_any_artifact(tmp_path, capsys, key, content, kind):
     path = tmp_path / "file.json"
@@ -1123,8 +1135,11 @@ def _swap_in_test_rows(doc, partition):
     lambda doc, _: doc["assignments"].__setitem__(0, 9),
     _swap_in_test_rows,
     lambda doc, _: doc.update(train_indices=[float(i) for i in doc["train_indices"]]),
+    # evaluate builds one task per (model, fold) before the first refit
+    lambda doc, _: doc.update(k=doc["k"] + 1),
 ], ids=["no-k", "no-assignments", "no-train-indices", "short-assignments", "string-k",
-        "index-out-of-range", "zero-k", "fold-past-k", "test-rows-as-train", "float-rows"])
+        "index-out-of-range", "zero-k", "fold-past-k", "test-rows-as-train", "float-rows",
+        "k-past-cv-folds"])
 def test_malformed_folds_file_exits_2(trained_run, tmp_path, capsys, edit):
     # evaluate's CV rows are partition.json's train rows, which folds.json must list
     partition = json.loads((trained_run[1] / "partition.json").read_text())
@@ -1239,6 +1254,23 @@ def test_malformed_artifact_exits_2(explained_run, tmp_path, capsys, pattern, ed
     for name in upstream:
         assert _run(name, str(out), config) == 0, name
     assert _exit_kind(capsys, stage, config, str(out)) == (2, "malformed-artifact")
+
+
+@pytest.mark.parametrize("column, value", [("burden_score", "12"),
+                                            ("affected_systems", "5")])
+def test_indices_past_the_config_s_systems_exit_2(explained_run, tmp_path, capsys, column,
+                                                   value):
+    # report draws a bar for each burden score up to the largest: the default
+    # systems hold 11 rules in 4 systems
+    config, source = explained_run
+    out = tmp_path / "run"
+    shutil.copytree(source, out)
+    (out / "indices.csv").write_text(_set_cell(1, column, value)(
+        (out / "indices.csv").read_text()))
+    assert _run("report", str(out), config) == 2
+    _, err = _error_line(capsys)
+    assert err["error"] == "malformed-artifact"
+    assert "indices.csv" in err["message"] and column in err["message"]
 
 
 def _drop_last_column(doc):

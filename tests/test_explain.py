@@ -18,7 +18,7 @@ from multisys.models import (
     GradientBoostingClassifier, RandomForestClassifier, TreeEnsemble,
 )
 from multisys.rng import SplitMix64
-from multisys.tree import LEAF, DecisionTree, grow_tree
+from multisys.tree import LEAF, DecisionTree, expectations, flatten, grow_tree
 
 
 def _conditional_expectation(tree: DecisionTree, x, known: set) -> float:
@@ -211,7 +211,7 @@ def test_stump_analytic_formula():
     X = np.array([[0.0, 9.0], [1.0, 9.0], [2.0, 9.0], [3.0, 9.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
     stump = grow_tree(X, y, criterion="variance", max_depth=1, min_samples_leaf=1)
-    expected_value = stump.expected_value()
+    expected_value = expectations(flatten([stump]))[0]
     for row in X:
         phi = one_tree_shap(stump, row)[0]
         prediction = stump.predict(row.reshape(1, -1))[0]
@@ -421,8 +421,8 @@ def test_tree_shap_leaves_out_zero_leaves_bit_for_bit():
 
 def test_tree_shap_row_fields_widen_bit_for_bit(monkeypatch):
     # A walk whose units grow from at most 8,192 to more than 16,384 in one
-    # level: the int16 unit numbers of the smaller level must widen before
-    # they are doubled into the larger level's int32 ones.
+    # level, so that doubling the smaller level's unit numbers passes int16's
+    # range: the row fields must hold them bit for bit.
     rng = SplitMix64(5)
     X = np.array([[rng.random() for _ in range(5)] for _ in range(1500)])
     # steps at each column's quarters grow a near-complete tree of depth 10

@@ -300,7 +300,8 @@ def test_forest_walk_matches_the_per_tree_loop(monkeypatch):
     on_threshold = 0
     for tree in models[1].trees:
         on_threshold += int(np.sum(rows[:, tree.feature[0]] == tree.threshold[0]))
-        assert tree.leaf_ids(rows[:40]).tolist() == [_scalar_leaf(tree, x) for x in rows[:40]]
+        [(_, [leaves])] = tree_mod.walk(tree_mod.flatten([tree]), rows[:40])
+        assert leaves.tolist() == [_scalar_leaf(tree, x) for x in rows[:40]]
     assert on_threshold >= 40
     # the default block, then blocks of a few rows, then of one row
     default = tree_mod._WALK_PAIRS
@@ -338,8 +339,8 @@ def test_forest_walk_memory_is_bounded_by_its_block():
 
 
 def test_ensembles_that_share_trees_keep_their_own_nodes():
-    # An ensemble's trees are its own, their node arrays views of its table:
-    # trees given to two ensembles, or twice to one, are left as they were.
+    # An ensemble holds the trees it was given and a table of its own: trees
+    # given to two ensembles, or twice to one, are left as they were.
     X, y = _blobs(seed=7)
     given = RandomForestClassifier(n_estimators=3, max_depth=3, seed=2).fit(X, y).trees
     arrays = [vars(tree).copy() for tree in given]
@@ -347,10 +348,9 @@ def test_ensembles_that_share_trees_keep_their_own_nodes():
     pair = TreeEnsemble("gradient-boosting", given[:2], base_score=0.2, shrinkage=0.5)
     for tree, fields in zip(given, arrays):
         assert all(getattr(tree, name) is array for name, array in fields.items())
-    assert isinstance(twice.trees, tuple) and twice.trees[0] is not twice.trees[1]
-    for ensemble in (twice, pair):
-        for tree in ensemble.trees:
-            assert np.shares_memory(tree.value, ensemble.table.value)
+    for ensemble, trees in ((twice, [given[1], given[1], given[0]]), (pair, given[:2])):
+        assert isinstance(ensemble.trees, tuple)
+        assert all(ensemble.trees[i] is tree for i, tree in enumerate(trees))
     steps = [tree.predict(X) for tree in given]
     assert twice.predict_proba(X).tobytes() == ((steps[1] + steps[1] + steps[0]) / 3).tobytes()
     margin = 0.2 + 0.5 * steps[0] + 0.5 * steps[1]

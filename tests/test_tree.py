@@ -8,7 +8,8 @@ import pytest
 
 from multisys.models import GradientBoostingClassifier, RandomForestClassifier, TreeEnsemble
 from multisys.rng import SplitMix64
-from multisys.tree import LEAF, DecisionTree, TreeError, _best_split, grow_tree, rank_codes
+from multisys.tree import (LEAF, DecisionTree, TreeError, _best_split, expectations, flatten,
+                           grow_tree, rank_codes, walk)
 
 
 def _gini_weighted(y):
@@ -274,7 +275,7 @@ def test_predict_matches_leaf_means():
     X = np.array([[rng.random(), rng.random()] for _ in range(80)])
     y = np.array([float(x0 > 0.3) for x0, _ in X])
     tree = grow_tree(X, y, criterion="gini", max_depth=4, min_samples_leaf=5)
-    leaf = tree.leaf_ids(X)
+    [(_, [leaf])] = walk(flatten([tree]), X)
     for node in np.unique(leaf):
         members = leaf == node
         assert tree.value[node] == pytest.approx(np.mean(y[members]))
@@ -298,7 +299,7 @@ def test_expected_value_is_cover_weighted_mean():
     tree = grow_tree(X, y, criterion="gini", max_depth=4, min_samples_leaf=3)
     # With leaf values = training means and covers = training counts, the
     # cover-weighted expectation equals the overall training mean.
-    assert tree.expected_value() == pytest.approx(np.mean(y))
+    assert expectations(flatten([tree]))[0] == pytest.approx(np.mean(y))
 
 
 def test_max_features_sampling_deterministic():
@@ -354,7 +355,7 @@ def test_serialization_roundtrip():
 
 
 def recursive_expected_value(tree: DecisionTree) -> float:
-    """The recursive walk `expected_value` replaced, kept as its oracle."""
+    """The recursive walk `expectations` replaced, kept as its oracle."""
     def walk(node: int) -> float:
         if tree.feature[node] == LEAF:
             return float(tree.value[node])
@@ -381,7 +382,7 @@ def test_expected_value_sweep_bit_equal_to_recursion():
     assert any(tree.n_nodes == 1 for tree in trees)
     assert max(tree.n_nodes for tree in trees) > 30
     for tree in trees:
-        assert tree.expected_value() == recursive_expected_value(tree)
+        assert expectations(flatten([tree]))[0] == recursive_expected_value(tree)
     # the ensemble sweeps all its trees at once and sums them in model order
     # (a pairwise sum, as np.sum makes, rounds differently)
     total = 0.0
@@ -410,7 +411,7 @@ def test_from_dict_reads_back_to_dict():
         np.dtype(np.int32)}
     big = DecisionTree.from_dict(_edited(_stump(), 2, cover=2**31 - 1))
     assert big.cover[2] == 2**31 - 1
-    assert tree.expected_value() == (2 * 0.25 + 3 * 0.75) / 5
+    assert expectations(flatten([tree]))[0] == (2 * 0.25 + 3 * 0.75) / 5
 
 
 def _two_level() -> dict:
