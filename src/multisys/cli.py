@@ -433,7 +433,8 @@ def stage_train(ws: Workspace) -> None:
 @contextlib.contextmanager
 def _task_map(n_tasks: int):
     """An ordered map for `n_tasks` independent tasks: a fork process pool's,
-    as wide as the CPU affinity allows, or the builtin at width 1."""
+    as wide as the CPU affinity allows, or the builtin at width 1.  When the
+    block raises, the pool's tasks that have not started are cancelled."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     width = min(cpus, n_tasks)
     if width == 1:
@@ -447,22 +448,42 @@ def _task_map(n_tasks: int):
     # the parent's imports and do not re-run __main__, and a fork pool starts
     # every worker before its own thread.
     with ProcessPoolExecutor(width, mp_context=multiprocessing.get_context("fork")) as pool:
-        yield pool.map
+        try:
+            yield pool.map
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
-def stage_evaluate(ws: Workspace) -> None:
+def _evaluate_inputs(ws: Workspace) -> tuple:
+    """evaluate's upstream artifacts: the matrix, its labels, the partition
+    and the fold plan."""
     matrix = _load_matrix(ws)
     [y] = _load_indices(ws, len(matrix.values), "target_multi")
     partition = _load_partition(ws, len(y))
-    fold_plan = _load_folds(ws, partition.train, len(y))
-    # every model file is loaded, and so checked, before the first refit
+    return matrix, y, partition, _load_folds(ws, partition.train, len(y))
+
+
+def _cv_refits(ws: Workspace, inputs: tuple, task_map) -> metrics_mod.Refits:
+    """evaluate's CV refits of every model on `inputs`, submitted to `task_map`."""
+    matrix, y, partition, fold_plan = inputs
+    fitters = {name: ws.cfg.fitter(kind) for name, kind in MODELS.items()}
+    return metrics_mod.cv_refits(fitters, matrix.values[partition.train], y[partition.train],
+                                 fold_plan, task_map)
+
+
+def stage_evaluate(ws: Workspace, inputs: tuple | None = None,
+                   refits: metrics_mod.Refits | None = None) -> None:
+    """Score every model on the validation and test rows and by CV refits.
+    `all` passes the inputs it loaded and the refits it submitted on them
+    before train; on its own, evaluate loads both here."""
+    matrix, y, partition, fold_plan = inputs = inputs or _evaluate_inputs(ws)
+    # every model file is loaded, and so checked, before the first refit this call submits
     fitted = {name: _load_model(ws, kind, matrix.values.shape[1])
               for name, kind in MODELS.items()}
-
-    fitters = {name: ws.cfg.fitter(kind) for name, kind in MODELS.items()}
-    with _task_map(len(fitters) * fold_plan.k) as task_map:
-        results = metrics_mod.cv_evaluate(fitters, matrix.values[partition.train],
-                                          y[partition.train], fold_plan, task_map)
+    with (_task_map(len(MODELS) * fold_plan.k) if refits is None
+          else contextlib.nullcontext()) as task_map:
+        results = metrics_mod.cv_evaluate(refits or _cv_refits(ws, inputs, task_map))
     roc_doc = {}
     for name, model in fitted.items():
         entry = results[name]
@@ -568,9 +589,13 @@ def stage_all(ws: Workspace) -> None:
     stage_ingest(ws)
     stage_features(ws)
     stage_split(ws)
-    stage_train(ws)
-    stage_evaluate(ws)
-    stage_explain(ws)
+    # evaluate's CV refits run on the pool while train and explain run here
+    inputs = _evaluate_inputs(ws)
+    with _task_map(len(MODELS) * ws.cfg["cv_folds"]) as task_map:
+        refits = _cv_refits(ws, inputs, task_map)
+        stage_train(ws)
+        stage_explain(ws)
+        stage_evaluate(ws, inputs, refits)
     stage_report(ws)
 
     n, prevalence = ws.read("prevalence.json", lambda doc: (doc["n"], doc))

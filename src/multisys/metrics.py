@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -93,26 +93,38 @@ def _fold_auc(task: tuple) -> float:
         raise MetricError(f"{name} fold {fold}: {exc}") from exc
 
 
-def cv_evaluate(fitters: dict[str, Callable], X, y, fold_plan, map=map) -> dict:
-    """Per model, fit on k-1 folds, score the held-out fold, report AUC
-    mean +/- SD (the sample, n-1, standard deviation over folds).
+class Refits(NamedTuple):
+    """The (model, fold) refits of one cross-validation: `tasks` in model,
+    then fold order, and `aucs`, their held-out AUCs in that order."""
+    tasks: list[tuple]
+    aucs: Iterator[float]
+
+
+def cv_refits(fitters: dict[str, Callable], X, y, fold_plan, map=map) -> Refits:
+    """Per model and fold, a refit on the other k-1 folds scored on the
+    held-out one, through one ordered `map`.
 
     `fitters[name](X_train, y_train)` must return an object with a
-    `predict_proba(X) -> (n,) probability vector` method.  The refits of
-    every (model, fold) pair run through one ordered `map`, which may be a
-    process pool's: then the fitters must pickle, and the results are the
-    same as with the builtin.
+    `predict_proba(X) -> (n,) probability vector` method.  A process pool's
+    map submits every refit at once, and the fitters must then pickle; the
+    builtin runs each as `cv_evaluate` asks for its AUC.  Either gives the
+    same AUCs.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     assignments = np.asarray(fold_plan.assignments)
-    k = fold_plan.k
-    aucs = iter(map(_fold_auc, [(name, fitter, X, y, assignments == fold, fold)
-                                for name, fitter in fitters.items() for fold in range(k)]))
-    results = {}
-    for name in fitters:
-        folds = [next(aucs) for _ in range(k)]
-        results[name] = {"cv_auc_mean": float(np.mean(folds)),
-                         "cv_auc_sd": float(np.std(folds, ddof=1)) if k > 1 else 0.0,
-                         "cv_fold_aucs": [float(a) for a in folds]}
-    return results
+    tasks = [(name, fitter, X, y, assignments == fold, fold)
+             for name, fitter in fitters.items() for fold in range(fold_plan.k)]
+    return Refits(tasks, map(_fold_auc, tasks))
+
+
+def cv_evaluate(refits: Refits) -> dict:
+    """Per model, the AUC mean +/- SD (the sample, n-1, standard deviation)
+    over its folds' refits, taken in the order they were submitted."""
+    folds = {}
+    for (name, *_), auc in zip(refits.tasks, refits.aucs, strict=True):
+        folds.setdefault(name, []).append(float(auc))
+    return {name: {"cv_auc_mean": float(np.mean(aucs)),
+                   "cv_auc_sd": float(np.std(aucs, ddof=1)) if len(aucs) > 1 else 0.0,
+                   "cv_fold_aucs": aucs}
+            for name, aucs in folds.items()}

@@ -6,10 +6,12 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -18,10 +20,11 @@ from conftest import FAST_CONFIG, NIT_SYSTEMS
 import multisys
 from multisys import indices as indices_mod, ingest as ingest_mod, synth as synth_mod
 from multisys.base import MultisysError
-from multisys.cli import CliError, RunConfig, Workspace, main, run_subcommand
+from multisys.cli import STAGES, CliError, RunConfig, Workspace, main, run_subcommand
 from multisys.indices import default_systems
 from multisys.ingest import default_schema
-from multisys.models import GradientBoostingClassifier
+from multisys.models import (GradientBoostingClassifier, LogisticRegressionClassifier,
+                             RandomForestClassifier)
 
 
 def _run(sub, out, config=None, **kw):
@@ -421,8 +424,9 @@ def test_features_evaluates_each_rule_once(tmp_path, fast_config, monkeypatch):
     assert len(calls) == sum(len(system.rules) for system in default_systems())
 
 
-def test_evaluate_outputs_are_the_same_at_any_pool_width(tmp_path, fast_config, monkeypatch):
-    out = _trained_run(tmp_path, fast_config)
+@pytest.fixture
+def pool_widths(monkeypatch) -> list:
+    """The width of each process pool started from here on, in order."""
     widths = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -431,6 +435,12 @@ def test_evaluate_outputs_are_the_same_at_any_pool_width(tmp_path, fast_config, 
             super().__init__(width, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return widths
+
+
+def test_evaluate_outputs_are_the_same_at_any_pool_width(tmp_path, fast_config, monkeypatch,
+                                                          pool_widths):
+    out = _trained_run(tmp_path, fast_config)
     outputs = []
     for cpus in ({0}, {0, 1}):
         run = tmp_path / f"cpus{len(cpus)}"
@@ -439,8 +449,34 @@ def test_evaluate_outputs_are_the_same_at_any_pool_width(tmp_path, fast_config, 
         assert _run("evaluate", str(run), fast_config) == 0
         outputs.append({name: (run / name).read_bytes()
                         for name in ("metrics.json", "roc.json", "metrics.csv")})
-    assert widths == [2]  # width 1 starts no pool
+    assert pool_widths == [2]  # width 1 starts no pool
     assert outputs[0] == outputs[1]
+
+
+def _run_files(run) -> dict:
+    """Every file under the run directory `run`, by relative path, as bytes."""
+    return {str(path.relative_to(run)): path.read_bytes()
+            for path in sorted(run.rglob("*")) if path.is_file()}
+
+
+def test_all_writes_what_its_stages_write_one_by_one(tmp_path, fast_config, monkeypatch,
+                                                      pool_widths):
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        staged, whole = tmp_path / f"staged{len(cpus)}", tmp_path / f"all{len(cpus)}"
+        for stage in STAGES:
+            if stage != "all":
+                assert _run(stage, str(staged), fast_config) == 0, stage
+        pool_widths.clear()
+        assert _run("all", str(whole), fast_config) == 0
+        # one pool: evaluate's refits run on it while train and explain run here
+        assert pool_widths == ([2] if len(cpus) == 2 else [])
+        expected, written = _run_files(staged), _run_files(whole)
+        del written["summary.json"]
+        manifest = json.loads(written.pop("manifest.json"))
+        del manifest["artifacts"]["summary.json"]
+        assert manifest == json.loads(expected.pop("manifest.json"))
+        assert written == expected
 
 
 def test_fit_failure_exits_2_before_any_model_file(tmp_path, fast_config, monkeypatch,
@@ -456,6 +492,42 @@ def test_fit_failure_exits_2_before_any_model_file(tmp_path, fast_config, monkey
     assert json.loads(capsys.readouterr().err) == {"error": "ModelError",
                                                    "message": "no fit on 112 rows"}
     assert not list((tmp_path / "run").glob("model_*.json"))
+
+
+def test_fit_failure_in_all_cancels_the_refits_not_started(tmp_path, monkeypatch, capsys):
+    # five folds: 15 refits, of which at most the two the workers hold and the
+    # three queued for the workers have started when train fails
+    config = _write_config(tmp_path, {**FAST_CONFIG, "cv_folds": 5})
+    parent, failed, started = os.getpid(), tmp_path / "failed", tmp_path / "started"
+    started.mkdir()
+
+    def held(cls):
+        fit = cls.fit
+
+        def fit_here_or_after_the_failure(self, X, y):
+            if os.getpid() == parent:
+                if cls is GradientBoostingClassifier:
+                    failed.touch()
+                    raise MultisysError(f"no fit on {len(y)} rows", kind="ModelError")
+                return fit(self, X, y)
+            # a pool worker's refit: held until train has failed, then counted
+            deadline = time.monotonic() + 60
+            while not failed.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            (started / f"{os.getpid()}-{time.monotonic_ns()}").touch()
+            return fit(self, X, y)
+        monkeypatch.setattr(cls, "fit", fit_here_or_after_the_failure)
+
+    for cls in (LogisticRegressionClassifier, RandomForestClassifier,
+                GradientBoostingClassifier):
+        held(cls)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert _run("all", str(tmp_path / "run"), config) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "ModelError",
+                                                   "message": "no fit on 112 rows"}
+    assert not list((tmp_path / "run").glob("model_*.json"))
+    assert multiprocessing.active_children() == []
+    assert len(os.listdir(started)) < 15
 
 
 def _fresh_interpreter(script: str) -> None:

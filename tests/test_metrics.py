@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from multisys.cli import MODELS, RunConfig
 from multisys.metrics import (
-    MetricError, confusion_at, cv_evaluate, roc_auc, roc_curve,
+    MetricError, confusion_at, cv_evaluate, cv_refits, roc_auc, roc_curve,
 )
 from multisys.split import stratified_kfold
 
@@ -119,8 +119,8 @@ def test_cv_evaluate_with_dummy_fitter():
     X = rng.random((n, 2))
     y = (X[:, 0] > 0.6).astype(int)
     plan = stratified_kfold(y, 4, 0)
-    result = cv_evaluate({"prevalence": lambda X, y: _PrevalenceModel()}, X, y,
-                         plan)["prevalence"]
+    result = cv_evaluate(cv_refits({"prevalence": lambda X, y: _PrevalenceModel()}, X, y,
+                                   plan))["prevalence"]
     assert len(result["cv_fold_aucs"]) == 4
     assert all(a == 1.0 for a in result["cv_fold_aucs"])  # scores are the labels' source
     assert result["cv_auc_mean"] == 1.0
@@ -136,7 +136,7 @@ def test_cv_evaluate_wraps_fold_errors():
         raise RuntimeError("boom")
 
     with pytest.raises(MetricError, match="broken fold 0: boom"):
-        cv_evaluate({"broken": broken}, X, y, plan)
+        cv_evaluate(cv_refits({"broken": broken}, X, y, plan))
 
 
 def _fork_pool(width):
@@ -150,9 +150,9 @@ def test_cv_evaluate_is_the_same_through_a_process_pool(fast_config):
     X = rng.random((90, 5))
     y = ((X[:, 0] > 0.5) ^ (X[:, 1] > 0.7)).astype(int)
     plan = stratified_kfold(y, 3, 0)
-    serial = cv_evaluate(fitters, X, y, plan)
+    serial = cv_evaluate(cv_refits(fitters, X, y, plan))
     with _fork_pool(2) as pool:
-        pooled = cv_evaluate(fitters, X, y, plan, pool.map)
+        pooled = cv_evaluate(cv_refits(fitters, X, y, plan, pool.map))
     assert list(serial) == list(MODELS)
     assert pooled == serial
 
@@ -166,6 +166,6 @@ def test_cv_evaluate_worker_error_names_model_and_fold():
     X = np.zeros((20, 1))
     plan = stratified_kfold(y, 2, 0)
     with _fork_pool(2) as pool, pytest.raises(MetricError, match="broken fold 0: raised") as err:
-        cv_evaluate({"broken": _fails_in_worker}, X, y, plan, pool.map)
+        cv_evaluate(cv_refits({"broken": _fails_in_worker}, X, y, plan, pool.map))
     assert not str(err.value).endswith(f"process {os.getpid()}")  # it came from a worker
     assert err.value.kind == "MetricError"
