@@ -82,11 +82,21 @@ def confusion_at(scores, labels, threshold: float = 0.5) -> dict:
             "sensitivity": sens, "specificity": spec, "f1": f1, "threshold": threshold}
 
 
+# (number, X, y) of the latest cv_refits: a fork pool's workers inherit it
+# when the pool's first submit forks them, so no task pickles X or y
+_inputs: tuple = (0, None, None)
+
+
 def _fold_auc(task: tuple) -> float:
-    """Held-out AUC of one (model, fold) refit; any failure as a MetricError
-    naming both, so that it crosses a process boundary intact."""
-    name, fitter, X, y, held, fold = task
+    """Held-out AUC of one (model, fold) refit on the inputs of cv_refits call
+    `number`; any failure as a MetricError naming both, so that it crosses a
+    process boundary intact."""
+    name, fitter, held, fold, number = task
+    current, X, y = _inputs
     try:
+        if number != current:
+            raise RuntimeError(f"its inputs are those of cv_refits call {current}, "
+                               f"not of call {number}")
         model = fitter(X[~held], y[~held])
         return roc_auc(model.predict_proba(X[held]), y[held])
     except Exception as exc:
@@ -105,15 +115,19 @@ def cv_refits(fitters: dict[str, Callable], X, y, fold_plan, map=map) -> Refits:
     held-out one, through one ordered `map`.
 
     `fitters[name](X_train, y_train)` must return an object with a
-    `predict_proba(X) -> (n,) probability vector` method.  A process pool's
-    map submits every refit at once, and the fitters must then pickle; the
-    builtin runs each as `cv_evaluate` asks for its AUC.  Either gives the
-    same AUCs.
+    `predict_proba(X) -> (n,) probability vector` method.  X and y go to
+    `_inputs` before the first submit, and a task holds its model, fitter,
+    held-out rows, fold and the number of this call.  A fork process pool's
+    map submits every refit at once, and its first submit forks every
+    worker, which so inherits X and y; the fitters must pickle.  The builtin
+    runs each refit as `cv_evaluate` asks for its AUC.  Either gives the same
+    AUCs; a refit whose process holds another call's inputs (a later call's,
+    or an earlier one's in workers forked before this call) fails instead.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
+    global _inputs
+    _inputs = (_inputs[0] + 1, np.asarray(X, dtype=float), np.asarray(y, dtype=int))
     assignments = np.asarray(fold_plan.assignments)
-    tasks = [(name, fitter, X, y, assignments == fold, fold)
+    tasks = [(name, fitter, assignments == fold, fold, _inputs[0])
              for name, fitter in fitters.items() for fold in range(fold_plan.k)]
     return Refits(tasks, map(_fold_auc, tasks))
 

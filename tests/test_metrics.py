@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -169,3 +170,41 @@ def test_cv_evaluate_worker_error_names_model_and_fold():
         cv_evaluate(cv_refits({"broken": _fails_in_worker}, X, y, plan, pool.map))
     assert not str(err.value).endswith(f"process {os.getpid()}")  # it came from a worker
     assert err.value.kind == "MetricError"
+
+
+def test_refit_tasks_leave_X_and_y_to_the_fork_workers(fast_config):
+    # A task names its model, fitter, held-out rows and fold; X and y reach a
+    # pool's workers by fork inheritance, so no task pickles them.
+    cfg = RunConfig.load(fast_config)
+    fitters = {name: cfg.fitter(kind) for name, kind in MODELS.items()}
+    rng = np.random.default_rng(4)
+    X = rng.random((400, 8))
+    y = (X[:, 0] + X[:, 1] > 1.0).astype(int)
+    plan = stratified_kfold(y, 3, 0)
+    refits = cv_refits(fitters, X, y, plan)
+    assert max(len(pickle.dumps(task)) for task in refits.tasks) < X.nbytes / 20
+    serial = cv_evaluate(refits)
+    with _fork_pool(2) as pool:
+        assert cv_evaluate(cv_refits(fitters, X, y, plan, pool.map)) == serial
+
+
+def _first_column(X, y):
+    return _PrevalenceModel()
+
+
+def test_refits_on_replaced_inputs_fail():
+    # The inputs of a later cv_refits call, in this process or in workers
+    # forked before the call, never score a refit of another call.
+    rng = np.random.default_rng(5)
+    X = rng.random((60, 2))
+    y = (X[:, 0] > 0.5).astype(int)
+    plan = stratified_kfold(y, 3, 0)
+    fitters = {"first": _first_column}
+    earlier = cv_refits(fitters, X, y, plan)
+    cv_refits(fitters, X[::-1], y[::-1], plan)
+    with pytest.raises(MetricError, match="first fold 0: its inputs are those of"):
+        cv_evaluate(earlier)
+    with _fork_pool(2) as pool:
+        cv_evaluate(cv_refits(fitters, X, y, plan, pool.map))  # forks both workers
+        with pytest.raises(MetricError, match="its inputs are those of"):
+            cv_evaluate(cv_refits(fitters, X, y, plan, pool.map))

@@ -2,14 +2,108 @@
 
 import copy
 import itertools
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from multisys import tree as tree_mod
 from multisys.models import GradientBoostingClassifier, RandomForestClassifier, TreeEnsemble
 from multisys.rng import SplitMix64
-from multisys.tree import (LEAF, DecisionTree, TreeError, _best_split, expectations, flatten,
-                           grow_tree, rank_codes, walk)
+from multisys.tree import (FIELDS, LEAF, DecisionTree, TreeError, _best_cut, _gini_splits,
+                           expectations, flatten, grow_forest, grow_tree, rank_codes, walk)
+
+
+def _split_per_node(ranks, target, rows, criterion, min_samples_leaf, max_features=None,
+                    rng=None, stats=None):
+    """The per-node split search that lockstep growth replaced, kept as its
+    oracle: one node's best (score, feature, threshold), or None, from the
+    sorted keys of its rows' rank codes, scored by `_best_cut`.  With
+    `max_features` set, candidates are drawn without replacement from `rng`,
+    as many at a time as are still missing; a feature constant within the
+    node does not count toward the quota and is redrawn (counted in
+    stats["redrawn"])."""
+    codes, values, _ = ranks
+    if criterion == "gini":  # the 0/1 target is the tag
+        shift, tag = 1, target[rows].astype(codes.dtype)
+    else:  # the row's position in the node is the tag, and fetches its target
+        shift, tag = len(rows).bit_length(), np.arange(len(rows))
+
+    def sorted_keys(features):
+        keys = codes[features].take(rows, axis=1).astype(tag.dtype, copy=False)
+        keys <<= shift
+        keys |= tag
+        keys.sort(axis=1)  # equal integer keys are interchangeable
+        return keys
+
+    p = len(codes)
+    if max_features is None or max_features >= p:
+        candidates = list(range(p))
+        keys = sorted_keys(candidates)
+    else:
+        candidates, pool, blocks = [], list(range(p)), [np.empty((0, len(rows)), tag.dtype)]
+        while pool and len(candidates) < max_features:
+            drawn = [pool.pop(rng.randint_below(len(pool)))
+                     for _ in range(min(max_features - len(candidates), len(pool)))]
+            keys = sorted_keys(drawn)
+            varies = keys[:, -1] >> shift != keys[:, 0] >> shift  # else redrawn
+            candidates += [f for f, keep in zip(drawn, varies.tolist()) if keep]
+            blocks.append(keys[varies])
+            if stats is not None:
+                stats["redrawn"] += int(np.count_nonzero(~varies))
+        keys = np.concatenate(blocks)
+    ordered, low = keys >> shift, keys & ((1 << shift) - 1)
+    return _best_cut(ordered, low if criterion == "gini" else target[rows].take(low),
+                     candidates, values, criterion, min_samples_leaf)
+
+
+def _grow_per_node(X, target, rows, *, criterion, max_depth, min_samples_leaf,
+                   max_features=None, rng=None, stats=None):
+    """One tree grown node by node on `rows` (repeats count once per
+    appearance), each node sorting its own rows' codes (`_split_per_node`)
+    and partitioning only them, with mean leaves: the growth that the
+    lockstep forest and the presorted `grow_tree` replaced, kept as the
+    oracle of both.  `stats` counts the nodes with exactly 2 *
+    min_samples_leaf rows ("edge"), and the leaves left unsplit for too few
+    rows ("small") or one class ("pure")."""
+    ranks = rank_codes(X)
+    feature, threshold, left, right, value, _ = table = [[] for _ in FIELDS]
+    stats = Counter() if stats is None else stats
+    stack = [(np.asarray(rows, dtype=int), 0, None)]
+    while stack:
+        rows, depth, slot = stack.pop()
+        index = len(feature)
+        if slot is not None:
+            slot[0][slot[1]] = index
+        for column, blank in zip(table, (LEAF, np.nan, -1, -1, np.nan, len(rows))):
+            column.append(blank)
+        best = None
+        stats["edge"] += len(rows) == 2 * min_samples_leaf
+        if len(rows) < 2 * min_samples_leaf:
+            stats["small"] += 1
+        elif np.ptp(target[rows]) == 0:
+            stats["pure"] += 1
+        elif depth < max_depth:
+            best = _split_per_node(ranks, target, rows, criterion, min_samples_leaf,
+                                   max_features, rng, stats)
+        if best is None:
+            value[index] = float(np.mean(target[rows]))
+            continue
+        _, f, thr = best
+        feature[index], threshold[index] = f, thr
+        goes_left = X[rows, f] <= thr
+        stack.append((rows[~goes_left], depth + 1, (right, index)))
+        stack.append((rows[goes_left], depth + 1, (left, index)))
+    return DecisionTree(*(np.array(column, dtype=dtype)
+                          for column, dtype in zip(table, FIELDS.values())))
+
+
+def _tagged(X, y):
+    """`rank_codes(X)`'s sorted values, and its codes shifted left past the
+    0/1 target y, as `_gini_splits` takes them."""
+    codes, values, _ = rank_codes(X)
+    return codes.astype(np.int32) << 1 | np.asarray(y).astype(np.int32), values
 
 
 def _gini_weighted(y):
@@ -56,31 +150,35 @@ def test_best_split_matches_brute_force(criterion):
             y = np.array([float(rng.randint_below(2)) for _ in range(n)])
         else:
             y = np.array([rng.random() - 0.5 for _ in range(n)])
-        # All rows once, and a bootstrap sample whose repeated rows count
-        # once per appearance.
-        bootstrap = np.array([rng.randint_below(n) for _ in range(n)])
+        # All rows once, and bootstrap samples whose repeated rows count once
+        # per appearance.
+        nodes = [np.arange(n)] + [np.array([rng.randint_below(n) for _ in range(n)])
+                                  for _ in range(3)]
+        nodes = [rows for rows in nodes if len(np.unique(y[rows])) > 1]
         # 0 acts as 1; n // 2 + 1 and n leave no legal cut at all.
-        leaf_sizes = (0, 1, 2, 1 + rng.randint_below(n // 2), n // 2 + 1, n)
-        for rows, min_leaf in itertools.product((np.arange(n), bootstrap), leaf_sizes):
-            if len(np.unique(y[rows])) < 2:
-                continue
-            found = _best_split(rank_codes(X), y, rows, criterion, min_leaf)
-            oracle = _brute_force_best(X[rows], y[rows], min_leaf, IMPURITY[criterion])
-            # On all rows the default growth scores the presorted block instead.
-            root = None if rows is bootstrap else grow_tree(
-                X, y, criterion=criterion, max_depth=1, min_samples_leaf=min_leaf)
-            if oracle is None:
-                assert found is None
-                assert root is None or root.n_nodes == 1
-                no_cut += 1
-                continue
-            score, f, thr = found
-            assert score == pytest.approx(oracle[0], abs=1e-9)
-            assert (f, thr) == (oracle[1], pytest.approx(oracle[2]))
-            if root is not None:
-                assert (root.feature[0], root.threshold[0]) == (oracle[1],
-                                                                pytest.approx(oracle[2]))
-    assert no_cut >= 60
+        for min_leaf in (0, 1, 2, 1 + rng.randint_below(n // 2), n // 2 + 1, n):
+            if criterion == "gini":  # every node in one batched search
+                found = _gini_splits(*_tagged(X, y), nodes, min_leaf, p, [])
+            else:  # one node at a time, through _best_cut
+                found = [_split_per_node(rank_codes(X), y, rows, criterion, min_leaf)
+                         for rows in nodes]
+            for rows, best in zip(nodes, found):
+                oracle = _brute_force_best(X[rows], y[rows], min_leaf, IMPURITY[criterion])
+                # On all rows the default growth scores the presorted block instead.
+                root = None if rows is not nodes[0] or len(rows) != n else grow_tree(
+                    X, y, criterion=criterion, max_depth=1, min_samples_leaf=min_leaf)
+                if oracle is None:
+                    assert best is None
+                    assert root is None or root.n_nodes == 1
+                    no_cut += 1
+                    continue
+                score, f, thr = best
+                assert score == pytest.approx(oracle[0], abs=1e-9)
+                assert (f, thr) == (oracle[1], pytest.approx(oracle[2]))
+                if root is not None:
+                    assert (root.feature[0], root.threshold[0]) == (oracle[1],
+                                                                    pytest.approx(oracle[2]))
+    assert no_cut >= 120
 
 
 def test_presorted_growth_equals_node_local_sorting():
@@ -102,7 +200,7 @@ def test_presorted_growth_equals_node_local_sorting():
         min_leaf = 1 + rng.randint_below(4 if trial % 3 else n // 2 + 2)
         kwargs = dict(criterion=criterion, max_depth=1 + trial % 6, min_samples_leaf=min_leaf)
         presorted = grow_tree(X, y, **kwargs)
-        assert presorted.to_dict() == grow_tree(X, y, rows=np.arange(n), **kwargs).to_dict(), trial
+        assert presorted.to_dict() == _grow_per_node(X, y, np.arange(n), **kwargs).to_dict(), trial
         deep += presorted.n_nodes >= 7
         wide_leaves += 2 * min_leaf > n
         # A column constant over X, first, in the middle or last, is left out
@@ -110,8 +208,8 @@ def test_presorted_growth_equals_node_local_sorting():
         at = (0, p // 2, p)[trial % 3]
         X_dead = np.insert(X, at, 7.0, axis=1)
         with_dead = grow_tree(X_dead, y, **kwargs)
-        assert with_dead.to_dict() == grow_tree(X_dead, y, rows=np.arange(n),
-                                                **kwargs).to_dict(), trial
+        assert with_dead.to_dict() == _grow_per_node(X_dead, y, np.arange(n),
+                                                     **kwargs).to_dict(), trial
         shifted = presorted.feature + (presorted.feature >= at)
         np.testing.assert_array_equal(with_dead.feature, np.where(
             presorted.feature == LEAF, LEAF, shifted))
@@ -165,21 +263,26 @@ def _brute_force_gini(X, y, features, min_leaf):
     return best, ties
 
 
-def _check_forest_split(X, y, rows, k, min_leaf, seed):
-    """The node's split equals the oracle's over the redrawn candidates, and
-    the node draws exactly as often as the redraw.  Returns (skipped, ties)."""
-    draws, again = SplitMix64(seed), SplitMix64(seed)
-    found = _best_split(rank_codes(X), y, rows, "gini", min_leaf, max_features=k, rng=draws)
-    candidates, skipped = _redrawn_candidates(X[rows], k, again)
-    assert draws.next_u64() == again.next_u64()
-    oracle, ties = _brute_force_gini(X[rows], y[rows], candidates, max(min_leaf, 1))
-    if oracle is None:
-        assert found is None
-    else:
-        score, f, thr = found
-        assert score == pytest.approx(oracle[0], abs=1e-9)
-        assert (f, thr) == (oracle[1], oracle[2])
-    return skipped, ties
+def _check_forest_splits(X, y, nodes, k, min_leaf, seed):
+    """Each node's split, all found in one batched search, equals the
+    oracle's over its redrawn candidates, and each node's stream draws
+    exactly as often as the redraw.  Returns (skipped, ties) per node."""
+    draws = [SplitMix64(seed + i) for i in range(len(nodes))]
+    again = [SplitMix64(seed + i) for i in range(len(nodes))]
+    found = _gini_splits(*_tagged(X, y), nodes, min_leaf, k, draws)
+    counts = []
+    for rows, best, draw, redraw in zip(nodes, found, draws, again):
+        candidates, skipped = _redrawn_candidates(X[rows], k, redraw)
+        assert draw.next_u64() == redraw.next_u64()
+        oracle, ties = _brute_force_gini(X[rows], y[rows], candidates, max(min_leaf, 1))
+        if oracle is None:
+            assert best is None
+        else:
+            score, f, thr = best
+            assert score == pytest.approx(oracle[0], abs=1e-9)
+            assert (f, thr) == (oracle[1], oracle[2])
+        counts.append((skipped, ties))
+    return counts
 
 
 def test_forest_split_matches_brute_force_over_redrawn_candidates():
@@ -193,18 +296,18 @@ def test_forest_split_matches_brute_force_over_redrawn_candidates():
         X[:, rng.randint_below(p)] = X[:, rng.randint_below(p)]  # equal scores across features
         X[:, rng.randint_below(p)] = 3.0  # constant: redrawn when drawn
         y = np.array([float(rng.randint_below(2)) for _ in range(n)])
-        bootstrap = rng.randints_below(n, n)
+        nodes = [rows for rows in (np.arange(n), rng.randints_below(n, n),
+                                   rng.randints_below(n, n)[:n // 2])
+                 if len(np.unique(y[rows])) > 1]
         k = 1 + rng.randint_below(p + 1)  # k >= p: every feature, no draws
-        for rows in (np.arange(n), bootstrap):
-            for min_leaf in (0, 1, 1 + rng.randint_below(n // 3)):
-                if len(np.unique(y[rows])) < 2:
-                    continue
-                skipped, ties = _check_forest_split(X, y, rows, k, min_leaf, rng.next_u64())
+        for min_leaf in (0, 1, 1 + rng.randint_below(n // 3)):
+            for skipped, ties in _check_forest_splits(X, y, nodes, k, min_leaf,
+                                                      rng.next_u64() >> 8):
                 redrawn += skipped > 0
                 tied += ties > 1
                 no_draws += k >= p
                 checked += 1
-    assert checked >= 300 and redrawn >= 30 and tied >= 20 and no_draws >= 30
+    assert checked >= 400 and redrawn >= 40 and tied >= 30 and no_draws >= 40
 
 
 def test_forest_split_with_int32_keys_matches_brute_force():
@@ -217,25 +320,123 @@ def test_forest_split_with_int32_keys_matches_brute_force():
     assert rank_codes(X[:16_383])[0].dtype == np.int16
     assert rank_codes(X)[0].dtype == np.int32
     for rows, min_leaf in ((np.arange(n), 1), (rng.randints_below(n, n), 50)):
-        _check_forest_split(X, y, rows, 1, min_leaf, rng.next_u64())
+        _check_forest_splits(X, y, [rows], 1, min_leaf, rng.next_u64() >> 8)
+
+
+def test_batched_gini_keys_widen_past_31_bits():
+    # The batched search matches the per-node sort (i) for rank codes either
+    # side of the int16 -> int32 switch and (ii) for a batch whose segment
+    # numbers push its keys past 31 bits, where int32 keys would wrap and
+    # merge segments.
+    rng = SplitMix64(21)
+    for n, dtype in ((16_383, np.int16), (16_400, np.int32)):
+        x = np.array([rng.random() for _ in range(n)])
+        X = np.column_stack([x, np.floor(4 * x), np.full(n, 2.0)])
+        y = ((x > 0.4) ^ (rng.randints_below(8, n) == 0)).astype(float)
+        assert rank_codes(X)[0].dtype == dtype
+        nodes = [np.arange(n), rng.randints_below(n, n), rng.randints_below(n, 500)]
+        ranks = rank_codes(X)
+        for min_leaf in (1, 40):
+            assert _gini_splits(*_tagged(X, y), nodes, min_leaf, 3, []) == [
+                _split_per_node(ranks, y, rows, "gini", min_leaf) for rows in nodes]
+    # 16,400 distinct codes take 15 bits, the target one: 2**15 + 1 segments
+    # or more need a 16th bit for the segment number
+    p, size, nodes = 8, 3, []
+    while len(nodes) < 2**15 // p + 8:  # nodes of both classes
+        rows = rng.randints_below(n, size)
+        if np.ptp(y[rows]) > 0:
+            nodes.append(rows)
+    X = np.column_stack([x] + [np.floor(x * 2 ** (3 + f)) for f in range(p - 1)])
+    ranks = rank_codes(X)
+    assert (len(nodes) * p - 1).bit_length() + (len(ranks[1][0]) - 1).bit_length() + 1 > 31
+    with pytest.MonkeyPatch.context() as patch:  # one call for the whole batch
+        patch.setattr(tree_mod, "_BUDGET", len(nodes) * p * size)
+        found = _gini_splits(*_tagged(X, y), nodes, 1, p, [])
+    assert found == [_split_per_node(ranks, y, rows, "gini", 1) for rows in nodes]
+    assert sum(best is not None for best in found) >= len(nodes) // 2
 
 
 def test_variance_criterion_matches_brute_force():
     X = np.array([[1.0], [2.0], [3.0], [4.0], [5.0], [6.0]])
     y = np.array([0.1, 0.2, 0.15, 0.9, 1.0, 0.95])
-    found = _best_split(rank_codes(X), y, np.arange(6), "variance", 1)
+    found = _split_per_node(rank_codes(X), y, np.arange(6), "variance", 1)
     # Best cut is clearly between 3 and 4.
     assert found[1] == 0
     assert found[2] == 3.5
+    assert grow_tree(X, y, criterion="variance", max_depth=1,
+                     min_samples_leaf=1).threshold[0] == 3.5
 
 
 def test_tie_resolves_to_lowest_feature():
     # Duplicate column: identical split quality on features 0 and 1.
     X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
-    _, f, thr = _best_split(rank_codes(X), y, np.arange(4), "gini", 1)
+    [(_, f, thr)] = _gini_splits(*_tagged(X, y), [np.arange(4)], 1, 2, [])
     assert f == 0
     assert thr == 1.5
+
+
+def _forest_per_tree(X, y, seed, n_trees, **kwargs):
+    """The trees of `grow_forest(X, y, streams of seed)`, grown one at a time
+    by the per-node oracle on each stream's bootstrap; each stream's next
+    draw after its tree; and the oracle's counts."""
+    root, stats, trees, after = SplitMix64(seed), Counter(), [], []
+    for t in range(n_trees):
+        rng = root.spawn(t)
+        boot = rng.randints_below(len(X), len(X))
+        trees.append(_grow_per_node(X, y, boot, criterion="gini", rng=rng, stats=stats, **kwargs))
+        after.append(rng.next_u64())
+    return trees, after, stats
+
+
+def test_lockstep_forest_equals_trees_grown_one_at_a_time():
+    rng = SplitMix64(31)
+    stats, wide = Counter(), 0
+    for trial in range(36):
+        n = 4 + rng.randint_below(70)
+        p = 1 + rng.randint_below(7)
+        levels = (2, 3, 1000)[trial % 3]  # few levels leave columns constant in small nodes
+        X = np.array([[float(rng.randint_below(levels)) for _ in range(p)] for _ in range(n)])
+        if p > 2:
+            X[:, rng.randint_below(p)] = 5.0  # constant: redrawn whenever drawn
+        positives = (2, 10, 50)[trial % 4 % 3]  # percent: rare positives make one-class nodes
+        y = (rng.randints_below(100, n) < positives).astype(float)
+        y[rng.randint_below(n)] = 1.0
+        k = (1, 2, p, p + 2)[trial % 4]  # k >= p: every feature, no draws
+        # min_samples_leaf 0 acts as 1; n // 4 lets nodes of exactly twice it split
+        min_leaf = (0, 1, 2, max(1, n // 4))[trial // 4 % 4]
+        kwargs = dict(max_depth=1 + trial % 9, min_samples_leaf=min_leaf, max_features=k)
+        seed = rng.next_u64()
+        streams = [SplitMix64(seed).spawn(t) for t in range(7)]
+        forest = grow_forest(X, y, streams, **kwargs)
+        trees, after, counts = _forest_per_tree(X, y, seed, 7, **kwargs)
+        assert [tree.to_dict() for tree in forest] == [tree.to_dict() for tree in trees], trial
+        # each stream drew as often as its tree did, one at a time
+        assert [stream.next_u64() for stream in streams] == after
+        stats += counts
+        wide += k >= p
+    assert min(stats["redrawn"], stats["edge"], stats["small"], stats["pure"]) >= 20, stats
+    assert wide >= 12
+
+
+def test_forest_fit_memory_is_bounded_by_the_budget():
+    # Scoring a whole step at once would hold megabytes of keys and counts;
+    # the fit holds the pending rows of every tree (int32), a few budgets of
+    # elements and the trees it returns.
+    rng = SplitMix64(13)
+    X = np.array([[rng.random() for _ in range(9)] for _ in range(1000)])
+    y = (X[:, 0] + X[:, 1] * X[:, 2] > 0.8).astype(int)
+    model = RandomForestClassifier(n_estimators=100, max_depth=8, min_samples_leaf=2, seed=4)
+    model.fit(X[:50], y[:50])  # imports and first-call caches before the count
+    tracemalloc.start()
+    try:
+        forest = model.fit(X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(tree.n_nodes for tree in forest.trees) > 10_000
+    rows_bytes = model.n_estimators * len(X) * 4
+    assert peak < 48 * tree_mod._BUDGET + 3 * rows_bytes
 
 
 def test_grow_respects_depth_and_leaf_size():
@@ -306,25 +507,17 @@ def test_max_features_sampling_deterministic():
     rng_data = SplitMix64(5)
     X = np.array([[rng_data.random() for _ in range(6)] for _ in range(80)])
     y = np.array([float(x[0] + x[3] > 1.0) for x in X])
-    t1 = grow_tree(X, y, criterion="gini", max_depth=4, min_samples_leaf=3,
-                   max_features=2, rng=SplitMix64(9))
-    t2 = grow_tree(X, y, criterion="gini", max_depth=4, min_samples_leaf=3,
-                   max_features=2, rng=SplitMix64(9))
-    assert t1.to_dict() == t2.to_dict()
-    assert set(t1.feature[t1.feature != LEAF]) <= set(range(6))
-
-
-def test_max_features_requires_rng():
-    X = np.array([[0.0], [1.0]])
-    with pytest.raises(TreeError):
-        grow_tree(X, np.array([0.0, 1.0]), criterion="gini", max_depth=1,
-                  min_samples_leaf=1, max_features=1)
+    t1, t2 = (grow_forest(X, y, [SplitMix64(9), SplitMix64(10)], max_depth=4,
+                          min_samples_leaf=3, max_features=2) for _ in range(2))
+    assert [t.to_dict() for t in t1] == [t.to_dict() for t in t2]
+    assert t1[0].to_dict() != t1[1].to_dict()
+    assert set(t1[0].feature[t1[0].feature != LEAF]) <= set(range(6))
 
 
 def test_zero_rows_errors():
     with pytest.raises(TreeError):
-        grow_tree(np.zeros((3, 1)), np.zeros(3), criterion="gini",
-                  max_depth=1, min_samples_leaf=1, rows=np.array([], dtype=int))
+        grow_tree(np.zeros((0, 1)), np.zeros(0), criterion="gini",
+                  max_depth=1, min_samples_leaf=1)
 
 
 def test_gini_needs_binary_targets():
@@ -333,6 +526,9 @@ def test_gini_needs_binary_targets():
     with pytest.raises(TreeError, match="0/1"):
         grow_tree(X, np.array([0.0, 0.5, 1.0, 1.0]), criterion="gini", max_depth=2,
                   min_samples_leaf=1)
+    with pytest.raises(TreeError, match="0/1"):
+        grow_forest(X, np.array([0.0, 2.0, 1.0, 1.0]), [SplitMix64(1)], max_depth=2,
+                    min_samples_leaf=1, max_features=1)
 
 
 def test_unknown_criterion_errors():
