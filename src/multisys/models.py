@@ -305,7 +305,8 @@ class GradientBoostingClassifier:
         trees: list[DecisionTree] = []
         deviance: list[float] = []
         y_float = y.astype(float)
-        ranks = rank_codes(X)  # one presort shared by every stage
+        codes, values = rank_codes(X)  # one presort shared by every stage
+        ranks = codes, values, np.argsort(codes, axis=1, kind="stable")
         for _ in range(self.n_estimators):
             prob = logistic(margin)
             residual = y_float - prob
@@ -317,12 +318,9 @@ class GradientBoostingClassifier:
                 step[rows] = leaf = float(np.sum(residual[rows])) / denom
                 return leaf
 
-            tree = grow_tree(
-                X, residual, criterion="variance",
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                leaf_value=newton_leaf, ranks=ranks,
-            )
+            tree = grow_tree(X, residual, max_depth=self.max_depth,
+                             min_samples_leaf=self.min_samples_leaf,
+                             leaf_value=newton_leaf, ranks=ranks)
             margin = margin + self.learning_rate * step
             trees.append(tree)
             deviance.append(binomial_deviance(y_float, logistic(margin)))

@@ -13,27 +13,28 @@ prediction; `expectations` sweeps the same table bottom-up, one level at a
 time, and the Shapley walk in `explain` runs over it too.
 
 Split search is exact greedy over one presort of X, `rank_codes`: each
-column's dense rank codes, its sorted distinct values and the stable order of
-its codes, computed once per fit and shared by every tree.  A legal cut leaves
-at least min_samples_leaf rows on each side and falls between distinct codes;
-each model kind has one growth path, and only legal cuts are scored.
-`grow_tree` (gradient boosting) grows on all rows and all features: each node
-lays the live columns out as rows of a 2-D block, each holding the node's rank
-codes in sorted order, and `_best_cut` scores every legal cut of every column
-from prefix sums, at most _CHUNK elements of the block at a time.  The block
-leaves out the columns constant over X, which have no legal cut, and a split
-partitions it with one boolean mask and its negation, stably: since the
-node's rows are an ascending subsequence of all rows, this is the order a
-stable sort of the node's rows gives.  `grow_forest` (random forests) grows
-every tree of a forest in lockstep, each on its bootstrap: step s grows the
-s-th pre-order node of every tree that still has one, and `_gini_splits`
+column's dense rank codes and its sorted distinct values, computed once per
+fit and shared by every tree.  A legal cut leaves at least min_samples_leaf
+rows on each side and falls between distinct codes; each model kind has one
+growth path, and only legal cuts are scored.  `grow_tree` is gradient
+boosting's variance tree, grown on all rows and all features over the stable
+order of each column's codes, which boosting adds to the presort: each node
+lays the live columns out as rows of a 2-D block, each holding the node's
+rank codes in sorted order, and `_best_cut` scores every legal cut of every
+column from prefix sums, at most _CHUNK elements of the block at a time.
+The block leaves out the columns constant over X, which have no legal cut,
+and a split partitions it with one boolean mask and its negation, stably:
+since the node's rows are an ascending subsequence of all rows, this is the
+order a stable sort of the node's rows gives.  `grow_forest` (random forests)
+grows every tree of a forest in lockstep, each on its bootstrap: step s grows
+the s-th pre-order node of every tree that still has one, and `_gini_splits`
 scores the step's drawn candidates in calls of at most _BUDGET elements.  A
 call sorts one array of integer keys (segment, rank code, 0/1 target), so its
 prefix counts of the target are exact and do not depend on the order within a
-tie.  Thresholds are midpoints between adjacent distinct sorted feature
-values, and ties among equal-quality splits resolve to the lowest feature
-index, then the lowest threshold.  A row that appears more than once in a
-bootstrap counts once per appearance.
+tie.  A threshold lies between adjacent distinct sorted feature values a < b
+(`_threshold`), and ties among equal-quality splits resolve to the lowest
+feature index, then the lowest threshold.  A row that appears more than once
+in a bootstrap counts once per appearance.
 """
 
 from __future__ import annotations
@@ -199,19 +200,24 @@ def walk(t: SimpleNamespace, X: np.ndarray):
         yield slice(start, start + len(rows)), node
 
 
-def rank_codes(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """The one presort of X: each column's dense rank codes, shape (p, n), its
-    sorted distinct values, so that `values[f][codes[f]]` is `X[:, f]`, and
-    the stable order of each column's codes, shape (p, n), which is
-    `np.argsort(X, axis=0, kind="stable").T`.  The codes are int16 when twice
-    the most distinct values of a column fits int16, so that every key
-    `code << 1 | 1` does, and int32 otherwise."""
+def rank_codes(X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The one presort of X: each column's dense rank codes, shape (p, n), and
+    its sorted distinct values, so that `values[f][codes[f]]` is `X[:, f]`.
+    The codes are int16 when twice the most distinct values of a column fits
+    int16, so that every key `code << 1 | 1` does, and int32 otherwise."""
     uniques = [np.unique(column, return_inverse=True) for column in X.T]
     values = [distinct for distinct, _ in uniques]
     wide = 2 * max(map(len, values), default=0) > np.iinfo(np.int16).max
     codes = np.array([code for _, code in uniques], dtype=np.int32 if wide else np.int16)
-    codes = codes.reshape(len(values), len(X))
-    return codes, values, np.argsort(codes, axis=1, kind="stable")
+    return codes.reshape(len(values), len(X)), values
+
+
+def _threshold(a: float, b: float) -> float:
+    """The threshold between adjacent distinct values a < b: their midpoint
+    0.5 * a + 0.5 * b, which cannot overflow, or a where it rounds to b, so
+    that a <= threshold < b."""
+    mid = 0.5 * a + 0.5 * b
+    return float(a if mid >= b else mid)
 
 
 def _improves(score: float, f: int, best) -> bool:
@@ -224,20 +230,21 @@ def _improves(score: float, f: int, best) -> bool:
 
 
 def _best_cut(ordered: np.ndarray, ts: np.ndarray, candidates, values: list[np.ndarray],
-              criterion: str, min_samples_leaf: int):
-    """The one scoring routine: the best (score, feature, threshold) or None.
+              min_samples_leaf: int):
+    """`grow_tree`'s variance scoring: the best (score, feature, threshold) or None.
 
     Row j of `ordered` holds the node's rank codes of feature candidates[j] in
-    ascending order, and row j of `ts` the targets in that order.  Only legal
-    cuts are scored: a cut after position c leaves min_samples_leaf rows, and
-    at least one, on each side, and falls between distinct codes.  Scores are
-    count-weighted impurities, lower is better; ties resolve to the lowest
-    feature index, then to the lowest c.  The threshold is the midpoint of the
-    feature's values at the codes either side of the cut.  Features are
-    scored a chunk of rows of the block at a time, at most _CHUNK elements
-    (one feature at least), and each keeps its first best cut; one chain of
-    `_improves` then runs over all features in order, since its tie tolerance
-    is not transitive and chunk winners compared alone could pick another.
+    ascending order, and row j of `ts` the residuals in that order.  Only
+    legal cuts are scored: a cut after position c leaves min_samples_leaf
+    rows, and at least one, on each side, and falls between distinct codes.
+    Scores are the children's summed squared deviations, lower is better;
+    ties resolve to the lowest feature index, then to the lowest c.  The
+    threshold lies between the feature's values at the codes either side of
+    the cut.  Features are scored a chunk of rows of the block at a time, at
+    most _CHUNK elements (one feature at least), and each keeps its first best
+    cut; one chain of `_improves` then runs over all features in order, since
+    its tie tolerance is not transitive and chunk winners compared alone could
+    pick another.
     """
     n = ts.shape[1]
     # left counts lo+1 .. hi
@@ -245,8 +252,6 @@ def _best_cut(ordered: np.ndarray, ts: np.ndarray, candidates, values: list[np.n
     hi = n - 1 - lo
     if hi <= lo:
         return None
-    if criterion not in ("gini", "variance"):
-        raise TreeError(f"unknown criterion {criterion!r}")
     nl = np.arange(lo + 1, hi + 1, dtype=float)
     nr = n - nl
     step = max(1, _CHUNK // n)
@@ -257,15 +262,10 @@ def _best_cut(ordered: np.ndarray, ts: np.ndarray, candidates, values: list[np.n
         csum = np.cumsum(chunk, axis=1, dtype=float)
         sl = csum[:, lo:hi]
         sr = csum[:, -1:] - sl
-        if criterion == "gini":
-            # binary targets: weighted gini = 2 * s * (n - s) / n per child
-            left = 2.0 * sl * (nl - sl) / nl
-            right = 2.0 * sr * (nr - sr) / nr
-        else:
-            csq = np.cumsum(chunk * chunk, axis=1)
-            sql = csq[:, lo:hi]
-            left = sql - sl * sl / nl
-            right = (csq[:, -1:] - sql) - sr * sr / nr
+        csq = np.cumsum(chunk * chunk, axis=1)
+        sql = csq[:, lo:hi]
+        left = sql - sl * sl / nl
+        right = (csq[:, -1:] - sql) - sr * sr / nr
         codes = ordered[first:first + step]
         valid = codes[:, lo + 1:hi + 1] > codes[:, lo:hi]
         scores = np.where(valid, left + right, np.inf)
@@ -282,7 +282,7 @@ def _best_cut(ordered: np.ndarray, ts: np.ndarray, candidates, values: list[np.n
         return None
     score, f = best
     c = lo + cuts[at]
-    return score, f, float(0.5 * (values[f][ordered[at, c]] + values[f][ordered[at, c + 1]]))
+    return score, f, _threshold(values[f][ordered[at, c]], values[f][ordered[at, c + 1]])
 
 
 def _gini_cuts(tagged: np.ndarray, cbits: int, rows: np.ndarray, size: np.ndarray,
@@ -293,11 +293,11 @@ def _gini_cuts(tagged: np.ndarray, cbits: int, rows: np.ndarray, size: np.ndarra
 
     One sort of integer keys (segment, rank code, target) orders every
     segment; prefix counts of the target, less each segment's start count,
-    give `_best_cut`'s exact counts, and its formula scores the legal cuts
-    only.  Per segment: whether its codes vary, whether it has a legal cut,
-    the first minimum score (inf without a legal cut) and the codes either
-    side of that cut.  The keys are int32 while the segment number, the code
-    and the target fit 31 bits, and int64 past that.
+    give exact counts, and the weighted gini 2 * s * (n - s) / n of each
+    child scores the legal cuts only.  Per segment: whether its codes vary,
+    whether it has a legal cut, the first minimum score (inf without a legal
+    cut) and the codes either side of that cut.  The keys are int32 while the
+    segment number, the code and the target fit 31 bits, and int64 past that.
     """
     first = np.cumsum(size, dtype=np.int32) - size
     keys = tagged.take(np.repeat(feature * tagged.shape[1], size) + rows)
@@ -350,7 +350,7 @@ def _gini_splits(tagged: np.ndarray, values: list[np.ndarray], nodes: Sequence[n
                  rngs: Sequence[SplitMix64]) -> list:
     """Best (score, feature, threshold), or None, of each node (an array of
     row ids, a repeated row counting once per appearance) under the gini
-    criterion, with `_best_cut`'s floats and tie rules.  `values` are
+    criterion, with `_best_cut`'s tie rules.  `values` are
     `rank_codes(X)`'s sorted distinct values, and `tagged` its codes shifted
     left past the 0/1 target, `codes << 1 | target`, as int32.
 
@@ -404,7 +404,7 @@ def _gini_splits(tagged: np.ndarray, values: list[np.ndarray], nodes: Sequence[n
             start = stop
         pending = [i for i in pending if draw and pools[i] and kept[i] < max_features]
     return [None if best is None else
-            (best[0], best[1], float(0.5 * (values[best[1]][best[2]] + values[best[1]][best[3]])))
+            (best[0], best[1], _threshold(values[best[1]][best[2]], values[best[1]][best[3]]))
             for best in found]
 
 
@@ -430,7 +430,7 @@ def grow_forest(X: np.ndarray, target: np.ndarray, rngs: Sequence[SplitMix64], *
     if not rngs:
         return []
     ybits = np.asarray(target).astype(np.int8)
-    codes, values, _ = rank_codes(X)  # one presort shared by every tree
+    codes, values = rank_codes(X)  # one presort shared by every tree
     tagged = codes.astype(np.int32) << 1 | ybits
     # per tree, nodes still to grow as (rows, depth, link), where link is
     # 2 * the parent's place among all grown nodes + 1 for a left child, or -1;
@@ -474,33 +474,21 @@ def grow_forest(X: np.ndarray, target: np.ndarray, rngs: Sequence[SplitMix64], *
         np.split(column[order], ends) for column in columns))]
 
 
-def grow_tree(X: np.ndarray, target: np.ndarray, *, criterion: str,
-              max_depth: int, min_samples_leaf: int,
-              leaf_value=None, ranks: tuple | None = None) -> DecisionTree:
-    """Grow a binary tree on every row of X and every feature by greedy exact
-    splitting, as gradient boosting does.
+def grow_tree(X: np.ndarray, residual: np.ndarray, *, max_depth: int, min_samples_leaf: int,
+              leaf_value, ranks: tuple) -> DecisionTree:
+    """Grow gradient boosting's regression tree on every row of the float
+    array X and every feature by greedy exact splitting under the variance
+    criterion: the float `residual` is the target.
 
-    `target` holds 0/1 values for the gini criterion.  `leaf_value(row_indices)
-    -> float` computes the leaf output; by default the mean of `target` over
-    the leaf.  `ranks`, `rank_codes(X)`, is the one presort of X, may be
-    shared by every tree grown on X, and is computed here when not given.
-    Each node scores (`_best_cut`) its block: one row per column that varies
-    over X, holding the node's row ids in sorted order, the stable partition
-    of its parent's block.  Random forests grow through `grow_forest`, whose
-    batched search replaced a sort of each node's own rows: the default
-    200-tree forest on 836 rows 0.448-0.452 -> 0.246-0.252 s, and on 7,000
-    rows 1.98-2.21 -> 1.40-1.48 s (one CPU, in-process).
+    `leaf_value(row_indices) -> float` computes the leaf output.  `ranks` is
+    the presort of X that every tree of a fit shares: `rank_codes(X)` and the
+    stable order of each column's codes, `np.argsort(codes, axis=1,
+    kind="stable")`.  Each node scores (`_best_cut`) its block: one row per
+    column that varies over X, holding the node's row ids in sorted order, the
+    stable partition of its parent's block.
     """
-    X = np.asarray(X, dtype=float)
-    target = np.asarray(target, dtype=float)
     if len(X) == 0:
         raise TreeError("cannot grow a tree on zero rows")
-    if criterion == "gini" and not np.isin(target, (0.0, 1.0)).all():
-        raise TreeError("the gini criterion needs 0/1 targets")
-    if leaf_value is None:
-        leaf_value = lambda idx: float(np.mean(target[idx]))
-    if ranks is None:
-        ranks = rank_codes(X)
     codes, values, order = ranks
     # the block keeps only the columns that vary over X (no other column has a
     # legal cut), each as one contiguous row of row ids in sorted order
@@ -520,10 +508,10 @@ def grow_tree(X: np.ndarray, target: np.ndarray, *, criterion: str,
             column.append(blank)
         best = None
         if (depth < max_depth and len(rows) >= 2 * min_samples_leaf
-                and np.ptp(target[rows]) > 0):
+                and np.ptp(residual[rows]) > 0):
             # a flat take of each live column's codes in its block order
-            best = _best_cut(codes.take(block + offsets), target.take(block), live,
-                             values, criterion, min_samples_leaf)
+            best = _best_cut(codes.take(block + offsets), residual.take(block), live,
+                             values, min_samples_leaf)
         if best is None:
             value[index] = leaf_value(rows)
             continue

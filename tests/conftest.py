@@ -1,4 +1,5 @@
-"""Shared fixtures: tiny schemas, raw CSV factories and a fast run config."""
+"""Shared fixtures: tiny schemas, raw CSV factories, a fast run config and a
+mean-leaf boosting tree."""
 
 import csv
 import json
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import settings
 
 from multisys.ingest import ColumnSchema, FeatureMatrix
+from multisys.tree import grow_tree, rank_codes
 
 # The seeded mutation test's longer run (a CI step):
 # pytest tests/test_mutations.py --hypothesis-profile=mutations
@@ -41,6 +43,16 @@ def write_csv(tmp_path):
 def make_matrix(values, schemas) -> FeatureMatrix:
     """FeatureMatrix around plain numeric values."""
     return FeatureMatrix(columns=list(schemas), values=np.asarray(values, dtype=float))
+
+
+def mean_tree(X, y, *, max_depth, min_samples_leaf):
+    """`grow_tree`, gradient boosting's variance tree, fitted to y with mean
+    leaves over the presort boosting computes."""
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    codes, values = rank_codes(X)
+    return grow_tree(X, y, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+                     leaf_value=lambda rows: float(np.mean(y[rows])),
+                     ranks=(codes, values, np.argsort(codes, axis=1, kind="stable")))
 
 
 # A small-but-complete run config for pipeline tests (seconds, not minutes).

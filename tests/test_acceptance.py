@@ -17,6 +17,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import mean_tree
 
 from multisys.cli import RunConfig, run_subcommand
 from multisys.explain import tree_shap
@@ -25,7 +26,7 @@ from multisys.metrics import roc_auc
 from multisys.models import LogisticRegressionClassifier, TreeEnsemble
 from multisys.rng import SplitMix64
 from multisys.split import Partition
-from multisys.tree import LEAF, grow_tree
+from multisys.tree import LEAF
 
 RUNTIME_BUDGET_S = 60.0
 
@@ -131,8 +132,7 @@ def test_criterion_05_shap_oracle():
         n = 25 + rng.randint_below(35)
         X = np.array([[rng.random() for _ in range(p)] for _ in range(n)])
         y = np.array([rng.random() for _ in range(n)])
-        tree = grow_tree(X, y, criterion="variance", max_depth=depth,
-                         min_samples_leaf=2)
+        tree = mean_tree(X, y, max_depth=depth, min_samples_leaf=2)
         x = X[rng.randint_below(n)]
         one_tree = TreeEnsemble("gradient-boosting", [tree], shrinkage=1.0)
         err = float(np.max(np.abs(tree_shap(one_tree, x).phi[0]

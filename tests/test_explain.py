@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import mean_tree
 
 from multisys import explain, models
 from multisys.explain import (
@@ -18,7 +19,7 @@ from multisys.models import (
     GradientBoostingClassifier, RandomForestClassifier, TreeEnsemble,
 )
 from multisys.rng import SplitMix64
-from multisys.tree import LEAF, DecisionTree, expectations, flatten, grow_tree
+from multisys.tree import LEAF, DecisionTree, expectations, flatten
 
 
 def _conditional_expectation(tree: DecisionTree, x, known: set) -> float:
@@ -185,8 +186,7 @@ def _random_tree(rng: SplitMix64, n_features: int, depth: int):
     n = 30 + rng.randint_below(30)
     X = np.array([[rng.random() for _ in range(n_features)] for _ in range(n)])
     y = np.array([rng.random() for _ in range(n)])
-    tree = grow_tree(X, y, criterion="variance", max_depth=depth,
-                     min_samples_leaf=2)
+    tree = mean_tree(X, y, max_depth=depth, min_samples_leaf=2)
     return tree, X
 
 
@@ -210,7 +210,7 @@ def test_stump_analytic_formula():
     # features get exactly zero.
     X = np.array([[0.0, 9.0], [1.0, 9.0], [2.0, 9.0], [3.0, 9.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
-    stump = grow_tree(X, y, criterion="variance", max_depth=1, min_samples_leaf=1)
+    stump = mean_tree(X, y, max_depth=1, min_samples_leaf=1)
     expected_value = expectations(flatten([stump]))[0]
     for row in X:
         phi = one_tree_shap(stump, row)[0]
@@ -239,7 +239,7 @@ def test_tree_shap_bit_identical_to_scalar_oracle():
         n = 20 + rng.randint_below(60)
         X = np.array([[float(rng.randint_below(4)) for _ in range(p)] for _ in range(n)])
         y = np.array([rng.random() for _ in range(n)])
-        tree = grow_tree(X, y, criterion="variance", max_depth=1 + rng.randint_below(6),
+        tree = mean_tree(X, y, max_depth=1 + rng.randint_below(6),
                          min_samples_leaf=1 + rng.randint_below(3))
         repeated += _has_repeated_feature(tree)
         rows = np.array([[rng.randint_below(7) / 2.0 for _ in range(p)]
@@ -307,7 +307,7 @@ def test_tree_shap_chunks_and_row_blocks_match_oracle(monkeypatch):
 
 def test_tree_shap_packs_chunks_by_leaf_count(monkeypatch):
     X, y = _oracle_data(13)
-    trees = [grow_tree(X, y.astype(float), criterion="variance", max_depth=depth,
+    trees = [mean_tree(X, y.astype(float), max_depth=depth,
                        min_samples_leaf=2) for depth in (6, 1, 4, 2, 5, 3)]
     leaves = list(map(_n_leaves, trees))
     assert len(set(leaves)) >= 4 and leaves[0] == max(leaves)
@@ -336,7 +336,7 @@ def test_tree_shap_packs_chunks_by_leaf_count(monkeypatch):
 
 def test_tree_shap_forest_of_unequal_depths_matches_oracle():
     X, y = _oracle_data(8)
-    trees = [grow_tree(X, y.astype(float), criterion="variance", max_depth=depth,
+    trees = [mean_tree(X, y.astype(float), max_depth=depth,
                        min_samples_leaf=2) for depth in (5, 1, 3, 7, 2)]
     assert len({_depth(tree) for tree in trees}) >= 4
     _assert_bitwise_oracle(TreeEnsemble("random-forest", trees), X)
@@ -344,11 +344,9 @@ def test_tree_shap_forest_of_unequal_depths_matches_oracle():
 
 def test_tree_shap_single_leaf_tree_matches_oracle():
     X, y = _oracle_data(9)
-    leaf = grow_tree(X, np.ones(len(X)), criterion="variance", max_depth=4,
-                     min_samples_leaf=1)
+    leaf = mean_tree(X, np.ones(len(X)), max_depth=4, min_samples_leaf=1)
     assert leaf.n_nodes == 1
-    deep = grow_tree(X, y.astype(float), criterion="variance", max_depth=4,
-                     min_samples_leaf=2)
+    deep = mean_tree(X, y.astype(float), max_depth=4, min_samples_leaf=2)
     for trees in ([leaf], [leaf, deep], [deep, leaf, deep]):
         ensemble = TreeEnsemble("gradient-boosting", trees, shrinkage=0.5)
         _assert_bitwise_oracle(ensemble, X[:30])
@@ -426,8 +424,8 @@ def test_tree_shap_row_fields_widen_bit_for_bit(monkeypatch):
     rng = SplitMix64(5)
     X = np.array([[rng.random() for _ in range(5)] for _ in range(1500)])
     # steps at each column's quarters grow a near-complete tree of depth 10
-    tree = grow_tree(X, np.floor(X * 4) @ (4.0 ** np.arange(5)), criterion="variance",
-                     max_depth=10, min_samples_leaf=1)
+    tree = mean_tree(X, np.floor(X * 4) @ (4.0 ** np.arange(5)), max_depth=10,
+                     min_samples_leaf=1)
     model = TreeEnsemble("gradient-boosting", [tree], shrinkage=0.5)
     rows, units = X[:300], []
     children = explain._children

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import mean_tree
 
 from multisys.base import check_X, check_X_y
 from multisys.models import (
@@ -16,7 +17,7 @@ from multisys.models import (
 )
 from multisys.rng import SplitMix64
 from multisys import tree as tree_mod
-from multisys.tree import LEAF, DecisionTree, TreeError, grow_tree
+from multisys.tree import LEAF, DecisionTree, TreeError
 
 
 def _blobs(n=120, seed=0, gap=2.0):
@@ -282,8 +283,7 @@ def _walk_cases():
     gb = GradientBoostingClassifier(n_estimators=30, max_depth=3, min_samples_leaf=2).fit(X, y)
     rf = RandomForestClassifier(n_estimators=40, max_depth=7, min_samples_leaf=1,
                                 seed=4).fit(X, y)
-    leaf = grow_tree(X, np.full(len(X), 0.25), criterion="variance", max_depth=3,
-                     min_samples_leaf=1)
+    leaf = mean_tree(X, np.full(len(X), 0.25), max_depth=3, min_samples_leaf=1)
     assert leaf.n_nodes == 1
     mixed = [TreeEnsemble("gradient-boosting", [leaf, *gb.trees[:5], leaf], base_score=-0.3,
                           shrinkage=0.5),

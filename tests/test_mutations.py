@@ -31,13 +31,13 @@ from multisys.cli import run_subcommand
 READERS = {
     "manifest.json": ("split",),
     "cohort.csv": ("ingest",),
-    "matrix.csv": ("features", "train", "explain", "report"),
-    "indices.csv": ("split", "train", "report"),
-    "partition.json": ("train", "explain"),
+    "matrix.csv": ("features", "train", "evaluate", "explain", "report"),
+    "indices.csv": ("split", "train", "evaluate", "report"),
+    "partition.json": ("train", "evaluate", "explain"),
     "folds.json": ("evaluate",),
     "model_lr.json": ("evaluate",),
     "model_rf.json": ("evaluate",),
-    "model_gb.json": ("explain",),
+    "model_gb.json": ("evaluate", "explain"),
     "roc.json": ("report",),
     "beeswarm.csv": ("report",),
     "importance.csv": ("report",),

@@ -2,29 +2,62 @@
 
 import copy
 import itertools
+import math
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from conftest import mean_tree
 
 from multisys import tree as tree_mod
 from multisys.models import GradientBoostingClassifier, RandomForestClassifier, TreeEnsemble
 from multisys.rng import SplitMix64
 from multisys.tree import (FIELDS, LEAF, DecisionTree, TreeError, _best_cut, _gini_splits,
-                           expectations, flatten, grow_forest, grow_tree, rank_codes, walk)
+                           _improves, _threshold, expectations, flatten, grow_forest,
+                           rank_codes, walk)
+
+
+def _gini_cut(ordered, ones, candidates, values, min_samples_leaf):
+    """The per-node gini scoring that the batched `_gini_splits` replaced,
+    kept as its oracle: `_best_cut` with each child scored by the weighted
+    gini 2 * s * (n - s) / n of its prefix count s of the 0/1 targets
+    `ones`, the formula `_gini_cuts` reproduces bit for bit."""
+    n = ones.shape[1]
+    lo = max(min_samples_leaf, 1) - 1  # left counts lo+1 .. hi
+    hi = n - 1 - lo
+    if hi <= lo:
+        return None
+    nl = np.arange(lo + 1, hi + 1, dtype=float)
+    nr = n - nl
+    csum = np.cumsum(ones, axis=1, dtype=float)
+    sl = csum[:, lo:hi]
+    sr = csum[:, -1:] - sl
+    valid = ordered[:, lo + 1:hi + 1] > ordered[:, lo:hi]
+    scores = np.where(valid, 2.0 * sl * (nl - sl) / nl + 2.0 * sr * (nr - sr) / nr, np.inf)
+    best = None
+    for j, f in enumerate(candidates):
+        c = int(np.argmin(scores[j]))  # first, i.e. lowest threshold, on ties
+        if valid[j, c] and _improves(scores[j, c], f, best):
+            best, at = (float(scores[j, c]), f), lo + c
+            low, high = ordered[j, at], ordered[j, at + 1]
+    return None if best is None else (*best, _threshold(values[best[1]][low],
+                                                        values[best[1]][high]))
 
 
 def _split_per_node(ranks, target, rows, criterion, min_samples_leaf, max_features=None,
                     rng=None, stats=None):
     """The per-node split search that lockstep growth replaced, kept as its
     oracle: one node's best (score, feature, threshold), or None, from the
-    sorted keys of its rows' rank codes, scored by `_best_cut`.  With
+    sorted keys of its rows' rank codes, scored by `_gini_cut` or, for the
+    variance criterion, `_best_cut`.  With
     `max_features` set, candidates are drawn without replacement from `rng`,
     as many at a time as are still missing; a feature constant within the
     node does not count toward the quota and is redrawn (counted in
     stats["redrawn"])."""
-    codes, values, _ = ranks
+    codes, values = ranks
     if criterion == "gini":  # the 0/1 target is the tag
         shift, tag = 1, target[rows].astype(codes.dtype)
     else:  # the row's position in the node is the tag, and fetches its target
@@ -54,8 +87,9 @@ def _split_per_node(ranks, target, rows, criterion, min_samples_leaf, max_featur
                 stats["redrawn"] += int(np.count_nonzero(~varies))
         keys = np.concatenate(blocks)
     ordered, low = keys >> shift, keys & ((1 << shift) - 1)
-    return _best_cut(ordered, low if criterion == "gini" else target[rows].take(low),
-                     candidates, values, criterion, min_samples_leaf)
+    if criterion == "gini":
+        return _gini_cut(ordered, low, candidates, values, min_samples_leaf)
+    return _best_cut(ordered, target[rows].take(low), candidates, values, min_samples_leaf)
 
 
 def _grow_per_node(X, target, rows, *, criterion, max_depth, min_samples_leaf,
@@ -102,7 +136,7 @@ def _grow_per_node(X, target, rows, *, criterion, max_depth, min_samples_leaf,
 def _tagged(X, y):
     """`rank_codes(X)`'s sorted values, and its codes shifted left past the
     0/1 target y, as `_gini_splits` takes them."""
-    codes, values, _ = rank_codes(X)
+    codes, values = rank_codes(X)
     return codes.astype(np.int32) << 1 | np.asarray(y).astype(np.int32), values
 
 
@@ -164,9 +198,9 @@ def test_best_split_matches_brute_force(criterion):
                          for rows in nodes]
             for rows, best in zip(nodes, found):
                 oracle = _brute_force_best(X[rows], y[rows], min_leaf, IMPURITY[criterion])
-                # On all rows the default growth scores the presorted block instead.
-                root = None if rows is not nodes[0] or len(rows) != n else grow_tree(
-                    X, y, criterion=criterion, max_depth=1, min_samples_leaf=min_leaf)
+                # On all rows boosting's growth scores the presorted block instead.
+                grown = criterion == "variance" and rows is nodes[0] and len(rows) == n
+                root = mean_tree(X, y, max_depth=1, min_samples_leaf=min_leaf) if grown else None
                 if oracle is None:
                     assert best is None
                     assert root is None or root.n_nodes == 1
@@ -191,25 +225,25 @@ def test_presorted_growth_equals_node_local_sorting():
         p = 1 + rng.randint_below(5)
         X = np.array([[float(rng.randint_below(1 + trial % 6)) for _ in range(p)]
                       for _ in range(n)])
-        criterion = ("gini", "variance")[trial % 2]
-        if criterion == "gini":
-            y = np.array([float(rng.randint_below(2)) for _ in range(n)])
-        else:
+        if trial % 2:  # real residuals, and 0/1 targets on every other trial
             y = np.array([float(rng.randint_below(5)) - rng.random() for _ in range(n)])
+        else:
+            y = np.array([float(rng.randint_below(2)) for _ in range(n)])
         # small leaves on two trials in three, up to above n / 2 on the third
         min_leaf = 1 + rng.randint_below(4 if trial % 3 else n // 2 + 2)
-        kwargs = dict(criterion=criterion, max_depth=1 + trial % 6, min_samples_leaf=min_leaf)
-        presorted = grow_tree(X, y, **kwargs)
-        assert presorted.to_dict() == _grow_per_node(X, y, np.arange(n), **kwargs).to_dict(), trial
+        kwargs = dict(max_depth=1 + trial % 6, min_samples_leaf=min_leaf)
+        presorted = mean_tree(X, y, **kwargs)
+        assert presorted.to_dict() == _grow_per_node(X, y, np.arange(n), criterion="variance",
+                                                     **kwargs).to_dict(), trial
         deep += presorted.n_nodes >= 7
         wide_leaves += 2 * min_leaf > n
         # A column constant over X, first, in the middle or last, is left out
         # of the presorted block; the trees keep the original feature ids.
         at = (0, p // 2, p)[trial % 3]
         X_dead = np.insert(X, at, 7.0, axis=1)
-        with_dead = grow_tree(X_dead, y, **kwargs)
-        assert with_dead.to_dict() == _grow_per_node(X_dead, y, np.arange(n),
-                                                     **kwargs).to_dict(), trial
+        with_dead = mean_tree(X_dead, y, **kwargs)
+        assert with_dead.to_dict() == _grow_per_node(
+            X_dead, y, np.arange(n), criterion="variance", **kwargs).to_dict(), trial
         shifted = presorted.feature + (presorted.feature >= at)
         np.testing.assert_array_equal(with_dead.feature, np.where(
             presorted.feature == LEAF, LEAF, shifted))
@@ -363,8 +397,7 @@ def test_variance_criterion_matches_brute_force():
     # Best cut is clearly between 3 and 4.
     assert found[1] == 0
     assert found[2] == 3.5
-    assert grow_tree(X, y, criterion="variance", max_depth=1,
-                     min_samples_leaf=1).threshold[0] == 3.5
+    assert mean_tree(X, y, max_depth=1, min_samples_leaf=1).threshold[0] == 3.5
 
 
 def test_tie_resolves_to_lowest_feature():
@@ -374,6 +407,56 @@ def test_tie_resolves_to_lowest_feature():
     [(_, f, thr)] = _gini_splits(*_tagged(X, y), [np.arange(4)], 1, 2, [])
     assert f == 0
     assert thr == 1.5
+
+
+@pytest.mark.parametrize("a, b", [
+    (1.0000000000000002, 1.0000000000000004),  # 0.5 * (a + b) rounds up to b
+    (1e308, 1.5e308),  # a + b overflows
+])
+def test_fits_split_adjacent_and_huge_values_with_rows_on_both_sides(a, b):
+    X = np.repeat([[a], [b]], 10, axis=0)
+    y = np.repeat([0, 1], 10)
+    for model in (GradientBoostingClassifier(n_estimators=3, min_samples_leaf=1),
+                  RandomForestClassifier(n_estimators=8, min_samples_leaf=1, seed=3)):
+        ensemble = model.fit(X, y)
+        split = np.concatenate([tree.threshold[tree.feature != LEAF] for tree in ensemble.trees])
+        assert len(split) and np.all((a <= split) & (split < b))
+        assert all((tree.cover > 0).all() for tree in ensemble.trees)
+        again = TreeEnsemble.from_dict(ensemble.to_dict())
+        assert again.to_dict() == ensemble.to_dict()
+        np.testing.assert_array_equal(again.predict_proba(X), ensemble.predict_proba(X))
+
+
+_TINY = float(np.nextafter(0.0, 1.0))  # the least subnormal
+_MAX = float(np.finfo(float).max)
+
+
+@settings(deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(-4, 4))
+@example(1.0000000000000002, 1)
+@example(1e308, 1)
+@example(_MAX, -1)
+@example(-_MAX, 1)
+@example(_TINY, 1)
+@example(3 * _TINY, 1)
+@example(_TINY, 4)
+@example(-_TINY, 2)
+@example(float(np.finfo(float).smallest_normal), -1)
+def test_threshold_lies_between_adjacent_values(x, steps):
+    # a < b: x and the double `steps` places above it (below it if negative)
+    b = x
+    for _ in range(abs(steps)):
+        b = math.nextafter(b, math.copysign(math.inf, steps))
+    a, b = sorted((x, b))
+    if not a < b or not np.isfinite(b):
+        return
+    threshold = _threshold(a, b)
+    assert a <= threshold < b
+    # where halving is exact, it is the old midpoint unless that overflowed
+    # or reached b
+    old = 0.5 * (a + b)
+    if 2 * (0.5 * a) == a and 2 * (0.5 * b) == b and -np.inf < old < b:
+        assert threshold == old
 
 
 def _forest_per_tree(X, y, seed, n_trees, **kwargs):
@@ -443,7 +526,7 @@ def test_grow_respects_depth_and_leaf_size():
     rng = SplitMix64(1)
     X = np.array([[rng.random()] for _ in range(100)])
     y = (X[:, 0] > 0.5).astype(float)
-    tree = grow_tree(X, y, criterion="gini", max_depth=2, min_samples_leaf=10)
+    tree = mean_tree(X, y, max_depth=2, min_samples_leaf=10)
 
     def depth(node):
         if tree.feature[node] == LEAF:
@@ -458,7 +541,7 @@ def test_grow_respects_depth_and_leaf_size():
 def test_pure_node_becomes_leaf():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.zeros(4)
-    tree = grow_tree(X, y, criterion="gini", max_depth=5, min_samples_leaf=1)
+    tree = mean_tree(X, y, max_depth=5, min_samples_leaf=1)
     assert tree.n_nodes == 1
     assert tree.value[0] == 0.0
 
@@ -466,7 +549,7 @@ def test_pure_node_becomes_leaf():
 def test_prediction_routes_left_on_equality():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
-    tree = grow_tree(X, y, criterion="gini", max_depth=1, min_samples_leaf=1)
+    tree = mean_tree(X, y, max_depth=1, min_samples_leaf=1)
     thr = tree.threshold[0]
     assert tree.predict(np.array([[thr]]))[0] == tree.value[tree.left[0]]
 
@@ -475,7 +558,7 @@ def test_predict_matches_leaf_means():
     rng = SplitMix64(2)
     X = np.array([[rng.random(), rng.random()] for _ in range(80)])
     y = np.array([float(x0 > 0.3) for x0, _ in X])
-    tree = grow_tree(X, y, criterion="gini", max_depth=4, min_samples_leaf=5)
+    tree = mean_tree(X, y, max_depth=4, min_samples_leaf=5)
     [(_, [leaf])] = walk(flatten([tree]), X)
     for node in np.unique(leaf):
         members = leaf == node
@@ -486,7 +569,7 @@ def test_cover_totals_consistent():
     rng = SplitMix64(3)
     X = np.array([[rng.random()] for _ in range(60)])
     y = np.array([float(rng.randint_below(2)) for _ in range(60)])
-    tree = grow_tree(X, y, criterion="gini", max_depth=6, min_samples_leaf=2)
+    tree = mean_tree(X, y, max_depth=6, min_samples_leaf=2)
     assert tree.cover[0] == 60
     for i in range(tree.n_nodes):
         if tree.feature[i] != LEAF:
@@ -497,7 +580,7 @@ def test_expected_value_is_cover_weighted_mean():
     rng = SplitMix64(4)
     X = np.array([[rng.random()] for _ in range(50)])
     y = np.array([float(rng.randint_below(2)) for _ in range(50)])
-    tree = grow_tree(X, y, criterion="gini", max_depth=4, min_samples_leaf=3)
+    tree = mean_tree(X, y, max_depth=4, min_samples_leaf=3)
     # With leaf values = training means and covers = training counts, the
     # cover-weighted expectation equals the overall training mean.
     assert expectations(flatten([tree]))[0] == pytest.approx(np.mean(y))
@@ -516,33 +599,22 @@ def test_max_features_sampling_deterministic():
 
 def test_zero_rows_errors():
     with pytest.raises(TreeError):
-        grow_tree(np.zeros((0, 1)), np.zeros(0), criterion="gini",
-                  max_depth=1, min_samples_leaf=1)
+        mean_tree(np.zeros((0, 1)), np.zeros(0), max_depth=1, min_samples_leaf=1)
 
 
 def test_gini_needs_binary_targets():
     # the forest's sort keys carry the target in their lowest bit
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     with pytest.raises(TreeError, match="0/1"):
-        grow_tree(X, np.array([0.0, 0.5, 1.0, 1.0]), criterion="gini", max_depth=2,
-                  min_samples_leaf=1)
-    with pytest.raises(TreeError, match="0/1"):
         grow_forest(X, np.array([0.0, 2.0, 1.0, 1.0]), [SplitMix64(1)], max_depth=2,
                     min_samples_leaf=1, max_features=1)
-
-
-def test_unknown_criterion_errors():
-    X = np.array([[0.0], [1.0], [2.0], [3.0]])
-    y = np.array([0.0, 0.0, 1.0, 1.0])
-    with pytest.raises(TreeError):
-        grow_tree(X, y, criterion="entropy", max_depth=2, min_samples_leaf=1)
 
 
 def test_serialization_roundtrip():
     rng = SplitMix64(6)
     X = np.array([[rng.random(), rng.random()] for _ in range(40)])
     y = np.array([float(rng.randint_below(2)) for _ in range(40)])
-    tree = grow_tree(X, y, criterion="gini", max_depth=3, min_samples_leaf=2)
+    tree = mean_tree(X, y, max_depth=3, min_samples_leaf=2)
     again = DecisionTree.from_dict(tree.to_dict())
     np.testing.assert_array_equal(again.feature, tree.feature)
     np.testing.assert_array_equal(again.left, tree.left)
@@ -568,8 +640,7 @@ def test_expected_value_sweep_bit_equal_to_recursion():
         n = 10 + rng.randint_below(80)
         X = np.array([[rng.random() for _ in range(3)] for _ in range(n)])
         y = np.array([rng.random() - 0.5 if trial else 0.0 for _ in range(n)])
-        trees.append(grow_tree(X, y, criterion="variance", max_depth=1 + trial % 7,
-                               min_samples_leaf=1 + trial % 3))
+        trees.append(mean_tree(X, y, max_depth=1 + trial % 7, min_samples_leaf=1 + trial % 3))
     X = np.array([[rng.random() for _ in range(4)] for _ in range(150)])
     y = (X[:, 0] + 0.3 * X[:, 1] > 0.6).astype(int)
     for model in (GradientBoostingClassifier(n_estimators=20, max_depth=4, min_samples_leaf=3),
