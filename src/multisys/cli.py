@@ -2,7 +2,9 @@
 
 Each subcommand reads its upstream artifacts from the run directory and
 writes its own through ``Workspace.read`` / ``Workspace.write``, so every
-stage is independently inspectable and replayable.  Every artifact is
+stage is independently inspectable and replayable; ``all`` reads the matrix,
+labels and partition that several stages share once (``Workspace.matrix``
+etc.), and a stage run on its own reads them as before.  Every artifact is
 registered in ``manifest.json`` together with the hash of the configuration
 that produced it; stages refuse to mix artifacts from different
 configurations unless ``--force`` is given.
@@ -230,7 +232,11 @@ def _check_manifest(doc: dict) -> dict:
 
 
 class Workspace:
-    """The run directory: artifact I/O and the config-hash manifest."""
+    """The run directory: artifact I/O, the config-hash manifest, and the
+    shared inputs `matrix`, `labels` and `partition`, each read the first time
+    a stage uses it and kept.  No stage uses one before the stage that writes
+    it has run, so a kept value is what a stage run alone would decode.  The
+    matrix's values are read-only: a write would change a later stage's input."""
 
     def __init__(self, out_dir: str, cfg: RunConfig, force: bool = False):
         self.out_dir = out_dir
@@ -295,6 +301,25 @@ class Workspace:
             return read_file(path, decode, artifact_error)
         return read_file(path, decode, artifact_error, parse=csv_rows)
 
+    @functools.cached_property
+    def matrix(self) -> ingest_mod.FeatureMatrix:
+        matrix = ingest_mod.read_matrix_csv(self.require("matrix.csv"), self.cfg.schemas)
+        matrix.values.setflags(write=False)
+        return matrix
+
+    @functools.cached_property
+    def labels(self) -> np.ndarray:
+        """indices.csv's target_multi, one per matrix row."""
+        return _load_indices(self, len(self.matrix.values), "target_multi")[0]
+
+    @functools.cached_property
+    def partition(self) -> Partition:
+        """partition.json, its subsets int arrays of rows below the matrix's row count."""
+        n_rows = len(self.matrix.values)
+        return self.read("partition.json", lambda doc: Partition(**{**doc, **{
+            subset: numbers(doc[subset], subset, below=n_rows)
+            for subset in ("train", "validation", "test")}}))
+
 
 def _table(records: list[dict]) -> list[list]:
     """CSV rows, header first, of records that share their keys."""
@@ -334,13 +359,8 @@ def stage_ingest(ws: Workspace) -> None:
     log.info("ingest: %d rows, %d columns", *matrix.values.shape)
 
 
-def _load_matrix(ws: Workspace) -> ingest_mod.FeatureMatrix:
-    return ingest_mod.read_matrix_csv(ws.require("matrix.csv"), ws.cfg.schemas)
-
-
 def stage_features(ws: Workspace) -> None:
-    matrix = _load_matrix(ws)
-    idx = indices_mod.compute_indices(matrix, ws.cfg.systems)
+    idx = indices_mod.compute_indices(ws.matrix, ws.cfg.systems)
     names = idx.systems
     header = ([f"{s}_flag" for s in names] + [f"{s}_grade" for s in names]
               + ["burden_score", "affected_systems", "target_multi"])
@@ -387,13 +407,6 @@ def stage_split(ws: Workspace) -> None:
              len(partition.test))
 
 
-def _load_partition(ws: Workspace, n_rows: int) -> Partition:
-    """partition.json, its subsets int arrays of rows below the matrix's n_rows."""
-    return ws.read("partition.json", lambda doc: Partition(**{**doc, **{
-        subset: numbers(doc[subset], subset, below=n_rows)
-        for subset in ("train", "validation", "test")}}))
-
-
 def _load_folds(ws: Workspace, train: np.ndarray, n_rows: int) -> FoldPlan:
     """folds.json's fold plan of partition.json's `train` rows: the config's
     cv_folds as k, one assignment in [0, k) per row, and `train` as its
@@ -419,10 +432,8 @@ def _load_model(ws: Workspace, kind: ModelKind, n_columns: int):
 
 
 def stage_train(ws: Workspace) -> None:
-    matrix = _load_matrix(ws)
-    [y] = _load_indices(ws, len(matrix.values), "target_multi")
-    train_idx = _load_partition(ws, len(y)).train
-    X_train, y_train = matrix.values[train_idx], y[train_idx]
+    train_idx = ws.partition.train
+    X_train, y_train = ws.matrix.values[train_idx], ws.labels[train_idx]
     # every fit ends before the first model file is written
     fitted = [ws.cfg.fitter(kind)(X_train, y_train) for kind in MODELS.values()]
     for kind, model in zip(MODELS.values(), fitted):
@@ -455,35 +466,24 @@ def _task_map(n_tasks: int):
             raise
 
 
-def _evaluate_inputs(ws: Workspace) -> tuple:
-    """evaluate's upstream artifacts: the matrix, its labels, the partition
-    and the fold plan."""
-    matrix = _load_matrix(ws)
-    [y] = _load_indices(ws, len(matrix.values), "target_multi")
-    partition = _load_partition(ws, len(y))
-    return matrix, y, partition, _load_folds(ws, partition.train, len(y))
-
-
-def _cv_refits(ws: Workspace, inputs: tuple, task_map) -> metrics_mod.Refits:
-    """evaluate's CV refits of every model on `inputs`, submitted to `task_map`."""
-    matrix, y, partition, fold_plan = inputs
+def _cv_refits(ws: Workspace, task_map) -> metrics_mod.Refits:
+    """evaluate's CV refits of every model on folds.json's plan, submitted to `task_map`."""
+    train, y = ws.partition.train, ws.labels
     fitters = {name: ws.cfg.fitter(kind) for name, kind in MODELS.items()}
-    return metrics_mod.cv_refits(fitters, matrix.values[partition.train], y[partition.train],
-                                 fold_plan, task_map)
+    return metrics_mod.cv_refits(fitters, ws.matrix.values[train], y[train],
+                                 _load_folds(ws, train, len(y)), task_map)
 
 
-def stage_evaluate(ws: Workspace, inputs: tuple | None = None,
-                   refits: metrics_mod.Refits | None = None) -> None:
-    """Score every model on the validation and test rows and by CV refits.
-    `all` passes the inputs it loaded and the refits it submitted on them
-    before train; on its own, evaluate loads both here."""
-    matrix, y, partition, fold_plan = inputs = inputs or _evaluate_inputs(ws)
+def stage_evaluate(ws: Workspace, refits: metrics_mod.Refits | None = None) -> None:
+    """Score every model on the validation and test rows and by CV refits,
+    which `all` submits before train and passes here."""
+    matrix, y, partition = ws.matrix, ws.labels, ws.partition
     # every model file is loaded, and so checked, before the first refit this call submits
     fitted = {name: _load_model(ws, kind, matrix.values.shape[1])
               for name, kind in MODELS.items()}
-    with (_task_map(len(MODELS) * fold_plan.k) if refits is None
+    with (_task_map(len(MODELS) * ws.cfg["cv_folds"]) if refits is None
           else contextlib.nullcontext()) as task_map:
-        results = metrics_mod.cv_evaluate(refits or _cv_refits(ws, inputs, task_map))
+        results = metrics_mod.cv_evaluate(refits or _cv_refits(ws, task_map))
     roc_doc = {}
     for name, model in fitted.items():
         entry = results[name]
@@ -511,8 +511,7 @@ def stage_evaluate(ws: Workspace, inputs: tuple | None = None,
 
 
 def stage_explain(ws: Workspace) -> None:
-    matrix = _load_matrix(ws)
-    partition = _load_partition(ws, len(matrix.values))
+    matrix, partition = ws.matrix, ws.partition
     gb = _load_model(ws, MODELS["gradient_boosting"], matrix.values.shape[1])
     X_test, X_train = matrix.values[partition.test], matrix.values[partition.train]
     names = matrix.names
@@ -545,7 +544,7 @@ def stage_explain(ws: Workspace) -> None:
 
 
 def stage_report(ws: Workspace) -> None:
-    matrix = _load_matrix(ws)
+    matrix = ws.matrix
     figures = {}
     # a column that never varies has no spread to draw and no correlation
     continuous = [(c.name, matrix.column(c.name)) for c in matrix.columns
@@ -590,12 +589,11 @@ def stage_all(ws: Workspace) -> None:
     stage_features(ws)
     stage_split(ws)
     # evaluate's CV refits run on the pool while train and explain run here
-    inputs = _evaluate_inputs(ws)
     with _task_map(len(MODELS) * ws.cfg["cv_folds"]) as task_map:
-        refits = _cv_refits(ws, inputs, task_map)
+        refits = _cv_refits(ws, task_map)
         stage_train(ws)
         stage_explain(ws)
-        stage_evaluate(ws, inputs, refits)
+        stage_evaluate(ws, refits)
     stage_report(ws)
 
     n, prevalence = ws.read("prevalence.json", lambda doc: (doc["n"], doc))
@@ -603,8 +601,8 @@ def stage_all(ws: Workspace) -> None:
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "config_hash": ws.cfg.hash(),
         "n": n,
-        "split_sizes": ws.read("partition.json", lambda doc: {
-            subset: len(doc[subset]) for subset in ("train", "validation", "test")}),
+        "split_sizes": {subset: len(getattr(ws.partition, subset))
+                        for subset in ("train", "validation", "test")},
         "prevalence": prevalence,
         "metrics": ws.read("metrics.json", lambda doc: doc["models"]),
         "importance_top10": ws.read("importance.csv", lambda rows: [

@@ -18,7 +18,8 @@ import pytest
 from conftest import FAST_CONFIG, NIT_SYSTEMS
 
 import multisys
-from multisys import indices as indices_mod, ingest as ingest_mod, synth as synth_mod
+from multisys import (cli as cli_mod, indices as indices_mod, ingest as ingest_mod,
+                      synth as synth_mod)
 from multisys.base import MultisysError
 from multisys.cli import STAGES, CliError, RunConfig, Workspace, main, run_subcommand
 from multisys.indices import default_systems
@@ -415,6 +416,37 @@ def test_each_named_file_is_parsed_once_per_run(tmp_path, monkeypatch):
         (indices_mod, "systems_from_json"))]
     assert _run("all", str(tmp_path / "run"), config) == 0
     assert [len(calls) for calls in parsers] == [1, 1, 1]
+
+
+def test_all_reads_the_shared_inputs_once_and_each_stage_alone_as_before(
+        tmp_path, fast_config, monkeypatch):
+    matrices = _counted(monkeypatch, ingest_mod, "read_matrix_csv")
+    files = _counted(monkeypatch, cli_mod, "read_file")
+
+    def reads(stage: str, out: str) -> tuple:
+        """(matrix.csv parses, partition.json decodes) of one run of `stage`."""
+        matrices.clear(), files.clear()
+        assert _run(stage, out, fast_config) == 0, stage
+        partition = os.path.join(out, "partition.json")
+        return len(matrices), [path for path, *_ in files].count(partition)
+
+    assert reads("all", str(tmp_path / "all")) == (1, 1)
+    # split reads no matrix: perfbench's prep-50k-messy times it as a process of its own
+    staged = str(tmp_path / "staged")
+    assert {stage: reads(stage, staged) for stage in STAGES if stage != "all"} == {
+        "simulate": (0, 0), "ingest": (0, 0), "features": (1, 0), "split": (0, 0),
+        "train": (1, 1), "evaluate": (1, 1), "explain": (1, 1), "report": (1, 0)}
+
+
+def test_the_kept_matrix_is_read_only(tmp_path, fast_config):
+    # a write into it would change a later stage's input in all, and in all alone
+    out = _trained_run(tmp_path, fast_config, last="ingest")
+    ws = Workspace(out, RunConfig.load(fast_config))
+    STAGES["features"](ws)
+    with pytest.raises(ValueError, match="read-only"):
+        ws.matrix.values[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        ws.matrix.column("GLU")[:] = 0.0
 
 
 def test_features_evaluates_each_rule_once(tmp_path, fast_config, monkeypatch):
