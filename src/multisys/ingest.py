@@ -241,13 +241,21 @@ def _blocks(reader, width: int):
     strings is alive at a time."""
     line = 2
     while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
-        ragged = [i for i, row in enumerate(rows) if len(row) != width]
-        if ragged:
-            raise IngestError(f"line {line + ragged[0]} has {len(rows[ragged[0]])} cells, "
-                              f"the header {width}")
+        if set(map(len, rows)) != {width}:
+            i = next(i for i, row in enumerate(rows) if len(row) != width)
+            raise IngestError(f"line {line + i} has {len(rows[i])} cells, the header {width}")
         yield line, rows
         line += len(rows)
         rows.clear()
+
+
+class _Codes(dict):
+    """A column's table of distinct cells: looking up a new cell numbers it,
+    in order of first lookup."""
+
+    def __missing__(self, cell: str) -> int:
+        self[cell] = code = len(self)
+        return code
 
 
 def load_cohort(csv_path: str, schemas: list[ColumnSchema]) -> RawCohort:
@@ -256,8 +264,10 @@ def load_cohort(csv_path: str, schemas: list[ColumnSchema]) -> RawCohort:
     Columns not covered by the schema are dropped (counted in a warning);
     a schema entry whose source header is absent from the file, or a file
     without data rows, is an error.
-    Kept columns are coded as the blocks are read, one table per column for
-    the whole file, so the codes depend on neither the blocks nor the hash seed.
+    Kept columns are coded as the blocks are read, a block column by column,
+    with one table per column for the whole file, so the codes depend on
+    neither the blocks nor the hash seed; Python code runs only for a cell
+    the table does not hold yet.
     """
     by_source = {s.source_header: s.name for s in schemas}
 
@@ -274,14 +284,16 @@ def load_cohort(csv_path: str, schemas: list[ColumnSchema]) -> RawCohort:
         dropped = len(header) - len(keep)
         if dropped:
             log.warning("%s: dropped %d unmapped column(s)", csv_path, dropped)
-        coded = {name: ({}, [np.empty(0, dtype=np.int32)]) for _, name in keep}
+        coded = {name: (_Codes(), [np.empty(0, dtype=np.int32)]) for _, name in keep}
         n = 0
         for _, rows in _blocks(reader, len(header)):
+            cells = list(zip(*rows))  # the block's columns
             for i, name in keep:
                 table, codes = coded[name]
-                codes.append(np.fromiter((table.setdefault(row[i], len(table)) for row in rows),
-                                         dtype=np.int32, count=len(rows)))
+                codes.append(np.fromiter(map(table.__getitem__, cells[i]), dtype=np.int32,
+                                         count=len(rows)))
             n += len(rows)
+            del cells  # so that one block of cells is alive at a time
         if n == 0:
             raise IngestError("no data rows")
         columns = {}
@@ -371,13 +383,14 @@ def write_matrix_csv(matrix: FeatureMatrix, path: str) -> None:
     keys = [np.unique(bits[:, j]) for j in range(bits.shape[1])]
     texts = [np.array([repr(v) for v in k.view(float).tolist()], dtype=object) for k in keys]
     with write_file(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(matrix.names)
+        csv.writer(fh).writerow(matrix.names)
         for start in range(0, len(bits), _BLOCK_ROWS):
             block = bits[start:start + _BLOCK_ROWS]
-            columns = [text[np.searchsorted(key, block[:, j])]
+            columns = [text[np.searchsorted(key, block[:, j])].tolist()
                        for j, (key, text) in enumerate(zip(keys, texts))]
-            writer.writerows(zip(*columns))
+            # a float's repr holds no comma, quote or line break, so csv.writer
+            # would write these rows unquoted, just as they are joined here
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def _floats(line: int, rows: list[list[str]]) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_DRAWS = 4096  # most bounded draws per block, which caps the block's temporaries
 
 
 class SplitMix64:
@@ -57,29 +58,44 @@ class SplitMix64:
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         return z ^ (z >> np.uint64(31))
 
+    def _below(self, bounds: np.ndarray) -> np.ndarray:
+        """`randint_below(b)` for each b of the uint64 array `bounds` in turn,
+        as one int64 array, leaving the generator as those scalar calls leave
+        it.
+
+        The draws come as one block, each checked against its own rejection
+        threshold; from the first draw the scalar call would reject, the
+        scalar call takes over.
+        """
+        start = self._state
+        z = self._block(len(bounds))
+        rejected = np.flatnonzero(z < (0 - bounds) % bounds)  # (2**64) % b, wrapping
+        kept = int(rejected[0]) if rejected.size else len(z)
+        out = (z[:kept] % bounds[:kept]).astype(np.int64)
+        if kept == len(z):
+            return out
+        self._state = (start + kept * _GOLDEN) & _MASK64
+        rest = [self.randint_below(b) for b in bounds[kept:].tolist()]
+        return np.concatenate([out, np.array(rest, dtype=np.int64)])
+
     def randints_below(self, n: int, k: int) -> np.ndarray:
         """k draws of `randint_below(n)` as one int64 array, leaving the
-        generator in the state k scalar calls leave it in.
-
-        Each round draws as many values as are still missing and drops the
-        rejected ones.
-        """
+        generator in the state k scalar calls leave it in, drawn _DRAWS at a
+        time (`_below`)."""
         if not 0 < n < 1 << 63:
             raise ValueError("n must be in [1, 2**63)")
-        threshold = np.uint64((1 << 64) % n)
-        kept = [np.empty(0, np.uint64)]
-        while k > 0:
-            z = self._block(k)
-            z = z[z >= threshold]
-            kept.append(z % np.uint64(n))
-            k -= len(z)
-        return np.concatenate(kept).astype(np.int64)
+        return np.concatenate([np.empty(0, np.int64)] + [
+            self._below(np.full(min(_DRAWS, k - done), n, dtype=np.uint64))
+            for done in range(0, k, _DRAWS)])
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint_below(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """In-place Fisher-Yates shuffle: from the last position i down to 1,
+        item i swaps with item `randint_below(i + 1)`.  The draws come _DRAWS
+        at a time (`_below`)."""
+        for top in range(len(items) - 1, 0, -_DRAWS):
+            bounds = np.arange(top + 1, max(top + 1 - _DRAWS, 1), -1, dtype=np.uint64)
+            for i, j in zip(range(top, 0, -1), self._below(bounds).tolist()):
+                items[i], items[j] = items[j], items[i]
 
     def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
         """Gaussian draw via Box-Muller (cached pair for determinism)."""

@@ -54,7 +54,7 @@ def _class_members(labels: np.ndarray) -> list[tuple[int, list[int]]]:
     labels = np.asarray(labels)
     out = []
     for value in np.unique(labels):
-        out.append((int(value), [int(i) for i in np.flatnonzero(labels == value)]))
+        out.append((int(value), np.flatnonzero(labels == value).tolist()))
     return out
 
 

@@ -485,10 +485,10 @@ def grow_tree(X: np.ndarray, residual: np.ndarray, *, max_depth: int, min_sample
     stable order of each column's codes, `np.argsort(codes, axis=1,
     kind="stable")`.  Each node scores (`_best_cut`) its block: one row per
     column that varies over X, holding the node's row ids in sorted order, the
-    stable partition of its parent's block.
+    stable partition of its parent's block.  A child that can only become a
+    leaf, at max_depth or with fewer than 2 * min_samples_leaf rows, gets no
+    block.
     """
-    if len(X) == 0:
-        raise TreeError("cannot grow a tree on zero rows")
     codes, values, order = ranks
     # the block keeps only the columns that vary over X (no other column has a
     # legal cut), each as one contiguous row of row ids in sorted order
@@ -519,9 +519,14 @@ def grow_tree(X: np.ndarray, residual: np.ndarray, *, max_depth: int, min_sample
         feature[index], threshold[index] = f, thr
         # one block mask and its negation: a stable partition of every row
         side = X[:, f] <= thr
-        mask = side.take(block)
-        for part, sub, children in ((rows[~side[rows]], block[~mask], right),
-                                    (rows[side[rows]], block[mask], left)):
-            stack.append((part, sub.reshape(-1, len(part)), depth + 1, (children, index)))
+        mask = None
+        for part, goes_left, children in ((rows[~side[rows]], False, right),
+                                          (rows[side[rows]], True, left)):
+            sub = None  # a child that can only become a leaf takes its row ids alone
+            if depth + 1 < max_depth and len(part) >= 2 * min_samples_leaf:
+                if mask is None:
+                    mask = side.take(block)
+                sub = block[mask if goes_left else ~mask].reshape(-1, len(part))
+            stack.append((part, sub, depth + 1, (children, index)))
     return DecisionTree(*(np.array(column, dtype=dtype)
                           for column, dtype in zip(table, FIELDS.values())))

@@ -466,16 +466,19 @@ def _write_per_cell(values, names, path):
 
 def test_matrix_csv_bytes_match_per_cell_writer(tmp_path, tiny_schemas):
     # Signed zeros, a subnormal and the largest magnitudes, over more than
-    # two blocks of rows; the last column is constant.
+    # two blocks of rows; the third column is constant, and the last one's
+    # name holds a comma and a double quote, which the header must quote.
+    schemas = [*tiny_schemas, ColumnSchema('Na, "serum"', "continuous", "mmol/L", 100, 200)]
     cells = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 0.1, 77.123456789]
     n = 2 * 4096 + 5
     values = np.column_stack([np.resize(cells, n), np.resize(cells[::-1], n)[::-1],
-                              np.full(n, 1.5)])
+                              np.full(n, 1.5), np.resize(cells[3:], n)])
     path, oracle = tmp_path / "matrix.csv", tmp_path / "oracle.csv"
-    write_matrix_csv(FeatureMatrix(columns=list(tiny_schemas), values=values), str(path))
-    _write_per_cell(values, [s.name for s in tiny_schemas], str(oracle))
+    write_matrix_csv(FeatureMatrix(columns=schemas, values=values), str(path))
+    _write_per_cell(values, [s.name for s in schemas], str(oracle))
     assert path.read_bytes() == oracle.read_bytes()
-    loaded = read_matrix_csv(str(path), tiny_schemas)
+    assert path.read_bytes().startswith(b'Cr,GLU,PRO,"Na, ""serum"""\r\n')
+    loaded = read_matrix_csv(str(path), schemas)
     assert loaded.values.view(np.int64).tolist() == values.view(np.int64).tolist()
 
 

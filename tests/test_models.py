@@ -237,6 +237,12 @@ def test_gb_training_deviance_nonincreasing():
     assert all(b <= a + 1e-12 for a, b in zip(dev, dev[1:]))
 
 
+def test_gb_zero_rows_errors():
+    # grow_tree's one caller rejects zero rows before any tree is grown
+    with pytest.raises(ValueError, match="fewer than two classes"):
+        GradientBoostingClassifier().fit(np.zeros((0, 1)), np.zeros(0))
+
+
 def test_gb_deterministic():
     X, y = _blobs(80, seed=11)
     a = GradientBoostingClassifier(n_estimators=5).fit(X, y)

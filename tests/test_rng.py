@@ -115,6 +115,40 @@ def test_randints_below_rejects_as_the_scalar_draw_does():
     assert bulk._state == stream._state
 
 
+def test_block_draws_reject_as_the_scalar_draw_does():
+    # About a quarter of the draws below 2**62 + 1 are rejected, so the scalar
+    # fallback takes over early in the block; the other bounds reject about none.
+    n = 2**62 + 1
+    for seed in range(40):
+        bounds = [n] * 300 + [2**63 - 1, 836, 7, 1] * 25
+        stream = SplitMix64(seed)
+        threshold = (1 << 64) % n
+        assert any(stream.next_u64() < threshold for _ in range(300))
+        scalar, bulk = SplitMix64(seed), SplitMix64(seed)
+        expected = [scalar.randint_below(b) for b in bounds]
+        drawn = bulk._below(np.array(bounds, dtype=np.uint64))
+        assert drawn.dtype == np.int64 and drawn.tolist() == expected, seed
+        assert bulk._state == scalar._state, seed
+
+
+def _scalar_shuffle(rng: SplitMix64, items: list) -> None:
+    """Fisher-Yates with one scalar draw per swap."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randint_below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4096, 4097, 9000])
+def test_shuffle_matches_scalar_fisher_yates(n):
+    for seed in itertools.chain(range(25), [2**64 - 1, 2**63, _GOLDEN]):
+        scalar, bulk = SplitMix64(seed), SplitMix64(seed)
+        expected, shuffled = list(range(n)), list(range(n))
+        _scalar_shuffle(scalar, expected)
+        bulk.shuffle(shuffled)
+        assert shuffled == expected, (seed, n)
+        assert bulk._state == scalar._state, (seed, n)
+
+
 def test_randints_below_edge_cases():
     rng = SplitMix64(4)
     state = rng._state

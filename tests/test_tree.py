@@ -597,11 +597,6 @@ def test_max_features_sampling_deterministic():
     assert set(t1[0].feature[t1[0].feature != LEAF]) <= set(range(6))
 
 
-def test_zero_rows_errors():
-    with pytest.raises(TreeError):
-        mean_tree(np.zeros((0, 1)), np.zeros(0), max_depth=1, min_samples_leaf=1)
-
-
 def test_gini_needs_binary_targets():
     # the forest's sort keys carry the target in their lowest bit
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
