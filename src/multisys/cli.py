@@ -441,49 +441,23 @@ def stage_train(ws: Workspace) -> None:
     log.info("train: fitted %d models on %d rows", len(MODELS), len(train_idx))
 
 
-@contextlib.contextmanager
-def _task_map(n_tasks: int):
-    """An ordered map for `n_tasks` independent tasks: a fork process pool's,
-    as wide as the CPU affinity allows, or the builtin at width 1.  When the
-    block raises, the pool's tasks that have not started are cancelled."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    width = min(cpus, n_tasks)
-    if width == 1:
-        yield map
-        return
-    # Imported here, so that a run that starts no pool does not load them.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork, named because Python 3.14 changes the default: workers start with
-    # the parent's imports and do not re-run __main__, and a fork pool starts
-    # every worker before its own thread.
-    with ProcessPoolExecutor(width, mp_context=multiprocessing.get_context("fork")) as pool:
-        try:
-            yield pool.map
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-
-
-def _cv_refits(ws: Workspace, task_map) -> metrics_mod.Refits:
-    """evaluate's CV refits of every model on folds.json's plan, submitted to `task_map`."""
+def _cv_refits(ws: Workspace):
+    """A `metrics.cv_refits` block of evaluate's refits on folds.json's plan."""
     train, y = ws.partition.train, ws.labels
     fitters = {name: ws.cfg.fitter(kind) for name, kind in MODELS.items()}
     return metrics_mod.cv_refits(fitters, ws.matrix.values[train], y[train],
-                                 _load_folds(ws, train, len(y)), task_map)
+                                 _load_folds(ws, train, len(y)))
 
 
 def stage_evaluate(ws: Workspace, refits: metrics_mod.Refits | None = None) -> None:
-    """Score every model on the validation and test rows and by CV refits,
-    which `all` submits before train and passes here."""
+    """Score every model on the validation and test rows and by CV refits: those
+    of `all`'s open block, or of one opened here and ended before any write."""
     matrix, y, partition = ws.matrix, ws.labels, ws.partition
-    # every model file is loaded, and so checked, before the first refit this call submits
+    # every model file is loaded, and so checked, before the first refit this call starts
     fitted = {name: _load_model(ws, kind, matrix.values.shape[1])
               for name, kind in MODELS.items()}
-    with (_task_map(len(MODELS) * ws.cfg["cv_folds"]) if refits is None
-          else contextlib.nullcontext()) as task_map:
-        results = metrics_mod.cv_evaluate(refits or _cv_refits(ws, task_map))
+    with _cv_refits(ws) if refits is None else contextlib.nullcontext(refits) as refits:
+        results = metrics_mod.cv_evaluate(refits)
     roc_doc = {}
     for name, model in fitted.items():
         entry = results[name]
@@ -583,14 +557,14 @@ def stage_report(ws: Workspace) -> None:
 
 
 def stage_all(ws: Workspace) -> None:
+    """Every stage; evaluate's refits run on their block's pool while train and
+    explain run here, and the block ends its workers, also when a stage fails."""
     if ws.cfg["synth"] is not None:
         stage_simulate(ws)
     stage_ingest(ws)
     stage_features(ws)
     stage_split(ws)
-    # evaluate's CV refits run on the pool while train and explain run here
-    with _task_map(len(MODELS) * ws.cfg["cv_folds"]) as task_map:
-        refits = _cv_refits(ws, task_map)
+    with _cv_refits(ws) as refits:
         stage_train(ws)
         stage_explain(ws)
         stage_evaluate(ws, refits)

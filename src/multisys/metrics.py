@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -82,21 +84,15 @@ def confusion_at(scores, labels, threshold: float = 0.5) -> dict:
             "sensitivity": sens, "specificity": spec, "f1": f1, "threshold": threshold}
 
 
-# (number, X, y) of the latest cv_refits: a fork pool's workers inherit it
-# when the pool's first submit forks them, so no task pickles X or y
-_inputs: tuple = (0, None, None)
+# (X, y) of the open cv_refits block, which its fork pool's workers inherit
+_inputs: tuple = (None, None)
 
 
 def _fold_auc(task: tuple) -> float:
-    """Held-out AUC of one (model, fold) refit on the inputs of cv_refits call
-    `number`; any failure as a MetricError naming both, so that it crosses a
-    process boundary intact."""
-    name, fitter, held, fold, number = task
-    current, X, y = _inputs
+    """Held-out AUC of one (model, fold) refit; a failure as a picklable MetricError naming both."""
+    name, fitter, held, fold = task
+    X, y = _inputs
     try:
-        if number != current:
-            raise RuntimeError(f"its inputs are those of cv_refits call {current}, "
-                               f"not of call {number}")
         model = fitter(X[~held], y[~held])
         return roc_auc(model.predict_proba(X[held]), y[held])
     except Exception as exc:
@@ -104,32 +100,44 @@ def _fold_auc(task: tuple) -> float:
 
 
 class Refits(NamedTuple):
-    """The (model, fold) refits of one cross-validation: `tasks` in model,
-    then fold order, and `aucs`, their held-out AUCs in that order."""
+    """A cross-validation's (model, fold) `tasks`, in model then fold order, and their `aucs`."""
     tasks: list[tuple]
     aucs: Iterator[float]
 
 
-def cv_refits(fitters: dict[str, Callable], X, y, fold_plan, map=map) -> Refits:
-    """Per model and fold, a refit on the other k-1 folds scored on the
-    held-out one, through one ordered `map`.
-
-    `fitters[name](X_train, y_train)` must return an object with a
-    `predict_proba(X) -> (n,) probability vector` method.  X and y go to
-    `_inputs` before the first submit, and a task holds its model, fitter,
-    held-out rows, fold and the number of this call.  A fork process pool's
-    map submits every refit at once, and its first submit forks every
-    worker, which so inherits X and y; the fitters must pickle.  The builtin
-    runs each refit as `cv_evaluate` asks for its AUC.  Either gives the same
-    AUCs; a refit whose process holds another call's inputs (a later call's,
-    or an earlier one's in workers forked before this call) fails instead.
-    """
+@contextlib.contextmanager
+def cv_refits(fitters: dict[str, Callable], X, y, fold_plan) -> Iterator[Refits]:
+    """A block that owns the refits, per model and fold, of `fitters[name](X_train,
+    y_train)` (picklable, returning a model with `predict_proba`) on the other
+    k-1 folds, scored on the held-out one.  A fork pool as wide as the CPU
+    affinity (at most one worker per task) starts with X and y in `_inputs`, so
+    no task pickles them; at width 1 the builtin `map` runs each refit here as
+    `cv_evaluate` asks.  Either gives the same AUCs.  When the block ends,
+    raising or not, the workers are terminated and `_inputs` emptied."""
     global _inputs
-    _inputs = (_inputs[0] + 1, np.asarray(X, dtype=float), np.asarray(y, dtype=int))
     assignments = np.asarray(fold_plan.assignments)
-    tasks = [(name, fitter, assignments == fold, fold, _inputs[0])
+    tasks = [(name, fitter, assignments == fold, fold)
              for name, fitter in fitters.items() for fold in range(fold_plan.k)]
-    return Refits(tasks, map(_fold_auc, tasks))
+    width = min(len(os.sched_getaffinity(0)), len(tasks)) if hasattr(os, "sched_getaffinity") else 1
+    ended = False
+
+    def in_block(aucs):
+        for name, _, _, fold in tasks:
+            if ended:
+                raise MetricError(f"{name} fold {fold}: its cv_refits block has ended")
+            yield next(aucs)
+
+    _inputs = (np.asarray(X, dtype=float), np.asarray(y, dtype=int))
+    try:
+        if width == 1:
+            yield Refits(tasks, in_block(map(_fold_auc, tasks)))
+            return
+        import multiprocessing  # here, so that a run that starts no pool does not load it
+        # fork, named because Python 3.14 changes the default: workers keep the parent's imports
+        with multiprocessing.get_context("fork").Pool(width) as pool:
+            yield Refits(tasks, in_block(pool.imap(_fold_auc, tasks)))
+    finally:
+        ended, _inputs = True, (None, None)
 
 
 def cv_evaluate(refits: Refits) -> dict:

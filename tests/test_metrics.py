@@ -3,12 +3,12 @@
 import multiprocessing
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multisys import metrics as metrics_mod
 from multisys.cli import MODELS, RunConfig
 from multisys.metrics import (
     MetricError, confusion_at, cv_evaluate, cv_refits, roc_auc, roc_curve,
@@ -114,21 +114,37 @@ class _PrevalenceModel:
         return np.asarray(X)[:, 0]
 
 
-def test_cv_evaluate_with_dummy_fitter():
+def _use_cpus(monkeypatch, n: int) -> None:
+    """Give this process an affinity of n CPUs, and so cv_refits a pool that
+    wide (no pool at 1)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _cv(fitters, X, y, plan) -> dict:
+    with cv_refits(fitters, X, y, plan) as refits:
+        return cv_evaluate(refits)
+
+
+def _first_column(X, y):
+    return _PrevalenceModel()
+
+
+def test_cv_evaluate_with_dummy_fitter(monkeypatch):
+    _use_cpus(monkeypatch, 1)
     rng = np.random.default_rng(1)
     n = 100
     X = rng.random((n, 2))
     y = (X[:, 0] > 0.6).astype(int)
     plan = stratified_kfold(y, 4, 0)
-    result = cv_evaluate(cv_refits({"prevalence": lambda X, y: _PrevalenceModel()}, X, y,
-                                   plan))["prevalence"]
+    result = _cv({"prevalence": lambda X, y: _PrevalenceModel()}, X, y, plan)["prevalence"]
     assert len(result["cv_fold_aucs"]) == 4
     assert all(a == 1.0 for a in result["cv_fold_aucs"])  # scores are the labels' source
     assert result["cv_auc_mean"] == 1.0
     assert result["cv_auc_sd"] == 0.0
 
 
-def test_cv_evaluate_wraps_fold_errors():
+def test_cv_evaluate_wraps_fold_errors(monkeypatch):
+    _use_cpus(monkeypatch, 1)
     y = np.array([0, 1] * 10)
     X = np.zeros((20, 1))
     plan = stratified_kfold(y, 2, 0)
@@ -137,42 +153,42 @@ def test_cv_evaluate_wraps_fold_errors():
         raise RuntimeError("boom")
 
     with pytest.raises(MetricError, match="broken fold 0: boom"):
-        cv_evaluate(cv_refits({"broken": broken}, X, y, plan))
+        _cv({"broken": broken}, X, y, plan)
 
 
-def _fork_pool(width):
-    return ProcessPoolExecutor(width, mp_context=multiprocessing.get_context("fork"))
-
-
-def test_cv_evaluate_is_the_same_through_a_process_pool(fast_config):
+def test_cv_evaluate_is_the_same_through_a_process_pool(fast_config, monkeypatch):
     cfg = RunConfig.load(fast_config)
     fitters = {name: cfg.fitter(kind) for name, kind in MODELS.items()}
     rng = np.random.default_rng(3)
     X = rng.random((90, 5))
     y = ((X[:, 0] > 0.5) ^ (X[:, 1] > 0.7)).astype(int)
     plan = stratified_kfold(y, 3, 0)
-    serial = cv_evaluate(cv_refits(fitters, X, y, plan))
-    with _fork_pool(2) as pool:
-        pooled = cv_evaluate(cv_refits(fitters, X, y, plan, pool.map))
+    _use_cpus(monkeypatch, 1)
+    serial = _cv(fitters, X, y, plan)
+    _use_cpus(monkeypatch, 2)
+    pooled = _cv(fitters, X, y, plan)
     assert list(serial) == list(MODELS)
     assert pooled == serial
+    assert multiprocessing.active_children() == []  # the block has ended its workers
 
 
 def _fails_in_worker(X, y):
     raise ValueError(f"raised in process {os.getpid()}")
 
 
-def test_cv_evaluate_worker_error_names_model_and_fold():
+def test_cv_evaluate_worker_error_names_model_and_fold(monkeypatch):
+    _use_cpus(monkeypatch, 2)
     y = np.array([0, 1] * 10)
     X = np.zeros((20, 1))
     plan = stratified_kfold(y, 2, 0)
-    with _fork_pool(2) as pool, pytest.raises(MetricError, match="broken fold 0: raised") as err:
-        cv_evaluate(cv_refits({"broken": _fails_in_worker}, X, y, plan, pool.map))
+    with pytest.raises(MetricError, match="broken fold 0: raised") as err:
+        _cv({"broken": _fails_in_worker}, X, y, plan)
     assert not str(err.value).endswith(f"process {os.getpid()}")  # it came from a worker
     assert err.value.kind == "MetricError"
+    assert multiprocessing.active_children() == []
 
 
-def test_refit_tasks_leave_X_and_y_to_the_fork_workers(fast_config):
+def test_refit_tasks_leave_X_and_y_to_the_fork_workers(fast_config, monkeypatch):
     # A task names its model, fitter, held-out rows and fold; X and y reach a
     # pool's workers by fork inheritance, so no task pickles them.
     cfg = RunConfig.load(fast_config)
@@ -181,30 +197,39 @@ def test_refit_tasks_leave_X_and_y_to_the_fork_workers(fast_config):
     X = rng.random((400, 8))
     y = (X[:, 0] + X[:, 1] > 1.0).astype(int)
     plan = stratified_kfold(y, 3, 0)
-    refits = cv_refits(fitters, X, y, plan)
-    assert max(len(pickle.dumps(task)) for task in refits.tasks) < X.nbytes / 20
-    serial = cv_evaluate(refits)
-    with _fork_pool(2) as pool:
-        assert cv_evaluate(cv_refits(fitters, X, y, plan, pool.map)) == serial
+    _use_cpus(monkeypatch, 1)
+    with cv_refits(fitters, X, y, plan) as refits:
+        assert max(len(pickle.dumps(task)) for task in refits.tasks) < X.nbytes / 20
+        serial = cv_evaluate(refits)
+    _use_cpus(monkeypatch, 2)
+    assert _cv(fitters, X, y, plan) == serial
 
 
-def _first_column(X, y):
-    return _PrevalenceModel()
-
-
-def test_refits_on_replaced_inputs_fail():
-    # The inputs of a later cv_refits call, in this process or in workers
-    # forked before the call, never score a refit of another call.
+def _refits_of_60_rows():
     rng = np.random.default_rng(5)
     X = rng.random((60, 2))
     y = (X[:, 0] > 0.5).astype(int)
-    plan = stratified_kfold(y, 3, 0)
-    fitters = {"first": _first_column}
-    earlier = cv_refits(fitters, X, y, plan)
-    cv_refits(fitters, X[::-1], y[::-1], plan)
-    with pytest.raises(MetricError, match="first fold 0: its inputs are those of"):
-        cv_evaluate(earlier)
-    with _fork_pool(2) as pool:
-        cv_evaluate(cv_refits(fitters, X, y, plan, pool.map))  # forks both workers
-        with pytest.raises(MetricError, match="its inputs are those of"):
-            cv_evaluate(cv_refits(fitters, X, y, plan, pool.map))
+    return cv_refits({"first": _first_column}, X, y, stratified_kfold(y, 3, 0))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_aucs_taken_after_the_block_has_ended_raise(monkeypatch, cpus):
+    # at width 2 the ended pool would never deliver them, so they must not wait
+    _use_cpus(monkeypatch, cpus)
+    with _refits_of_60_rows() as refits:
+        assert next(refits.aucs) == 1.0
+    with pytest.raises(MetricError, match="first fold 1: its cv_refits block has ended"):
+        cv_evaluate(refits)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_block_leaves_no_inputs_behind(monkeypatch, cpus):
+    _use_cpus(monkeypatch, cpus)
+    with _refits_of_60_rows() as refits:
+        assert metrics_mod._inputs[0].shape == (60, 2)
+        cv_evaluate(refits)
+    assert all(v is None for v in metrics_mod._inputs)
+    with pytest.raises(RuntimeError, match="in the block"), _refits_of_60_rows():
+        raise RuntimeError("in the block")
+    assert all(v is None for v in metrics_mod._inputs)
+    assert multiprocessing.active_children() == []
