@@ -60,11 +60,6 @@ def write_file(path: str):
             os.unlink(tmp)
 
 
-def csv_rows(fh) -> list[dict]:
-    """A CSV file's rows as dicts keyed by its header: a `read_file` parse."""
-    return list(csv.DictReader(fh))
-
-
 def is_finite(value) -> bool:
     """True for an int or float that is a finite float, never for a bool."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)

@@ -28,7 +28,6 @@ import csv
 import functools
 import hashlib
 import inspect
-import itertools
 import json
 import logging
 import math
@@ -45,7 +44,7 @@ from . import ingest as ingest_mod
 from . import metrics as metrics_mod
 from . import report as report_mod
 from . import synth as synth_mod
-from .base import MultisysError, check_keys, csv_rows, is_finite, numbers, read_file, write_file
+from .base import MultisysError, check_keys, is_finite, numbers, read_file, write_file
 from .models import (GradientBoostingClassifier, RandomForestClassifier,
                      LogisticRegressionClassifier, TreeEnsemble)
 from .split import FoldPlan, Partition, stratified_kfold, stratified_split
@@ -262,18 +261,24 @@ class Workspace:
         return os.path.join(self.out_dir, name)
 
     def _put(self, name: str, content) -> None:
-        """Write `path(name)` atomically, so a failed write leaves the
-        previous bytes."""
+        """Write `path(name)` as `write` says, atomically: a failed write
+        leaves the previous bytes."""
         path = self.path(name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with write_file(path) as fh:
-            if isinstance(content, dict):
+            if isinstance(content, str):
+                fh.write(content)
+            elif name.endswith(".csv"):
+                writer, columns = csv.writer(fh), list(content.values())
+                step = ingest_mod._BLOCK_ROWS
+                writer.writerow(content)
+                for start in range(0, len(columns[0]), step):
+                    block = (c[start:start + step] for c in columns)
+                    writer.writerows(zip(*(b.tolist() if isinstance(b, np.ndarray) else b
+                                           for b in block), strict=True))
+            else:
                 json.dump(content, fh, sort_keys=True, indent=1)
                 fh.write("\n")
-            elif isinstance(content, str):
-                fh.write(content)
-            else:
-                csv.writer(fh).writerows(content)
 
     def register(self, name: str) -> None:
         """Record an artifact written at `path(name)` in the manifest."""
@@ -281,8 +286,9 @@ class Workspace:
         self._put("manifest.json", self.manifest)
 
     def write(self, name: str, content) -> None:
-        """Write and register an artifact: a dict as JSON, a str verbatim,
-        anything else as an iterable of CSV rows (header first)."""
+        """Write and register an artifact: a str verbatim; a `.csv` table, a dict
+        of equal-length columns keyed by header, through csv.writer a block of rows
+        at a time, an array's block as its `tolist`; anything else as JSON."""
         self._put(name, content)
         self.register(name)
 
@@ -294,12 +300,10 @@ class Workspace:
         return path
 
     def read(self, name: str, decode=lambda doc: doc):
-        """`decode` of a registered artifact's parsed JSON, or of its CSV rows
-        as dicts; kind malformed-artifact if it does not parse or decode."""
-        path = self.require(name)
-        if name.endswith(".json"):
-            return read_file(path, decode, artifact_error)
-        return read_file(path, decode, artifact_error, parse=csv_rows)
+        """`decode` of a registered artifact's parsed JSON, or of its CSV columns
+        (`ingest.csv_columns`); kind malformed-artifact if it does not parse or decode."""
+        parse = json.load if name.endswith(".json") else ingest_mod.csv_columns
+        return read_file(self.require(name), decode, artifact_error, parse=parse)
 
     @functools.cached_property
     def matrix(self) -> ingest_mod.FeatureMatrix:
@@ -321,15 +325,9 @@ class Workspace:
             for subset in ("train", "validation", "test")}}))
 
 
-def _table(records: list[dict]) -> list[list]:
-    """CSV rows, header first, of records that share their keys."""
-    return [list(records[0]), *(list(r.values()) for r in records)]
-
-
-def _columns(rows: list[dict], *keys: str, below: int | None = None) -> list[list]:
-    """Columns `keys` of CSV rows, each through `numbers`: floats, or integers in [0, below)."""
-    convert = float if below is None else int
-    return [numbers([convert(r[key]) for r in rows], key, below=below).tolist() for key in keys]
+def _column(table: dict, key: str, below: int | None = None) -> np.ndarray:
+    """Column `key` of a CSV table through `numbers`: floats, or integers in [0, below)."""
+    return numbers(list(map(float if below is None else int, table[key])), key, below=below)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +338,7 @@ def stage_simulate(ws: Workspace) -> None:
     if spec is None:
         raise config_error("simulate requires a synth spec in the config")
     header, rows = synth_mod.generate(spec)
-    ws.write("cohort.csv", [header, *rows])
+    ws.write("cohort.csv", dict(zip(header, zip(*rows))))
     log.info("simulate: wrote %d-row cohort", spec.n)
 
 
@@ -361,15 +359,11 @@ def stage_ingest(ws: Workspace) -> None:
 
 def stage_features(ws: Workspace) -> None:
     idx = indices_mod.compute_indices(ws.matrix, ws.cfg.systems)
-    names = idx.systems
-    header = ([f"{s}_flag" for s in names] + [f"{s}_grade" for s in names]
-              + ["burden_score", "affected_systems", "target_multi"])
-    columns = ([idx.flags[s] for s in names] + [idx.grades[s] for s in names]
-               + [idx.burden_score, idx.affected_systems, idx.target_multi])
-    step = ingest_mod._BLOCK_ROWS
-    rows = (row for i in range(0, len(idx.target_multi), step)
-            for row in np.column_stack([c[i:i + step] for c in columns]).astype(int).tolist())
-    ws.write("indices.csv", itertools.chain([header], rows))
+    ws.write("indices.csv", {**{f"{s}_flag": idx.flags[s].view(np.int8) for s in idx.systems},
+                             **{f"{s}_grade": idx.grades[s] for s in idx.systems},
+                             "burden_score": idx.burden_score,
+                             "affected_systems": idx.affected_systems,
+                             "target_multi": idx.target_multi.view(np.int8)})
     summary = indices_mod.prevalence_summary(idx)
     ws.write("prevalence.json", summary)
     log.info("features: target prevalence %.3f", summary["target_prevalence"])
@@ -378,13 +372,15 @@ def stage_features(ws: Workspace) -> None:
 def _load_indices(ws: Workspace, n_rows: int | None, *columns: str) -> list[np.ndarray]:
     """The integer `columns` of indices.csv, which must have n_rows rows if given:
     target_multi 0 or 1, burden_score at most the config's rules and
-    affected_systems at most its systems, each at least 0; read with no per-row list."""
+    affected_systems at most its systems, each at least 0; read through `ingest._blocks`."""
     top = {"target_multi": 1, "burden_score": sum(len(s.rules) for s in ws.cfg.systems),
            "affected_systems": len(ws.cfg.systems)}
 
     def decode(reader):
-        at = [*map(next(reader, []).index, columns)]
-        table = np.fromiter((int(row[i]) for row in reader for i in at), dtype=int)
+        header = next(reader, [])
+        at = [*map(header.index, columns)]
+        table = np.fromiter((int(row[i]) for _, rows in ingest_mod._blocks(reader, len(header))
+                             for row in rows for i in at), dtype=int)
         if n_rows is not None and len(table) != n_rows * len(at):
             raise ValueError(f"{len(table) // len(at)} rows, matrix.csv has {n_rows}")
         decoded = list(table.reshape(-1, len(at)).T)
@@ -473,14 +469,12 @@ def stage_evaluate(ws: Workspace, refits: metrics_mod.Refits | None = None) -> N
     ws.write("metrics.json", {"config_hash": ws.cfg.hash(), "threshold": 0.5,
                               "models": results})
     ws.write("roc.json", {"config_hash": ws.cfg.hash(), "curves": roc_doc})
-    rows = [["model", "cv_auc_mean", "cv_auc_sd", "auc", "accuracy",
-             "sensitivity", "specificity", "f1"]]
-    for name, entry in results.items():
-        test = entry["test"]
-        rows.append([name] + [f"{v:.3f}" for v in (
-            entry["cv_auc_mean"], entry["cv_auc_sd"], test["auc"], test["accuracy"],
-            test["sensitivity"], test["specificity"], test["f1"])])
-    ws.write("metrics.csv", rows)
+    entries = results.values()
+    ws.write("metrics.csv", {
+        "model": list(results),
+        **{key: [f"{e[key]:.3f}" for e in entries] for key in ("cv_auc_mean", "cv_auc_sd")},
+        **{key: [f"{e['test'][key]:.3f}" for e in entries]
+           for key in ("auc", "accuracy", "sensitivity", "specificity", "f1")}})
     log.info("evaluate: GB test AUC %.4f", results["gradient_boosting"]["test"]["auc"])
 
 
@@ -499,22 +493,28 @@ def stage_explain(ws: Workspace) -> None:
     if not top:
         raise explain_mod.ExplainError(
             "no feature has a non-zero mean |SHAP| and a PDP grid of two or more points")
-    ws.write("importance.csv", [["rank", "feature", "mean_abs_shap"]]
-             + [[r, feature, value] for r, (feature, value) in enumerate(ranking, 1)])
-    records = explain_mod.beeswarm_export(attribution, X_test, names)
-    ws.write("beeswarm.csv", _table(records))
+    features, values = zip(*ranking)
+    ws.write("importance.csv", {"rank": range(1, len(features) + 1), "feature": features,
+                                "mean_abs_shap": values})
+    ws.write("beeswarm.csv", explain_mod.beeswarm_export(attribution, X_test, names))
 
     pdp_files = []
     for feature in top:
         curve = explain_mod.partial_dependence(gb, X_train, matrix.column_index(feature))
         fname = f"pdp_{feature}.csv"
-        ws.write(fname, [[feature, "probability"]]
-                 + [[float(g), float(r)] for g, r in zip(curve.grid, curve.response)])
+        ws.write(fname, {feature: curve.grid, "probability": curve.response})
         pdp_files.append(fname)
     ws.write("explain_meta.json", {"config_hash": ws.cfg.hash(),
                                    "base_value": attribution.base_value,
                                    "top_features": top, "pdp_files": pdp_files})
     log.info("explain: top feature %s", top[0])
+
+
+def _importance(ws: Workspace) -> list[tuple[int, str, float]]:
+    """importance.csv's (rank, feature, mean |SHAP|) rows, in file order."""
+    return ws.read("importance.csv", lambda t: list(zip(
+        _column(t, "rank", below=len(t["feature"]) + 1).tolist(), t["feature"],
+        _column(t, "mean_abs_shap").tolist())))
 
 
 def stage_report(ws: Workspace) -> None:
@@ -537,22 +537,21 @@ def stage_report(ws: Workspace) -> None:
         (name, numbers(c["fpr"], "fpr"), numbers(c["tpr"], "tpr", len(c["fpr"])),
          numbers([c["auc"]], "auc").item()) for name, c in sorted(doc["curves"].items())]))
 
-    figures["beeswarm"] = report_mod.render_beeswarm(ws.read("beeswarm.csv", lambda rows: [
-        {"feature": r["feature"], **dict(zip(("shap", "value", "row", "rank"), cells))}
-        for r, *cells in zip(rows, *_columns(rows, "shap", "value"),
-                             *_columns(rows, "row", "rank", below=len(rows) + 1))]))
+    figures["beeswarm"] = report_mod.render_beeswarm(*ws.read("beeswarm.csv", lambda t: (
+        t["feature"], _column(t, "shap"), _column(t, "value"),
+        *(_column(t, key, below=len(t["feature"]) + 1) for key in ("row", "rank")))))
 
-    figures["importance"] = report_mod.render_importance_bar(ws.read("importance.csv", lambda rows:
-        list(zip([r["feature"] for r in rows], *_columns(rows, "mean_abs_shap")))))
+    figures["importance"] = report_mod.render_importance_bar(
+        [(feature, value) for _, feature, value in _importance(ws)])
 
     # read inside explain_meta.json's decode, so a bad pdp file name is that file's error
     figures["pdp"] = report_mod.render_pdp_panel(ws.read("explain_meta.json", lambda meta: [
-        (feature, *ws.read(fname, lambda rows: _columns(rows, feature, "probability")))
+        (feature, *ws.read(fname, lambda t: (_column(t, feature), _column(t, "probability"))))
         for feature, fname in zip(meta["top_features"], meta["pdp_files"], strict=True)]))
 
     for name, svg in figures.items():
         ws.write(f"figures/{name}.svg", svg)
-    ws.write("table1.csv", _table(report_mod.table_summary(matrix)))
+    ws.write("table1.csv", report_mod.table_summary(matrix))
     log.info("report: wrote %d figures", len(figures))
 
 
@@ -579,10 +578,8 @@ def stage_all(ws: Workspace) -> None:
                         for subset in ("train", "validation", "test")},
         "prevalence": prevalence,
         "metrics": ws.read("metrics.json", lambda doc: doc["models"]),
-        "importance_top10": ws.read("importance.csv", lambda rows: [
-            {"rank": rank, "feature": r["feature"], "mean_abs_shap": value}
-            for r, rank, value in zip(rows, *_columns(rows, "rank", below=len(rows) + 1),
-                                      *_columns(rows, "mean_abs_shap"))][:10]),
+        "importance_top10": [{"rank": rank, "feature": feature, "mean_abs_shap": value}
+                             for rank, feature, value in _importance(ws)[:10]],
     })
     log.info("all: summary written")
 

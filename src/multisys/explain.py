@@ -320,8 +320,9 @@ def global_importance(attribution: ShapAttribution,
 
 
 def beeswarm_export(attribution: ShapAttribution, X,
-                    feature_names: Sequence[str] = ()) -> list[dict]:
-    """Long-format records (row, feature, shap, value, rank) for replotting."""
+                    feature_names: Sequence[str] = ()) -> dict:
+    """Long-format columns row, feature, shap, value and rank for replotting,
+    one entry per (row, feature), row by row: arrays, and a list of names."""
     X = check_X(X)
     if X.shape != attribution.phi.shape:
         raise ExplainError(
@@ -329,9 +330,10 @@ def beeswarm_export(attribution: ShapAttribution, X,
         )
     ranking = global_importance(attribution, feature_names)
     rank_of = {name: r + 1 for r, (name, _) in enumerate(ranking)}
-    return [{"row": i, "feature": name, "shap": float(attribution.phi[i, j]),
-             "value": float(X[i, j]), "rank": rank_of[name]}
-            for i in range(X.shape[0]) for j, name in enumerate(feature_names)]
+    n, p = X.shape
+    return {"row": np.repeat(np.arange(n), p), "feature": list(feature_names) * n,
+            "shap": attribution.phi.ravel(), "value": X.ravel(),
+            "rank": np.tile([rank_of[name] for name in feature_names], n)}
 
 
 def pdp_grid(column) -> np.ndarray:

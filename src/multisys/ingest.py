@@ -236,17 +236,32 @@ def schema_from_json(path: str) -> tuple[list[ColumnSchema], dict[str, float]]:
 def _blocks(reader, width: int):
     """`(line, rows)` for the rows left in `reader`, `_BLOCK_ROWS` at a time,
     `line` being the line of the block's first row (the header is line 1);
-    IngestError for a row whose length is not `width`.  A block is valid only
+    ValueError for a row whose length is not `width`.  A block is valid only
     until the next is requested: it is emptied first, so one block of row
     strings is alive at a time."""
     line = 2
     while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
         if set(map(len, rows)) != {width}:
             i = next(i for i, row in enumerate(rows) if len(row) != width)
-            raise IngestError(f"line {line + i} has {len(rows[i])} cells, the header {width}")
+            raise ValueError(f"line {line + i} has {len(rows[i])} cells, the header {width}")
         yield line, rows
         line += len(rows)
         rows.clear()
+
+
+def csv_columns(fh) -> dict[str, list[str]]:
+    """The CSV file's columns keyed by its header, each a list of its cells, built
+    a block of rows at a time: a `read_file` parse.  ValueError for a header that
+    repeats a name or a row whose length differs from the header's."""
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    if twice := repeated(header):
+        raise ValueError(f"line 1 repeats the column name(s) {', '.join(twice)}")
+    columns = {name: [] for name in header}
+    for _, rows in _blocks(reader, len(header)):
+        for column, cells in zip(columns.values(), zip(*rows)):
+            column.extend(cells)
+    return columns
 
 
 class _Codes(dict):

@@ -175,36 +175,33 @@ def render_roc(curves: list[tuple[str, np.ndarray, np.ndarray, float]]) -> str:
     return _svg(x0 + w + 20, y0 + h + 50, body)
 
 
-def render_beeswarm(records: list[dict]) -> str:
-    """Per-feature strips of per-patient Shapley values, colored by raw value."""
-    if not records:
+def render_beeswarm(feature, shap, value, row, rank) -> str:
+    """Per-feature strips of per-patient Shapley values, colored by raw value: a
+    point per entry of the columns (names, float and int arrays), one strip per
+    (rank, feature), the first TOP_FEATURES in that order."""
+    if not len(shap):
         raise ReportError("no records")
-    features = {}
-    for rec in records:
-        features.setdefault((rec["rank"], rec["feature"]), []).append(rec)
-    shown = sorted(features)[:TOP_FEATURES]
-    all_shap = [rec["shap"] for key in shown for rec in features[key]]
-    lo, hi = min(all_shap), max(all_shap)
+    names, code = np.unique(np.asarray(feature, dtype=str), return_inverse=True)
+    key = np.asarray(rank) * len(names) + code  # orders strips as (rank, feature) does
+    strips = [np.flatnonzero(key == k) for k in np.unique(key)[:TOP_FEATURES]]
+    shown = shap[np.concatenate(strips)]
+    lo, hi = float(shown.min()), float(shown.max())
     span = (hi - lo) or 1.0
     x0, row_h, w = 90, 34, 420
-    height = 20 + row_h * len(shown) + 20
+    height = 20 + row_h * len(strips) + 20
     body = [_line(x0 + (0 - lo) / span * w, 14, x0 + (0 - lo) / span * w,
                   height - 20, stroke="#aaa", dash="3,3")]
-    for r, key in enumerate(shown):
-        recs = features[key]
-        rank, name = key
+    for r, at in enumerate(strips):
         yc = 20 + row_h * r + row_h / 2
-        body.append(_text(x0 - 6, yc + 3, name, size=10, anchor="end"))
-        values = sorted(rec["value"] for rec in recs)
-        vlo, vhi = values[0], values[-1]
+        body.append(_text(x0 - 6, yc + 3, names[code[at[0]]], size=10, anchor="end"))
+        vlo, vhi = float(value[at].min()), float(value[at].max())
         vspan = (vhi - vlo) or 1.0
         # deterministic vertical stacking: order by shap value within the strip
-        for k, rec in enumerate(sorted(recs, key=lambda d: (d["shap"], d["row"]))):
-            x = x0 + (rec["shap"] - lo) / span * w
-            y = yc + ((k % 9) - 4) * 2.2
-            heat = (rec["value"] - vlo) / vspan
-            red = int(round(255 * heat))
-            body.append(_circle(x, y, 1.6, f"#{red:02x}40{255 - red:02x}"))
+        at = at[np.lexsort((row[at], shap[at]))]
+        for k, (s, v) in enumerate(zip(shap[at].tolist(), value[at].tolist())):
+            red = int(round(255 * ((v - vlo) / vspan)))
+            body.append(_circle(x0 + (s - lo) / span * w, yc + ((k % 9) - 4) * 2.2, 1.6,
+                                f"#{red:02x}40{255 - red:02x}"))
     body.append(_text(x0 + w / 2, height - 4, "Shapley value (impact on model output)",
                       size=10, anchor="middle"))
     return _svg(x0 + w + 20, height, body)
@@ -251,24 +248,17 @@ def render_pdp_panel(curves: list[tuple[str, np.ndarray, np.ndarray]]) -> str:
     return _svg(pad + len(curves) * (panel_w + pad), 270, body)
 
 
-def table_summary(matrix: FeatureMatrix) -> list[dict]:
-    """Descriptive statistics per analyte: mean, median, IQR, min, max.
+def table_summary(matrix: FeatureMatrix) -> dict[str, list]:
+    """Descriptive statistics per analyte, as columns: analyte, mean, median,
+    IQR, min, max.
 
-    Quantiles use linear interpolation between order statistics.
+    Quantiles use linear interpolation between order statistics.  Each
+    statistic reduces one column at a time.
     """
     if matrix.values.shape[0] == 0:
         raise ReportError("empty matrix")
-    out = []
-    for j, schema in enumerate(matrix.columns):
-        col = matrix.values[:, j]
-        q1, q3 = np.quantile(col, [0.25, 0.75])
-        out.append({
-            "analyte": schema.name,
-            "mean": float(np.mean(col)),
-            "median": float(np.median(col)),
-            "iqr": float(q3 - q1),
-            "min": float(np.min(col)),
-            "max": float(np.max(col)),
-        })
-    return out
-
+    columns = list(matrix.values.T)
+    q1, q3 = np.array([np.quantile(col, [0.25, 0.75]) for col in columns]).T
+    each = lambda reduce: [float(reduce(col)) for col in columns]  # noqa: E731
+    return {"analyte": matrix.names, "mean": each(np.mean), "median": each(np.median),
+            "iqr": (q3 - q1).tolist(), "min": each(np.min), "max": each(np.max)}

@@ -449,6 +449,31 @@ def test_the_kept_matrix_is_read_only(tmp_path, fast_config):
         ws.matrix.column("GLU")[:] = 0.0
 
 
+def test_csv_table_is_written_as_csv_writer_writes_its_rows_and_read_back(
+        tmp_path, fast_config, monkeypatch):
+    # 10 rows in blocks of 3: three full blocks and a short one
+    monkeypatch.setattr(ingest_mod, "_BLOCK_ROWS", 3)
+    n = 10
+    rows = [[i - 4, int(i % 3 == 0), [-0.0, 1e16, 5e-324, 0.1][i % 4], i / 7,
+             'Na, "serum"' if i % 2 else f"row {i}"] for i in range(n)]
+    ints, flags, floats, ratios, notes = map(list, zip(*rows))
+    header = ["id", "flag", "value", "ratio", "note"]
+    table = dict(zip(header, [np.array(ints), np.array(flags, dtype=bool).view(np.int8),
+                              np.array(floats), ratios, notes]))
+    ws = Workspace(str(tmp_path / "run"), RunConfig.load(fast_config))
+    ws.write("table.csv", table)
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    for row in [header, *rows]:
+        writer.writerow(row)
+    assert Path(ws.path("table.csv")).read_bytes() == expected.getvalue().encode("utf-8")
+    cells = list(csv.reader(io.StringIO(expected.getvalue())))
+    columns = ws.read("table.csv")
+    assert columns == {name: list(column) for name, *column in zip(*cells)}
+    assert columns["value"][:4] == ["-0.0", "1e+16", "5e-324", "0.1"]
+    assert columns["flag"][:4] == ["1", "0", "0", "1"] and columns["note"][1] == 'Na, "serum"'
+
+
 def test_features_evaluates_each_rule_once(tmp_path, fast_config, monkeypatch):
     out = _trained_run(tmp_path, fast_config, last="ingest")
     calls = _counted(monkeypatch, indices_mod, "evaluate_rule")
@@ -1293,51 +1318,63 @@ def explained_run(trained_run, tmp_path_factory):
     return config, out
 
 
-def _set_cell(row, column, value):
-    """An edit of a CSV artifact: the cell of `column` in `row` (0 is the
-    header) set to `value`."""
+def _edit_rows(edit):
+    """An edit of a CSV artifact: `edit` of its rows, the header row 0."""
     def apply(text):
         rows = list(csv.reader(io.StringIO(text)))
-        rows[row][rows[0].index(column)] = value
+        edit(rows)
         out = io.StringIO()
         csv.writer(out).writerows(rows)
         return out.getvalue()
     return apply
 
 
+def _set_cell(row, column, value):
+    """An edit of a CSV artifact: the cell of `column` in `row` (0 is the
+    header) set to `value`."""
+    return _edit_rows(lambda rows: rows[row].__setitem__(rows[0].index(column), value))
+
+
 def _extra_row(text):
     return text + text.splitlines(keepends=True)[-1]
 
 
-@pytest.mark.parametrize("pattern, edit, stages", [
-    ("indices.csv", _set_cell(0, "target_multi", "target"), ("split",)),
-    ("indices.csv", _set_cell(0, "target_multi", "target"), ("train",)),
-    ("indices.csv", _set_cell(1, "target_multi", "x"), ("split",)),
-    ("indices.csv", _set_cell(1, "target_multi", "x"), ("train",)),
-    ("indices.csv", _set_cell(1, "target_multi", "2"), ("train",)),
-    ("indices.csv", _set_cell(0, "burden_score", "burden"), ("report",)),
-    ("indices.csv", _set_cell(1, "burden_score", "-1"), ("report",)),
+@pytest.mark.parametrize("pattern, edit, stages, line", [
+    ("indices.csv", _set_cell(0, "target_multi", "target"), ("split",), None),
+    ("indices.csv", _set_cell(0, "target_multi", "target"), ("train",), None),
+    ("indices.csv", _set_cell(1, "target_multi", "x"), ("split",), None),
+    ("indices.csv", _set_cell(1, "target_multi", "x"), ("train",), None),
+    ("indices.csv", _set_cell(1, "target_multi", "2"), ("train",), None),
+    ("indices.csv", _set_cell(0, "burden_score", "burden"), ("report",), None),
+    ("indices.csv", _set_cell(1, "burden_score", "-1"), ("report",), None),
     # split does not read matrix.csv, so it passes and writes a partition of n + 1 rows
-    ("indices.csv", _extra_row, ("split", "train")),
-    ("indices.csv", _extra_row, ("split", "evaluate")),
-    ("indices.csv", _extra_row, ("report",)),
-    ("roc.json", lambda text: "{}", ("report",)),
-    ("explain_meta.json", lambda text: "{}", ("report",)),
+    ("indices.csv", _extra_row, ("split", "train"), None),
+    ("indices.csv", _extra_row, ("split", "evaluate"), None),
+    ("indices.csv", _extra_row, ("report",), None),
+    ("roc.json", lambda text: "{}", ("report",), None),
+    ("explain_meta.json", lambda text: "{}", ("report",), None),
     ("explain_meta.json", _edit_json(lambda doc: doc["pdp_files"].__setitem__(0, 5)),
-     ("report",)),
-    ("explain_meta.json", _edit_json(lambda doc: doc["pdp_files"].pop()), ("report",)),
-    ("importance.csv", _set_cell(0, "feature", "name"), ("report",)),
-    ("beeswarm.csv", _set_cell(0, "row", "id"), ("report",)),
-    ("beeswarm.csv", _set_cell(1, "shap", "big"), ("report",)),
-    ("pdp_*.csv", _set_cell(0, "probability", "p"), ("report",)),
+     ("report",), None),
+    ("explain_meta.json", _edit_json(lambda doc: doc["pdp_files"].pop()), ("report",), None),
+    ("importance.csv", _set_cell(0, "feature", "name"), ("report",), None),
+    ("beeswarm.csv", _set_cell(0, "row", "id"), ("report",), None),
+    ("beeswarm.csv", _set_cell(1, "shap", "big"), ("report",), None),
+    ("pdp_*.csv", _set_cell(0, "probability", "p"), ("report",), None),
     # each number read back is finite, and a curve's lists are lists of one length
     ("roc.json", _edit_json(lambda doc: doc["curves"]["random_forest"].update(fpr=0.5)),
-     ("report",)),
+     ("report",), None),
     ("roc.json", _edit_json(lambda doc: doc["curves"]["random_forest"]["tpr"].pop()),
-     ("report",)),
-    ("beeswarm.csv", _set_cell(1, "value", "inf"), ("report",)),
-    ("pdp_*.csv", _set_cell(1, "probability", "nan"), ("report",)),
-    ("indices.csv", _set_cell(1, "target_multi", str(2**70)), ("split",)),  # past int64
+     ("report",), None),
+    ("beeswarm.csv", _set_cell(1, "value", "inf"), ("report",), None),
+    ("pdp_*.csv", _set_cell(1, "probability", "nan"), ("report",), None),
+    ("indices.csv", _set_cell(1, "target_multi", str(2**70)), ("split",), None),  # past int64
+    # a CSV artifact's rows are as long as its header, whose names differ; the
+    # message names the file and the line
+    ("beeswarm.csv", _edit_rows(lambda rows: rows[3].append("0")), ("report",), 4),
+    ("importance.csv", _edit_rows(lambda rows: rows[0].__setitem__(0, "feature")),
+     ("report",), 1),
+    ("indices.csv", _edit_rows(lambda rows: rows[5].extend(["0", "0"])), ("split",), 6),
+    ("indices.csv", _edit_rows(lambda rows: rows[5].extend(["0", "0"])), ("report",), 6),
 ], ids=["indices-no-target-split", "indices-no-target-train", "indices-bad-target-split",
         "indices-bad-target-train", "indices-target-2-train", "indices-no-burden-report",
         "indices-negative-burden-report", "indices-extra-row-train",
@@ -1346,8 +1383,11 @@ def _extra_row(text):
         "explain-meta-pdp-file-missing-report", "importance-header-report", "beeswarm-header-report",
         "beeswarm-bad-shap-report", "pdp-header-report", "roc-scalar-fpr-report",
         "roc-short-tpr-report", "beeswarm-inf-value-report", "pdp-nan-probability-report",
-        "indices-huge-target-split"])
-def test_malformed_artifact_exits_2(explained_run, tmp_path, capsys, pattern, edit, stages):
+        "indices-huge-target-split", "beeswarm-extra-cell-report",
+        "importance-repeated-name-report", "indices-extra-cells-split",
+        "indices-extra-cells-report"])
+def test_malformed_artifact_exits_2(explained_run, tmp_path, capsys, pattern, edit, stages,
+                                    line):
     config, source = explained_run
     out = tmp_path / "run"
     shutil.copytree(source, out)
@@ -1358,7 +1398,11 @@ def test_malformed_artifact_exits_2(explained_run, tmp_path, capsys, pattern, ed
     *upstream, stage = stages
     for name in upstream:
         assert _run(name, str(out), config) == 0, name
-    assert _exit_kind(capsys, stage, config, str(out)) == (2, "malformed-artifact")
+    assert _run(stage, str(out), config) == 2
+    _, err = _error_line(capsys)
+    assert err["error"] == "malformed-artifact"
+    if line is not None:
+        assert f"{paths[0]}: ValueError: line {line} " in err["message"]
 
 
 @pytest.mark.parametrize("column, value", [("burden_score", "12"),

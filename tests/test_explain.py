@@ -516,11 +516,13 @@ def test_global_importance_empty_errors():
 def test_beeswarm_export_and_csv_roundtrip():
     phi = np.array([[0.25, -0.125], [0.5, 0.0625]])
     X = np.array([[1.0, 2.0], [3.0, 4.0]])
-    records = beeswarm_export(ShapAttribution(phi=phi, base_value=0.1), X, ["u", "v"])
-    assert len(records) == 4
-    assert records[0] == {"row": 0, "feature": "u", "shap": 0.25,
-                          "value": 1.0, "rank": 1}
-    assert records[1]["feature"] == "v" and records[1]["shap"] == -0.125
+    table = beeswarm_export(ShapAttribution(phi=phi, base_value=0.1), X, ["u", "v"])
+    assert list(table) == ["row", "feature", "shap", "value", "rank"]
+    assert {key: column[0] for key, column in table.items()} == {
+        "row": 0, "feature": "u", "shap": 0.25, "value": 1.0, "rank": 1}
+    assert table["feature"][1] == "v" and table["shap"][1] == -0.125
+    assert table["row"].tolist() == [0, 0, 1, 1] and table["rank"].tolist() == [1, 2, 1, 2]
+    assert table["value"].tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_feature_name_count_mismatch_errors():

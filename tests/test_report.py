@@ -72,20 +72,20 @@ def test_roc_golden():
 
 
 def test_beeswarm_golden():
-    records = []
-    for row in range(12):
-        records.append({"row": row, "feature": "GLU",
-                        "shap": (row - 6) / 10, "value": row * 1.0, "rank": 1})
-        records.append({"row": row, "feature": "TG",
-                        "shap": (6 - row) / 20, "value": row * 2.0, "rank": 2})
-    svg = render_beeswarm(records)
+    # each patient row's GLU entry, then its TG entry
+    rows = np.arange(12)
+    shap = np.column_stack([(rows - 6) / 10, (6 - rows) / 20]).ravel()
+    value = np.column_stack([rows * 1.0, rows * 2.0]).ravel()
+    svg = render_beeswarm(["GLU", "TG"] * 12, shap, value, np.repeat(rows, 2),
+                          np.tile([1, 2], 12))
     assert "GLU" in svg and "TG" in svg
     _check_golden("beeswarm.svg", svg)
 
 
 def test_beeswarm_empty_errors():
+    empty = np.zeros(0)
     with pytest.raises(ReportError):
-        render_beeswarm([])
+        render_beeswarm([], empty, empty, empty.astype(int), empty.astype(int))
 
 
 def test_importance_bar_golden():
@@ -118,12 +118,14 @@ def test_pdp_panel_empty_errors():
 def test_table_summary_quantile_oracle():
     schema = [ColumnSchema("A", "continuous")]
     matrix = make_matrix([[1.0], [2.0], [3.0], [4.0]], schema)
-    row = table_summary(matrix)[0]
+    table = table_summary(matrix)
+    assert list(table) == ["analyte", "mean", "median", "iqr", "min", "max"]
     # linear-interpolation quartiles of {1,2,3,4}: q1=1.75, q3=3.25
-    assert row["iqr"] == pytest.approx(1.5)
-    assert row["median"] == 2.5
-    assert row["mean"] == 2.5
-    assert row["min"] == 1.0 and row["max"] == 4.0
+    assert table["analyte"] == ["A"]
+    assert table["iqr"] == [pytest.approx(1.5)]
+    assert table["median"] == [2.5]
+    assert table["mean"] == [2.5]
+    assert table["min"] == [1.0] and table["max"] == [4.0]
 
 
 def test_table_summary_empty_errors():
