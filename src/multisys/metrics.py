@@ -84,14 +84,18 @@ def confusion_at(scores, labels, threshold: float = 0.5) -> dict:
             "sensitivity": sens, "specificity": spec, "f1": f1, "threshold": threshold}
 
 
-# (X, y) of the open cv_refits block, which its fork pool's workers inherit
-_inputs: tuple = (None, None)
+# (X, y, ended) of the open cv_refits block, which its fork pool's workers
+# inherit; `ended`, the pool's Event, is set as the block ends
+_inputs: tuple = (None, None, None)
 
 
-def _fold_auc(task: tuple) -> float:
-    """Held-out AUC of one (model, fold) refit; a failure as a picklable MetricError naming both."""
+def _fold_auc(task: tuple) -> float | None:
+    """Held-out AUC of one (model, fold) refit; a failure as a picklable MetricError
+    naming both; None, and no refit, once the pool's block has ended."""
     name, fitter, held, fold = task
-    X, y = _inputs
+    X, y, ended = _inputs
+    if ended is not None and ended.is_set():
+        return None
     try:
         model = fitter(X[~held], y[~held])
         return roc_auc(model.predict_proba(X[held]), y[held])
@@ -113,7 +117,11 @@ def cv_refits(fitters: dict[str, Callable], X, y, fold_plan) -> Iterator[Refits]
     affinity (at most one worker per task) starts with X and y in `_inputs`, so
     no task pickles them; at width 1 the builtin `map` runs each refit here as
     `cv_evaluate` asks.  Either gives the same AUCs.  When the block ends,
-    raising or not, the workers are terminated and `_inputs` emptied."""
+    raising or not, the workers start no further refit, the pool is closed and
+    joined once the refits already started have returned, and `_inputs` is
+    emptied.  The pool is not terminated: a worker killed while it held the
+    result queue's lock would leave the pool's task thread, and so the join,
+    waiting on that lock for ever."""
     global _inputs
     assignments = np.asarray(fold_plan.assignments)
     tasks = [(name, fitter, assignments == fold, fold)
@@ -127,17 +135,24 @@ def cv_refits(fitters: dict[str, Callable], X, y, fold_plan) -> Iterator[Refits]
                 raise MetricError(f"{name} fold {fold}: its cv_refits block has ended")
             yield next(aucs)
 
-    _inputs = (np.asarray(X, dtype=float), np.asarray(y, dtype=int))
+    _inputs = (np.asarray(X, dtype=float), np.asarray(y, dtype=int), None)
     try:
         if width == 1:
             yield Refits(tasks, in_block(map(_fold_auc, tasks)))
             return
         import multiprocessing  # here, so that a run that starts no pool does not load it
         # fork, named because Python 3.14 changes the default: workers keep the parent's imports
-        with multiprocessing.get_context("fork").Pool(width) as pool:
-            yield Refits(tasks, in_block(pool.imap(_fold_auc, tasks)))
+        context = multiprocessing.get_context("fork")
+        _inputs = (*_inputs[:2], context.Event())
+        with context.Pool(width) as pool:
+            try:
+                yield Refits(tasks, in_block(pool.imap(_fold_auc, tasks)))
+            finally:
+                _inputs[2].set()
+                pool.close()
+                pool.join()
     finally:
-        ended, _inputs = True, (None, None)
+        ended, _inputs = True, (None, None, None)
 
 
 def cv_evaluate(refits: Refits) -> dict:

@@ -553,8 +553,8 @@ def test_fit_failure_exits_2_before_any_model_file(tmp_path, fast_config, monkey
 
 def test_fit_failure_in_all_ends_the_refits(tmp_path, monkeypatch, capsys):
     # five folds: 15 refits, each held in its worker until train has failed;
-    # the block then terminates both workers, so at most the two refits they
-    # hold go on, and no later one starts
+    # the ended block then lets its two workers finish the refits they hold,
+    # and no later one starts
     config = _write_config(tmp_path, {**FAST_CONFIG, "cv_folds": 5})
     parent, failed, started = os.getpid(), tmp_path / "failed", tmp_path / "started"
     started.mkdir()

@@ -1,6 +1,6 @@
 """ROC/AUC, confusion reports and cross-validation aggregation."""
 
-import multiprocessing
+import multiprocessing.pool
 import os
 import pickle
 
@@ -214,7 +214,7 @@ def _refits_of_60_rows():
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_aucs_taken_after_the_block_has_ended_raise(monkeypatch, cpus):
-    # at width 2 the ended pool would never deliver them, so they must not wait
+    # at width 2 the ended block's workers drop them unstarted, so they must not wait
     _use_cpus(monkeypatch, cpus)
     with _refits_of_60_rows() as refits:
         assert next(refits.aucs) == 1.0
@@ -233,3 +233,23 @@ def test_the_block_leaves_no_inputs_behind(monkeypatch, cpus):
         raise RuntimeError("in the block")
     assert all(v is None for v in metrics_mod._inputs)
     assert multiprocessing.active_children() == []
+
+
+def test_the_block_ends_its_workers_before_the_pool_is_terminated(monkeypatch):
+    # Pool.terminate kills the workers where they stand; one killed while it
+    # held the result queue's lock leaves the pool's task thread, and so the
+    # block's end, waiting on that lock for ever
+    alive = []
+
+    class CheckedPool(multiprocessing.pool.Pool):
+        def terminate(self):
+            alive.append(sum(p.exitcode is None for p in self._pool))
+            super().terminate()
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", CheckedPool)
+    _use_cpus(monkeypatch, 2)
+    with _refits_of_60_rows() as refits:
+        assert next(refits.aucs) == 1.0
+    with pytest.raises(RuntimeError, match="in the block"), _refits_of_60_rows():
+        raise RuntimeError("in the block")
+    assert alive == [0, 0]
