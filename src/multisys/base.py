@@ -68,8 +68,8 @@ def is_finite(value) -> bool:
 
 def numbers(values, name: str, n: int | None = None, below: int | None = None) -> np.ndarray:
     """The one decode of numbers read back from an artifact: `values`, a JSON list
-    or a CSV column after float() or int(), as a float array, or with `below` an
-    int array.  ValueError naming `name` unless it is a list (of n items if n is
+    or an int CSV column's `tolist()`, as a float array, or with `below` an int
+    array.  ValueError naming `name` unless it is a list (of n items if n is
     given) of finite numbers (never a bool), with `below` integers in [0, below)."""
     if not isinstance(values, list) or n is not None and len(values) != n:
         raise ValueError(f"{name} is not a list" + ("" if n is None else f" of {n} numbers"))

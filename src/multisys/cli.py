@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import csv
 import functools
 import hashlib
 import inspect
@@ -269,13 +268,7 @@ class Workspace:
             if isinstance(content, str):
                 fh.write(content)
             elif name.endswith(".csv"):
-                writer, columns = csv.writer(fh), list(content.values())
-                step = ingest_mod._BLOCK_ROWS
-                writer.writerow(content)
-                for start in range(0, len(columns[0]), step):
-                    block = (c[start:start + step] for c in columns)
-                    writer.writerows(zip(*(b.tolist() if isinstance(b, np.ndarray) else b
-                                           for b in block), strict=True))
+                ingest_mod.write_table(fh, content)
             else:
                 json.dump(content, fh, sort_keys=True, indent=1)
                 fh.write("\n")
@@ -287,8 +280,8 @@ class Workspace:
 
     def write(self, name: str, content) -> None:
         """Write and register an artifact: a str verbatim; a `.csv` table, a dict
-        of equal-length columns keyed by header, through csv.writer a block of rows
-        at a time, an array's block as its `tolist`; anything else as JSON."""
+        of equal-length columns keyed by header, through `ingest.write_table`;
+        anything else as JSON."""
         self._put(name, content)
         self.register(name)
 
@@ -299,10 +292,11 @@ class Workspace:
                            kind="missing-artifact")
         return path
 
-    def read(self, name: str, decode=lambda doc: doc):
-        """`decode` of a registered artifact's parsed JSON, or of its CSV columns
-        (`ingest.csv_columns`); kind malformed-artifact if it does not parse or decode."""
-        parse = json.load if name.endswith(".json") else ingest_mod.csv_columns
+    def read(self, name: str, decode=lambda doc: doc, kinds: dict | None = None):
+        """`decode` of a registered artifact's parsed JSON, or of its CSV columns named
+        in `kinds` (`ingest.csv_columns`); kind malformed-artifact if parse or decode fails."""
+        parse = (json.load if name.endswith(".json")
+                 else functools.partial(ingest_mod.csv_columns, kinds=kinds))
         return read_file(self.require(name), decode, artifact_error, parse=parse)
 
     @functools.cached_property
@@ -323,11 +317,6 @@ class Workspace:
         return self.read("partition.json", lambda doc: Partition(**{**doc, **{
             subset: numbers(doc[subset], subset, below=n_rows)
             for subset in ("train", "validation", "test")}}))
-
-
-def _column(table: dict, key: str, below: int | None = None) -> np.ndarray:
-    """Column `key` of a CSV table through `numbers`: floats, or integers in [0, below)."""
-    return numbers(list(map(float if below is None else int, table[key])), key, below=below)
 
 
 # ---------------------------------------------------------------------------
@@ -372,23 +361,15 @@ def stage_features(ws: Workspace) -> None:
 def _load_indices(ws: Workspace, n_rows: int | None, *columns: str) -> list[np.ndarray]:
     """The integer `columns` of indices.csv, which must have n_rows rows if given:
     target_multi 0 or 1, burden_score at most the config's rules and
-    affected_systems at most its systems, each at least 0; read through `ingest._blocks`."""
+    affected_systems at most its systems, each at least 0."""
     top = {"target_multi": 1, "burden_score": sum(len(s.rules) for s in ws.cfg.systems),
            "affected_systems": len(ws.cfg.systems)}
 
-    def decode(reader):
-        header = next(reader, [])
-        at = [*map(header.index, columns)]
-        table = np.fromiter((int(row[i]) for _, rows in ingest_mod._blocks(reader, len(header))
-                             for row in rows for i in at), dtype=int)
-        if n_rows is not None and len(table) != n_rows * len(at):
-            raise ValueError(f"{len(table) // len(at)} rows, matrix.csv has {n_rows}")
-        decoded = list(table.reshape(-1, len(at)).T)
-        for c, values in zip(columns, decoded):
-            if ((values < 0) | (values > top[c])).any():
-                raise ValueError(f"{c} has a value outside [0, {top[c]}]")
-        return decoded
-    return read_file(ws.require("indices.csv"), decode, artifact_error, parse=csv.reader)
+    def decode(table):
+        if n_rows is not None and len(table[columns[0]]) != n_rows:
+            raise ValueError(f"{len(table[columns[0]])} rows, matrix.csv has {n_rows}")
+        return [numbers(table[c].tolist(), c, below=top[c] + 1) for c in columns]
+    return ws.read("indices.csv", decode, kinds=dict.fromkeys(columns, int))
 
 
 def stage_split(ws: Workspace) -> None:
@@ -513,8 +494,9 @@ def stage_explain(ws: Workspace) -> None:
 def _importance(ws: Workspace) -> list[tuple[int, str, float]]:
     """importance.csv's (rank, feature, mean |SHAP|) rows, in file order."""
     return ws.read("importance.csv", lambda t: list(zip(
-        _column(t, "rank", below=len(t["feature"]) + 1).tolist(), t["feature"],
-        _column(t, "mean_abs_shap").tolist())))
+        numbers(t["rank"].tolist(), "rank", below=len(t["rank"]) + 1).tolist(),
+        t["feature"].tolist(), t["mean_abs_shap"].tolist())),
+        kinds={"rank": int, "feature": object, "mean_abs_shap": float})
 
 
 def stage_report(ws: Workspace) -> None:
@@ -538,15 +520,17 @@ def stage_report(ws: Workspace) -> None:
          numbers([c["auc"]], "auc").item()) for name, c in sorted(doc["curves"].items())]))
 
     figures["beeswarm"] = report_mod.render_beeswarm(*ws.read("beeswarm.csv", lambda t: (
-        t["feature"], _column(t, "shap"), _column(t, "value"),
-        *(_column(t, key, below=len(t["feature"]) + 1) for key in ("row", "rank")))))
+        t["feature"], t["shap"], t["value"],
+        *(numbers(t[key].tolist(), key, below=len(t[key]) + 1) for key in ("row", "rank"))),
+        kinds={"feature": object, "shap": float, "value": float, "row": int, "rank": int}))
 
     figures["importance"] = report_mod.render_importance_bar(
         [(feature, value) for _, feature, value in _importance(ws)])
 
     # read inside explain_meta.json's decode, so a bad pdp file name is that file's error
     figures["pdp"] = report_mod.render_pdp_panel(ws.read("explain_meta.json", lambda meta: [
-        (feature, *ws.read(fname, lambda t: (_column(t, feature), _column(t, "probability"))))
+        (feature, *ws.read(fname, lambda t: (t[feature], t["probability"]),
+                           kinds=dict.fromkeys((feature, "probability"), float)))
         for feature, fname in zip(meta["top_features"], meta["pdp_files"], strict=True)]))
 
     for name, svg in figures.items():

@@ -64,6 +64,8 @@ class ColumnSchema:
     def __post_init__(self):
         if not all(type(text) is str for text in (self.name, self.unit_hint, self.source_header)):
             raise IngestError(f"{self.name!r}: name, unit and source must be strings")
+        if "/" in self.name or "\\" in self.name:  # it names the file pdp_{name}.csv
+            raise IngestError(f"{self.name!r}: a column name may not hold / or \\")
         if self.kind not in ("continuous", "semiquant"):
             raise IngestError(f"{self.name}: unknown kind {self.kind!r}")
         if self.fill_policy not in ("median", "mode", "zero"):
@@ -234,34 +236,79 @@ def schema_from_json(path: str) -> tuple[list[ColumnSchema], dict[str, float]]:
 
 
 def _blocks(reader, width: int):
-    """`(line, rows)` for the rows left in `reader`, `_BLOCK_ROWS` at a time,
-    `line` being the line of the block's first row (the header is line 1);
-    ValueError for a row whose length is not `width`.  A block is valid only
-    until the next is requested: it is emptied first, so one block of row
-    strings is alive at a time."""
+    """`(line, columns)` for the rows left in `reader`, `_BLOCK_ROWS` at a time:
+    `line` is the first row's line (the header is line 1), `columns` a tuple of
+    cells per column.  ValueError for a row whose length is not `width`.  A block
+    is valid only until the next is requested: it is emptied first, so one block
+    of cells is alive at a time."""
     line = 2
     while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
         if set(map(len, rows)) != {width}:
             i = next(i for i, row in enumerate(rows) if len(row) != width)
             raise ValueError(f"line {line + i} has {len(rows[i])} cells, the header {width}")
-        yield line, rows
+        yield line, (columns := list(zip(*rows)))
         line += len(rows)
         rows.clear()
+        columns.clear()
 
 
-def csv_columns(fh) -> dict[str, list[str]]:
-    """The CSV file's columns keyed by its header, each a list of its cells, built
-    a block of rows at a time: a `read_file` parse.  ValueError for a header that
-    repeats a name or a row whose length differs from the header's."""
+def write_table(fh, columns: dict) -> None:
+    """Write a CSV table, equal-length columns keyed by header, `_BLOCK_ROWS` rows at
+    a time: a numeric array's cells as each number's `repr`, formatted once per
+    distinct value of the block (0.0 and -0.0 apart).  A table of such arrays alone
+    is joined with commas, as no `repr` needs quoting; others go through `csv.writer`."""
+    writer = csv.writer(fh)
+    writer.writerow(columns)
+    numeric = [isinstance(c, np.ndarray) and c.dtype.kind in "iuf" for c in columns.values()]
+    for start in range(0, len(next(iter(columns.values()))), _BLOCK_ROWS):
+        block = [c[start:start + _BLOCK_ROWS] for c in columns.values()]
+        rows = zip(*(_texts(b) if is_numeric else b for b, is_numeric in zip(block, numeric)),
+                   strict=True)
+        if all(numeric):
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+        else:
+            writer.writerows(rows)
+
+
+def _texts(block: np.ndarray) -> list[str]:
+    """The `repr` of each number in `block`, formatted once per distinct value."""
+    keys = block.view(f"i{block.itemsize}") if block.dtype.kind == "f" else block
+    distinct, at = np.unique(keys, return_inverse=True)
+    texts = np.array([repr(v) for v in distinct.view(block.dtype).tolist()], dtype=object)
+    return texts[at].tolist()
+
+
+def _convert(line: int, cells, dtype) -> np.ndarray:
+    """One column's `cells`, from line `line` on, as a `dtype` array converted as `float`
+    or `int` would; ValueError naming the line of a bad cell or a non-finite float."""
+    try:
+        values = np.array(cells, dtype=dtype)
+    except ValueError:
+        for i, cell in enumerate(cells):  # only to name the first bad line
+            try:
+                np.array(cell, dtype=dtype)
+            except ValueError as exc:
+                raise ValueError(f"line {line + i}: {exc}") from exc
+        raise
+    if dtype is float and not (finite := np.isfinite(values)).all():
+        raise ValueError(f"line {line + finite.argmin()} has a cell that is not a finite number")
+    return values
+
+
+def csv_columns(fh, kinds: dict) -> dict[str, np.ndarray]:
+    """The CSV table's columns named in `kinds`, each converted a block at a time to
+    its kind, `float`, `int` or `object` (cells as they are): a `read_file` parse.
+    ValueError for a repeated or absent header name, a ragged row or a bad cell."""
     reader = csv.reader(fh)
     header = next(reader, [])
     if twice := repeated(header):
         raise ValueError(f"line 1 repeats the column name(s) {', '.join(twice)}")
-    columns = {name: [] for name in header}
-    for _, rows in _blocks(reader, len(header)):
-        for column, cells in zip(columns.values(), zip(*rows)):
-            column.extend(cells)
-    return columns
+    at = {name: header.index(name) for name in kinds}
+    parts = {name: [np.empty(0, dtype=kind)] for name, kind in kinds.items()}
+    for line, columns in _blocks(reader, len(header)):
+        for name, kind in kinds.items():
+            parts[name].append(_convert(line, columns[at[name]], kind))
+    return {name: np.concatenate(blocks) for name, blocks in parts.items()}
 
 
 class _Codes(dict):
@@ -301,14 +348,12 @@ def load_cohort(csv_path: str, schemas: list[ColumnSchema]) -> RawCohort:
             log.warning("%s: dropped %d unmapped column(s)", csv_path, dropped)
         coded = {name: (_Codes(), [np.empty(0, dtype=np.int32)]) for _, name in keep}
         n = 0
-        for _, rows in _blocks(reader, len(header)):
-            cells = list(zip(*rows))  # the block's columns
+        for _, cells in _blocks(reader, len(header)):
             for i, name in keep:
                 table, codes = coded[name]
                 codes.append(np.fromiter(map(table.__getitem__, cells[i]), dtype=np.int32,
-                                         count=len(rows)))
-            n += len(rows)
-            del cells  # so that one block of cells is alive at a time
+                                         count=len(cells[i])))
+            n += len(cells[0])
         if n == 0:
             raise IngestError("no data rows")
         columns = {}
@@ -389,36 +434,11 @@ def clean_cohort(cohort: RawCohort, schemas: list[ColumnSchema],
 
 
 def write_matrix_csv(matrix: FeatureMatrix, path: str) -> None:
-    """Write the matrix atomically, so a failed write leaves the previous bytes.
-
-    A cell is written as the ``repr`` of its float, formatted once per
-    distinct bit pattern of its column (``0.0`` and ``-0.0`` stay apart).
-    """
-    bits = np.asarray(matrix.values, dtype=float).view(np.int64)
-    keys = [np.unique(bits[:, j]) for j in range(bits.shape[1])]
-    texts = [np.array([repr(v) for v in k.view(float).tolist()], dtype=object) for k in keys]
+    """Write the matrix through `write_table` atomically, so a failed write leaves
+    the previous bytes: a cell is the ``repr`` of its float."""
+    values = np.asarray(matrix.values, dtype=float)
     with write_file(path) as fh:
-        csv.writer(fh).writerow(matrix.names)
-        for start in range(0, len(bits), _BLOCK_ROWS):
-            block = bits[start:start + _BLOCK_ROWS]
-            columns = [text[np.searchsorted(key, block[:, j])].tolist()
-                       for j, (key, text) in enumerate(zip(keys, texts))]
-            # a float's repr holds no comma, quote or line break, so csv.writer
-            # would write these rows unquoted, just as they are joined here
-            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
-
-
-def _floats(line: int, rows: list[list[str]]) -> np.ndarray:
-    """The float array of `rows`, read from the file's lines from `line` on."""
-    try:
-        return np.array(rows, dtype=float)
-    except ValueError:
-        for i, row in enumerate(rows):  # only to name the first bad line
-            try:
-                np.array(row, dtype=float)
-            except ValueError as exc:
-                raise IngestError(f"line {line + i}: {exc}") from exc
-        raise
+        write_table(fh, dict(zip(matrix.names, values.T)))
 
 
 def read_matrix_csv(path: str, schemas: list[ColumnSchema]) -> FeatureMatrix:
@@ -441,14 +461,12 @@ def read_matrix_csv(path: str, schemas: list[ColumnSchema]) -> FeatureMatrix:
         if header != names:
             raise IngestError(f"header is not the schema's columns in schema order: "
                               f"{', '.join(header)}")
-        blocks = [_floats(line, rows) for line, rows in _blocks(reader, len(names))]
+        blocks = [np.array([_convert(line, cells, float) for cells in columns]).T
+                  for line, columns in _blocks(reader, len(names))]
         if not blocks:
             raise IngestError("no data rows")
         values = np.empty((sum(map(len, blocks)), len(names)))
         for start in range(0, len(values), _BLOCK_ROWS):  # each block dropped once copied
             values[start:start + _BLOCK_ROWS] = blocks.pop(0)
-        if not np.isfinite(values).all():
-            line = np.flatnonzero(~np.isfinite(values).all(axis=1))[0] + 2
-            raise IngestError(f"line {line} has a cell that is not a finite number")
         return FeatureMatrix(columns=list(schemas), values=values)
     return read_file(path, decode, IngestError, parse=csv.reader)

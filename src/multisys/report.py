@@ -32,6 +32,7 @@ def _svg(width: int, height: int, body: list[str]) -> str:
 
 
 def _text(x: float, y: float, s: str, size: int = 10, anchor: str = "start") -> str:
+    s = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")  # as XML text
     return (f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
             f'font-size="{size}" text-anchor="{anchor}">{s}</text>')
 
@@ -65,11 +66,8 @@ def _hist_panel(x0: float, y0: float, w: float, h: float, name: str,
     body = [_rect(x0, y0, w, h, "none", stroke="#999"),
             _text(x0 + 4, y0 + 12, name, size=10)]
     lo, hi = float(np.min(values)), float(np.max(values))
-    if hi == lo:
-        counts = np.array([len(values)])
-        edges = np.array([lo, lo + 1.0])
-    else:
-        counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
+    counts = (np.array([len(values)]) if hi == lo
+              else np.histogram(values, bins=bins, range=(lo, hi))[0])
     peak = counts.max()
     plot_h = h - 20
     bw = w / len(counts)

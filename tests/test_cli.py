@@ -7,6 +7,7 @@ import json
 import math
 import multiprocessing.pool
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -458,20 +459,33 @@ def test_csv_table_is_written_as_csv_writer_writes_its_rows_and_read_back(
              'Na, "serum"' if i % 2 else f"row {i}"] for i in range(n)]
     ints, flags, floats, ratios, notes = map(list, zip(*rows))
     header = ["id", "flag", "value", "ratio", "note"]
-    table = dict(zip(header, [np.array(ints), np.array(flags, dtype=bool).view(np.int8),
-                              np.array(floats), ratios, notes]))
+    arrays = [np.array(ints), np.array(flags, dtype=bool).view(np.int8), np.array(floats)]
+    # a table with a list column goes through csv.writer, one of numeric arrays alone is joined
+    tables = {"mixed.csv": (header, rows, dict(zip(header, [*arrays, ratios, notes]))),
+              "numeric.csv": (header[:3], [row[:3] for row in rows],
+                              dict(zip(header, arrays)))}
     ws = Workspace(str(tmp_path / "run"), RunConfig.load(fast_config))
-    ws.write("table.csv", table)
-    expected = io.StringIO()
-    writer = csv.writer(expected)
-    for row in [header, *rows]:
-        writer.writerow(row)
-    assert Path(ws.path("table.csv")).read_bytes() == expected.getvalue().encode("utf-8")
-    cells = list(csv.reader(io.StringIO(expected.getvalue())))
-    columns = ws.read("table.csv")
-    assert columns == {name: list(column) for name, *column in zip(*cells)}
-    assert columns["value"][:4] == ["-0.0", "1e+16", "5e-324", "0.1"]
-    assert columns["flag"][:4] == ["1", "0", "0", "1"] and columns["note"][1] == 'Na, "serum"'
+    for name, (names, table_rows, table) in tables.items():
+        ws.write(name, table)
+        expected = io.StringIO()
+        csv.writer(expected).writerows([names, *table_rows])
+        assert Path(ws.path(name)).read_bytes() == expected.getvalue().encode("utf-8"), name
+        cells = dict(zip(names, map(list, zip(*list(csv.reader(
+            io.StringIO(expected.getvalue())))[1:]))))
+        # every column as its cells, every numeric one as floats, the int ones as ints
+        as_text = ws.read(name, kinds=dict.fromkeys(names, object))
+        assert {key: column.tolist() for key, column in as_text.items()} == cells, name
+        numeric = [key for key in names if key != "note"]
+        as_float = ws.read(name, kinds=dict.fromkeys(numeric, float))
+        for key in numeric:
+            bits = np.array([float(cell) for cell in cells[key]]).view(np.int64)
+            assert as_float[key].view(np.int64).tolist() == bits.tolist(), (name, key)
+        as_int = ws.read(name, kinds={"id": int, "flag": int})
+        assert as_int["id"].tolist() == ints and as_int["flag"].tolist() == flags, name
+        assert cells["value"][:4] == ["-0.0", "1e+16", "5e-324", "0.1"], name
+    assert cells["flag"][:4] == ["1", "0", "0", "1"] and notes[1] == 'Na, "serum"'
+    with pytest.raises(CliError, match="ValueError: line 2: invalid literal for int"):
+        ws.read("numeric.csv", kinds={"value": int})  # -0.0 is no int's spelling
 
 
 def test_features_evaluates_each_rule_once(tmp_path, fast_config, monkeypatch):
@@ -968,6 +982,9 @@ SIDEWAYS_SYSTEM = {"systems": [{"name": "kidney", "rules": [
         {"analyte": [], "direction": "above", "cutoff": 110},
         {"analyte": "BUN", "direction": "above", "cutoff": 8.2}]}]}, "SystemsError"),
     ("schema_config", {"columns": [{"name": "Cr", "unit": 0}]}, "IngestError"),
+    # explain writes pdp_{name}.csv: this one would land two levels above the run directory
+    ("schema_config", {"columns": [{"name": "a/../../escaped", "source": "GLU"}]},
+     "IngestError"),
 ])
 def test_bad_config_files_exit_2_before_any_artifact(tmp_path, capsys, key, content, kind):
     path = tmp_path / "file.json"
@@ -1375,6 +1392,9 @@ def _extra_row(text):
      ("report",), 1),
     ("indices.csv", _edit_rows(lambda rows: rows[5].extend(["0", "0"])), ("split",), 6),
     ("indices.csv", _edit_rows(lambda rows: rows[5].extend(["0", "0"])), ("report",), 6),
+    # a cell its column's kind does not take names its line, past the first block too
+    ("beeswarm.csv", _set_cell(450, "shap", "big"), ("report",), 451),
+    ("importance.csv", _set_cell(2, "rank", "1.0"), ("report",), 3),
 ], ids=["indices-no-target-split", "indices-no-target-train", "indices-bad-target-split",
         "indices-bad-target-train", "indices-target-2-train", "indices-no-burden-report",
         "indices-negative-burden-report", "indices-extra-row-train",
@@ -1385,9 +1405,12 @@ def _extra_row(text):
         "roc-short-tpr-report", "beeswarm-inf-value-report", "pdp-nan-probability-report",
         "indices-huge-target-split", "beeswarm-extra-cell-report",
         "importance-repeated-name-report", "indices-extra-cells-split",
-        "indices-extra-cells-report"])
-def test_malformed_artifact_exits_2(explained_run, tmp_path, capsys, pattern, edit, stages,
-                                    line):
+        "indices-extra-cells-report", "beeswarm-bad-shap-past-first-block-report",
+        "importance-float-rank-report"])
+def test_malformed_artifact_exits_2(explained_run, tmp_path, capsys, monkeypatch, pattern,
+                                    edit, stages, line):
+    # blocks of 100 rows, so that a CSV artifact of the fast run spans several
+    monkeypatch.setattr(ingest_mod, "_BLOCK_ROWS", 100)
     config, source = explained_run
     out = tmp_path / "run"
     shutil.copytree(source, out)
@@ -1402,7 +1425,9 @@ def test_malformed_artifact_exits_2(explained_run, tmp_path, capsys, pattern, ed
     _, err = _error_line(capsys)
     assert err["error"] == "malformed-artifact"
     if line is not None:
-        assert f"{paths[0]}: ValueError: line {line} " in err["message"]
+        # the line's number, then a space or a colon
+        assert re.search(re.escape(f"{paths[0]}: ValueError: line {line}") + "[ :]",
+                         err["message"]), err["message"]
 
 
 @pytest.mark.parametrize("column, value", [("burden_score", "12"),

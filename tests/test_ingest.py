@@ -102,6 +102,9 @@ def test_schema_rejects_bad_kind_and_policy():
     for bound in (math.nan, math.inf, True):
         with pytest.raises(IngestError, match="is not a finite number$"):
             ColumnSchema("X", "continuous", upper=bound)
+    for name in ("a/b", "a\\b", "a/../../x"):  # a name is part of a file name
+        with pytest.raises(IngestError, match="may not hold / or"):
+            ColumnSchema(name, "continuous")
 
 
 def test_zero_policy_allowed_for_both_kinds():

@@ -1,6 +1,7 @@
 """Deterministic SVG rendering (golden files) and table statistics."""
 
 import os
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from multisys.report import (
     render_pdp_panel, render_roc, table_summary,
 )
 
+SVG = "http://www.w3.org/2000/svg"
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -110,6 +112,21 @@ def test_pdp_panel_golden():
 def test_pdp_panel_empty_errors():
     with pytest.raises(ReportError):
         render_pdp_panel([])
+
+
+def test_figures_escape_names_as_xml_text():
+    # A schema column or a model may be named with XML's special characters;
+    # the burden figure draws no name.
+    name = "TG<HDL&x>"
+    x = np.linspace(0.0, 1.0, 5)
+    for svg in [render_histogram_grid([(name, x)]),
+                render_correlation_heatmap([name], np.ones((1, 1))),
+                render_roc([(name, x, x, 0.5)]),
+                render_beeswarm([name] * 5, x, x, np.arange(5), np.ones(5, dtype=int)),
+                render_importance_bar([(name, 1.0)]),
+                render_pdp_panel([(name, x, x)])]:
+        texts = [node.text for node in ElementTree.fromstring(svg).iter(f"{{{SVG}}}text")]
+        assert any(name in text for text in texts), svg
 
 
 # ---------------------------------------------------------------------------
