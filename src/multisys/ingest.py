@@ -66,6 +66,8 @@ class ColumnSchema:
             raise IngestError(f"{self.name!r}: name, unit and source must be strings")
         if "/" in self.name or "\\" in self.name:  # it names the file pdp_{name}.csv
             raise IngestError(f"{self.name!r}: a column name may not hold / or \\")
+        if self.name == "probability":  # the other column of pdp_{name}.csv
+            raise IngestError("a column may not be named 'probability', as PDP files use it")
         if self.kind not in ("continuous", "semiquant"):
             raise IngestError(f"{self.name}: unknown kind {self.kind!r}")
         if self.fill_policy not in ("median", "mode", "zero"):

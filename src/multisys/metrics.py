@@ -115,13 +115,14 @@ def cv_refits(fitters: dict[str, Callable], X, y, fold_plan) -> Iterator[Refits]
     y_train)` (picklable, returning a model with `predict_proba`) on the other
     k-1 folds, scored on the held-out one.  A fork pool as wide as the CPU
     affinity (at most one worker per task) starts with X and y in `_inputs`, so
-    no task pickles them; at width 1 the builtin `map` runs each refit here as
-    `cv_evaluate` asks.  Either gives the same AUCs.  When the block ends,
-    raising or not, the workers start no further refit, the pool is closed and
-    joined once the refits already started have returned, and `_inputs` is
-    emptied.  The pool is not terminated: a worker killed while it held the
-    result queue's lock would leave the pool's task thread, and so the join,
-    waiting on that lock for ever."""
+    no task pickles them, and is handed the last (slowest) model's refits first;
+    at width 1 the builtin `map` runs each refit here as `cv_evaluate` asks.
+    Either yields the AUCs, and raises the first error, in model then fold
+    order.  When the block ends, raising or not, the workers start no further
+    refit, the pool is closed and joined once the refits already started have
+    returned, and `_inputs` is emptied.  The pool is not terminated: a worker
+    killed while it held the result queue's lock would leave the pool's task
+    thread, and so the join, waiting on that lock for ever."""
     global _inputs
     assignments = np.asarray(fold_plan.assignments)
     tasks = [(name, fitter, assignments == fold, fold)
@@ -146,7 +147,9 @@ def cv_refits(fitters: dict[str, Callable], X, y, fold_plan) -> Iterator[Refits]
         _inputs = (*_inputs[:2], context.Event())
         with context.Pool(width) as pool:
             try:
-                yield Refits(tasks, in_block(pool.imap(_fold_auc, tasks)))
+                results = {i: pool.apply_async(_fold_auc, (tasks[i],))  # the last model's first
+                           for i in sorted(range(len(tasks)), key=lambda i: -(i // fold_plan.k))}
+                yield Refits(tasks, in_block(results[i].get() for i in range(len(tasks))))
             finally:
                 _inputs[2].set()
                 pool.close()
@@ -157,7 +160,7 @@ def cv_refits(fitters: dict[str, Callable], X, y, fold_plan) -> Iterator[Refits]
 
 def cv_evaluate(refits: Refits) -> dict:
     """Per model, the AUC mean +/- SD (the sample, n-1, standard deviation)
-    over its folds' refits, taken in the order they were submitted."""
+    over its folds' refits, taken in model then fold order."""
     folds = {}
     for (name, *_), auc in zip(refits.tasks, refits.aucs, strict=True):
         folds.setdefault(name, []).append(float(auc))

@@ -20,21 +20,22 @@ growth path, and only legal cuts are scored.  `grow_tree` is gradient
 boosting's variance tree, grown on all rows and all features over the stable
 order of each column's codes, which boosting adds to the presort: each node
 lays the live columns out as rows of a 2-D block, each holding the node's
-rank codes in sorted order, and `_best_cut` scores every legal cut of every
-column from prefix sums, at most _CHUNK elements of the block at a time.
-The block leaves out the columns constant over X, which have no legal cut,
-and a split partitions it with one boolean mask and its negation, stably:
-since the node's rows are an ascending subsequence of all rows, this is the
-order a stable sort of the node's rows gives.  `grow_forest` (random forests)
-grows every tree of a forest in lockstep, each on its bootstrap: step s grows
-the s-th pre-order node of every tree that still has one, and `_gini_splits`
-scores the step's drawn candidates in calls of at most _BUDGET elements.  A
-call sorts one array of integer keys (segment, rank code, 0/1 target), so its
-prefix counts of the target are exact and do not depend on the order within a
-tie.  A threshold lies between adjacent distinct sorted feature values a < b
-(`_threshold`), and ties among equal-quality splits resolve to the lowest
-feature index, then the lowest threshold.  A row that appears more than once
-in a bootstrap counts once per appearance.
+rank codes in sorted order, and `_best_cut` scores the legal cuts of every
+column from one prefix sum of the residuals, at most _CHUNK elements of the
+block at a time.  The block leaves out the columns constant over X, which
+have no legal cut, and a split takes the elements of one boolean mask and of
+its negation by index, a stable partition: the node's rows are an ascending
+subsequence of all rows, so this is the order a stable sort of them gives.
+`grow_forest` (random forests) grows every tree of a forest in lockstep, each
+on its bootstrap: step s grows the s-th pre-order node of every tree that
+still has one, and `_gini_splits` scores the step's drawn candidates in calls
+of at most _BUDGET elements.  A call sorts one array of integer keys (segment,
+rank code, 0/1 target), so its prefix counts of the target are exact and do
+not depend on the order within a tie.  A threshold lies between adjacent
+distinct sorted feature values a < b (`_threshold`), and ties among
+equal-quality splits resolve to the lowest feature index, then the lowest
+threshold.  A row that appears more than once in a bootstrap counts once per
+appearance.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .rng import SplitMix64
 
 LEAF = -1
 _WALK_PAIRS = 1 << 14  # (tree, row) pairs a walk routes at once
-_CHUNK = 8192  # elements of the block a split search scores at once
+_CHUNK = 1 << 15  # elements of the block a split search scores at once
 _BUDGET = 1 << 15  # (segment, row) elements a batched Gini search scores at once
 FIELDS = {"feature": np.int32, "threshold": float, "left": np.int32, "right": np.int32,
           "value": float, "cover": np.int32}  # node fields and their dtypes
@@ -222,11 +223,21 @@ def _threshold(a: float, b: float) -> float:
 
 def _improves(score: float, f: int, best) -> bool:
     """Strictly better score, or an equal score on a lower feature index."""
-    if best is None:
-        return True
-    if score < best[0] - 1e-12:
-        return True
-    return abs(score - best[0]) <= 1e-12 and f < best[1]
+    return (best is None or score < best[0] - 1e-12
+            or abs(score - best[0]) <= 1e-12 and f < best[1])
+
+
+def _first_minima(score: np.ndarray, owner: np.ndarray, count: int):
+    """Per segment 0 .. count-1 of the scores grouped by ascending `owner`: its minimum, inf if it
+    has no score; and the segments that have one, each with its first minimum's index."""
+    best = np.full(count, np.inf)
+    starts = np.ones(len(owner), dtype=bool)
+    np.not_equal(owner[1:], owner[:-1], out=starts[1:])
+    group = np.flatnonzero(starts)
+    segments = owner[group]
+    best[segments] = np.minimum.reduceat(score, group)
+    hits = np.flatnonzero(score == best[owner])
+    return best, segments, hits[np.searchsorted(hits, group)]
 
 
 def _best_cut(ordered: np.ndarray, ts: np.ndarray, candidates, values: list[np.ndarray],
@@ -237,52 +248,45 @@ def _best_cut(ordered: np.ndarray, ts: np.ndarray, candidates, values: list[np.n
     ascending order, and row j of `ts` the residuals in that order.  Only
     legal cuts are scored: a cut after position c leaves min_samples_leaf
     rows, and at least one, on each side, and falls between distinct codes.
-    Scores are the children's summed squared deviations, lower is better;
-    ties resolve to the lowest feature index, then to the lowest c.  The
-    threshold lies between the feature's values at the codes either side of
-    the cut.  Features are scored a chunk of rows of the block at a time, at
-    most _CHUNK elements (one feature at least), and each keeps its first best
+    Its score, the children's summed squared deviations, is ssq - (sl**2 / nl
+    + sr**2 / nr), from the node's sum of squares ssq and the sum sl of the nl
+    residuals left of the cut (sr, nr: right of it); lower is better.  Ties
+    resolve to the lowest feature index, then to the lowest c.  The threshold
+    lies between the feature's values at the codes either side of the cut.
+    Features are scored a chunk of rows of the block at a time, at most
+    _CHUNK elements (one feature at least), and each keeps its first best
     cut; one chain of `_improves` then runs over all features in order, since
     its tie tolerance is not transitive and chunk winners compared alone could
     pick another.
     """
     n = ts.shape[1]
-    # left counts lo+1 .. hi
-    lo = max(min_samples_leaf, 1) - 1
-    hi = n - 1 - lo
-    if hi <= lo:
-        return None
-    nl = np.arange(lo + 1, hi + 1, dtype=float)
-    nr = n - nl
+    lo = max(min_samples_leaf, 1) - 1  # the first legal cut is after position lo
+    ssq = np.square(ts[:1]).sum()  # every row holds the node's residuals
     step = max(1, _CHUNK // n)
-    cuts, legal, best_scores = [], [], []
+    found = []  # (row, score, c) of each feature's first best cut
     for first in range(0, len(ts), step):
-        chunk = ts[first:first + step]
-        # integer counts stay exact in float64, and float-only arithmetic is faster
-        csum = np.cumsum(chunk, axis=1, dtype=float)
-        sl = csum[:, lo:hi]
-        sr = csum[:, -1:] - sl
-        csq = np.cumsum(chunk * chunk, axis=1)
-        sql = csq[:, lo:hi]
-        left = sql - sl * sl / nl
-        right = (csq[:, -1:] - sql) - sr * sr / nr
         codes = ordered[first:first + step]
-        valid = codes[:, lo + 1:hi + 1] > codes[:, lo:hi]
-        scores = np.where(valid, left + right, np.inf)
-        cut = np.argmin(scores, axis=1)  # first, i.e. lowest threshold, on ties
-        columns = np.arange(len(cut))
-        cuts += cut.tolist()
-        legal += valid[columns, cut].tolist()
-        best_scores += scores[columns, cut].tolist()
-    at, best = None, None
-    for j, (f, ok, score) in enumerate(zip(candidates, legal, best_scores)):
-        if ok and _improves(score, f, best):
-            best, at = (score, f), j
+        valid = np.zeros(codes.shape, dtype=bool)  # the legal cuts, flat as the chunk
+        np.greater(codes[:, lo + 1:n - lo], codes[:, lo:n - 1 - lo], out=valid[:, lo:n - 1 - lo])
+        at = np.flatnonzero(valid)
+        row, c = np.divmod(at, n)
+        csum = np.cumsum(ts[first:first + step], axis=1)
+        sl = csum.take(at)
+        sr = csum[:, -1].take(row) - sl
+        score = sl * sl
+        score /= c + 1.0
+        score += sr * sr / (n - 1.0 - c)
+        np.subtract(ssq, score, out=score)
+        best, segments, hits = _first_minima(score, row, len(codes))
+        found += zip((first + segments).tolist(), best[segments].tolist(), c[hits].tolist())
+    best = None
+    for j, score, c in found:
+        if _improves(score, candidates[j], best):
+            best = score, candidates[j], j, c
     if best is None:
         return None
-    score, f = best
-    c = lo + cuts[at]
-    return score, f, _threshold(values[f][ordered[at, c]], values[f][ordered[at, c + 1]])
+    score, f, j, c = best
+    return score, f, _threshold(values[f][ordered[j, c]], values[f][ordered[j, c + 1]])
 
 
 def _gini_cuts(tagged: np.ndarray, cbits: int, rows: np.ndarray, size: np.ndarray,
@@ -330,18 +334,10 @@ def _gini_cuts(tagged: np.ndarray, cbits: int, rows: np.ndarray, size: np.ndarra
     right *= nr - sr
     right /= nr
     score += right
-    best = np.full(len(size), np.inf)
+    best, segments, hits = _first_minima(score, owner, len(size))
+    chosen, mask = cut[hits], (1 << cbits) - 1
     low, high = np.zeros((2, len(size)), dtype=keys.dtype)
-    if len(cut):
-        starts = np.ones(len(cut), dtype=bool)
-        np.not_equal(owner[1:], owner[:-1], out=starts[1:])
-        group = np.flatnonzero(starts)
-        segments = owner[group]
-        best[segments] = np.minimum.reduceat(score, group)
-        hits = np.flatnonzero(score == best[owner])
-        chosen = cut[hits[np.searchsorted(hits, group)]]  # each segment's first minimum
-        mask = (1 << cbits) - 1
-        low[segments], high[segments] = keys[chosen] & mask, keys[chosen + 1] & mask
+    low[segments], high[segments] = keys[chosen] & mask, keys[chosen + 1] & mask
     return keys[first] != keys[last], np.isfinite(best), best, low, high
 
 
@@ -517,16 +513,14 @@ def grow_tree(X: np.ndarray, residual: np.ndarray, *, max_depth: int, min_sample
             continue
         _, f, thr = best
         feature[index], threshold[index] = f, thr
-        # one block mask and its negation: a stable partition of every row
+        # each side's elements of the block, taken by index: a stable partition of every row
         side = X[:, f] <= thr
-        mask = None
-        for part, goes_left, children in ((rows[~side[rows]], False, right),
-                                          (rows[side[rows]], True, left)):
+        mask = side.take(block) if depth + 1 < max_depth else None
+        goes = side[rows]
+        for part, goes_left, children in ((rows[~goes], False, right), (rows[goes], True, left)):
             sub = None  # a child that can only become a leaf takes its row ids alone
-            if depth + 1 < max_depth and len(part) >= 2 * min_samples_leaf:
-                if mask is None:
-                    mask = side.take(block)
-                sub = block[mask if goes_left else ~mask].reshape(-1, len(part))
+            if mask is not None and len(part) >= 2 * min_samples_leaf:
+                sub = block.take(np.flatnonzero(mask == goes_left)).reshape(-1, len(part))
             stack.append((part, sub, depth + 1, (children, index)))
     return DecisionTree(*(np.array(column, dtype=dtype)
                           for column, dtype in zip(table, FIELDS.values())))

@@ -985,6 +985,8 @@ SIDEWAYS_SYSTEM = {"systems": [{"name": "kidney", "rules": [
     # explain writes pdp_{name}.csv: this one would land two levels above the run directory
     ("schema_config", {"columns": [{"name": "a/../../escaped", "source": "GLU"}]},
      "IngestError"),
+    # and pdp_probability.csv's two columns would be one
+    ("schema_config", {"columns": [{"name": "probability", "source": "GLU"}]}, "IngestError"),
 ])
 def test_bad_config_files_exit_2_before_any_artifact(tmp_path, capsys, key, content, kind):
     path = tmp_path / "file.json"

@@ -105,6 +105,10 @@ def test_schema_rejects_bad_kind_and_policy():
     for name in ("a/b", "a\\b", "a/../../x"):  # a name is part of a file name
         with pytest.raises(IngestError, match="may not hold / or"):
             ColumnSchema(name, "continuous")
+    # explain writes {name: grid, "probability": response}: the keys would merge
+    with pytest.raises(IngestError, match="may not be named 'probability'"):
+        ColumnSchema("probability", "continuous")
+    ColumnSchema("Probability", "continuous")
 
 
 def test_zero_policy_allowed_for_both_kinds():

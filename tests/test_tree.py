@@ -215,6 +215,86 @@ def test_best_split_matches_brute_force(criterion):
     assert no_cut >= 120
 
 
+def _two_sum_scores(ordered, ts, lo):
+    """Each cut's score under the variance scoring that the one-prefix-sum
+    `_best_cut` replaced: the children's summed squared deviations from two
+    prefix sums, of the residuals and of their squares, (sql - sl**2 / nl) +
+    ((sq - sql) - sr**2 / nr), for the cuts after positions lo .. n-2-lo, inf
+    where a cut is not between distinct codes."""
+    n = ts.shape[1]
+    nl = np.arange(lo + 1, n - lo, dtype=float)  # left counts lo+1 .. n-1-lo
+    nr = n - nl
+    csum = np.cumsum(ts, axis=1, dtype=float)
+    sl = csum[:, lo:n - 1 - lo]
+    sr = csum[:, -1:] - sl
+    csq = np.cumsum(ts * ts, axis=1)
+    sql = csq[:, lo:n - 1 - lo]
+    valid = ordered[:, lo + 1:n - lo] > ordered[:, lo:n - 1 - lo]
+    return np.where(valid, (sql - sl * sl / nl) + ((csq[:, -1:] - sql) - sr * sr / nr), np.inf)
+
+
+def _two_sum_cut(ordered, ts, candidates, values, min_samples_leaf):
+    """The two-sum `_best_cut`, kept as the oracle of its ties: each feature's
+    first minimum, then one `_improves` chain over the features."""
+    lo = max(min_samples_leaf, 1) - 1
+    if ts.shape[1] - 1 - lo <= lo:
+        return None
+    scores, best = _two_sum_scores(ordered, ts, lo), None
+    for j, f in enumerate(candidates):
+        c = int(np.argmin(scores[j]))  # first, i.e. lowest threshold, on ties
+        if scores[j, c] < np.inf and _improves(scores[j, c], f, best):
+            best, at = (float(scores[j, c]), f), lo + c
+            low, high = ordered[j, at], ordered[j, at + 1]
+    return None if best is None else (*best, _threshold(values[best[1]][low],
+                                                        values[best[1]][high]))
+
+
+@pytest.mark.parametrize("chunk", [tree_mod._CHUNK, 64], ids=["default-chunk", "chunk-64"])
+def test_one_prefix_sum_picks_the_two_sum_cut_on_ties(chunk, monkeypatch):
+    # Integer features of 2-5 levels and integer or 0/1 residuals make many
+    # cuts of equal score, within a feature and across features, which the
+    # two formulas round differently in their last bits.
+    monkeypatch.setattr(tree_mod, "_CHUNK", chunk)
+    rng = SplitMix64(39)
+    nodes, tied = 0, Counter()
+    for trial in range(100):
+        n = 6 + rng.randint_below(40)
+        p = 1 + rng.randint_below(5)
+        X = np.array([[float(rng.randint_below(2 + (trial + f) % 4)) for f in range(p)]
+                      for _ in range(n)])
+        X[:, rng.randint_below(p)] = X[:, rng.randint_below(p)]  # equal scores across features
+        if trial % 2:
+            y = np.array([float(rng.randint_below(7)) - 3.0 for _ in range(n)])
+        else:
+            y = np.array([float(rng.randint_below(2)) for _ in range(n)])
+        if trial % 3 == 0:  # a feature whose levels mirror: its two outer cuts tie exactly
+            levels = 3 + trial // 3 % 3
+            X[:, 0] = np.arange(n) % levels
+            mirrored = np.minimum(X[:, 0], levels - 1 - X[:, 0]).astype(int)
+            y = y[:levels][mirrored]
+            n -= n % levels
+            X, y = X[:n], y[:n]
+        codes, values = rank_codes(X)
+        for rows in (np.arange(n), rng.randints_below(n, n)):  # repeated rows count twice
+            order = np.argsort(codes[:, rows], axis=1, kind="stable")
+            ordered = np.take_along_axis(codes[:, rows], order, axis=1)
+            ts = y[rows][order]
+            for min_leaf in (0, 1, len(rows) // 2, len(rows) // 2 + 1):
+                best = _best_cut(ordered, ts, range(p), values, min_leaf)
+                oracle = _two_sum_cut(ordered, ts, range(p), values, min_leaf)
+                if oracle is None:
+                    assert best is None
+                    continue
+                assert best[1:] == oracle[1:], (trial, min_leaf)
+                assert best[0] == pytest.approx(oracle[0], abs=1e-9)
+                nodes += 1
+                # the legal cuts within the tie tolerance of the best, per feature
+                near = _two_sum_scores(ordered, ts, max(min_leaf, 1) - 1) <= oracle[0] + 1e-9
+                tied["within a feature"] += near.sum(axis=1).max() > 1
+                tied["across features"] += near.any(axis=1).sum() > 1
+    assert nodes >= 300 and min(tied.values()) >= 50, (nodes, tied)
+
+
 def test_presorted_growth_equals_node_local_sorting():
     # Integer features with few levels make many ties, so the stable order
     # among equal values decides every prefix sum.
